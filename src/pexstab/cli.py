@@ -31,7 +31,7 @@ from .dalembert import (build_counterexample, energy_of_counterexample,
                         verify_damping_inert)
 from .linsys import energy_balance, simulate
 from .observability import (OuterSearch, SignalClass, class_constant,
-                            kappa_scan, wave_pe_lower_bound)
+                            kappa_scan, wave_pe_lower_bound, wave_rho_lower_bound)
 from .scenario import Scenario, ScenarioError, build_intervals, parse_scenario
 from .signals import from_intervals, pe_check
 from .stability import (CertificateViolation, GateSignalFamily,
@@ -223,9 +223,8 @@ def _run_strong_stability(sc: Scenario, a: dict, i: int):
     if crit is not None:
         cost = crit["cost"]
         if cost["kind"] == "wave-cubic":
-            rho_, lam = cost["rho"], cost["lambda1"]
-            d0 = cost.get("d0", 1.0)
-            c_of_T = lambda L: d0 * d0 * rho_ ** 3 * lam ** 2 * L ** 3 / 72.0
+            c_of_T = lambda L: wave_rho_lower_bound(L, cost["rho"], cost["lambda1"],
+                                                    cost.get("d0", 1.0))
         elif cost["kind"] == "exp-gap":
             c_of_T = lambda L: math.exp(-2.0 / L)
         else:
@@ -279,6 +278,13 @@ def run_scenario(path: str, out_dir: str, parallel: bool = False,
     sc, digest, status = _load_scenario(path)
     if status:
         return status
+    return _run_parsed(sc, digest, path, out_dir, parallel, only_kind)
+
+
+def _run_parsed(sc: Scenario, digest: str, path: str, out_dir: str,
+                parallel: bool = False, only_kind: str = None) -> int:
+    """Run a validated scenario; ``digest`` is the sha256 of its bytes and
+    ``path`` names it in messages."""
     jobs = [(i, a) for i, a in enumerate(sc.analyses)
             if only_kind is None or a["kind"] == only_kind]
     if not jobs:
@@ -352,16 +358,14 @@ def _cmd_counterexample(args) -> int:
         "analyses": [{"kind": "counterexample", "omega": [a, b],
                       "periods": args.periods}],
     }
-    tmp = os.path.join(_resolve_out(args.out), "_counterexample_scenario.json")
-    out = _resolve_out(args.out)
+    raw = json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
     try:
-        os.makedirs(out, exist_ok=True)
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-    except OSError as e:
-        print("pexstab: %s" % e, file=sys.stderr)
-        return 3
-    return run_scenario(tmp, out)
+        sc = parse_scenario(doc)
+    except ScenarioError as e:
+        print("pexstab: counterexample: %s" % e, file=sys.stderr)
+        return 2
+    return _run_parsed(sc, hashlib.sha256(raw).hexdigest(), "counterexample",
+                       _resolve_out(args.out))
 
 
 def main(argv=None) -> int:

@@ -48,6 +48,18 @@ def _check_omega(omega):
     return a, b
 
 
+def _check_modal_spec(spec):
+    """Checks shared by the modal specs; normalises ``spec.omega`` in place."""
+    if spec.n_modes < 1:
+        raise ValueError("need at least one mode")
+    if (spec.uniform is None) == (spec.omega is None):
+        raise ValueError("specify exactly one of uniform damping or omega")
+    if spec.uniform is not None and spec.uniform <= 0:
+        raise ValueError("uniform damping value must be positive")
+    if spec.omega is not None:
+        object.__setattr__(spec, "omega", _check_omega(spec.omega))
+
+
 @dataclass(frozen=True)
 class WaveModalSpec:
     """Damped-string truncation: ``n_modes`` modes, uniform or localized damping.
@@ -64,14 +76,7 @@ class WaveModalSpec:
     eigenvalues: tuple = None
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("need at least one mode")
-        if (self.uniform is None) == (self.omega is None):
-            raise ValueError("specify exactly one of uniform damping or omega")
-        if self.uniform is not None and self.uniform <= 0:
-            raise ValueError("uniform damping value must be positive")
-        if self.omega is not None:
-            object.__setattr__(self, "omega", _check_omega(self.omega))
+        _check_modal_spec(self)
         if self.eigenvalues is not None:
             ev = tuple(float(v) for v in self.eigenvalues)
             if len(ev) != self.n_modes:
@@ -96,14 +101,7 @@ class SchrodingerModalSpec:
     omega: tuple = None
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("need at least one mode")
-        if (self.uniform is None) == (self.omega is None):
-            raise ValueError("specify exactly one of uniform damping or omega")
-        if self.uniform is not None and self.uniform <= 0:
-            raise ValueError("uniform damping value must be positive")
-        if self.omega is not None:
-            object.__setattr__(self, "omega", _check_omega(self.omega))
+        _check_modal_spec(self)
 
     def spectrum(self) -> np.ndarray:
         n = np.arange(1, self.n_modes + 1)

@@ -11,8 +11,11 @@ class constant
 
     c = min over unit z0, min over admissible alpha of J(z0, alpha)
 
-is the bridge between signal structure and decay certificates.  Two signal
-classes are supported on a uniform grid of ``n_cells`` cells over [0, theta]:
+is the bridge between signal structure and decay certificates.  The weight
+of a grid cell is z0^T M z0 with M the exact cell Gramian of
+:func:`~pexstab.linsys.observability_gramian` (re-exported here), so J is
+exact for every cell-constant signal.  Two signal classes are supported on a
+uniform grid of ``n_cells`` cells over [0, theta]:
 
 * ``rho-integral``: levels alpha_j in [0, 1] with total mass >= rho * theta.
   The inner minimisation is a continuous knapsack solved exactly by a greedy
@@ -40,15 +43,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
-from .linsys import LinearSystem
+from .linsys import LinearSystem, observability_gramian
 from .modal import SchrodingerModalSpec, build_schrodinger
 from .signals import Signal, make_piecewise
 
 EXPLORATION_LABEL = "exploration of an open problem — no claim"
-
-DEFAULT_NODES_PER_CELL = 16
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,6 @@ class OuterSearch:
     seed: int = 0
     tol: float = 1e-12
     dim_limit: int = 16
-    nodes_per_cell: int = DEFAULT_NODES_PER_CELL
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,8 @@ class ObservabilityEstimate:
     """Best located value of the two-level minimisation with its witnesses.
 
     ``constant`` is an upper bound on the true class constant (the search is
-    local); plugging the witnesses back into :func:`functional` on the same
-    grid reproduces it.  ``runner_up_gap`` is the distance from the best to
+    local); plugging the witnesses back into :func:`functional` reproduces
+    it to rounding.  ``runner_up_gap`` is the distance from the best to
     the second-best distinct local value found (0 when all starts agree).
     """
 
@@ -118,7 +119,6 @@ class ObservabilityEstimate:
     witness_signal: Signal
     sclass: SignalClass
     n_cells: int
-    nodes_per_cell: int
     seed: int
     n_starts: int
     runner_up_gap: float
@@ -139,7 +139,7 @@ class ObservabilityEstimate:
                 "T": self.sclass.T,
                 "mu": self.sclass.mu,
             },
-            "grid": {"n_cells": self.n_cells, "nodes_per_cell": self.nodes_per_cell},
+            "grid": {"n_cells": self.n_cells},
             "seed": self.seed,
             "n_starts": self.n_starts,
             "runner_up_gap": self.runner_up_gap,
@@ -147,103 +147,35 @@ class ObservabilityEstimate:
         }
 
 
-def _flow_output_curves(sys: LinearSystem, times: np.ndarray) -> np.ndarray:
-    """B^T e^{tA} for each t, shape (n_t, r, N)."""
-    times = np.asarray(times, dtype=float)
-    if sys.skew_flag:
-        w, U = sys._skew_eig()
-        phases = np.exp(np.outer(times, -1j * w))
-        # e^{tA} = U diag(phases_t) U^H, assembled per time step
-        BU = sys.B.T @ U
-        return np.real(np.einsum("rk,tk,nk->trn", BU, phases, U.conj()))
-    import scipy.linalg
-    out = np.empty((len(times), sys.B.shape[1], sys.dim))
-    F = np.eye(sys.dim)
-    t_prev = 0.0
-    cache = {}
-    for i, t in enumerate(times):
-        dt = float(t - t_prev)
-        if dt < 0:
-            raise ValueError("times must be nondecreasing")
-        if dt > 0:
-            P = cache.get(dt)
-            if P is None:
-                P = scipy.linalg.expm(sys.A * dt)
-                cache[dt] = P
-            F = P @ F
-            t_prev = t
-        out[i] = sys.B.T @ F
-    return out
+def _cell_gramians(sys: LinearSystem, theta: float, n_cells: int) -> np.ndarray:
+    """Cell integrals int_cell e^{tA^T} B B^T e^{tA} dt on a uniform grid.
 
-
-def _cell_gramians(sys: LinearSystem, theta: float, n_cells: int,
-                   nodes_per_cell: int) -> np.ndarray:
-    """Trapezoid cell integrals int_cell e^{tA^T} B B^T e^{tA} dt, (n_cells, N, N)."""
-    edges = np.linspace(0.0, theta, n_cells + 1)
-    out = np.empty((n_cells, sys.dim, sys.dim))
-    for j in range(n_cells):
-        ts = np.linspace(edges[j], edges[j + 1], nodes_per_cell + 1)
-        C = _flow_output_curves(sys, ts)
-        h = (edges[j + 1] - edges[j]) / nodes_per_cell
-        weights = np.full(len(ts), h)
-        weights[0] = weights[-1] = h / 2
-        out[j] = np.einsum("t,trn,trm->nm", weights, C, C)
-    return out
-
-
-def observability_gramian(sys: LinearSystem, t0: float, t1: float,
-                          n_quad: int = 2048, signal: Signal = None) -> np.ndarray:
-    """Gramian int_{t0}^{t1} alpha(t) e^{tA^T} B B^T e^{tA} dt by trapezoid.
-
-    With ``signal=None`` the weight alpha is 1.  Quadrature nodes are aligned
-    with the signal cells so the discontinuous weight never straddles a
-    panel.  The smallest eigenvalue of the result is the exact (discretised)
-    observability constant of the fixed signal: no optimisation involved.
+    The first cell comes from the exact kernel; cell j + 1 is the congruence
+    P^T M_j P of cell j with P = e^{A dt}, so the grid costs two exponentials
+    in total.  Returns shape (n_cells, N, N).
     """
-    if not 0 <= t0 < t1:
-        raise ValueError("need 0 <= t0 < t1")
-    span = t1 - t0
-    pieces = [(t0, t1, 1.0)] if signal is None else list(signal.cells_between(t0, t1))
-    G = np.zeros((sys.dim, sys.dim))
-    for c0, c1, level in pieces:
-        if level == 0.0:
-            continue
-        m = max(4, int(math.ceil(n_quad * (c1 - c0) / span)))
-        ts = np.linspace(c0, c1, m + 1)
-        C = _flow_output_curves(sys, ts)
-        h = (c1 - c0) / m
-        weights = np.full(len(ts), h)
-        weights[0] = weights[-1] = h / 2
-        G += level * np.einsum("t,trn,trm->nm", weights, C, C)
-    return (G + G.T) / 2
+    dt = theta / n_cells
+    P = scipy.linalg.expm(sys.A * dt)
+    out = np.empty((n_cells, sys.dim, sys.dim))
+    out[0] = observability_gramian(sys, 0.0, dt)
+    for j in range(1, n_cells):
+        out[j] = P.T @ out[j - 1] @ P
+    return out
 
 
-def functional(sys: LinearSystem, sig: Signal, z0, theta: float,
-               n_quad: int = 512) -> float:
+def functional(sys: LinearSystem, sig: Signal, z0, theta: float) -> float:
     """J(z0, alpha) = int_0^theta alpha(t) ||B^T e^{tA} z0||^2 dt.
 
-    Trapezoid quadrature with nodes aligned to the signal cells (about
-    ``n_quad`` nodes across [0, theta], at least 2 per cell); the flow is
-    the undamped e^{tA}.
+    Evaluated as z0^T G z0 with G the exact signal-weighted
+    :func:`observability_gramian` over [0, theta]; the flow is the undamped
+    e^{tA}.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     z0 = np.asarray(z0, dtype=float).reshape(sys.dim)
     if abs(np.linalg.norm(z0) - 1.0) > 1e-9:
         raise ValueError("z0 must be a unit vector (within 1e-9)")
-    total = 0.0
-    for c0, c1, level in sig.cells_between(0.0, theta):
-        if level == 0.0:
-            continue
-        m = max(2, int(math.ceil(n_quad * (c1 - c0) / theta)))
-        ts = np.linspace(c0, c1, m + 1)
-        ys = sys.flow(ts, z0)
-        g = np.sum((ys @ sys.B) ** 2, axis=1)
-        h = (c1 - c0) / m
-        w = np.full(len(ts), h)
-        w[0] = w[-1] = h / 2
-        total += level * float(w @ g)
-    return total
+    return float(z0 @ observability_gramian(sys, 0.0, theta, sig) @ z0)
 
 
 def rho_greedy_min(cell_values, dt: float, mass_budget: float):
@@ -334,16 +266,14 @@ def _signal_from_levels(alpha, theta: float) -> Signal:
 class _InnerProblem:
     """Cell Gramians for a (system, class, grid) triple with inner solvers."""
 
-    def __init__(self, sys: LinearSystem, sclass: SignalClass, n_cells: int,
-                 nodes_per_cell: int):
+    def __init__(self, sys: LinearSystem, sclass: SignalClass, n_cells: int):
         if n_cells < 4:
             raise ValueError("need at least 4 cells")
         self.sys = sys
         self.sclass = sclass
         self.n_cells = n_cells
-        self.nodes_per_cell = nodes_per_cell
         self.dt = sclass.horizon / n_cells
-        self.Ms = _cell_gramians(sys, sclass.horizon, n_cells, nodes_per_cell)
+        self.Ms = _cell_gramians(sys, sclass.horizon, n_cells)
 
     def cell_values(self, z0) -> np.ndarray:
         return np.einsum("jnm,n,m->j", self.Ms, z0, z0)
@@ -360,8 +290,7 @@ class _InnerProblem:
 
 
 def inner_min_signal(sys: LinearSystem, z0, sclass: SignalClass,
-                     n_cells: int = 64,
-                     nodes_per_cell: int = DEFAULT_NODES_PER_CELL):
+                     n_cells: int = 64):
     """Worst admissible signal for a fixed initial state.
 
     Returns (signal, value): the cell-constant signal in ``sclass``
@@ -369,7 +298,7 @@ def inner_min_signal(sys: LinearSystem, z0, sclass: SignalClass,
     and the attained value.
     """
     z0 = np.asarray(z0, dtype=float).reshape(sys.dim)
-    prob = _InnerProblem(sys, sclass, n_cells, nodes_per_cell)
+    prob = _InnerProblem(sys, sclass, n_cells)
     alpha, value = prob.minimise(z0)
     return _signal_from_levels(alpha, sclass.horizon), value
 
@@ -396,7 +325,7 @@ def class_constant(sys: LinearSystem, sclass: SignalClass, n_cells: int = 64,
             "OuterSearch.dim_limit explicitly for larger systems"
             % (outer.dim_limit, N)
         )
-    prob = _InnerProblem(sys, sclass, n_cells, outer.nodes_per_cell)
+    prob = _InnerProblem(sys, sclass, n_cells)
     rng = np.random.default_rng(outer.seed)
     starts = []
     while len(starts) < outer.n_starts:
@@ -428,8 +357,8 @@ def class_constant(sys: LinearSystem, sclass: SignalClass, n_cells: int = 64,
     bound = sclass.horizon * sys.b_norm ** 2
     if best_val > bound * (1 + 1e-9) + 1e-12:
         raise RuntimeError(
-            "estimate %.6g exceeds the necessary bound horizon*||B||^2 = %.6g; "
-            "quadrature grid too coarse" % (best_val, bound)
+            "estimate %.6g exceeds the necessary bound horizon*||B||^2 = %.6g"
+            % (best_val, bound)
         )
     inner_tag = "greedy fill" if sclass.kind == "rho-integral" else "window LP"
     return ObservabilityEstimate(
@@ -438,7 +367,6 @@ def class_constant(sys: LinearSystem, sclass: SignalClass, n_cells: int = 64,
         witness_signal=_signal_from_levels(best_alpha, sclass.horizon),
         sclass=sclass,
         n_cells=n_cells,
-        nodes_per_cell=outer.nodes_per_cell,
         seed=outer.seed,
         n_starts=outer.n_starts,
         runner_up_gap=float(gap),
@@ -644,7 +572,7 @@ def window_scan(spec: SchrodingerModalSpec, T: float, mu: float,
         # contiguous windows: smallest Gramian eigenvalue over interval starts
         best_s, best_v = 0.0, None
         for s in np.linspace(0.0, T - mu, 33):
-            G = observability_gramian(sys_n, float(s), float(s) + mu, n_quad=512)
+            G = observability_gramian(sys_n, float(s), float(s) + mu)
             v = float(np.linalg.eigvalsh(G)[0])
             if best_v is None or v < best_v:
                 best_s, best_v = float(s), v

@@ -18,6 +18,7 @@ import numpy as np
 from .linsys import LinearSystem
 from .modal import (SchrodingerModalSpec, WaveModalSpec, build_schrodinger,
                     build_wave)
+from .observability import wave_rho_threshold
 from .signals import Signal, from_intervals, haraux_gap, make_piecewise, periodic_gate
 
 ANALYSIS_KINDS = ("simulate", "check-pe", "counterexample", "observability",
@@ -319,7 +320,7 @@ def _validate_analysis(a, i: int, scenario: dict) -> dict:
             if "horizon" in verify:
                 _number(verify["horizon"], path + ".verify.horizon", positive=True)
     elif kind == "strong-stability":
-        build_intervals(_get(a, "intervals", path), path + ".intervals")
+        seq = build_intervals(_get(a, "intervals", path), path + ".intervals")
         if "level" in a:
             lv = _number(a["level"], path + ".level")
             _require(0 < lv <= 1, path + ".level", "must lie in (0, 1]")
@@ -332,29 +333,34 @@ def _validate_analysis(a, i: int, scenario: dict) -> dict:
         crit = a.get("criterion")
         if crit is not None:
             _require(isinstance(crit, dict), path + ".criterion", "expected an object")
-            _number(_get(crit, "T0", path + ".criterion"),
-                    path + ".criterion.T0", positive=True)
+            T0 = _number(_get(crit, "T0", path + ".criterion"),
+                         path + ".criterion.T0", positive=True)
+            cpath = path + ".criterion.cost"
             cost = _get(crit, "cost", path + ".criterion")
-            _require(isinstance(cost, dict), path + ".criterion.cost",
-                     "expected an object")
-            ckind = _get(cost, "kind", path + ".criterion.cost")
+            _require(isinstance(cost, dict), cpath, "expected an object")
+            ckind = _get(cost, "kind", cpath)
             if ckind == "wave-cubic":
-                _number(_get(cost, "rho", path + ".criterion.cost"),
-                        path + ".criterion.cost.rho", positive=True)
-                _number(_get(cost, "lambda1", path + ".criterion.cost"),
-                        path + ".criterion.cost.lambda1", positive=True)
+                rho = _number(_get(cost, "rho", cpath), cpath + ".rho", positive=True)
+                _require(rho <= 1.0, cpath + ".rho", "must lie in (0, 1]")
+                lam = _number(_get(cost, "lambda1", cpath), cpath + ".lambda1",
+                              positive=True)
+                if "d0" in cost:
+                    _number(cost["d0"], cpath + ".d0", positive=True)
+                longest = max(max(seq.lengths), T0)
+                thr = wave_rho_threshold(rho, lam)
+                _require(longest <= thr, cpath,
+                         "the cubic bound holds only for lengths up to %g "
+                         "(pi / (2 lambda1)); the longest interval or T0 is %g"
+                         % (thr, longest))
             elif ckind == "exp-gap":
                 pass
             elif ckind == "table":
-                ts = _number_list(_get(cost, "T", path + ".criterion.cost"),
-                                  path + ".criterion.cost.T")
-                cs = _number_list(_get(cost, "c", path + ".criterion.cost"),
-                                  path + ".criterion.cost.c")
-                _require(len(ts) == len(cs) and len(ts) >= 2,
-                         path + ".criterion.cost",
+                ts = _number_list(_get(cost, "T", cpath), cpath + ".T")
+                cs = _number_list(_get(cost, "c", cpath), cpath + ".c")
+                _require(len(ts) == len(cs) and len(ts) >= 2, cpath,
                          "need matching T and c lists with at least two points")
             else:
-                raise ScenarioError(path + ".criterion.cost.kind",
+                raise ScenarioError(cpath + ".kind",
                                     "unknown cost form %r" % (ckind,))
     return a
 

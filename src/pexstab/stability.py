@@ -319,7 +319,6 @@ class ProductBoundReport:
 
 def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
                            signal: Signal = None, costs=None, z0=None,
-                           n_quad: int = 512,
                            tolerance: float = 1e-8) -> ProductBoundReport:
     """Energy bound V(z(a_{n+1})) <= prod_j (1 - c_j/(1+L_j^2 ||B||^4)) V(z0).
 
@@ -345,8 +344,7 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
             raise ValueError("need either explicit costs or a signal to compute them")
         got = []
         for (a, b) in intervals:
-            G = observability_gramian(sys, 0.0, b - a, n_quad=n_quad,
-                                      signal=signal.shifted(a))
+            G = observability_gramian(sys, 0.0, b - a, signal=signal.shifted(a))
             got.append(max(float(np.linalg.eigvalsh(G)[0]), 0.0))
         costs = tuple(got)
     else:

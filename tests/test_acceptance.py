@@ -162,7 +162,7 @@ def test_c5_inner_lp_matches_vertex_enumeration():
             sclass = SignalClass.rho_integral(rho, horizon)
             z0 = unit(rng, n)
             _, value = inner_min_signal(sys, z0, sclass, n_cells=n_cells)
-            prob = _InnerProblem(sys, sclass, n_cells, 16)
+            prob = _InnerProblem(sys, sclass, n_cells)
             oracle = vertex_minimum(prob.cell_values(z0), prob.dt,
                                     rho * horizon)
             assert abs(value - oracle) <= 1e-10

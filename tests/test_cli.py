@@ -41,7 +41,7 @@ SCAN_SCENARIO = {
          "intervals": [[0.0, 1.0], [2.0, 3.0], [5.0, 6.5]],
          "criterion": {"T0": 1.0,
                        "cost": {"kind": "wave-cubic", "rho": 1.0,
-                                "lambda1": math.pi ** 2}}},
+                                "lambda1": 1.0}}},
     ],
 }
 
@@ -173,6 +173,37 @@ def test_schema_violations_exit_two(tmp_path, capsys):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
+def test_wave_cubic_criterion_outside_its_range_exits_two(tmp_path, capsys):
+    # lambda1 = pi^2 caps the cubic bound at lengths <= 1/(2 pi); at length 1
+    # and d0 = 5 it would claim 33.8 per interval against L ||B||^2 = 1
+    doc = {"seed": 0,
+           "system": {"kind": "wave-modal", "n_modes": 1,
+                      "damping": {"uniform": 1.0}},
+           "analyses": [{"kind": "strong-stability",
+                         "intervals": [[2.0 * k, 2.0 * k + 1.0] for k in range(6)],
+                         "costs": [0.5] * 6,
+                         "criterion": {"T0": 1.0,
+                                       "cost": {"kind": "wave-cubic", "rho": 1.0,
+                                                "lambda1": math.pi ** 2,
+                                                "d0": 5.0}}}]}
+    cost = doc["analyses"][0]["criterion"]["cost"]
+    cases = [(dict(cost), "analyses[0].criterion.cost: "),
+             (dict(cost, lambda1=1.0, rho=1.5), "analyses[0].criterion.cost.rho: "),
+             (dict(cost, lambda1=1.0, d0=0.0), "analyses[0].criterion.cost.d0: ")]
+    for j, (bad, where) in enumerate(cases):
+        doc["analyses"][0]["criterion"]["cost"] = bad
+        scen = write_scenario(tmp_path, doc, "cubic%d.json" % j)
+        assert main(["run", scen, "--out", str(tmp_path / ("o%d" % j))]) == 2
+        assert where in capsys.readouterr().err
+    # inside the range the same scenario runs through the library bound
+    doc["analyses"][0]["criterion"]["cost"] = dict(cost, lambda1=1.0)
+    scen = write_scenario(tmp_path, doc, "cubic_ok.json")
+    assert main(["run", scen, "--out", str(tmp_path / "ok")]) == 0
+    crit = read_reports(tmp_path / "ok")["00_strong-stability.json"]["report"]
+    assert crit["criterion"]["partial_sums"][0] == pytest.approx(
+        25.0 / 72.0, rel=1e-12)
+
+
 def test_missing_scenario_exits_three(tmp_path):
     assert main(["run", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 3
@@ -200,6 +231,8 @@ def test_counterexample_subcommand(tmp_path):
     out = tmp_path / "cx"
     assert main(["counterexample", "--omega", "0.2,0.6", "--periods", "2",
                  "--out", str(out)]) == 0
+    assert set(os.listdir(out)) == {"00_counterexample.json",
+                                    "00_counterexample.csv"}
     payload = read_reports(out)["00_counterexample.json"]
     assert payload["ok"] is True
     assert payload["report"]["energy_drift"] <= 1e-8

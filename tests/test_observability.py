@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pexstab.linsys import LinearSystem, UncontrollableError
 from pexstab.modal import (
@@ -12,6 +13,7 @@ from pexstab.modal import (
 )
 from pexstab.observability import (
     EXPLORATION_LABEL,
+    _cell_gramians,
     OuterSearch,
     SignalClass,
     class_constant,
@@ -37,6 +39,26 @@ def flat_system():
     return LinearSystem(np.zeros((1, 1)), np.eye(1))
 
 
+def random_skew(rng, n):
+    M = rng.standard_normal((n, n))
+    return M - M.T
+
+
+def skew_gramian_closed_form(A, B, t0, t1):
+    """int_t0^t1 e^{tA^T} B B^T e^{tA} dt for skew A, U [(U^H B B^T U) o K] U^H.
+
+    iA = U diag(w) U^H, so e^{tA} = U diag(e^{-iwt}) U^H and
+    K_kl = int_t0^t1 e^{i (w_k - w_l) t} dt.
+    """
+    w, U = np.linalg.eigh(1j * np.asarray(A))
+    BU = np.asarray(B).reshape(len(w), -1).T @ U
+    d = w[:, None] - w[None, :]
+    L, m = t1 - t0, (t0 + t1) / 2.0
+    K = np.exp(1j * d * m) * L * np.sinc(d * L / (2.0 * np.pi))
+    G = U @ ((BU.conj().T @ BU) * K) @ U.conj().T
+    return np.real(G + G.conj().T) / 2.0
+
+
 def test_signal_class_validation():
     with pytest.raises(ValueError):
         SignalClass.rho_integral(0.0, 1.0)
@@ -56,17 +78,65 @@ def test_signal_class_validation():
 def test_gramian_full_rotation_is_half_identity_scaled():
     # B^T e^{tA} = (-sin t, cos t): the Gramian over a full turn is pi I
     sys = LinearSystem(rotation(1.0), np.array([0.0, 1.0]))
-    G = observability_gramian(sys, 0.0, 2.0 * np.pi, n_quad=4096)
-    assert np.abs(G - np.pi * np.eye(2)).max() < 1e-8
+    G = observability_gramian(sys, 0.0, 2.0 * np.pi)
+    assert np.abs(G - np.pi * np.eye(2)).max() < 1e-12
 
 
 def test_gramian_respects_signal_weights():
     sys = LinearSystem(rotation(1.0), np.array([0.0, 1.0]))
     sig = make_piecewise([0.5], [1.0], 0.3)
-    G = observability_gramian(sys, 0.0, 1.0, n_quad=2048, signal=sig)
-    G1 = observability_gramian(sys, 0.0, 0.5, n_quad=1024)
-    G2 = observability_gramian(sys, 0.5, 1.0, n_quad=1024)
+    G = observability_gramian(sys, 0.0, 1.0, signal=sig)
+    G1 = observability_gramian(sys, 0.0, 0.5)
+    G2 = observability_gramian(sys, 0.5, 1.0)
     assert np.abs(G - (G1 + 0.3 * G2)).max() < 1e-12
+
+
+def test_gramian_matches_skew_closed_form():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        sys = LinearSystem(random_skew(rng, n),
+                           rng.standard_normal((n, int(rng.integers(1, n + 1)))))
+        t0 = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+        t1 = t0 + float(rng.uniform(0.05, 3.0))
+        ref = skew_gramian_closed_form(sys.A, sys.B, t0, t1)
+        G = observability_gramian(sys, t0, t1)
+        assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_gramian_matches_simpson_for_damped_drift():
+    # A = skew - P^T P is dissipative but not skew: no eigenbasis shortcut
+    rng = np.random.default_rng(22)
+    P = rng.standard_normal((4, 4)) / 2.0
+    A = random_skew(rng, 4) - P.T @ P
+    B = rng.standard_normal((4, 2))
+    sys = LinearSystem(A, B)
+    assert not sys.skew_flag
+    t0, t1, m = 0.5, 2.0, 10000
+    ts = np.linspace(t0, t1, 2 * m + 1)
+    weights = np.tile([2.0, 4.0], m + 1)[: 2 * m + 1]
+    weights[0] = weights[-1] = 1.0
+    ref = np.zeros((4, 4))
+    for wk, t in zip(weights * (t1 - t0) / (6 * m), ts):
+        C = B.T @ scipy.linalg.expm(A * t)
+        ref += wk * C.T @ C
+    assert np.abs(observability_gramian(sys, t0, t1) - ref).max() <= 1e-9
+
+
+def test_cell_gramians_recursion_does_not_drift():
+    edges = np.linspace(0.0, 1.0, 1025)
+    sys = build_wave(WaveModalSpec(n_modes=4, omega=(0.2, 0.6)))
+    Ms = _cell_gramians(sys, 1.0, 1024)
+    direct = np.array([observability_gramian(sys, a, b)
+                       for a, b in zip(edges[:-1], edges[1:])])
+    assert np.abs(Ms - direct).max() <= 1e-12 * np.abs(direct).max()
+    # at |A| t ~ 200 a single expm(A t) loses more than the recursion does,
+    # so the high-frequency grid is checked against the closed form instead
+    sys = build_schrodinger(SchrodingerModalSpec(n_modes=6, omega=(0.3, 0.5)))
+    Ms = _cell_gramians(sys, 1.0, 1024)
+    ref = np.array([skew_gramian_closed_form(sys.A, sys.B, a, b)
+                    for a, b in zip(edges[:-1], edges[1:])])
+    assert np.abs(Ms - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_gramian_validates_window():
@@ -173,23 +243,26 @@ def test_class_constant_flat_system():
     assert "window LP" in est.method
     d = est.to_dict()
     assert d["constant"] == est.constant
-    assert d["grid"] == {"n_cells": 16, "nodes_per_cell": est.nodes_per_cell}
+    assert d["grid"] == {"n_cells": 16}
 
 
 def test_witness_reproduces_estimate():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
     est = class_constant(sys, SignalClass.pe_windows(2.0, 1.0), n_cells=32,
                          outer=OuterSearch(n_starts=4))
-    val = functional(sys, est.witness_signal, est.witness_z0, 2.0,
-                     n_quad=32 * est.nodes_per_cell)
-    assert abs(val - est.constant) <= 1e-8
+    val = functional(sys, est.witness_signal, est.witness_z0, 2.0)
+    assert abs(val - est.constant) <= 1e-12
     assert abs(np.linalg.norm(est.witness_z0) - 1.0) <= 1e-9
 
 
 def test_one_mode_string_window_constant():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
     est = class_constant(sys, SignalClass.pe_windows(2.0, 1.0), n_cells=64)
-    assert est.constant == pytest.approx(0.18169410856787105, abs=1e-6)
+    assert est.constant == pytest.approx(0.18169011381620948, abs=1e-9)
+    J = sum(level * est.witness_z0 @ skew_gramian_closed_form(sys.A, sys.B, a, b)
+            @ est.witness_z0
+            for a, b, level in est.witness_signal.cells_between(0.0, 2.0))
+    assert J == pytest.approx(est.constant, abs=1e-12)
     assert est.constant == pytest.approx(0.5 - 1.0 / np.pi, abs=5e-4)
     assert est.constant >= wave_pe_lower_bound(2.0, 1.0, np.pi ** 2)
 

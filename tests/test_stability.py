@@ -191,7 +191,7 @@ def test_product_bound_computed_costs_match_direct_gramian():
     seq = IntervalSequence(((0.0, 1.0), (1.5, 2.5)), rho=1.0)
     sig = from_intervals(seq)
     rep = interval_product_bound(sys, seq, signal=sig)
-    G = observability_gramian(sys, 0.0, 1.0, n_quad=512)
+    G = observability_gramian(sys, 0.0, 1.0)
     assert rep.costs[0] == pytest.approx(float(np.linalg.eigvalsh(G)[0]), rel=1e-12)
     assert all(0.0 < f <= 1.0 for f in rep.factors)
 
