@@ -31,14 +31,16 @@ from .dalembert import (build_counterexample, energy_of_counterexample,
                         verify_damping_inert)
 from .linsys import energy_balance, simulate
 from .observability import (OuterSearch, SignalClass, class_constant,
-                            kappa_scan, wave_pe_lower_bound, wave_rho_lower_bound)
-from .scenario import Scenario, ScenarioError, build_intervals, parse_scenario
+                            kappa_scan, wave_pe_lower_bound)
+from .scenario import (Scenario, ScenarioError, build_intervals, criterion_cost,
+                       parse_scenario)
 from .signals import from_intervals, pe_check
 from .stability import (CertificateViolation, GateSignalFamily,
                         certificate_from_constant, interval_product_bound,
                         rho_class_criterion, verify_certificate)
 
 OUT_ENV_VAR = "PEXSTAB_OUT"
+CSV_CHUNK_ROWS = 4096
 
 
 def _jsonable(x):
@@ -65,10 +67,21 @@ def _write_json(path: str, payload: dict):
 
 
 def _write_csv(path: str, header: str, rows):
+    """Write ``rows`` (one value per header column) as %.17g CSV.
+
+    Rows are formatted with one format string each and written in chunks,
+    so a long time series is streamed without a per-value Python loop.
+    """
+    line = ",".join(["%.17g"] * len(header.split(","))) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
+        chunk = []
         for row in rows:
-            fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
+            chunk.append(line % tuple(row))
+            if len(chunk) == CSV_CHUNK_ROWS:
+                fh.write("".join(chunk))
+                chunk.clear()
+        fh.write("".join(chunk))
 
 
 def _unit_z0(spec, dim: int, seed: int, index: int) -> np.ndarray:
@@ -221,16 +234,7 @@ def _run_strong_stability(sc: Scenario, a: dict, i: int):
     ok = rep.ok
     crit = a.get("criterion")
     if crit is not None:
-        cost = crit["cost"]
-        if cost["kind"] == "wave-cubic":
-            c_of_T = lambda L: wave_rho_lower_bound(L, cost["rho"], cost["lambda1"],
-                                                    cost.get("d0", 1.0))
-        elif cost["kind"] == "exp-gap":
-            c_of_T = lambda L: math.exp(-2.0 / L)
-        else:
-            ts, cs = cost["T"], cost["c"]
-            c_of_T = lambda L: float(np.interp(L, ts, cs))
-        crit_rep = rho_class_criterion(seq, c_of_T, crit["T0"])
+        crit_rep = rho_class_criterion(seq, criterion_cost(crit["cost"]), crit["T0"])
         report["criterion"] = crit_rep.to_dict()
     rows = [(n, rep.factors[n], rep.cumulative[n],
              rep.measured_ratios[n] if rep.measured_ratios else float("nan"))

@@ -6,10 +6,14 @@ tolerance); the damping schedule ``alpha`` is a piecewise-constant
 constant level ``a`` the flow is the matrix exponential of
 ``(A - a B B^T) * dt``, so trajectories are computed exactly per cell (up to
 the exponential's own rounding) rather than by an ODE stepper with local
-truncation error.  For skew-symmetric ``A`` the undamped flow uses a unitary
-eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2 to
-machine precision.  Signal-weighted observability Gramians of the undamped
-flow are exact too: one block matrix exponential per signal cell.
+truncation error.  Propagation steps from cell edge to cell edge, one step
+per cell, and fills the output samples inside a cell in batches: a run of
+equally spaced samples is the powers of one step matrix applied to the
+cell's start state, built by doubling.  For skew-symmetric ``A`` the
+undamped flow uses a unitary eigendecomposition of ``iA``, which preserves
+the energy V = ||z||^2 / 2 to machine precision.  Signal-weighted
+observability Gramians of the undamped flow are exact too: one block matrix
+exponential per signal cell.
 """
 
 from __future__ import annotations
@@ -170,40 +174,170 @@ class GapCheck:
     tolerance: float
 
 
+def _orthogonal_step(sys: LinearSystem, level: float) -> bool:
+    """Whether steps at ``level`` are the undamped flow of a skew A."""
+    # B B^T vanishes identically when ||B|| = 0, whatever the level
+    return sys.skew_flag and (level == 0.0 or sys.b_norm == 0.0)
+
+
+def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
+    """Exact step e^{(A - level B B^T) dt} of a cell at constant damping level.
+
+    For skew A at level 0 the step comes from the cached unitary
+    eigendecomposition of iA, so it is orthogonal to machine precision for
+    any dt; every other step is ``scipy.linalg.expm``.
+    """
+    if _orthogonal_step(sys, level):
+        w, U = sys._skew_eig()
+        return np.real((U * np.exp(-1j * w * dt)) @ U.conj().T)
+    return scipy.linalg.expm(sys.closed_loop(level) * dt)
+
+
+# Sample spacings that agree within this many machine epsilons of t are one
+# spacing: k * dt_out grids round each instant to within an ulp of t.
+_SPACING_ULPS = 4.0
+
+# Largest |G| |d| for which a cached step over h stands in for the step over
+# h + d after a first-order correction; the dropped |G d|^2 / 2 is < eps / 4.
+_NEAR_STEP = 1e-8
+
+
+def _runs(times: np.ndarray, prev: np.ndarray, heads: np.ndarray):
+    """Maximal runs of equal spacing among ``times``.
+
+    ``prev[k]`` is the point sample k is stepped from (the previous sample,
+    or the start of its cell) and ``heads`` the samples that must open a run.
+    Returns, per run: first index, length, mean spacing h, the largest
+    distance of a sample from its place prev[first] + j h on the run's
+    lattice, and the tolerance for that distance (a few ulps of t).
+    """
+    n = len(times)
+    gaps = times - prev
+    tol = _SPACING_ULPS * np.finfo(float).eps * np.maximum(1.0, times)
+    head = np.zeros(n, dtype=bool)
+    head[heads] = True
+    head[0] = True
+    head[1:] |= np.abs(np.diff(gaps)) > tol[1:]
+    lo = np.flatnonzero(head)
+    m = np.diff(lo, append=n)
+    base = prev[lo]
+    h = (times[lo + m - 1] - base) / m
+    rid = np.cumsum(head) - 1
+    j = np.arange(1, n + 1) - lo[rid]
+    err = np.maximum.reduceat(np.abs(base[rid] + j * h[rid] - times), lo)
+    return lo, m, h, err, tol[lo + m - 1]
+
+
 def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray):
-    """States at strictly increasing times >= 0, exact per signal cell."""
+    """States at strictly increasing times >= 0, stepped from cell edge to edge.
+
+    The state crosses each signal cell [c0, c1) in one exact step
+    e^{(A - a B B^T)(c1 - c0)}, so the chain of cell-edge states does not
+    depend on how densely the output is sampled.  The samples inside a cell
+    are filled from the cell's start state: their times are split into
+    maximal runs of equal spacing h (equal within a few ulps of t), and a run
+    of m samples is the rows P_h^k z, k = 1..m, with P_h the step over h.
+    The rows are filled by doubling: rows [k, 2k) are rows [0, k) times
+    (P_h^k)^T, so a run costs about log2(m) matrix products whatever m is.
+    Step matrices and their squarings are cached per (level, h) for the
+    call, and a step whose length differs from an exponentiated one only by
+    the rounding of cell edges is derived from it by a first-order
+    correction that is exact to rounding.  An irregular time list is a
+    sequence of runs of length 1, each one step as in sample-by-sample
+    propagation.
+    """
+    times = np.asarray(times, dtype=float)
     z = np.asarray(z0, dtype=float).reshape(sys.dim)
-    out = np.empty((len(times), sys.dim))
-    cache = {}
+    n = len(times)
+    out = np.empty((n, sys.dim))
+    if n == 0:
+        return out
+    if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("propagation times must be strictly increasing and >= 0")
+    cells = list(sig.cells_between(0.0, float(times[-1])))
+    starts = np.array([c0 for c0, _, _ in cells])
+    # cell k fills samples [begin[k], end[k]); a sample on a cell edge takes
+    # the edge state instead
+    begin = np.searchsorted(times, starts, side="right")
+    end = np.append(np.searchsorted(times, starts[1:], side="left"), n)
+    prev = np.concatenate([[0.0], times[:-1]])
+    held = begin < end
+    prev[begin[held]] = starts[held]
+    runs = list(zip(*(col.tolist() for col in
+                      _runs(times, prev, np.concatenate([begin, end[:-1]])))))
 
-    def step(z, level, dt):
-        if dt == 0.0:
-            return z
-        if sys.b_norm == 0.0:
-            level = 0.0  # B B^T vanishes identically; keep the skew fast path
-        key = (level, dt)
-        P = cache.get(key)
-        if P is None:
-            if level == 0.0 and sys.skew_flag:
-                w, U = sys._skew_eig()
-                P = np.real(U @ np.diag(np.exp(-1j * w * dt)) @ U.conj().T)
+    powers = {}     # (level, h) -> [P_h, P_h^2, P_h^4, ...]
+    exact = {}      # level -> (generator, its 1-norm, [(h, P_h) from _step_matrix])
+    spacings = {}   # level -> spacings of the multi-sample runs so far
+
+    def new_step(level, h):
+        # Cell lengths that differ only by the rounding of their edges share
+        # one exponential: e^{G (h' + d)} = P_h' (I + G d) + O(|G d|^2), exact
+        # to rounding while |G| |d| <= _NEAR_STEP.
+        if level not in exact:
+            G = sys.closed_loop(level)
+            exact[level] = (G, float(np.abs(G).sum(axis=0).max()), [])
+        G, norm, anchors = exact[level]
+        for h_near, P in anchors:
+            if abs(h - h_near) * norm <= _NEAR_STEP:
+                return P + (h - h_near) * (P @ G)
+        P = _step_matrix(sys, level, h)
+        anchors.append((h, P))
+        return P
+
+    def power(level, h, j):
+        pw = powers.get((level, h))
+        if pw is None:
+            pw = powers[(level, h)] = [new_step(level, h)]
+        while len(pw) <= j:
+            if _orthogonal_step(sys, level):
+                # squaring would let orthogonality slip by ~eps per doubling;
+                # the eigendecomposition gives each power exactly
+                pw.append(_step_matrix(sys, level, h * 2 ** len(pw)))
             else:
-                P = scipy.linalg.expm(sys.closed_loop(level) * dt)
-            cache[key] = P
-        return P @ z
+                pw.append(pw[-1] @ pw[-1])
+        return pw[j]
 
-    pos = 0
-    if len(times) and times[0] == 0.0:
+    def fill(lo, m, z, level, h):
+        rows = out[lo:lo + m]
+        np.matmul(power(level, h, 0), z, out=rows[0])
+        k, j = 1, 0
+        while k < m:
+            c = min(k, m - k)
+            np.matmul(rows[:c], power(level, h, j).T, out=rows[k:k + c])
+            k, j = 2 * k, j + 1
+
+    if times[0] == 0.0:
         out[0] = z
-        pos = 1
-    t_prev = 0.0
-    for i in range(pos, len(times)):
-        t_next = float(times[i])
-        # cross the signal cells between t_prev and t_next one at a time
-        for c0, c1, level in sig.cells_between(t_prev, t_next):
-            z = step(z, level, c1 - c0)
-        t_prev = t_next
-        out[i] = z
+    r = 0
+    for (c0, c1, level), b, e in zip(cells, begin.tolist(), end.tolist()):
+        zs = z
+        while r < len(runs) and runs[r][0] < e:
+            lo, m, h, err, tol = runs[r]
+            r += 1
+            if lo < b:  # the sample at t = 0 or on this cell's start edge
+                continue
+            if m > 1:
+                # a spacing already in use is taken whenever it still lands
+                # every sample within tol, which keeps the step cache small
+                used = spacings.setdefault(level, [])
+                near = [u for u in used if err + m * abs(u - h) <= tol]
+                if near:
+                    h = near[0]
+                elif err <= tol:
+                    used.append(h)
+                else:  # gaps drift too far for one spacing: step singly
+                    for k in range(lo, lo + m):
+                        fill(k, 1, zs, level, float(times[k] - prev[k]))
+                        zs = out[k]
+                    continue
+            fill(lo, m, zs, level, h)
+            zs = out[lo + m - 1]
+        if e == n:
+            break
+        z = power(level, c1 - c0, 0) @ z
+        if times[e] == c1:
+            out[e] = z
     if not np.isfinite(out).all():
         raise RuntimeError("propagation produced non-finite states")
     return out
@@ -211,17 +345,26 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
 
 def _sample_grid(sig: Signal, horizon: float, dt_out: float) -> np.ndarray:
     n = int(np.floor(horizon / dt_out + 1e-9))
-    pts = [k * dt_out for k in range(n + 1)]
+    pts = np.arange(n + 1) * dt_out
     if pts[-1] < horizon:
-        pts.append(horizon)
-    inside = [b for b in sig.breakpoints if 0.0 < b < horizon]
+        pts = np.append(pts, horizon)
+    breaks = np.asarray(sig.breakpoints, dtype=float)
+    inside = breaks[(breaks > 0.0) & (breaks < horizon)]
     merged = np.unique(np.concatenate([pts, inside]))
     # drop near-duplicates (grid point within 1e-12 of a breakpoint)
-    keep = [merged[0]]
-    for t in merged[1:]:
-        if t - keep[-1] > 1e-12 * max(1.0, horizon):
-            keep.append(t)
-    return np.asarray(keep)
+    keep = np.concatenate([[True], np.diff(merged) > 1e-12 * max(1.0, horizon)])
+    return merged[keep]
+
+
+def _levels(sig: Signal, times: np.ndarray) -> np.ndarray:
+    """alpha(t) at each of ``times`` (right-continuous), as one array."""
+    table = np.append(np.asarray(sig.values, dtype=float), sig.tail_value)
+    return table[np.searchsorted(sig.breakpoints, times, side="right")]
+
+
+def _row_norms_sq(X: np.ndarray) -> np.ndarray:
+    """||x_i||^2 of every row, with no temporary the size of X."""
+    return np.einsum("ij,ij->i", X, X)
 
 
 def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) -> Trajectory:
@@ -229,7 +372,9 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
 
     Output instants are the regular grid 0, dt_out, 2 dt_out, ... plus the
     signal breakpoints inside the horizon (so energy bookkeeping never
-    straddles a damping switch) plus the horizon itself.
+    straddles a damping switch) plus the horizon itself.  The state steps
+    from cell edge to cell edge and the samples inside each cell are filled
+    in batches (see :func:`_propagate`).
 
     Parameters
     ----------
@@ -238,8 +383,7 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
     horizon : float
         Final time, > 0.
     dt_out : float
-        Output spacing, > 0; propagation itself is exact per cell and does
-        not depend on dt_out.
+        Output spacing, > 0; the cell-edge states do not depend on dt_out.
     """
     if sys.dim > DIM_LIMIT:
         raise ValueError("state dimension %d exceeds the dense-solver limit %d"
@@ -248,9 +392,8 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
         raise ValueError("horizon and dt_out must be positive")
     times = _sample_grid(sig, float(horizon), float(dt_out))
     states = _propagate(sys, sig, z0, times)
-    energies = 0.5 * np.sum(states * states, axis=1)
-    bz = states @ sys.B
-    rates = np.array([sig.value_at(t) for t in times]) * np.sum(bz * bz, axis=1)
+    energies = 0.5 * _row_norms_sq(states)
+    rates = _levels(sig, times) * _row_norms_sq(states @ sys.B)
     return Trajectory(
         times=times,
         states=states,
@@ -275,9 +418,8 @@ def energy_balance(traj: Trajectory) -> EnergyBalance:
     is returned with ``one_sided=True``.
     """
     t, states = traj.times, traj.states
-    bz = states @ traj.system.B
-    g = np.sum(bz * bz, axis=1)
-    levels = np.array([traj.signal.value_at(ti) for ti in t[:-1]])
+    g = _row_norms_sq(states @ traj.system.B)
+    levels = _levels(traj.signal, t[:-1])
     inc = levels * 0.5 * (g[:-1] + g[1:]) * np.diff(t)
     cum = np.concatenate([[0.0], np.cumsum(inc)])
     drift = traj.energies - traj.energies[0] + cum
@@ -339,7 +481,7 @@ def observability_gramian(sys: LinearSystem, t0: float, t1: float,
         E = scipy.linalg.expm(block * (c1 - c0))
         cell = E[N:, N:].T @ E[:N, N:]
         if c0 > 0.0:
-            P = scipy.linalg.expm(sys.A * c0)
+            P = _step_matrix(sys, 0.0, c0)
             cell = P.T @ cell @ P
         G += level * cell
     return (G + G.T) / 2

@@ -11,6 +11,7 @@ for numerical reasons, which is what exit status 1 is for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,33 @@ import numpy as np
 from .linsys import LinearSystem
 from .modal import (SchrodingerModalSpec, WaveModalSpec, build_schrodinger,
                     build_wave)
-from .observability import wave_rho_threshold
+from .observability import wave_rho_lower_bound, wave_rho_threshold
 from .signals import Signal, from_intervals, haraux_gap, make_piecewise, periodic_gate
+from .stability import cost_within_bound
 
-ANALYSIS_KINDS = ("simulate", "check-pe", "counterexample", "observability",
-                  "kappa-scan", "certify", "strong-stability")
+# The fields each object of an analysis may carry besides its "kind", if it
+# has one.  A field outside these sets is rejected: a misspelt optional
+# field would otherwise be ignored, and the check it asks for would silently
+# not run.
+ANALYSIS_FIELDS = {
+    "simulate": ("z0", "monotone_tol", "balance_tol"),
+    "check-pe": ("T", "mu", "tolerance"),
+    "counterexample": ("omega", "periods", "drift_tol"),
+    "observability": ("class", "n_cells", "outer"),
+    "kappa-scan": ("rho", "T_grid", "n_cells", "outer"),
+    "certify": ("constant", "source", "theta", "verify"),
+    "strong-stability": ("intervals", "level", "costs", "z0", "criterion"),
+}
+ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
+CLASS_FIELDS = {"rho-integral": ("rho", "horizon"),
+                "pe-windows": ("T", "mu", "horizon")}
+SOURCE_FIELDS = {"wave-pe": ("T", "mu", "lambda_min", "d0"),
+                 "class-constant": ("class", "n_cells")}
+COST_FIELDS = {"wave-cubic": ("rho", "lambda1", "d0"), "exp-gap": (),
+               "table": ("T", "c")}
+OUTER_FIELDS = ("n_starts", "n_iters", "seed")
+VERIFY_FIELDS = ("T", "mu", "n_trials", "horizon")
+CRITERION_FIELDS = ("T0", "cost")
 
 
 class ScenarioError(ValueError):
@@ -49,6 +72,11 @@ class Scenario:
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise ScenarioError(path, message)
+
+
+def _known_fields(obj: dict, fields, path: str, what: str):
+    for key in obj:
+        _require(key in fields, "%s.%s" % (path, key), "unknown %s field" % what)
 
 
 def _get(obj: dict, key: str, path: str, required=True, default=None):
@@ -209,18 +237,18 @@ def _validate_outer(params, path: str) -> dict:
         return {}
     _require(isinstance(params, dict), path, "expected an object")
     out = {}
-    for key in ("n_starts", "n_iters", "seed"):
+    for key in OUTER_FIELDS:
         if key in params:
             out[key] = _integer(params[key], "%s.%s" % (path, key), minimum=1)
-    for key in params:
-        _require(key in ("n_starts", "n_iters", "seed"), "%s.%s" % (path, key),
-                 "unknown outer-search field")
+    _known_fields(params, OUTER_FIELDS, path, "outer-search")
     return out
 
 
 def _validate_sclass(params, path: str) -> dict:
     _require(isinstance(params, dict), path, "expected an object")
     kind = _get(params, "kind", path)
+    if kind in CLASS_FIELDS:
+        _known_fields(params, ("kind",) + CLASS_FIELDS[kind], path, kind)
     if kind == "rho-integral":
         rho = _number(_get(params, "rho", path), path + ".rho", positive=True)
         _require(rho <= 1.0, path + ".rho", "must lie in (0, 1]")
@@ -236,13 +264,25 @@ def _validate_sclass(params, path: str) -> dict:
     raise ScenarioError(path + ".kind", "unknown signal-class kind %r" % (kind,))
 
 
-def _validate_analysis(a, i: int, scenario: dict) -> dict:
+def criterion_cost(cost: dict):
+    """Interval cost c(L) of a validated strong-stability criterion ``cost``."""
+    if cost["kind"] == "wave-cubic":
+        return lambda L: wave_rho_lower_bound(L, cost["rho"], cost["lambda1"],
+                                              cost.get("d0", 1.0))
+    if cost["kind"] == "exp-gap":
+        return lambda L: math.exp(-2.0 / L)
+    ts, cs = cost["T"], cost["c"]
+    return lambda L: float(np.interp(L, ts, cs))
+
+
+def _validate_analysis(a, i: int, scenario: dict, system: LinearSystem) -> dict:
     path = "analyses[%d]" % i
     _require(isinstance(a, dict), path, "expected an object")
     kind = _get(a, "kind", path)
     _require(kind in ANALYSIS_KINDS, path + ".kind",
              "unknown analysis kind %r (expected one of %s)"
              % (kind, ", ".join(ANALYSIS_KINDS)))
+    _known_fields(a, ("kind",) + ANALYSIS_FIELDS[kind], path, kind)
     needs_system = kind in ("simulate", "observability", "kappa-scan", "certify",
                             "strong-stability")
     needs_signal = kind in ("simulate", "check-pe")
@@ -261,10 +301,14 @@ def _validate_analysis(a, i: int, scenario: dict) -> dict:
                 _number(a[key], "%s.%s" % (path, key), positive=True)
     elif kind == "check-pe":
         _validate_window(a, path, horizon=scenario.get("horizon"))
+        if "tolerance" in a:
+            _number(a["tolerance"], path + ".tolerance", nonnegative=True)
     elif kind == "counterexample":
         _omega(_get(a, "omega", path), path + ".omega")
         if "periods" in a:
             _integer(a["periods"], path + ".periods", minimum=1)
+        if "drift_tol" in a:
+            _number(a["drift_tol"], path + ".drift_tol", positive=True)
     elif kind == "observability":
         a["class"] = _validate_sclass(_get(a, "class", path), path + ".class")
         if "n_cells" in a:
@@ -293,6 +337,9 @@ def _validate_analysis(a, i: int, scenario: dict) -> dict:
         else:
             _require(isinstance(source, dict), path + ".source", "expected an object")
             skind = _get(source, "kind", path + ".source")
+            if skind in SOURCE_FIELDS:
+                _known_fields(source, ("kind",) + SOURCE_FIELDS[skind],
+                              path + ".source", skind)
             if skind == "wave-pe":
                 _validate_window(source, path + ".source")
                 _number(_get(source, "lambda_min", path + ".source"),
@@ -314,6 +361,7 @@ def _validate_analysis(a, i: int, scenario: dict) -> dict:
         verify = a.get("verify")
         if verify is not None:
             _require(isinstance(verify, dict), path + ".verify", "expected an object")
+            _known_fields(verify, VERIFY_FIELDS, path + ".verify", "verify")
             _validate_window(verify, path + ".verify")
             if "n_trials" in verify:
                 _integer(verify["n_trials"], path + ".verify.n_trials", minimum=1)
@@ -333,12 +381,15 @@ def _validate_analysis(a, i: int, scenario: dict) -> dict:
         crit = a.get("criterion")
         if crit is not None:
             _require(isinstance(crit, dict), path + ".criterion", "expected an object")
+            _known_fields(crit, CRITERION_FIELDS, path + ".criterion", "criterion")
             T0 = _number(_get(crit, "T0", path + ".criterion"),
                          path + ".criterion.T0", positive=True)
             cpath = path + ".criterion.cost"
             cost = _get(crit, "cost", path + ".criterion")
             _require(isinstance(cost, dict), cpath, "expected an object")
             ckind = _get(cost, "kind", cpath)
+            if ckind in COST_FIELDS:
+                _known_fields(cost, ("kind",) + COST_FIELDS[ckind], cpath, ckind)
             if ckind == "wave-cubic":
                 rho = _number(_get(cost, "rho", cpath), cpath + ".rho", positive=True)
                 _require(rho <= 1.0, cpath + ".rho", "must lie in (0, 1]")
@@ -362,6 +413,12 @@ def _validate_analysis(a, i: int, scenario: dict) -> dict:
             else:
                 raise ScenarioError(cpath + ".kind",
                                     "unknown cost form %r" % (ckind,))
+            c_of_T = criterion_cost(cost)
+            for L in tuple(seq.lengths) + (T0,):
+                c = c_of_T(L)
+                _require(cost_within_bound(c, L, system.b_norm), cpath,
+                         "cost %g at length %g exceeds the necessary bound "
+                         "length*||B||^2 = %g" % (c, L, L * system.b_norm ** 2))
     return a
 
 
@@ -394,7 +451,8 @@ def parse_scenario(doc) -> Scenario:
     analyses = _get(doc, "analyses", "$")
     _require(isinstance(analyses, list) and analyses, "analyses",
              "expected a nonempty list")
-    validated = tuple(_validate_analysis(a, i, doc) for i, a in enumerate(analyses))
+    validated = tuple(_validate_analysis(a, i, doc, system)
+                      for i, a in enumerate(analyses))
     for i, a in enumerate(validated):
         if a["kind"] == "simulate":
             _require(horizon is not None, "horizon",

@@ -317,6 +317,15 @@ class ProductBoundReport:
         }
 
 
+def cost_within_bound(c: float, L: float, b_norm: float) -> bool:
+    """Whether an interval cost obeys the necessary bound c <= L ||B||^2.
+
+    No signal on an interval of length L can beat the always-on one, whose
+    Gramian is at most L ||B||^2; the slack is 1e-9 relative plus 1e-12.
+    """
+    return c <= L * b_norm ** 2 * (1 + 1e-9) + 1e-12
+
+
 def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
                            signal: Signal = None, costs=None, z0=None,
                            tolerance: float = 1e-8) -> ProductBoundReport:
@@ -354,7 +363,7 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
         for c, L in zip(costs, lengths):
             if c < 0:
                 raise ValueError("costs must be nonnegative")
-            if c > L * b2 * (1 + 1e-9) + 1e-12:
+            if not cost_within_bound(c, L, sys.b_norm):
                 raise ValueError(
                     "cost %g exceeds the necessary bound length*||B||^2 = %g"
                     % (c, L * b2)

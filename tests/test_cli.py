@@ -246,3 +246,56 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("PEXSTAB_OUT", str(target))
     assert main(["kappa-scan", scen]) == 0
     assert "01_kappa-scan.json" in os.listdir(target)
+
+
+def test_unknown_analysis_fields_exit_two(tmp_path, capsys):
+    certify = WAVE_SCENARIO["analyses"][3]
+    strong = SCAN_SCENARIO["analyses"][2]
+    cases = [
+        (dict(WAVE_SCENARIO, analyses=[dict(certify, verfy=certify["verify"])]),
+         "analyses[0].verfy: unknown certify field"),
+        (dict(WAVE_SCENARIO, analyses=[dict(certify, verify=dict(
+            certify["verify"], n_trial=5))]),
+         "analyses[0].verify.n_trial: unknown verify field"),
+        (dict(WAVE_SCENARIO, analyses=[dict(certify, source=dict(
+            certify["source"], lambda_mn=1.0))]),
+         "analyses[0].source.lambda_mn: unknown wave-pe field"),
+        (dict(SCAN_SCENARIO, analyses=[dict(strong, criterion=dict(
+            strong["criterion"], TO=2.0))]),
+         "analyses[0].criterion.TO: unknown criterion field"),
+        (dict(SCAN_SCENARIO, analyses=[dict(strong, criterion=dict(
+            strong["criterion"], cost={"kind": "exp-gap", "rho": 1.0}))]),
+         "analyses[0].criterion.cost.rho: unknown exp-gap field"),
+        (dict(WAVE_SCENARIO, analyses=[dict(WAVE_SCENARIO["analyses"][2],
+                                            n_cell=16)]),
+         "analyses[0].n_cell: unknown observability field"),
+    ]
+    for j, (doc, where) in enumerate(cases):
+        scen = write_scenario(tmp_path, doc, "typo%d.json" % j)
+        assert main(["run", scen, "--out", str(tmp_path / ("o%d" % j))]) == 2
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / ("o%d" % j)).exists()
+
+
+def test_criterion_cost_above_length_bound_exits_two(tmp_path, capsys):
+    # d0 = 10 claims c(0.1) = 100 pi^4 0.1^3 / 72 = 0.135 per interval, more
+    # than the 0.1 * ||B||^2 = 0.1 any signal can reach on the unit-damped string
+    doc = {"seed": 0,
+           "system": {"kind": "wave-modal", "n_modes": 1,
+                      "damping": {"uniform": 1.0}},
+           "analyses": [{"kind": "strong-stability",
+                         "intervals": [[k, k + 0.1] for k in range(4)],
+                         "costs": [0.05] * 4,
+                         "criterion": {"T0": 0.1,
+                                       "cost": {"kind": "wave-cubic", "rho": 1.0,
+                                                "lambda1": math.pi ** 2,
+                                                "d0": 10.0}}}]}
+    scen = write_scenario(tmp_path, doc, "cost_high.json")
+    assert main(["run", scen, "--out", str(tmp_path / "high")]) == 2
+    err = capsys.readouterr().err
+    assert "analyses[0].criterion.cost: cost 0.135" in err
+    assert "length*||B||^2 = 0.1" in err
+    # the exp-gap cost stays below the bound: e^-2 = 0.135 <= 1 at length 1
+    doc["analyses"][0]["criterion"] = {"T0": 1.0, "cost": {"kind": "exp-gap"}}
+    scen = write_scenario(tmp_path, doc, "cost_ok.json")
+    assert main(["run", scen, "--out", str(tmp_path / "ok")]) == 0

@@ -5,6 +5,10 @@ import scipy.linalg
 from pexstab.linsys import (
     LinearSystem,
     UncontrollableError,
+    _levels,
+    _propagate,
+    _runs,
+    _sample_grid,
     energy_balance,
     gap_estimate_check,
     kalman_index,
@@ -201,3 +205,186 @@ def test_gap_estimate_validates_window():
         gap_estimate_check(sys, one, [1.0, 0.0], 2.0, 1.0)
     with pytest.raises(ValueError):
         gap_estimate_check(sys, one, [1.0, 0.0], -0.5, 1.0)
+
+
+def sequential_states(sys, sig, z0, times):
+    """Reference: one expm step per piece between consecutive samples."""
+    z = np.asarray(z0, dtype=float)
+    out, t_prev = [], 0.0
+    for t in times:
+        for c0, c1, level in sig.cells_between(t_prev, float(t)):
+            z = scipy.linalg.expm(sys.closed_loop(level) * (c1 - c0)) @ z
+        out.append(z)
+        t_prev = float(t)
+    return np.array(out)
+
+
+def cell_product_states(sys, sig, z0, times):
+    """Reference: for each time, the product of per-cell expm from 0."""
+    out = []
+    for t in times:
+        z = np.asarray(z0, dtype=float)
+        for c0, c1, level in sig.cells_between(0.0, float(t)):
+            z = scipy.linalg.expm(sys.closed_loop(level) * (c1 - c0)) @ z
+        out.append(z)
+    return np.array(out)
+
+
+def assert_rows_close(got, want, rel=1e-12):
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert got.shape == want.shape
+    assert err.max() <= rel, err.max()
+
+
+def test_batched_propagation_damped_non_skew_drift():
+    rng = np.random.default_rng(21)
+    A = random_skew(rng, 6) - 0.3 * np.eye(6)
+    sys = LinearSystem(A, rng.standard_normal((6, 2)))
+    assert not sys.skew_flag
+    sig = make_piecewise([0.35, 1.1, 1.9], [1.0, 0.0, 0.6], 0.25)
+    z0 = rng.standard_normal(6)
+    times = np.arange(0, 61) * 0.05
+    got = _propagate(sys, sig, z0, times)
+    assert_rows_close(got, cell_product_states(sys, sig, z0, times))
+
+
+def test_batched_propagation_samples_on_breakpoints():
+    rng = np.random.default_rng(22)
+    sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 2)))
+    sig = make_piecewise([0.5, 1.25, 2.0], [1.0, 0.0, 0.5], 1.0)
+    z0 = rng.standard_normal(4)
+    times = np.arange(0, 13) * 0.25  # 0.5, 1.25 and 2.0 are samples
+    got = _propagate(sys, sig, z0, times)
+    assert_rows_close(got, cell_product_states(sys, sig, z0, times))
+
+
+def test_batched_propagation_cell_with_one_sample():
+    rng = np.random.default_rng(23)
+    sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 1)))
+    # the cell [0.95, 1.05) holds the single sample 1.0
+    sig = make_piecewise([0.95, 1.05, 2.02], [0.0, 1.0, 0.0], 0.7)
+    z0 = rng.standard_normal(4)
+    times = np.arange(0, 31) * 0.1
+    got = _propagate(sys, sig, z0, times)
+    assert_rows_close(got, cell_product_states(sys, sig, z0, times))
+
+
+def test_batched_propagation_many_tiny_cells():
+    rng = np.random.default_rng(24)
+    sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 2)))
+    breaks = np.sort(np.concatenate([np.arange(1, 400) * 0.005,
+                                     np.arange(1, 20) * 0.1 + 1e-9]))
+    levels = rng.choice([0.0, 0.5, 1.0], size=len(breaks))
+    sig = make_piecewise(breaks.tolist(), levels.tolist(), 0.0)
+    z0 = rng.standard_normal(4)
+    times = np.arange(0, 160) * 0.013
+    got = _propagate(sys, sig, z0, times)
+    assert_rows_close(got, sequential_states(sys, sig, z0, times))
+
+
+def test_batched_propagation_times_not_starting_at_zero():
+    rng = np.random.default_rng(25)
+    sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 2)))
+    sig = make_piecewise([0.7, 1.3, 2.0], [1.0, 0.0, 0.5], 0.25)
+    z0 = rng.standard_normal(4)
+    times = np.concatenate([[0.3, 0.31, 1.0], 1.5 + np.arange(40) * 0.03])
+    got = _propagate(sys, sig, z0, times)
+    assert_rows_close(got, cell_product_states(sys, sig, z0, times))
+
+
+def test_batched_propagation_long_uniform_run():
+    rng = np.random.default_rng(26)
+    sys = LinearSystem(random_skew(rng, 6), rng.standard_normal((6, 2)))
+    one = make_piecewise([], [], 1.0)
+    z0 = rng.standard_normal(6)
+    times = np.arange(0, 5001) * 1e-3  # one cell, 5000 samples after t = 0
+    got = _propagate(sys, one, z0, times)
+    pick = np.r_[np.arange(0, 5001, 97), 4095, 4096, 5000]
+    want = np.array([scipy.linalg.expm(sys.closed_loop(1.0) * times[k]) @ z0
+                     for k in pick])
+    assert_rows_close(got[pick], want)
+
+
+def test_batched_propagation_drifting_spacing_steps_singly():
+    rng = np.random.default_rng(28)
+    sys = LinearSystem(3.0 * random_skew(rng, 4), rng.standard_normal((4, 2)))
+    one = make_piecewise([], [], 1.0)
+    # consecutive gaps agree within tolerance, yet the spacing drifts by 2.8e-13
+    times = np.cumsum(0.01 + np.arange(400) * 7e-16)
+    prev = np.concatenate([[0.0], times[:-1]])
+    lo, m, h, err, tol = _runs(times, prev, np.array([0]))
+    assert len(lo) == 1 and err[0] > tol[0]
+    z0 = rng.standard_normal(4)
+    got = _propagate(sys, one, z0, times)
+    assert_rows_close(got, sequential_states(sys, one, z0, times))
+
+
+def test_undamped_fill_keeps_energy_to_rounding():
+    # 9500 samples in one undamped cell: each row is a product of about
+    # log2(9500) orthogonal steps, so the energy holds to a few eps
+    rng = np.random.default_rng(29)
+    sys = LinearSystem(3.0 * random_skew(rng, 8), rng.standard_normal((8, 2)))
+    sig = make_piecewise([0.25, 9.75], [1.0, 0.0], 1.0)
+    traj = simulate(sys, sig, rng.standard_normal(8), 10.0, 1e-3)
+    V = traj.energies[(traj.times >= 0.25) & (traj.times <= 9.75)]
+    assert np.abs(V - V[0]).max() <= 1e-13 * V[0]
+
+
+def test_batched_propagation_close_spacings_stay_apart():
+    # two cells at one level, sampled 3e-7 apart in spacing: the second run
+    # must not reuse the first run's step
+    rng = np.random.default_rng(30)
+    sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 2)))
+    sig = make_piecewise([1.0], [1.0], 1.0)
+    z0 = rng.standard_normal(4)
+    k = np.arange(1, 100)
+    times = np.concatenate([0.01 * k, 1.0 + 0.0100003 * k])
+    got = _propagate(sys, sig, z0, times)
+    assert_rows_close(got, cell_product_states(sys, sig, z0, times))
+
+
+def test_propagation_rejects_unordered_times():
+    sys = LinearSystem(rotation(), np.array([0.0, 1.0]))
+    one = make_piecewise([], [], 1.0)
+    for bad in ([0.5, 0.5], [1.0, 0.5], [-0.1, 0.5]):
+        with pytest.raises(ValueError):
+            _propagate(sys, one, [1.0, 0.0], np.array(bad))
+
+
+def loop_sample_grid(sig, horizon, dt_out):
+    """The sample grid built point by point, as the reference."""
+    n = int(np.floor(horizon / dt_out + 1e-9))
+    pts = [k * dt_out for k in range(n + 1)]
+    if pts[-1] < horizon:
+        pts.append(horizon)
+    inside = [b for b in sig.breakpoints if 0.0 < b < horizon]
+    merged = np.unique(np.concatenate([pts, inside]))
+    keep = [merged[0]]
+    for t in merged[1:]:
+        if t - keep[-1] > 1e-12 * max(1.0, horizon):
+            keep.append(t)
+    return np.asarray(keep)
+
+
+def test_sample_grid_matches_pointwise_loop():
+    rng = np.random.default_rng(27)
+    cases = [(periodic_gate(2.0, 0.25, 160.0), 150.0, 1e-3),
+             (periodic_gate(1.0, 0.3, 12.0), 10.0, 0.01),
+             (make_piecewise([0.7, 1.3, 2.0], [1.0, 0.0, 0.5], 0.25), 3.0, 0.5),
+             (make_piecewise([0.1 + 1e-13, 0.3], [1.0, 0.0], 1.0), 1.05, 0.1)]
+    for _ in range(5):
+        breaks = np.sort(rng.uniform(0.0, 9.0, size=30))
+        sig = make_piecewise(breaks.tolist(), [1.0, 0.0] * 15, 0.5)
+        cases.append((sig, float(rng.uniform(2.0, 10.0)), float(rng.uniform(1e-3, 0.3))))
+    for sig, horizon, dt_out in cases:
+        got = _sample_grid(sig, horizon, dt_out)
+        want = loop_sample_grid(sig, horizon, dt_out)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_levels_match_pointwise_lookup():
+    sig = periodic_gate(1.0, 0.3, 12.0).shifted(0.37)
+    times = _sample_grid(sig, 15.0, 0.01)
+    assert np.array_equal(_levels(sig, times),
+                          np.array([sig.value_at(t) for t in times]))

@@ -139,6 +139,19 @@ def test_cell_gramians_recursion_does_not_drift():
     assert np.abs(Ms - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_gramian_cells_far_from_zero_match_closed_form():
+    # a cell at c0 > 0 is the first-cell kernel congruenced by e^{c0 A}; at
+    # |A c0| ~ 270 that factor must come from the orthogonal skew step, not
+    # from a generic expm, to keep per-cell calls on the closed form
+    edges = np.linspace(0.0, 1.0, 1025)
+    sys = build_schrodinger(SchrodingerModalSpec(n_modes=6, omega=(0.3, 0.5)))
+    got = np.array([observability_gramian(sys, a, b)
+                    for a, b in zip(edges[:-1], edges[1:])])
+    ref = np.array([skew_gramian_closed_form(sys.A, sys.B, a, b)
+                    for a, b in zip(edges[:-1], edges[1:])])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_gramian_validates_window():
     sys = flat_system()
     with pytest.raises(ValueError):
