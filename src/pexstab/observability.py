@@ -24,8 +24,12 @@ uniform grid of ``n_cells`` cells over [0, theta]:
 * ``pe-windows``: every window [t, t + T] inside [0, theta] must carry mass
   at least mu.  For cell-constant signals the window mass is piecewise linear
   in the start t, so finitely many window constraints (starts where a window
-  edge meets a cell edge) are equivalent to the continuum of constraints; the
-  finite LP is solved by scipy's HiGHS simplex.
+  edge meets a cell edge) are equivalent to the continuum of constraints.
+  The finite LP is written in the cumulative mass F(t) = int_0^t alpha,
+  linear between cell edges: a window row reads F(s + T) - F(s) >= mu with at
+  most three nonzeros, and the levels are the slopes of F.  Its sparse
+  constraint matrix is built once per grid and window and solved by HiGHS
+  through :func:`scipy.optimize.milp` (all variables continuous).
 
 The outer minimisation over the unit sphere is nonconvex; it is attacked by
 multi-start local descent with a fixed, recorded seed.  Each descent step
@@ -39,12 +43,14 @@ system (e.g. modal truncation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from .linsys import LinearSystem, observability_gramian
 from .modal import SchrodingerModalSpec, build_schrodinger
@@ -209,42 +215,100 @@ def rho_greedy_min(cell_values, dt: float, mass_budget: float):
     return alpha, float(value)
 
 
+@functools.lru_cache(maxsize=16)
+def _window_model(n: int, T: float, mu: float, horizon: float):
+    """Constraints of the window LP over the cumulative mass F_1..F_n.
+
+    F_k is the mass of the levels on [0, edge_k] (F_0 = 0 is not a
+    variable) and F is linear between edges.  Row j < n bounds the slope of
+    cell j, 0 <= F_{j+1} - F_j <= dt.  Each further row asks
+    F(s + T) - F(s) >= mu at one candidate start s: the range endpoints and
+    every start where a window edge meets a cell edge, near-duplicates
+    dropped.  One end of each candidate window lies on a cell edge, so a
+    window row has at most three nonzeros.
+
+    Cached per (n, T, mu, horizon): the outer descent solves the same
+    constraints with a new cost on every step.  The result is shared by all
+    callers and must not be modified.
+    """
+    dt = horizon / n
+    edges = np.array([horizon * j / n for j in range(n + 1)])
+    last = horizon - T
+    # candidate start -> [index of the edge it starts on, of the edge it ends on]
+    on_edge = {}
+
+    def mark(s, side, k):
+        on_edge.setdefault(float(s), [None, None])[side] = k
+
+    mark(0.0, 0, 0)
+    mark(last, 1, n)
+    for k, e in enumerate(edges):
+        if 0.0 <= e <= last:
+            mark(e, 0, k)
+        if 0.0 <= e - T <= last:
+            mark(e - T, 1, k)
+    starts = sorted(on_edge)
+    kept = [starts[0]]
+    for s in starts[1:]:
+        if s - kept[-1] > 1e-12 * max(1.0, horizon):
+            kept.append(s)
+
+    rows, cols, vals = [], [], []
+
+    def add(row, k, coef):
+        if k > 0 and coef != 0.0:  # F_0 = 0 has no column
+            rows.append(row)
+            cols.append(k - 1)
+            vals.append(coef)
+
+    def add_mass_at(row, t, edge, sign):
+        if edge is not None:
+            add(row, edge, sign)
+            return
+        m = min(int(np.searchsorted(edges, t, side="right")) - 1, n - 1)
+        w = min(max((t - edges[m]) / dt, 0.0), 1.0)
+        add(row, m, sign * (1.0 - w))
+        add(row, m + 1, sign * w)
+
+    for j in range(n):
+        add(j, j, -1.0)
+        add(j, j + 1, 1.0)
+    for i, s in enumerate(kept):
+        start_edge, end_edge = on_edge[s]
+        add_mass_at(n + i, s, start_edge, -1.0)
+        add_mass_at(n + i, s + T, end_edge, 1.0)
+    A = scipy.sparse.csc_array((vals, (rows, cols)), shape=(n + len(kept), n))
+    lb = np.concatenate([np.zeros(n), np.full(len(kept), mu)])
+    ub = np.concatenate([np.full(n, dt), np.full(len(kept), np.inf)])
+    return scipy.optimize.LinearConstraint(A, lb, ub)
+
+
 def pe_window_min(cell_values, dt: float, T: float, mu: float, horizon: float):
     """Minimise sum_j alpha_j * cell_values[j] under sliding-window mass >= mu.
 
     Constraints are imposed at every window start where a window edge meets a
     cell edge (plus the range endpoints); for cell-constant signals the
     window mass is piecewise linear in the start, so these finitely many
-    constraints are equivalent to all starts in [0, horizon - T].  Solved as
-    a dense LP (HiGHS).  Returns (alpha, value).
+    constraints are equivalent to all starts in [0, horizon - T].  The LP is
+    solved in the cumulative mass F (see :func:`_window_model`), where a
+    window row has at most three nonzeros and the cost is
+    sum_j g_j (F_{j+1} - F_j) / dt, by HiGHS through
+    :func:`scipy.optimize.milp` with every variable continuous.  The levels
+    are alpha = clip(diff(F) / dt, 0, 1).  ``dt`` must equal
+    ``horizon / len(cell_values)`` (relative 1e-12).  Returns (alpha, value).
     """
     cell_values = np.asarray(cell_values, dtype=float)
     n = len(cell_values)
-    edges = np.array([horizon * j / n for j in range(n + 1)])
-    last = horizon - T
-    cands = {0.0, last}
-    for e in edges:
-        if 0.0 <= e <= last:
-            cands.add(float(e))
-        if 0.0 <= e - T <= last:
-            cands.add(float(e - T))
-    starts = sorted(cands)
-    # drop near-duplicates
-    dedup = [starts[0]]
-    for s in starts[1:]:
-        if s - dedup[-1] > 1e-12 * max(1.0, horizon):
-            dedup.append(s)
-    rows = []
-    for s in dedup:
-        cover = np.clip(np.minimum(edges[1:], s + T) - np.maximum(edges[:-1], s), 0.0, None)
-        rows.append(cover)
-    A_ub = -np.asarray(rows)
-    b_ub = np.full(len(rows), -mu)
-    res = scipy.optimize.linprog(cell_values, A_ub=A_ub, b_ub=b_ub,
-                                 bounds=[(0.0, 1.0)] * n, method="highs")
+    if abs(n * dt - horizon) > 1e-12 * max(1.0, horizon):
+        raise ValueError("cell width %r does not divide the horizon %r into %d cells"
+                         % (dt, horizon, n))
+    # sum_j g_j (F_{j+1} - F_j) regrouped by F_k, k = 1..n
+    cost = np.append(cell_values[:-1] - cell_values[1:], cell_values[-1]) / dt
+    res = scipy.optimize.milp(cost, constraints=_window_model(n, T, mu, horizon),
+                              options={"presolve": False})
     if not res.success:
         raise RuntimeError("window LP failed: %s" % res.message)
-    alpha = np.clip(res.x, 0.0, 1.0)
+    alpha = np.clip(np.diff(res.x, prepend=0.0) / dt, 0.0, 1.0)
     return alpha, float(cell_values @ alpha)
 
 

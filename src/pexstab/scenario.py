@@ -46,6 +46,17 @@ COST_FIELDS = {"wave-cubic": ("rho", "lambda1", "d0"), "exp-gap": (),
 OUTER_FIELDS = ("n_starts", "n_iters", "seed")
 VERIFY_FIELDS = ("T", "mu", "n_trials", "horizon")
 CRITERION_FIELDS = ("T0", "cost")
+# The same for the scenario's system and signal objects.  A signal without
+# "gen" is the raw piecewise form.
+SYSTEM_FIELDS = {"matrices": ("A", "B"),
+                 "wave-modal": ("n_modes", "damping", "eigenvalues"),
+                 "schrodinger-modal": ("n_modes", "damping")}
+DAMPING_FIELDS = ("uniform", "omega")
+SIGNAL_FIELDS = {"constant": ("level",),
+                 "periodic-gate": ("period", "pulse_halfwidth", "horizon"),
+                 "haraux-gap": ("n_max",),
+                 "intervals": ("intervals", "level")}
+PIECEWISE_FIELDS = ("breakpoints", "values", "tail")
 
 
 class ScenarioError(ValueError):
@@ -122,6 +133,11 @@ def _omega(x, path: str) -> tuple:
 def build_system(spec, path: str) -> LinearSystem:
     _require(isinstance(spec, dict), path, "expected an object")
     kind = _get(spec, "kind", path)
+    if kind == "schrodinger-modal":
+        _require("eigenvalues" not in spec, path + ".eigenvalues",
+                 "quantum-particle systems fix the eigenvalues (n pi)^2")
+    if kind in SYSTEM_FIELDS:
+        _known_fields(spec, ("kind",) + SYSTEM_FIELDS[kind], path, kind)
     if kind == "matrices":
         A = _get(spec, "A", path)
         B = _get(spec, "B", path)
@@ -137,6 +153,7 @@ def build_system(spec, path: str) -> LinearSystem:
         n_modes = _integer(_get(spec, "n_modes", path), path + ".n_modes", minimum=1)
         damping = _get(spec, "damping", path)
         _require(isinstance(damping, dict), path + ".damping", "expected an object")
+        _known_fields(damping, DAMPING_FIELDS, path + ".damping", "damping")
         uniform = damping.get("uniform")
         omega = damping.get("omega")
         _require((uniform is None) != (omega is None), path + ".damping",
@@ -152,8 +169,6 @@ def build_system(spec, path: str) -> LinearSystem:
                     eig = _number_list(eig, path + ".eigenvalues")
                 return build_wave(WaveModalSpec(n_modes, uniform=uniform,
                                                 omega=omega, eigenvalues=eig))
-            _require("eigenvalues" not in spec, path + ".eigenvalues",
-                     "quantum-particle systems fix the eigenvalues (n pi)^2")
             return build_schrodinger(SchrodingerModalSpec(n_modes, uniform=uniform,
                                                           omega=omega))
         except ValueError as e:
@@ -167,6 +182,8 @@ def build_signal(spec, path: str) -> Signal:
     _require(isinstance(spec, dict), path, "expected an object")
     if "gen" in spec:
         gen = spec["gen"]
+        if gen in SIGNAL_FIELDS:
+            _known_fields(spec, ("gen",) + SIGNAL_FIELDS[gen], path, gen)
         try:
             if gen == "constant":
                 level = _number(_get(spec, "level", path), path + ".level")
@@ -196,6 +213,7 @@ def build_signal(spec, path: str) -> Signal:
         except ValueError as e:
             raise ScenarioError(path, str(e))
         raise ScenarioError(path + ".gen", "unknown signal generator %r" % (gen,))
+    _known_fields(spec, PIECEWISE_FIELDS, path, "piecewise signal")
     breaks = _number_list(_get(spec, "breakpoints", path), path + ".breakpoints")
     values = _number_list(_get(spec, "values", path), path + ".values")
     tail = _number(_get(spec, "tail", path), path + ".tail")

@@ -277,6 +277,30 @@ def test_unknown_analysis_fields_exit_two(tmp_path, capsys):
         assert not (tmp_path / ("o%d" % j)).exists()
 
 
+def test_unknown_system_and_signal_fields_exit_two(tmp_path, capsys):
+    system, signal = WAVE_SCENARIO["system"], WAVE_SCENARIO["signal"]
+    cases = [
+        (dict(WAVE_SCENARIO, system=dict(system, damping={"uniform": 1.0,
+                                                          "unifrom": 2.0})),
+         "system.damping.unifrom: unknown damping field"),
+        (dict(WAVE_SCENARIO, signal=dict(signal, phse=0.3)),
+         "signal.phse: unknown periodic-gate field"),
+        (dict(WAVE_SCENARIO, system=dict(system, n_mode=3)),
+         "system.n_mode: unknown wave-modal field"),
+        (dict(WAVE_SCENARIO, system=dict(system, kind="schrodinger-modal",
+                                         eigenvalues=[1.0, 4.0])),
+         "system.eigenvalues: quantum-particle systems fix the eigenvalues"),
+        (dict(WAVE_SCENARIO, signal={"breakpoints": [1.0], "values": [1.0],
+                                     "tial": 0.0, "tail": 0.0}),
+         "signal.tial: unknown piecewise signal field"),
+    ]
+    for j, (doc, where) in enumerate(cases):
+        scen = write_scenario(tmp_path, doc, "typo%d.json" % j)
+        assert main(["validate", scen]) == 2
+        assert where in capsys.readouterr().err
+    assert main(["validate", write_scenario(tmp_path, WAVE_SCENARIO)]) == 0
+
+
 def test_criterion_cost_above_length_bound_exits_two(tmp_path, capsys):
     # d0 = 10 claims c(0.1) = 100 pi^4 0.1^3 / 72 = 0.135 per interval, more
     # than the 0.1 * ||B||^2 = 0.1 any signal can reach on the unit-damped string

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from pexstab.linsys import LinearSystem, UncontrollableError
 from pexstab.modal import (
@@ -14,6 +15,7 @@ from pexstab.modal import (
 from pexstab.observability import (
     EXPLORATION_LABEL,
     _cell_gramians,
+    _window_model,
     OuterSearch,
     SignalClass,
     class_constant,
@@ -229,6 +231,101 @@ def test_window_lp_solution_is_admissible():
                         0.0, None)
         assert float(cover @ alpha) >= 0.4 - 1e-7
     assert val <= float(g.sum()) + 1e-9  # never worse than alpha = 1
+
+
+def dense_window_lp(g, T, mu, horizon):
+    """Reference: the window LP in the levels alpha, one dense row per start.
+
+    Candidate starts are the range endpoints and every start where a window
+    edge meets a cell edge; row entries are the overlaps of the window with
+    the cells.  Returns (alpha, value, edges, starts).
+    """
+    n = len(g)
+    edges = np.array([horizon * j / n for j in range(n + 1)])
+    last = horizon - T
+    cands = {0.0, last}
+    for e in edges:
+        if 0.0 <= e <= last:
+            cands.add(float(e))
+        if 0.0 <= e - T <= last:
+            cands.add(float(e - T))
+    starts = sorted(cands)
+    rows = [np.clip(np.minimum(edges[1:], s + T) - np.maximum(edges[:-1], s),
+                    0.0, None) for s in starts]
+    res = scipy.optimize.linprog(g, A_ub=-np.asarray(rows), b_ub=np.full(len(rows), -mu),
+                                 bounds=[(0.0, 1.0)] * n, method="highs")
+    assert res.success
+    alpha = np.clip(res.x, 0.0, 1.0)
+    return alpha, float(g @ alpha), edges, starts
+
+
+def test_window_lp_aligned_grid_matches_binary_enumeration():
+    # T/dt and mu/dt integers: the window matrix has consecutive ones, so it
+    # is totally unimodular and some optimum has 0/1 levels
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(4, 13))
+        dt = float(rng.uniform(0.05, 0.5))
+        tau = int(rng.integers(1, n + 1))
+        m = int(rng.integers(1, tau + 1))
+        g = rng.uniform(0.0, 1.0, n)
+        _, value = pe_window_min(g, dt, tau * dt, m * dt, n * dt)
+        levels = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        csum = np.concatenate([np.zeros((2 ** n, 1)), np.cumsum(levels, axis=1)],
+                              axis=1)
+        feasible = np.all(csum[:, tau:] - csum[:, :n + 1 - tau] >= m, axis=1)
+        oracle = float(np.min(levels[feasible] @ g))
+        assert abs(value - oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_lp_matches_dense_reference_off_grid(seed):
+    rng = np.random.default_rng(700 + seed)
+    for trial in range(10):
+        n = int(rng.integers(4, 48))
+        T = float(rng.uniform(0.3, 2.0))
+        horizon = T if trial % 3 == 0 else T * float(rng.uniform(1.05, 3.0))
+        mu = float(rng.uniform(0.05, 0.95)) * T
+        dt = horizon / n
+        assert abs(T / dt - round(T / dt)) > 1e-6 or horizon == T
+        assert abs(mu / dt - round(mu / dt)) > 1e-6
+        g = rng.uniform(0.0, 1.0, n)
+        alpha, value = pe_window_min(g, dt, T, mu, horizon)
+        _, ref, edges, starts = dense_window_lp(g, T, mu, horizon)
+        assert abs(value - ref) <= 1e-9
+        assert np.all((alpha >= 0.0) & (alpha <= 1.0))
+        fine = np.linspace(0.0, horizon - T, 101)
+        for s in np.concatenate([starts, fine]):
+            cover = np.clip(np.minimum(edges[1:], s + T) - np.maximum(edges[:-1], s),
+                            0.0, None)
+            assert float(cover @ alpha) >= mu - 1e-7
+
+
+def test_window_model_is_built_once_and_sparse():
+    _window_model.cache_clear()
+    rng = np.random.default_rng(8)
+    n, T, mu, horizon = 40, 1.3, 0.45, 3.1
+    for _ in range(3):
+        pe_window_min(rng.uniform(0.0, 1.0, n), horizon / n, T, mu, horizon)
+    info = _window_model.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    A = _window_model(n, T, mu, horizon).A.tocsr()
+    assert np.diff(A.indptr)[n:].max() == 3  # off-grid window rows
+    assert np.diff(A.indptr)[:n].max() == 2  # slope rows
+
+    sys = LinearSystem(rotation(), np.array([[1.0], [0.0]]))
+    _window_model.cache_clear()
+    class_constant(sys, SignalClass.pe_windows(2.0, 0.5, 4.0), n_cells=32,
+                   outer=OuterSearch(n_starts=3))
+    info = _window_model.cache_info()
+    assert info.misses == 1 and info.hits >= 2
+
+
+def test_window_lp_rejects_inconsistent_cell_width():
+    g = np.ones(16)
+    with pytest.raises(ValueError, match="cell width"):
+        pe_window_min(g, 0.1, 1.0, 0.5, 2.0)
+    pe_window_min(g, 2.0 / 16, 1.0, 0.5, 2.0)
 
 
 def test_inner_min_flat_system_both_classes():
