@@ -213,8 +213,8 @@ def verify_damping_inert(sc: CounterexampleScenario, n_periods: int = None,
     quad_max = 0.0
     n_windows = 0
     # walk the exact signal cells: edges are rational, activity is level > 0
-    edges = (Fraction(0),) + sig._fbreaks
-    levels = sig._fvalues + (sig._ftail,)
+    edges = [Fraction(0)] + [Fraction(nb, sig._den) for nb in sig._nbreaks]
+    levels = sig._nvalues + (sig._ntail,)
     for i, (c0, lvl) in enumerate(zip(edges, levels)):
         if lvl == 0 or c0 >= fH:
             continue

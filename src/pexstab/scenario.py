@@ -136,7 +136,7 @@ def build_system(spec, path: str) -> LinearSystem:
     if kind == "schrodinger-modal":
         _require("eigenvalues" not in spec, path + ".eigenvalues",
                  "quantum-particle systems fix the eigenvalues (n pi)^2")
-    if kind in SYSTEM_FIELDS:
+    if isinstance(kind, str) and kind in SYSTEM_FIELDS:
         _known_fields(spec, ("kind",) + SYSTEM_FIELDS[kind], path, kind)
     if kind == "matrices":
         A = _get(spec, "A", path)
@@ -182,7 +182,7 @@ def build_signal(spec, path: str) -> Signal:
     _require(isinstance(spec, dict), path, "expected an object")
     if "gen" in spec:
         gen = spec["gen"]
-        if gen in SIGNAL_FIELDS:
+        if isinstance(gen, str) and gen in SIGNAL_FIELDS:
             _known_fields(spec, ("gen",) + SIGNAL_FIELDS[gen], path, gen)
         try:
             if gen == "constant":
@@ -265,7 +265,7 @@ def _validate_outer(params, path: str) -> dict:
 def _validate_sclass(params, path: str) -> dict:
     _require(isinstance(params, dict), path, "expected an object")
     kind = _get(params, "kind", path)
-    if kind in CLASS_FIELDS:
+    if isinstance(kind, str) and kind in CLASS_FIELDS:
         _known_fields(params, ("kind",) + CLASS_FIELDS[kind], path, kind)
     if kind == "rho-integral":
         rho = _number(_get(params, "rho", path), path + ".rho", positive=True)
@@ -355,7 +355,7 @@ def _validate_analysis(a, i: int, scenario: dict, system: LinearSystem) -> dict:
         else:
             _require(isinstance(source, dict), path + ".source", "expected an object")
             skind = _get(source, "kind", path + ".source")
-            if skind in SOURCE_FIELDS:
+            if isinstance(skind, str) and skind in SOURCE_FIELDS:
                 _known_fields(source, ("kind",) + SOURCE_FIELDS[skind],
                               path + ".source", skind)
             if skind == "wave-pe":
@@ -406,7 +406,7 @@ def _validate_analysis(a, i: int, scenario: dict, system: LinearSystem) -> dict:
             cost = _get(crit, "cost", path + ".criterion")
             _require(isinstance(cost, dict), cpath, "expected an object")
             ckind = _get(cost, "kind", cpath)
-            if ckind in COST_FIELDS:
+            if isinstance(ckind, str) and ckind in COST_FIELDS:
                 _known_fields(cost, ("kind",) + COST_FIELDS[ckind], cpath, ckind)
             if ckind == "wave-cubic":
                 rho = _number(_get(cost, "rho", cpath), cpath + ".rho", positive=True)

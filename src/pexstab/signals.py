@@ -1,10 +1,14 @@
 """Piecewise-constant damping signals and persistent-excitation checks.
 
 A damping signal is a function ``alpha : [0, inf) -> [0, 1]`` that switches
-between finitely many levels.  All signal algebra here is exact: breakpoints
-and levels are mirrored internally as rationals, integrals are computed as
-exact sums over cells, and the persistent-excitation (PE) check minimises the
-sliding-window mass
+between finitely many levels.  All signal algebra here is exact and runs on
+one integer lattice per signal: the breakpoints are integer numerators over a
+single denominator (the lcm of their denominators), the levels are integer
+numerators over a second one, and the prefix masses are numerators over the
+product of the two.  Inputs enter exactly (a float is the dyadic rational it
+stores), integrals are exact integer sums over cells, and
+:class:`fractions.Fraction` appears only in returned values.  The
+persistent-excitation (PE) check minimises the sliding-window mass
 
     g(t) = integral of alpha over [t, t + T]
 
@@ -31,6 +35,21 @@ def _frac(x) -> Fraction:
     return Fraction(float(x))
 
 
+def _ratio(x) -> tuple:
+    """Exact ``(numerator, denominator)`` of a float or rational, as ints."""
+    if isinstance(x, float):
+        return x.as_integer_ratio()
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)
+    return float(x).as_integer_ratio()
+
+
+def _common(ratios) -> tuple:
+    """Least common denominator of ``(num, den)`` pairs and the numerators over it."""
+    den = math.lcm(*(d for _, d in ratios))
+    return den, [n * (den // d) for n, d in ratios]
+
+
 @dataclass(frozen=True)
 class Signal:
     """Piecewise-constant damping level on [0, inf).
@@ -54,47 +73,71 @@ class Signal:
     breakpoints: tuple
     values: tuple
     tail_value: float
-    # exact rational mirrors, set in __post_init__
-    _fbreaks: tuple = field(init=False, repr=False, compare=False, default=())
-    _fvalues: tuple = field(init=False, repr=False, compare=False, default=())
-    _ftail: Fraction = field(init=False, repr=False, compare=False, default=Fraction(0))
-    _fprefix: tuple = field(init=False, repr=False, compare=False, default=())
+    # exact integer lattice, set by _set_lattice: breakpoints[i] is
+    # _nbreaks[i] / _den, values[i] is _nvalues[i] / _vden, tail_value is
+    # _ntail / _vden and the integral over [0, breakpoints[i]] is
+    # _nprefix[i] / (_den * _vden); both denominators are the least possible
+    _den: int = field(init=False, repr=False, compare=False, default=1)
+    _nbreaks: tuple = field(init=False, repr=False, compare=False, default=())
+    _vden: int = field(init=False, repr=False, compare=False, default=1)
+    _nvalues: tuple = field(init=False, repr=False, compare=False, default=())
+    _ntail: int = field(init=False, repr=False, compare=False, default=0)
+    _nprefix: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
-        fbreaks = tuple(_frac(b) for b in self.breakpoints)
-        fvalues = tuple(_frac(v) for v in self.values)
-        ftail = _frac(self.tail_value)
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in fbreaks))
-        object.__setattr__(self, "values", tuple(float(v) for v in fvalues))
-        object.__setattr__(self, "tail_value", float(ftail))
-        if len(fbreaks) != len(fvalues):
+        den, nbreaks = _common([_ratio(b) for b in self.breakpoints])
+        vden, nlevels = _common([_ratio(v) for v in self.values]
+                                + [_ratio(self.tail_value)])
+        self._set_lattice(den, nbreaks, vden, nlevels[:-1], nlevels[-1])
+
+    @classmethod
+    def _from_lattice(cls, den, nbreaks, vden, nvalues, ntail) -> "Signal":
+        """Signal with edges ``nbreaks / den`` and levels ``nvalues / vden``.
+
+        The tail level is ``ntail / vden``.  Runs the same checks as the
+        public constructor.
+        """
+        sig = object.__new__(cls)
+        sig._set_lattice(den, nbreaks, vden, nvalues, ntail)
+        return sig
+
+    def _set_lattice(self, den, nbreaks, vden, nvalues, ntail):
+        g = math.gcd(den, *nbreaks)
+        den, nbreaks = den // g, tuple(nb // g for nb in nbreaks)
+        g = math.gcd(vden, ntail, *nvalues)
+        vden, nvalues, ntail = vden // g, tuple(nv // g for nv in nvalues), ntail // g
+        # int true division rounds correctly, as float(Fraction) does
+        object.__setattr__(self, "breakpoints", tuple(nb / den for nb in nbreaks))
+        object.__setattr__(self, "values", tuple(nv / vden for nv in nvalues))
+        object.__setattr__(self, "tail_value", ntail / vden)
+        if len(nbreaks) != len(nvalues):
             raise ValueError(
                 "need exactly one value per cell: got %d breakpoints but %d values"
-                % (len(fbreaks), len(fvalues))
+                % (len(nbreaks), len(nvalues))
             )
-        prev = Fraction(0)
-        for b in fbreaks:
-            if b <= prev:
+        prev = 0
+        for nb in nbreaks:
+            if nb <= prev:
                 raise ValueError(
                     "breakpoints must be strictly increasing and positive; "
-                    "a breakpoint at or before %s creates a degenerate cell" % float(prev)
+                    "a breakpoint at or before %s creates a degenerate cell" % (prev / den)
                 )
-            prev = b
-        for v in list(fvalues) + [ftail]:
-            if not 0 <= v <= 1:
-                raise ValueError("signal levels must lie in [0, 1], got %s" % float(v))
-        # prefix[i] = exact integral over [0, breakpoints[i]]
+            prev = nb
+        for nv in nvalues + (ntail,):
+            if not 0 <= nv <= vden:
+                raise ValueError("signal levels must lie in [0, 1], got %s" % (nv / vden))
         prefix = []
-        acc = Fraction(0)
-        lo = Fraction(0)
-        for b, v in zip(fbreaks, fvalues):
-            acc += (b - lo) * v
+        acc = lo = 0
+        for nb, nv in zip(nbreaks, nvalues):
+            acc += (nb - lo) * nv
             prefix.append(acc)
-            lo = b
-        object.__setattr__(self, "_fbreaks", fbreaks)
-        object.__setattr__(self, "_fvalues", fvalues)
-        object.__setattr__(self, "_ftail", ftail)
-        object.__setattr__(self, "_fprefix", tuple(prefix))
+            lo = nb
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nbreaks", nbreaks)
+        object.__setattr__(self, "_vden", vden)
+        object.__setattr__(self, "_nvalues", nvalues)
+        object.__setattr__(self, "_ntail", ntail)
+        object.__setattr__(self, "_nprefix", tuple(prefix))
 
     def __call__(self, t: float) -> float:
         return self.value_at(t)
@@ -108,23 +151,28 @@ class Signal:
             return self.values[i]
         return self.tail_value
 
-    def _primitive(self, x: Fraction) -> Fraction:
-        """Exact integral over [0, x]."""
-        i = bisect.bisect_right(self._fbreaks, x)
+    def _primitive(self, x: int, s: int) -> int:
+        """Integral over [0, x / (s * _den)], as a numerator over ``s * _den * _vden``.
+
+        ``x`` lives on the refined lattice with denominator ``s * _den``, on
+        which breakpoint i sits at ``_nbreaks[i] * s``; since breakpoints are
+        integers on the coarse lattice, ``x // s`` locates the cell exactly.
+        """
+        i = bisect.bisect_right(self._nbreaks, x // s)
+        level = self._nvalues[i] if i < len(self._nvalues) else self._ntail
         if i == 0:
-            level = self._fvalues[0] if self._fvalues else self._ftail
             return x * level
-        base = self._fprefix[i - 1]
-        edge = self._fbreaks[i - 1]
-        level = self._fvalues[i] if i < len(self._fvalues) else self._ftail
-        return base + (x - edge) * level
+        return self._nprefix[i - 1] * s + (x - self._nbreaks[i - 1] * s) * level
 
     def integral(self, a, b) -> Fraction:
         """Exact mass of the signal over [a, b], returned as a Fraction."""
-        fa, fb = _frac(a), _frac(b)
-        if fa < 0 or fb < fa:
+        (na, da), (nb, db) = _ratio(a), _ratio(b)
+        if na < 0 or nb * da < na * db:
             raise ValueError("need 0 <= a <= b, got a=%s b=%s" % (a, b))
-        return self._primitive(fb) - self._primitive(fa)
+        L = math.lcm(self._den, da, db)
+        s = L // self._den
+        return Fraction(self._primitive(nb * (L // db), s) - self._primitive(na * (L // da), s),
+                        L * self._vden)
 
     def cells_between(self, a: float, b: float):
         """Yield (start, end, level) covering [a, b], split at breakpoints."""
@@ -143,17 +191,16 @@ class Signal:
 
     def shifted(self, t0: float) -> "Signal":
         """The signal ``t -> alpha(t0 + t)`` as a new Signal."""
-        f0 = _frac(t0)
-        if f0 < 0:
+        n0, d0 = _ratio(t0)
+        if n0 < 0:
             raise ValueError("shift must be nonnegative, got %s" % t0)
-        breaks, vals = [], []
-        for b, v in zip(self._fbreaks, self._fvalues):
-            if b > f0:
-                breaks.append(b - f0)
-                vals.append(v)
-        if not breaks:
-            return Signal((), (), self._ftail)
-        return Signal(tuple(breaks), tuple(vals), self._ftail)
+        L = math.lcm(self._den, d0)
+        s = L // self._den
+        x0 = n0 * (L // d0)
+        # keep the breakpoints strictly after t0
+        i = bisect.bisect_right(self._nbreaks, x0 // s)
+        return Signal._from_lattice(L, [nb * s - x0 for nb in self._nbreaks[i:]],
+                                    self._vden, self._nvalues[i:], self._ntail)
 
     def to_dict(self) -> dict:
         return {
@@ -268,35 +315,43 @@ def pe_check(sig: Signal, T, mu, horizon, tolerance: float = 0.0) -> PEReport:
         ``holds`` is True iff the worst window mass is at least
         ``mu - tolerance``; ties in mass report the earliest window start.
     """
-    fT, fmu, fH = _frac(T), _frac(mu), _frac(horizon)
-    if fT <= 0:
+    (tn, td), (mn, md), (hn, hd) = _ratio(T), _ratio(mu), _ratio(horizon)
+    if tn <= 0:
         raise ValueError("window length T must be positive")
-    if not 0 < fmu <= fT:
+    if not (0 < mn and mn * td <= tn * md):
         raise ValueError("need 0 < mu <= T (levels never exceed 1), got mu=%s T=%s" % (mu, T))
-    if fH < fT:
+    if hn * td < tn * hd:
         raise ValueError("horizon must be at least one window long")
-    last = fH - fT
-    cands = {Fraction(0), last}
-    for b in sig._fbreaks:
-        if 0 <= b <= last:
+    # window starts and lengths on the lattice with denominator L
+    L = math.lcm(sig._den, td, hd)
+    s = L // sig._den
+    wT = tn * (L // td)
+    last = hn * (L // hd) - wT
+    cands = {0, last}
+    for nb in sig._nbreaks:
+        b = nb * s
+        if b <= last:
             cands.add(b)
-        if 0 <= b - fT <= last:
-            cands.add(b - fT)
+        if 0 <= b - wT <= last:
+            cands.add(b - wT)
     worst_t, worst_m = None, None
     for t in sorted(cands):
-        m = sig._primitive(t + fT) - sig._primitive(t)
+        m = sig._primitive(t + wT, s) - sig._primitive(t, s)
         if worst_m is None or m < worst_m:
             worst_t, worst_m = t, m
-    holds = worst_m >= fmu - _frac(tolerance)
+    scale = L * sig._vden
+    on, od = _ratio(tolerance)
+    # worst_m / scale >= mu - tolerance, cleared of denominators
+    holds = worst_m * md * od >= (mn * od - on * md) * scale
     return PEReport(
-        holds=bool(holds),
-        T=float(fT),
-        mu=float(fmu),
-        horizon=float(fH),
-        worst_window_start=float(worst_t),
-        worst_window_mass=float(worst_m),
-        worst_window_start_exact=worst_t,
-        worst_window_mass_exact=worst_m,
+        holds=holds,
+        T=tn / td,
+        mu=mn / md,
+        horizon=hn / hd,
+        worst_window_start=worst_t / L,
+        worst_window_mass=worst_m / scale,
+        worst_window_start_exact=Fraction(worst_t, L),
+        worst_window_mass_exact=Fraction(worst_m, scale),
         tolerance=float(tolerance),
     )
 
@@ -309,66 +364,48 @@ def periodic_gate(period, pulse_halfwidth, horizon) -> Signal:
     [0, horizon] sees the exact periodic signal.  ``h = period / 2`` makes the
     pulses touch and the gate degenerates to the constant 1.
     """
-    P, h, H = _frac(period), _frac(pulse_halfwidth), _frac(horizon)
-    if P <= 0:
+    (pn, pd), (hn, hd), (Hn, Hd) = _ratio(period), _ratio(pulse_halfwidth), _ratio(horizon)
+    if pn <= 0:
         raise ValueError("period must be positive")
-    if not 0 < h <= P / 2:
+    if not (0 < hn and 2 * hn * pd <= pn * hd):
         raise ValueError("pulse halfwidth must lie in (0, period/2]")
-    if H < 0:
+    if Hn < 0:
         raise ValueError("horizon must be nonnegative")
-    if 2 * h == P:
-        return Signal((), (), 1.0)
-    breaks, vals = [], []
-    k = 0
-    # first pulse is clipped to [0, h)
-    edge = h
-    breaks.append(edge)
-    vals.append(Fraction(1))
-    while True:
-        k += 1
-        on = k * P - h
-        off = k * P + h
-        breaks.append(on)
-        vals.append(Fraction(0))
-        breaks.append(off)
-        vals.append(Fraction(1))
-        if on > H + P:
-            break
-    return Signal(tuple(breaks), tuple(vals), 0.0)
+    if 2 * hn * pd == pn * hd:
+        return Signal._from_lattice(1, (), 1, (), 1)
+    L = math.lcm(pd, hd, Hd)
+    P, h, H = pn * (L // pd), hn * (L // hd), Hn * (L // Hd)
+    # the first pulse is clipped to [0, h); pulse k sits at [kP - h, kP + h),
+    # up to the first one that switches on after H + P
+    n_pulses = (H + P + h) // P + 1
+    breaks = [h] + [e for k in range(1, n_pulses + 1) for e in (k * P - h, k * P + h)]
+    return Signal._from_lattice(L, breaks, 1, (1,) + (0, 1) * n_pulses, 0)
 
 
 def periodic_extension(sig: Signal, period, horizon) -> Signal:
     """Tile the restriction of ``sig`` to [0, period) periodically.
 
-    The pattern is repeated exactly (in rational arithmetic) out to at least
-    ``horizon`` plus one full period; after the generated range the signal
-    holds the pattern's first level.  Useful for turning a single-window
-    minimiser into a signal of the same class on a long horizon: a
-    period-T-periodic signal has identical mass in every window of length T.
+    The pattern is repeated exactly out to at least ``horizon`` plus one full
+    period; after the generated range the signal holds the pattern's first
+    level.  Useful for turning a single-window minimiser into a signal of the
+    same class on a long horizon: a period-T-periodic signal has identical
+    mass in every window of length T.
     """
-    fP, fH = _frac(period), _frac(horizon)
-    if fP <= 0:
+    (pn, pd), (hn, hd) = _ratio(period), _ratio(horizon)
+    if pn <= 0:
         raise ValueError("period must be positive")
-    if fH <= 0:
+    if hn <= 0:
         raise ValueError("horizon must be positive")
-    edges = [Fraction(0)]
-    levels = []
-    for b, v in zip(sig._fbreaks, sig._fvalues):
-        if b >= fP:
-            break
-        edges.append(b)
-        levels.append(v)
-    levels.append(sig._fvalues[len(edges) - 1]
-                  if len(edges) - 1 < len(sig._fvalues) else sig._ftail)
-    edges.append(fP)
-    n_rep = int(math.ceil(float(fH / fP))) + 1
-    breaks, vals = [], []
-    for k in range(n_rep):
-        off = k * fP
-        for e, v in zip(edges[1:], levels):
-            breaks.append(off + e)
-            vals.append(v)
-    return Signal(tuple(breaks), tuple(vals), levels[0])
+    L = math.lcm(sig._den, pd)
+    s = L // sig._den
+    P = pn * (L // pd)
+    # the m breakpoints before the period end the pattern's first m cells
+    m = bisect.bisect_left(sig._nbreaks, -(-P // s))
+    edges = [nb * s for nb in sig._nbreaks[:m]] + [P]
+    levels = (sig._nvalues + (sig._ntail,))[:m + 1]
+    n_rep = math.ceil((hn * pd) / (hd * pn)) + 1
+    breaks = [k * P + e for k in range(n_rep) for e in edges]
+    return Signal._from_lattice(L, breaks, sig._vden, levels * n_rep, levels[0])
 
 
 def haraux_gap(n_max: int):
@@ -381,32 +418,34 @@ def haraux_gap(n_max: int):
     """
     if n_max < 1:
         raise ValueError("need at least one pulse")
+    # every s_n and 1/n is a multiple of 1/L
+    L = math.lcm(*range(1, n_max + 1))
     breaks, vals, ivs = [], [], []
-    s = Fraction(0)
+    s = 0
     for n in range(1, n_max + 1):
-        a, b = s, s + Fraction(1, n)
-        ivs.append((a, b))
+        a, b = s, s + L // n
+        ivs.append((a / L, b / L))
         if a > 0:
             breaks.append(a)
-            vals.append(Fraction(0))
+            vals.append(0)
         breaks.append(b)
-        vals.append(Fraction(1))
-        s += Fraction(2, n)
-    sig = Signal(tuple(breaks), tuple(vals), 0.0)
+        vals.append(1)
+        s += 2 * (L // n)
+    sig = Signal._from_lattice(L, breaks, 1, vals, 0)
     return sig, IntervalSequence(tuple(ivs), rho=1.0)
 
 
 def from_intervals(seq: IntervalSequence, level=1.0) -> Signal:
     """Signal equal to ``level`` on each interval of ``seq`` and 0 elsewhere."""
-    flevel = _frac(level)
-    if not 0 < flevel <= 1:
+    ln, ld = _ratio(level)
+    if not 0 < ln <= ld:
         raise ValueError("level must lie in (0, 1]")
+    den, ends = _common([_ratio(x) for iv in seq.intervals for x in iv])
     breaks, vals = [], []
-    for a, b in seq.intervals:
-        fa, fb = _frac(a), _frac(b)
-        if fa > 0 and (not breaks or breaks[-1] < fa):
-            breaks.append(fa)
-            vals.append(Fraction(0))
-        breaks.append(fb)
-        vals.append(flevel)
-    return Signal(tuple(breaks), tuple(vals), 0.0)
+    for a, b in zip(ends[::2], ends[1::2]):
+        if a > 0 and (not breaks or breaks[-1] < a):
+            breaks.append(a)
+            vals.append(0)
+        breaks.append(b)
+        vals.append(ln)
+    return Signal._from_lattice(den, breaks, ld, vals, 0)

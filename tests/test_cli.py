@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -62,8 +63,7 @@ def read_reports(out_dir):
 
 
 def tree_bytes(out_dir):
-    return {name: open(os.path.join(out_dir, name), "rb").read()
-            for name in sorted(os.listdir(out_dir))}
+    return {path.name: path.read_bytes() for path in sorted(Path(out_dir).iterdir())}
 
 
 def test_run_wave_scenario(tmp_path, capsys):

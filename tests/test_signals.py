@@ -1,3 +1,5 @@
+import bisect
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,7 @@ from pexstab.signals import (
     integral,
     make_piecewise,
     pe_check,
+    periodic_extension,
     periodic_gate,
 )
 
@@ -203,3 +206,252 @@ def test_shift_matches_original(s, t0, t):
     ft0, ft = F(t0), F(t)
     assert sh.value_at(ft) == s.value_at(ft0 + ft)
     assert sh.integral(0, ft) == s.integral(ft0, ft0 + ft)
+
+
+# --- Fraction reference -----------------------------------------------------
+# The signal algebra as it stood before the integer lattice: one Fraction per
+# breakpoint and level, re-normalised on every operation.  Every lattice path
+# must agree with it exactly.
+
+
+class RefSignal:
+    def __init__(self, breaks, vals, tail):
+        self.breaks = [F(b) for b in breaks]
+        self.vals = [F(v) for v in vals]
+        self.tail = F(tail)
+        self.prefix, acc, lo = [], F(0), F(0)
+        for b, v in zip(self.breaks, self.vals):
+            acc += (b - lo) * v
+            self.prefix.append(acc)
+            lo = b
+
+    def primitive(self, x):
+        i = bisect.bisect_right(self.breaks, x)
+        level = self.vals[i] if i < len(self.vals) else self.tail
+        if i == 0:
+            return x * level
+        return self.prefix[i - 1] + (x - self.breaks[i - 1]) * level
+
+    def integral(self, a, b):
+        return self.primitive(F(b)) - self.primitive(F(a))
+
+    def shifted(self, t0):
+        f0 = F(t0)
+        keep = [(b - f0, v) for b, v in zip(self.breaks, self.vals) if b > f0]
+        return ([b for b, _ in keep], [v for _, v in keep], self.tail)
+
+
+def ref_pe_check(ref, T, mu, horizon, tolerance=0.0):
+    fT, fH = F(T), F(horizon)
+    last = fH - fT
+    cands = {F(0), last}
+    for b in ref.breaks:
+        if 0 <= b <= last:
+            cands.add(b)
+        if 0 <= b - fT <= last:
+            cands.add(b - fT)
+    worst_t, worst_m = None, None
+    for t in sorted(cands):
+        m = ref.primitive(t + fT) - ref.primitive(t)
+        if worst_m is None or m < worst_m:
+            worst_t, worst_m = t, m
+    return worst_t, worst_m, worst_m >= F(mu) - F(tolerance)
+
+
+def ref_periodic_gate(period, h, horizon):
+    P, h, H = F(period), F(h), F(horizon)
+    if 2 * h == P:
+        return [], [], F(1)
+    breaks, vals, k = [h], [F(1)], 0
+    while True:
+        k += 1
+        breaks += [k * P - h, k * P + h]
+        vals += [F(0), F(1)]
+        if k * P - h > H + P:
+            return breaks, vals, F(0)
+
+
+def ref_periodic_extension(ref, period, horizon):
+    P, H = F(period), F(horizon)
+    edges, levels = [F(0)], []
+    for b, v in zip(ref.breaks, ref.vals):
+        if b >= P:
+            break
+        edges.append(b)
+        levels.append(v)
+    levels.append(ref.vals[len(edges) - 1] if len(edges) - 1 < len(ref.vals) else ref.tail)
+    edges.append(P)
+    n_rep = int(math.ceil(float(H / P))) + 1
+    breaks = [k * P + e for k in range(n_rep) for e in edges[1:]]
+    return breaks, levels * n_rep, levels[0]
+
+
+def ref_haraux_gap(n_max):
+    breaks, vals, ivs, s = [], [], [], F(0)
+    for n in range(1, n_max + 1):
+        a, b = s, s + F(1, n)
+        ivs.append((float(a), float(b)))
+        if a > 0:
+            breaks.append(a)
+            vals.append(F(0))
+        breaks.append(b)
+        vals.append(F(1))
+        s += F(2, n)
+    return (breaks, vals, F(0)), ivs
+
+
+def ref_from_intervals(intervals, level):
+    breaks, vals = [], []
+    for a, b in intervals:
+        fa, fb = F(a), F(b)
+        if fa > 0 and (not breaks or breaks[-1] < fa):
+            breaks.append(fa)
+            vals.append(F(0))
+        breaks.append(fb)
+        vals.append(F(level))
+    return breaks, vals, F(0)
+
+
+def assert_same_signal(sig, breaks, vals, tail):
+    """``sig`` is exactly the reference signal and its floats round the same."""
+    assert [F(n, sig._den) for n in sig._nbreaks] == list(breaks)
+    assert [F(n, sig._vden) for n in sig._nvalues] == list(vals)
+    assert F(sig._ntail, sig._vden) == tail
+    # the lattice denominators are the least ones
+    assert math.gcd(sig._den, *sig._nbreaks) == 1
+    assert math.gcd(sig._vden, sig._ntail, *sig._nvalues) == 1
+    assert [x.hex() for x in sig.breakpoints] == [float(b).hex() for b in breaks]
+    assert [x.hex() for x in sig.values] == [float(v).hex() for v in vals]
+    assert sig.tail_value.hex() == float(tail).hex()
+
+
+# Breakpoints and levels mix dyadic floats with small-denominator fractions,
+# so every lattice holds both power-of-two and odd denominators.
+def mixed(lo, hi):
+    fractions = st.integers(1, 60).flatmap(
+        lambda d: st.integers(math.ceil(lo * d), math.floor(hi * d)).map(lambda n: F(n, d)))
+    return st.one_of(st.floats(min_value=lo, max_value=hi, allow_nan=False), fractions)
+
+
+@st.composite
+def raw_signals(draw, max_cells=12):
+    edges = draw(st.lists(mixed(0.01, 40.0), max_size=max_cells))
+    edges = sorted({F(e): e for e in edges}.values(), key=F)
+    vals = draw(st.lists(mixed(0.0, 1.0), min_size=len(edges), max_size=len(edges)))
+    return edges, vals, draw(mixed(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_signals())
+def test_lattice_matches_inputs_exactly(raw):
+    ref = RefSignal(*raw)
+    assert_same_signal(make_piecewise(*raw), ref.breaks, ref.vals, ref.tail)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_signals(), mixed(0.0, 45.0), mixed(0.0, 45.0), mixed(0.0, 45.0))
+def test_integral_matches_fraction_reference(raw, x, y, z):
+    sig, ref = make_piecewise(*raw), RefSignal(*raw)
+    a, b, c = sorted([x, y, z], key=F)
+    assert sig.integral(a, c) == ref.integral(a, c)
+    assert sig.integral(a, c) == sig.integral(a, b) + sig.integral(b, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_signals(), mixed(0.1, 5.0), st.fractions(F(1, 100), 1, max_denominator=100),
+       mixed(0.0, 30.0), st.sampled_from([0.0, 0.01, F(1, 7)]))
+def test_pe_check_matches_fraction_reference(raw, T, mu_share, extra, tolerance):
+    sig, ref = make_piecewise(*raw), RefSignal(*raw)
+    mu = F(T) * mu_share
+    horizon = F(T) + F(extra)
+    rep = pe_check(sig, T, mu, horizon, tolerance)
+    worst_t, worst_m, holds = ref_pe_check(ref, T, mu, horizon, tolerance)
+    assert rep.worst_window_start_exact == worst_t
+    assert rep.worst_window_mass_exact == worst_m
+    assert rep.holds is holds
+    assert rep.worst_window_start == float(worst_t)
+    assert rep.worst_window_mass == float(worst_m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_signals(), mixed(0.0, 45.0), mixed(0.0, 10.0), mixed(0.0, 10.0))
+def test_shifted_matches_fraction_reference(raw, t0, x, y):
+    sig, ref = make_piecewise(*raw), RefSignal(*raw)
+    sh = sig.shifted(t0)
+    assert_same_signal(sh, *ref.shifted(t0))
+    a, b = sorted([x, y], key=F)
+    assert sh.integral(a, b) == sig.integral(F(a) + F(t0), F(b) + F(t0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed(0.1, 4.0), st.fractions(F(1, 50), F(1, 2), max_denominator=50),
+       mixed(0.0, 20.0))
+def test_periodic_gate_matches_fraction_reference(period, share, horizon):
+    h = F(period) * share
+    assert_same_signal(periodic_gate(period, h, horizon),
+                       *ref_periodic_gate(period, h, horizon))
+    h = float(h)  # rounding may push a float halfwidth just past period / 2
+    if 2 * F(h) <= F(period):
+        assert_same_signal(periodic_gate(period, h, horizon),
+                           *ref_periodic_gate(period, h, horizon))
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_signals(), mixed(0.05, 20.0), mixed(0.01, 60.0))
+def test_periodic_extension_matches_fraction_reference(raw, period, horizon):
+    sig, ref = make_piecewise(*raw), RefSignal(*raw)
+    assert_same_signal(periodic_extension(sig, period, horizon),
+                       *ref_periodic_extension(ref, period, horizon))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 60))
+def test_haraux_gap_matches_fraction_reference(n_max):
+    sig, seq = haraux_gap(n_max)
+    ref, ivs = ref_haraux_gap(n_max)
+    assert_same_signal(sig, *ref)
+    assert [tuple(x.hex() for x in iv) for iv in seq.intervals] \
+        == [tuple(x.hex() for x in iv) for iv in ivs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(0.0, 40.0, allow_nan=False), min_size=2, max_size=16, unique=True),
+       mixed(0.01, 1.0))
+def test_from_intervals_matches_fraction_reference(ends, level):
+    ends = sorted(set(ends))
+    if len(ends) % 2:
+        ends = ends[:-1]
+    intervals = tuple(zip(ends[::2], ends[1::2]))
+    seq = IntervalSequence(intervals, rho=1.0)
+    assert_same_signal(from_intervals(seq, level),
+                       *ref_from_intervals(seq.intervals, level))
+
+
+def test_lattice_constructor_runs_the_public_checks():
+    with pytest.raises(ValueError, match="one value per cell"):
+        Signal._from_lattice(4, (1, 2), 1, (0,), 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Signal._from_lattice(4, (2, 2), 1, (0, 1), 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Signal._from_lattice(4, (0,), 1, (1,), 0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Signal._from_lattice(4, (1,), 2, (3,), 0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Signal._from_lattice(4, (1,), 2, (1,), -1)
+    # equal to the public construction, reduced to the least denominators
+    sig = Signal._from_lattice(12, (3, 6), 4, (2, 0), 4)
+    assert sig == make_piecewise([0.25, 0.5], [0.5, 0.0], 1.0)
+    assert (sig._den, sig._nbreaks, sig._vden, sig._nvalues, sig._ntail) \
+        == (4, (1, 2), 2, (1, 0), 2)
+
+
+def test_exact_for_long_odd_denominators():
+    # haraux_gap(200) puts every breakpoint on lcm(1..200), about 280 bits;
+    # a float horizon adds a power of two to the pe_check lattice
+    sig, _ = haraux_gap(200)
+    ref = RefSignal(*ref_haraux_gap(200)[0])
+    horizon = sig.breakpoints[-1]
+    rep = pe_check(sig, 2.0, 0.1, horizon)
+    assert (rep.worst_window_start_exact, rep.worst_window_mass_exact, rep.holds) \
+        == ref_pe_check(ref, 2.0, 0.1, horizon)
+    assert sig.shifted(0.3).integral(1, 7) == ref.integral(F(0.3) + 1, F(0.3) + 7)
