@@ -30,10 +30,9 @@ from . import __version__
 from .dalembert import (build_counterexample, energy_of_counterexample,
                         verify_damping_inert)
 from .linsys import energy_balance, simulate
-from .observability import (OuterSearch, SignalClass, class_constant,
-                            kappa_scan, wave_pe_lower_bound)
-from .scenario import (Scenario, ScenarioError, build_intervals, criterion_cost,
-                       parse_scenario)
+from .observability import (OuterSearch, class_constant, kappa_scan,
+                            wave_pe_lower_bound)
+from .scenario import ANALYSES, Scenario, ScenarioError, parse_scenario
 from .signals import from_intervals, pe_check
 from .stability import (CertificateViolation, GateSignalFamily,
                         certificate_from_constant, interval_product_bound,
@@ -84,57 +83,25 @@ def _write_csv(path: str, header: str, rows):
         fh.write("".join(chunk))
 
 
-def _unit_z0(spec, dim: int, seed: int, index: int) -> np.ndarray:
-    if spec is None or spec == "random":
-        rng = np.random.default_rng((seed, index))
-        z0 = rng.standard_normal(dim)
-        return z0 / np.linalg.norm(z0)
-    z0 = np.asarray(spec, dtype=float)
-    if z0.shape != (dim,):
-        raise ScenarioError("analyses[%d].z0" % index,
-                            "expected %d components, got %d" % (dim, z0.size))
-    n = np.linalg.norm(z0)
-    if n == 0:
-        raise ScenarioError("analyses[%d].z0" % index, "must be nonzero")
-    return z0
-
-
-def _outer_from(params: dict, default_seed: int) -> OuterSearch:
-    if not params:
-        return OuterSearch(seed=default_seed)
-    return OuterSearch(n_starts=params.get("n_starts", 8),
-                       n_iters=params.get("n_iters", 100),
-                       seed=params.get("seed", default_seed))
-
-
-def _sclass_from(params: dict) -> SignalClass:
-    if params["kind"] == "rho-integral":
-        return SignalClass.rho_integral(params["rho"], params["horizon"])
-    return SignalClass.pe_windows(params["T"], params["mu"], params["horizon"])
-
-
-def _run_simulate(sc: Scenario, a: dict, i: int):
-    z0 = _unit_z0(a.get("z0"), sc.system.dim, sc.seed, i)
-    traj = simulate(sc.system, sc.signal, z0, sc.horizon, sc.dt_out)
+def _run_simulate(sc: Scenario, a: dict):
+    traj = simulate(sc.system, sc.signal, a["z0"], sc.horizon, sc.dt_out)
     balance = energy_balance(traj)
-    monotone_tol = a.get("monotone_tol", 1e-9)
-    balance_tol = a.get("balance_tol", 1e-5)
     V = traj.energies
     rises = np.diff(V)
     worst_rise = float(max(0.0, np.max(rises))) if len(rises) else 0.0
-    monotone_ok = worst_rise <= monotone_tol * max(1.0, float(V[0]))
-    balance_ok = abs(balance.residual) <= balance_tol
+    monotone_ok = worst_rise <= a["monotone_tol"] * max(1.0, float(V[0]))
+    balance_ok = abs(balance.residual) <= a["balance_tol"]
     report = {
-        "z0": z0,
+        "z0": a["z0"],
         "samples": len(V),
         "V_start": float(V[0]),
         "V_end": float(V[-1]),
         "worst_energy_rise": worst_rise,
-        "monotone_tol": monotone_tol,
+        "monotone_tol": a["monotone_tol"],
         "monotone_ok": monotone_ok,
         "balance_residual": balance.residual,
         "balance_one_sided": balance.one_sided,
-        "balance_tol": balance_tol,
+        "balance_tol": a["balance_tol"],
         "balance_ok": balance_ok,
         "caveats": list(sc.system.caveats),
     }
@@ -142,15 +109,13 @@ def _run_simulate(sc: Scenario, a: dict, i: int):
     return report, monotone_ok and balance_ok, ("t,V,damping_rate", rows)
 
 
-def _run_check_pe(sc: Scenario, a: dict, i: int):
-    rep = pe_check(sc.signal, a["T"], a["mu"], sc.horizon,
-                   tolerance=a.get("tolerance", 0.0))
+def _run_check_pe(sc: Scenario, a: dict):
+    rep = pe_check(sc.signal, a["T"], a["mu"], sc.horizon, tolerance=a["tolerance"])
     return rep.to_dict(), rep.holds, None
 
 
-def _run_counterexample(sc: Scenario, a: dict, i: int):
-    omega = tuple(a["omega"])
-    periods = a.get("periods", 3)
+def _run_counterexample(sc: Scenario, a: dict):
+    omega, periods = tuple(a["omega"]), a["periods"]
     cx = build_counterexample(omega, n_periods=periods)
     inert = verify_damping_inert(cx)
     times = np.linspace(0.0, periods * cx.period, 64 * periods + 1)
@@ -160,15 +125,13 @@ def _run_counterexample(sc: Scenario, a: dict, i: int):
     report["energy_drift"] = drift
     report["omega"] = list(omega)
     report["n_periods"] = periods
-    ok = bool(inert.ok and drift <= a.get("drift_tol", 1e-8))
+    ok = bool(inert.ok and drift <= a["drift_tol"])
     rows = zip(times, energies, np.zeros(len(times)))
     return report, ok, ("t,V,damping_rate", rows)
 
 
-def _run_observability(sc: Scenario, a: dict, i: int):
-    sclass = _sclass_from(a["class"])
-    outer = _outer_from(a.get("outer"), sc.seed)
-    est = class_constant(sc.system, sclass, a.get("n_cells", 64), outer)
+def _run_observability(sc: Scenario, a: dict):
+    est = class_constant(sc.system, a["class"], a["n_cells"], a["outer"])
     d = est.to_dict()
     report = {
         "c": d.pop("constant"),
@@ -181,40 +144,34 @@ def _run_observability(sc: Scenario, a: dict, i: int):
     return report, True, None
 
 
-def _run_kappa_scan(sc: Scenario, a: dict, i: int):
-    outer = _outer_from(a.get("outer"), sc.seed)
-    rep = kappa_scan(sc.system, a["rho"], a["T_grid"], a.get("n_cells", 64), outer)
+def _run_kappa_scan(sc: Scenario, a: dict):
+    rep = kappa_scan(sc.system, a["rho"], a["T_grid"], a["n_cells"], a["outer"])
     rows = zip(rep.T_grid, rep.constants)
     return rep.to_dict(), True, ("T,c", rows)
 
 
-def _run_certify(sc: Scenario, a: dict, i: int):
-    if "constant" in a and a["constant"] is not None:
-        c = float(a["constant"])
-        source = "explicit"
+def _run_certify(sc: Scenario, a: dict):
+    src = a["source"]
+    if src is None:
+        c, source = float(a["constant"]), "explicit"
+    elif src["kind"] == "wave-pe":
+        c = wave_pe_lower_bound(src["T"], src["mu"], src["lambda_min"], src["d0"])
+        source = "analytic wave bound (T=%g, mu=%g)" % (src["T"], src["mu"])
     else:
-        src = a["source"]
-        if src["kind"] == "wave-pe":
-            c = wave_pe_lower_bound(src["T"], src["mu"], src["lambda_min"],
-                                    src.get("d0", 1.0))
-            source = "analytic wave bound (T=%g, mu=%g)" % (src["T"], src["mu"])
-        else:
-            sclass = _sclass_from(src["class"])
-            est = class_constant(sc.system, sclass, src.get("n_cells", 64),
-                                 OuterSearch(seed=sc.seed))
-            c = est.constant
-            source = "numerical class constant (%s)" % est.method
+        est = class_constant(sc.system, src["class"], src["n_cells"],
+                             OuterSearch(seed=sc.seed))
+        c = est.constant
+        source = "numerical class constant (%s)" % est.method
     cert = certificate_from_constant(c, a["theta"], sc.system.b_norm, source=source)
     report = {"certificate": cert.to_dict(), "caveats": list(sc.system.caveats)}
     ok = True
-    verify = a.get("verify")
+    verify = a["verify"]
     if verify is not None:
-        family = GateSignalFamily(
-            T=verify["T"], mu=verify["mu"],
-            horizon=verify.get("horizon", 50.0 * cert.theta), seed=sc.seed)
+        family = GateSignalFamily(T=verify["T"], mu=verify["mu"],
+                                  horizon=verify["horizon"], seed=sc.seed)
         try:
             check = verify_certificate(sc.system, cert, family,
-                                       n_trials=verify.get("n_trials", 20))
+                                       n_trials=verify["n_trials"])
             report["verification"] = check.to_dict()
         except CertificateViolation as e:
             report["verification"] = e.report.to_dict()
@@ -223,18 +180,15 @@ def _run_certify(sc: Scenario, a: dict, i: int):
     return report, ok, None
 
 
-def _run_strong_stability(sc: Scenario, a: dict, i: int):
-    seq = build_intervals(a["intervals"], "analyses[%d].intervals" % i)
-    level = a.get("level", 1.0)
-    signal = from_intervals(seq, level)
-    z0 = _unit_z0(a.get("z0", "random"), sc.system.dim, sc.seed, i)
-    costs = a.get("costs")
-    rep = interval_product_bound(sc.system, seq, signal=signal, costs=costs, z0=z0)
+def _run_strong_stability(sc: Scenario, a: dict):
+    seq = a["intervals"]
+    rep = interval_product_bound(sc.system, seq, signal=from_intervals(seq, a["level"]),
+                                 costs=a["costs"], z0=a["z0"])
     report = {"product_bound": rep.to_dict()}
     ok = rep.ok
-    crit = a.get("criterion")
+    crit = a["criterion"]
     if crit is not None:
-        crit_rep = rho_class_criterion(seq, criterion_cost(crit["cost"]), crit["T0"])
+        crit_rep = rho_class_criterion(seq, crit["cost"], crit["T0"])
         report["criterion"] = crit_rep.to_dict()
     rows = [(n, rep.factors[n], rep.cumulative[n],
              rep.measured_ratios[n] if rep.measured_ratios else float("nan"))
@@ -303,19 +257,15 @@ def _run_parsed(sc: Scenario, digest: str, path: str, out_dir: str,
         return 3
 
     def run_one(job):
-        i, a = job
-        return _RUNNERS[a["kind"]](sc, a, i)
+        _, a = job
+        return _RUNNERS[a["kind"]](sc, a)
 
-    try:
-        if parallel and len(jobs) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-                results = list(pool.map(run_one, jobs))
-        else:
-            results = [run_one(job) for job in jobs]
-    except ScenarioError as e:
-        print("pexstab: %s: %s" % (path, e), file=sys.stderr)
-        return 2
+    if parallel and len(jobs) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
+            results = list(pool.map(run_one, jobs))
+    else:
+        results = [run_one(job) for job in jobs]
 
     all_ok = True
     try:
@@ -392,7 +342,8 @@ def main(argv=None) -> int:
     p_cx = sub.add_parser("counterexample",
                           help="build and certify the inert-damping counterexample")
     p_cx.add_argument("--omega", required=True, help="damping region 'a,b'")
-    p_cx.add_argument("--periods", type=int, default=3)
+    p_cx.add_argument("--periods", type=int,
+                      default=ANALYSES.kinds["counterexample"].fields["periods"][1])
     p_cx.add_argument("--seed", type=int, default=0)
     p_cx.add_argument("--out", default=None)
 

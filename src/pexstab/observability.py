@@ -57,6 +57,9 @@ from .modal import SchrodingerModalSpec, build_schrodinger
 from .signals import Signal, make_piecewise
 
 EXPLORATION_LABEL = "exploration of an open problem — no claim"
+# cells of the uniform grid the inner problem is solved on, unless a caller
+# chooses another
+DEFAULT_N_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -354,7 +357,7 @@ class _InnerProblem:
 
 
 def inner_min_signal(sys: LinearSystem, z0, sclass: SignalClass,
-                     n_cells: int = 64):
+                     n_cells: int = DEFAULT_N_CELLS):
     """Worst admissible signal for a fixed initial state.
 
     Returns (signal, value): the cell-constant signal in ``sclass``
@@ -367,7 +370,8 @@ def inner_min_signal(sys: LinearSystem, z0, sclass: SignalClass,
     return _signal_from_levels(alpha, sclass.horizon), value
 
 
-def class_constant(sys: LinearSystem, sclass: SignalClass, n_cells: int = 64,
+def class_constant(sys: LinearSystem, sclass: SignalClass,
+                   n_cells: int = DEFAULT_N_CELLS,
                    outer: OuterSearch = None) -> ObservabilityEstimate:
     """Two-level minimisation of the observability functional.
 
@@ -523,7 +527,8 @@ class KappaScanReport:
         }
 
 
-def kappa_scan(sys: LinearSystem, rho: float, T_grid, n_cells: int = 64,
+def kappa_scan(sys: LinearSystem, rho: float, T_grid,
+               n_cells: int = DEFAULT_N_CELLS,
                outer: OuterSearch = None) -> KappaScanReport:
     """Estimate c(T) ~ kappa T^(2K+1) over small windows for skew systems.
 
@@ -607,7 +612,7 @@ class WindowScanReport:
 
 
 def window_scan(spec: SchrodingerModalSpec, T: float, mu: float,
-                n_cells: int = 64, outer: OuterSearch = None,
+                n_cells: int = DEFAULT_N_CELLS, outer: OuterSearch = None,
                 n_modes_list=None) -> WindowScanReport:
     """Scan worst-case damping windows for growing quantum-particle truncations.
 

@@ -1,62 +1,46 @@
-"""Scenario files: schema validation and construction of analysis inputs.
+"""Scenario files: one declarative schema, checked and resolved in one walk.
 
-A scenario is a JSON object describing one system, one damping signal and a
-list of analyses to run over them.  Validation is strict and every error
-carries the path of the offending field (``analyses[2].mu`` style), so batch
-users get machine-pointable diagnostics instead of stack traces.  Semantic
-preconditions of the target modules (mu <= T, omega bounds, dimension
-limits) are checked here, up front; analyses therefore only fail at run time
-for numerical reasons, which is what exit status 1 is for.
+A scenario is a JSON object naming one system, one damping signal and a
+list of analyses.  Its schema, at the end of this module, is one table per
+object kind (:class:`Obj`) giving each field's checker (type and bounds)
+and default, or marking it required.  One walker, :func:`_walk`, applies a
+table: it rejects unknown fields, enforces required ones, checks values,
+fills defaults (``null`` counts as absent) and checks the top-level inputs
+an analysis needs.  A small rule per kind then checks what ties fields
+together (mu <= T, one of ``constant`` or ``source``, costs within
+L ||B||^2) and resolves the object into what the library takes, so the
+runners read every field as ``a[field]``.  Defaults the library declares
+are read from it.  Errors carry the offending field's path
+(``analyses[2].mu``), and every precondition of the library calls is
+checked here: a scenario that validates fails at run time only for
+numerical reasons (exit status 1).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import LinearSystem
+from .linsys import DIM_LIMIT, LinearSystem, kalman_index
 from .modal import (SchrodingerModalSpec, WaveModalSpec, build_schrodinger,
                     build_wave)
-from .observability import wave_rho_lower_bound, wave_rho_threshold
-from .signals import Signal, from_intervals, haraux_gap, make_piecewise, periodic_gate
-from .stability import cost_within_bound
+from .observability import (DEFAULT_N_CELLS, OuterSearch, SignalClass,
+                            wave_pe_lower_bound, wave_rho_lower_bound)
+from .signals import (IntervalSequence, Signal, from_intervals, haraux_gap,
+                      make_piecewise, pe_check, periodic_gate)
+from .stability import (certificate_from_constant, cost_within_bound,
+                        verify_certificate)
 
-# The fields each object of an analysis may carry besides its "kind", if it
-# has one.  A field outside these sets is rejected: a misspelt optional
-# field would otherwise be ignored, and the check it asks for would silently
-# not run.
-ANALYSIS_FIELDS = {
-    "simulate": ("z0", "monotone_tol", "balance_tol"),
-    "check-pe": ("T", "mu", "tolerance"),
-    "counterexample": ("omega", "periods", "drift_tol"),
-    "observability": ("class", "n_cells", "outer"),
-    "kappa-scan": ("rho", "T_grid", "n_cells", "outer"),
-    "certify": ("constant", "source", "theta", "verify"),
-    "strong-stability": ("intervals", "level", "costs", "z0", "criterion"),
-}
-ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
-CLASS_FIELDS = {"rho-integral": ("rho", "horizon"),
-                "pe-windows": ("T", "mu", "horizon")}
-SOURCE_FIELDS = {"wave-pe": ("T", "mu", "lambda_min", "d0"),
-                 "class-constant": ("class", "n_cells")}
-COST_FIELDS = {"wave-cubic": ("rho", "lambda1", "d0"), "exp-gap": (),
-               "table": ("T", "c")}
-OUTER_FIELDS = ("n_starts", "n_iters", "seed")
-VERIFY_FIELDS = ("T", "mu", "n_trials", "horizon")
-CRITERION_FIELDS = ("T0", "cost")
-# The same for the scenario's system and signal objects.  A signal without
-# "gen" is the raw piecewise form.
-SYSTEM_FIELDS = {"matrices": ("A", "B"),
-                 "wave-modal": ("n_modes", "damping", "eigenvalues"),
-                 "schrodinger-modal": ("n_modes", "damping")}
-DAMPING_FIELDS = ("uniform", "omega")
-SIGNAL_FIELDS = {"constant": ("level",),
-                 "periodic-gate": ("period", "pulse_halfwidth", "horizon"),
-                 "haraux-gap": ("n_max",),
-                 "intervals": ("intervals", "level")}
-PIECEWISE_FIELDS = ("breakpoints", "values", "tail")
+# Parsing builds the system and the signal, so their sizes are bounded: a
+# periodic gate with 200k breakpoints takes about 0.23 s and 50 MB to build,
+# haraux_gap(1000) about 0.05 s.
+MAX_MODES = 256
+MAX_PULSES = 1000
+MAX_BREAKPOINTS = 200_000
 
 
 class ScenarioError(ValueError):
@@ -69,7 +53,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: resolved system/signal plus raw analysis specs."""
+    """Validated scenario: resolved system and signal, complete analyses."""
 
     seed: int
     system: LinearSystem
@@ -77,7 +61,6 @@ class Scenario:
     horizon: float
     dt_out: float
     analyses: tuple
-    raw: dict
 
 
 def _require(cond: bool, path: str, message: str):
@@ -85,153 +68,161 @@ def _require(cond: bool, path: str, message: str):
         raise ScenarioError(path, message)
 
 
-def _known_fields(obj: dict, fields, path: str, what: str):
-    for key in obj:
-        _require(key in fields, "%s.%s" % (path, key), "unknown %s field" % what)
+def _at(path: str, key: str) -> str:
+    return "%s.%s" % (path, key) if path else key
 
 
-def _get(obj: dict, key: str, path: str, required=True, default=None):
-    if key not in obj:
-        _require(not required, "%s.%s" % (path, key), "missing required field")
-        return default
-    return obj[key]
+def _library_default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
 
 
-def _number(x, path: str, positive=False, nonnegative=False) -> float:
-    _require(isinstance(x, (int, float)) and not isinstance(x, bool),
-             path, "expected a number, got %r" % (x,))
-    v = float(x)
-    _require(np.isfinite(v), path, "must be finite")
-    if positive:
-        _require(v > 0, path, "must be positive")
-    if nonnegative:
-        _require(v >= 0, path, "must be nonnegative")
-    return v
+REQUIRED = object()
 
 
-def _integer(x, path: str, minimum=None) -> int:
-    _require(isinstance(x, int) and not isinstance(x, bool),
-             path, "expected an integer, got %r" % (x,))
-    if minimum is not None:
-        _require(x >= minimum, path, "must be at least %d" % minimum)
-    return x
+@dataclass(frozen=True)
+class Obj:
+    """Table of one object kind.
+
+    ``fields`` maps a required field to its checker, an optional one to
+    ``(checker, default)``; a checker is ``fn(value, path)`` returning the
+    accepted value, or a table walked in place.  ``rule(obj, path, ctx)``
+    checks the walked fields together and returns the resolved object;
+    ``needs`` lists the top-level inputs an analysis needs; ``refuse`` maps
+    a field the kind does not take to the reason.
+    """
+
+    name: str
+    fields: dict
+    rule: object = None
+    needs: tuple = ()
+    refuse: dict = None
 
 
-def _number_list(x, path: str) -> list:
-    _require(isinstance(x, list), path, "expected a list of numbers")
-    return [_number(v, "%s[%d]" % (path, i)) for i, v in enumerate(x)]
+@dataclass(frozen=True)
+class Kinds:
+    """Objects told apart by the value of their ``tag`` field; an object
+    without the tag is ``untagged``, when that is given."""
+
+    tag: str
+    what: str
+    kinds: dict
+    untagged: Obj = None
 
 
-def _omega(x, path: str) -> tuple:
-    vals = _number_list(x, path)
-    _require(len(vals) == 2, path, "expected [a, b]")
-    a, b = vals
-    _require(0.0 <= a < b <= 1.0, path, "need 0 <= a < b <= 1")
-    return a, b
-
-
-def build_system(spec, path: str) -> LinearSystem:
-    _require(isinstance(spec, dict), path, "expected an object")
-    kind = _get(spec, "kind", path)
-    if kind == "schrodinger-modal":
-        _require("eigenvalues" not in spec, path + ".eigenvalues",
-                 "quantum-particle systems fix the eigenvalues (n pi)^2")
-    if isinstance(kind, str) and kind in SYSTEM_FIELDS:
-        _known_fields(spec, ("kind",) + SYSTEM_FIELDS[kind], path, kind)
-    if kind == "matrices":
-        A = _get(spec, "A", path)
-        B = _get(spec, "B", path)
-        _require(isinstance(A, list) and A and all(isinstance(r, list) for r in A),
-                 path + ".A", "expected a matrix as list of rows")
-        _require(isinstance(B, list) and B, path + ".B",
-                 "expected a matrix as list of rows (or a vector)")
-        try:
-            return LinearSystem(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-        except ValueError as e:
-            raise ScenarioError(path, str(e))
-    if kind in ("wave-modal", "schrodinger-modal"):
-        n_modes = _integer(_get(spec, "n_modes", path), path + ".n_modes", minimum=1)
-        damping = _get(spec, "damping", path)
-        _require(isinstance(damping, dict), path + ".damping", "expected an object")
-        _known_fields(damping, DAMPING_FIELDS, path + ".damping", "damping")
-        uniform = damping.get("uniform")
-        omega = damping.get("omega")
-        _require((uniform is None) != (omega is None), path + ".damping",
-                 "exactly one of 'uniform' or 'omega' is required")
-        if uniform is not None:
-            uniform = _number(uniform, path + ".damping.uniform", positive=True)
-        if omega is not None:
-            omega = _omega(omega, path + ".damping.omega")
-        try:
-            if kind == "wave-modal":
-                eig = spec.get("eigenvalues")
-                if eig is not None:
-                    eig = _number_list(eig, path + ".eigenvalues")
-                return build_wave(WaveModalSpec(n_modes, uniform=uniform,
-                                                omega=omega, eigenvalues=eig))
-            return build_schrodinger(SchrodingerModalSpec(n_modes, uniform=uniform,
-                                                          omega=omega))
-        except ValueError as e:
-            raise ScenarioError(path, str(e))
-    raise ScenarioError(path + ".kind",
-                        "unknown system kind %r (expected matrices, wave-modal "
-                        "or schrodinger-modal)" % (kind,))
-
-
-def build_signal(spec, path: str) -> Signal:
-    _require(isinstance(spec, dict), path, "expected an object")
-    if "gen" in spec:
-        gen = spec["gen"]
-        if isinstance(gen, str) and gen in SIGNAL_FIELDS:
-            _known_fields(spec, ("gen",) + SIGNAL_FIELDS[gen], path, gen)
-        try:
-            if gen == "constant":
-                level = _number(_get(spec, "level", path), path + ".level")
-                _require(0.0 <= level <= 1.0, path + ".level", "must lie in [0, 1]")
-                return make_piecewise([], [], level)
-            if gen == "periodic-gate":
-                period = _number(_get(spec, "period", path), path + ".period",
-                                 positive=True)
-                h = _number(_get(spec, "pulse_halfwidth", path),
-                            path + ".pulse_halfwidth", positive=True)
-                horizon = _number(_get(spec, "horizon", path), path + ".horizon",
-                                  positive=True)
-                return periodic_gate(period, h, horizon)
-            if gen == "haraux-gap":
-                n_max = _integer(_get(spec, "n_max", path), path + ".n_max",
-                                 minimum=1)
-                return haraux_gap(n_max)[0]
-            if gen == "intervals":
-                ivs = _get(spec, "intervals", path)
-                seq = build_intervals(ivs, path + ".intervals")
-                level = spec.get("level", 1.0)
-                level = _number(level, path + ".level")
-                _require(0.0 < level <= 1.0, path + ".level", "must lie in (0, 1]")
-                return from_intervals(seq, level)
-        except ScenarioError:
-            raise
-        except ValueError as e:
-            raise ScenarioError(path, str(e))
-        raise ScenarioError(path + ".gen", "unknown signal generator %r" % (gen,))
-    _known_fields(spec, PIECEWISE_FIELDS, path, "piecewise signal")
-    breaks = _number_list(_get(spec, "breakpoints", path), path + ".breakpoints")
-    values = _number_list(_get(spec, "values", path), path + ".values")
-    tail = _number(_get(spec, "tail", path), path + ".tail")
+def _walk(table, value, path: str, ctx: dict = None):
+    """Check ``value`` against ``table``; return what the table's rule
+    resolves.  A library ValueError inside a rule is reported at ``path``."""
+    _require(isinstance(value, dict), path or "$", "expected an object")
+    out = {}
+    if isinstance(table, Kinds):
+        if table.untagged is not None and table.tag not in value:
+            table = table.untagged
+        else:
+            tag, tpath = value.get(table.tag), _at(path, table.tag)
+            _require(table.tag in value, tpath, "missing required field")
+            _require(isinstance(tag, str) and tag in table.kinds, tpath,
+                     "unknown %s %r (expected one of %s)"
+                     % (table.what, tag, ", ".join(table.kinds)))
+            out[table.tag] = tag
+            table = table.kinds[tag]
+    for key in value:
+        _require(key in out or key in table.fields, _at(path, key),
+                 (table.refuse or {}).get(key, "unknown %s field" % table.name))
+    for need in table.needs:
+        _require(ctx[need] is not None, path,
+                 "%s analyses need a scenario %s" % (table.name, need))
+    for key, spec in table.fields.items():
+        check, default = spec if isinstance(spec, tuple) else (spec, REQUIRED)
+        v, vpath = value.get(key), _at(path, key)
+        if v is None:
+            _require(default is not REQUIRED, vpath, "missing required field")
+            v = default
+        if v is None:
+            out[key] = None
+        elif isinstance(check, (Obj, Kinds)):
+            out[key] = _walk(check, v, vpath, ctx)
+        else:
+            out[key] = check(v, vpath)
+    if table.rule is None:
+        return out
     try:
-        return make_piecewise(breaks, values, tail)
+        return table.rule(out, path, ctx)
+    except ScenarioError:
+        raise
     except ValueError as e:
-        raise ScenarioError(path, str(e))
+        raise ScenarioError(path or "$", str(e))
 
 
-def build_intervals(x, path: str):
-    from .signals import IntervalSequence
+# Field checkers.  Numbers are returned unchanged, so an integer echoed into
+# a report stays an integer.
+
+def _number(ok=None, message: str = ""):
+    def check(x, path):
+        _require(isinstance(x, (int, float)) and not isinstance(x, bool),
+                 path, "expected a number, got %r" % (x,))
+        _require(abs(x) <= sys.float_info.max, path, "must be finite")
+        _require(ok is None or ok(x), path, message)
+        return x
+    return check
+
+
+def _integer(lo: int, hi: int = None):
+    def check(x, path):
+        _require(isinstance(x, int) and not isinstance(x, bool),
+                 path, "expected an integer, got %r" % (x,))
+        _require(x >= lo, path, "must be at least %d" % lo)
+        if hi is not None:
+            _require(x <= hi, path, "must be at most %d" % hi)
+        return x
+    return check
+
+
+def _list(item, min_len: int = 0):
+    def check(x, path):
+        _require(isinstance(x, list), path, "expected a list")
+        _require(len(x) >= min_len, path, "need at least %d entries" % min_len)
+        return [item(v, "%s[%d]" % (path, i)) for i, v in enumerate(x)]
+    return check
+
+
+NUMBER = _number()
+POSITIVE = _number(lambda v: v > 0, "must be positive")
+NONNEGATIVE = _number(lambda v: v >= 0, "must be nonnegative")
+FRACTION = _number(lambda v: 0 < v <= 1, "must lie in (0, 1]")
+NUMBERS = _list(NUMBER)
+# shapes are LinearSystem's to check
+MATRIX = _list(NUMBERS, min_len=1)
+MATRIX_OR_VECTOR = _list(lambda x, path: (NUMBERS if isinstance(x, list) else NUMBER)(
+    x, path), min_len=1)
+MODES = _integer(1, MAX_MODES)
+CELLS = _integer(4)
+
+
+def _omega(upper: str):
+    """[a, b] with 0 <= a < b and b ``upper`` 1 (``upper`` is "<=" or "<")."""
+    def check(x, path):
+        _require(isinstance(x, list) and len(x) == 2, path, "expected [a, b]")
+        a, b = NUMBERS(x, path)
+        _require(0 <= a < b and (b <= 1 if upper == "<=" else b < 1), path,
+                 "need 0 <= a < b %s 1" % upper)
+        return x
+    return check
+
+
+def _t_grid(x, path):
+    grid = _list(FRACTION, min_len=2)(x, path)
+    _require(all(b < a for a, b in zip(grid, grid[1:])), path,
+             "window lengths must be strictly decreasing")
+    return grid
+
+
+def _intervals(x, path):
     _require(isinstance(x, list) and x, path, "expected a nonempty list of [a, b]")
     ivs = []
     for i, ab in enumerate(x):
         p = "%s[%d]" % (path, i)
         _require(isinstance(ab, list) and len(ab) == 2, p, "expected [a, b]")
-        a = _number(ab[0], p + "[0]", nonnegative=True)
-        b = _number(ab[1], p + "[1]")
+        a, b = NONNEGATIVE(ab[0], p + "[0]"), NUMBER(ab[1], p + "[1]")
         _require(b > a, p, "need a < b")
         ivs.append((a, b))
     try:
@@ -240,245 +231,297 @@ def build_intervals(x, path: str):
         raise ScenarioError(path, str(e))
 
 
-def _validate_window(params: dict, path: str, horizon=None):
-    T = _number(_get(params, "T", path), path + ".T", positive=True)
-    mu = _number(_get(params, "mu", path), path + ".mu", positive=True)
-    _require(mu <= T, path + ".mu", "mu=%g exceeds the window length T=%g" % (mu, T))
-    if horizon is not None:
-        _require(T <= horizon, path + ".T",
-                 "window length T=%g exceeds the horizon %g" % (T, horizon))
-    return T, mu
+def _z0(x, path):
+    return x if x == "random" else NUMBERS(x, path)
 
 
-def _validate_outer(params, path: str) -> dict:
-    if params is None:
-        return {}
-    _require(isinstance(params, dict), path, "expected an object")
-    out = {}
-    for key in OUTER_FIELDS:
-        if key in params:
-            out[key] = _integer(params[key], "%s.%s" % (path, key), minimum=1)
-    _known_fields(params, OUTER_FIELDS, path, "outer-search")
-    return out
+# Cross-field rules; each returns the resolved object.
+
+def _window(o, path, ctx=None):
+    _require(o["mu"] <= o["T"], _at(path, "mu"),
+             "mu=%g exceeds the window length T=%g" % (o["mu"], o["T"]))
+    return o
 
 
-def _validate_sclass(params, path: str) -> dict:
-    _require(isinstance(params, dict), path, "expected an object")
-    kind = _get(params, "kind", path)
-    if isinstance(kind, str) and kind in CLASS_FIELDS:
-        _known_fields(params, ("kind",) + CLASS_FIELDS[kind], path, kind)
-    if kind == "rho-integral":
-        rho = _number(_get(params, "rho", path), path + ".rho", positive=True)
-        _require(rho <= 1.0, path + ".rho", "must lie in (0, 1]")
-        horizon = _number(_get(params, "horizon", path), path + ".horizon",
-                          positive=True)
-        return {"kind": kind, "rho": rho, "horizon": horizon}
-    if kind == "pe-windows":
-        T, mu = _validate_window(params, path)
-        horizon = params.get("horizon", T)
-        horizon = _number(horizon, path + ".horizon", positive=True)
-        _require(horizon >= T, path + ".horizon", "must hold at least one window")
-        return {"kind": kind, "T": T, "mu": mu, "horizon": horizon}
-    raise ScenarioError(path + ".kind", "unknown signal-class kind %r" % (kind,))
+def _modal(o, path, ctx):
+    d = o["damping"]  # the modal specs take exactly one of uniform and omega
+    if o["kind"] == "wave-modal":
+        return build_wave(WaveModalSpec(o["n_modes"], uniform=d["uniform"],
+                                        omega=d["omega"], eigenvalues=o["eigenvalues"]))
+    return build_schrodinger(SchrodingerModalSpec(o["n_modes"], uniform=d["uniform"],
+                                                  omega=d["omega"]))
 
 
-def criterion_cost(cost: dict):
-    """Interval cost c(L) of a validated strong-stability criterion ``cost``."""
-    if cost["kind"] == "wave-cubic":
-        return lambda L: wave_rho_lower_bound(L, cost["rho"], cost["lambda1"],
-                                              cost.get("d0", 1.0))
-    if cost["kind"] == "exp-gap":
-        return lambda L: math.exp(-2.0 / L)
-    ts, cs = cost["T"], cost["c"]
+def _gate(o, path, ctx):
+    count = 2.0 * o["horizon"] / o["period"]
+    _require(count <= MAX_BREAKPOINTS, _at(path, "period"),
+             "a gate of this period out to horizon %g needs about %.3g "
+             "breakpoints (2 horizon/period); at most %d are built"
+             % (o["horizon"], count, MAX_BREAKPOINTS))
+    return periodic_gate(o["period"], o["pulse_halfwidth"], o["horizon"])
+
+
+def _pe_class(o, path, ctx):
+    _window(o, path)
+    horizon = o["horizon"]
+    _require(horizon is None or horizon >= o["T"], _at(path, "horizon"),
+             "must hold at least one window")
+    # class values reach the reports as floats
+    return SignalClass.pe_windows(float(o["T"]), float(o["mu"]),
+                                  None if horizon is None else float(horizon))
+
+
+def _outer(o, path, ctx):
+    seed = ctx["seed"] if o["seed"] is None else o["seed"]
+    return OuterSearch(n_starts=o["n_starts"], n_iters=o["n_iters"], seed=seed)
+
+
+def _table_cost(o, path, ctx):
+    ts, cs = o["T"], o["c"]
+    _require(len(ts) == len(cs) and len(ts) >= 2, path,
+             "need matching T and c lists with at least two points")
+    _require(all(a < b for a, b in zip(ts, ts[1:])), _at(path, "T"),
+             "lengths must be strictly increasing")
     return lambda L: float(np.interp(L, ts, cs))
 
 
-def _validate_analysis(a, i: int, scenario: dict, system: LinearSystem) -> dict:
-    path = "analyses[%d]" % i
-    _require(isinstance(a, dict), path, "expected an object")
-    kind = _get(a, "kind", path)
-    _require(kind in ANALYSIS_KINDS, path + ".kind",
-             "unknown analysis kind %r (expected one of %s)"
-             % (kind, ", ".join(ANALYSIS_KINDS)))
-    _known_fields(a, ("kind",) + ANALYSIS_FIELDS[kind], path, kind)
-    needs_system = kind in ("simulate", "observability", "kappa-scan", "certify",
-                            "strong-stability")
-    needs_signal = kind in ("simulate", "check-pe")
-    if needs_system:
-        _require(scenario.get("system") is not None, path,
-                 "analysis %r needs a scenario system" % kind)
-    if needs_signal:
-        _require(scenario.get("signal") is not None, path,
-                 "analysis %r needs a scenario signal" % kind)
-    a = dict(a)
-    if kind == "simulate":
-        if "z0" in a and a["z0"] != "random":
-            _number_list(a["z0"], path + ".z0")
-        for key in ("monotone_tol", "balance_tol"):
-            if key in a:
-                _number(a[key], "%s.%s" % (path, key), positive=True)
-    elif kind == "check-pe":
-        _validate_window(a, path, horizon=scenario.get("horizon"))
-        if "tolerance" in a:
-            _number(a["tolerance"], path + ".tolerance", nonnegative=True)
-    elif kind == "counterexample":
-        _omega(_get(a, "omega", path), path + ".omega")
-        if "periods" in a:
-            _integer(a["periods"], path + ".periods", minimum=1)
-        if "drift_tol" in a:
-            _number(a["drift_tol"], path + ".drift_tol", positive=True)
-    elif kind == "observability":
-        a["class"] = _validate_sclass(_get(a, "class", path), path + ".class")
-        if "n_cells" in a:
-            _integer(a["n_cells"], path + ".n_cells", minimum=4)
-        _validate_outer(a.get("outer"), path + ".outer")
-    elif kind == "kappa-scan":
-        rho = _number(_get(a, "rho", path), path + ".rho", positive=True)
-        _require(rho <= 1.0, path + ".rho", "must lie in (0, 1]")
-        grid = _number_list(_get(a, "T_grid", path), path + ".T_grid")
-        _require(len(grid) >= 2, path + ".T_grid", "need at least two lengths")
-        for j, t in enumerate(grid):
-            _require(0 < t <= 1, "%s.T_grid[%d]" % (path, j),
-                     "window lengths must lie in (0, 1]")
-        _require(all(b < a_ for a_, b in zip(grid, grid[1:])), path + ".T_grid",
-                 "window lengths must be strictly decreasing")
-        if "n_cells" in a:
-            _integer(a["n_cells"], path + ".n_cells", minimum=4)
-        _validate_outer(a.get("outer"), path + ".outer")
-    elif kind == "certify":
-        c = a.get("constant")
-        source = a.get("source")
-        _require((c is None) != (source is None), path,
-                 "exactly one of 'constant' or 'source' is required")
-        if c is not None:
-            _number(c, path + ".constant", positive=True)
-        else:
-            _require(isinstance(source, dict), path + ".source", "expected an object")
-            skind = _get(source, "kind", path + ".source")
-            if isinstance(skind, str) and skind in SOURCE_FIELDS:
-                _known_fields(source, ("kind",) + SOURCE_FIELDS[skind],
-                              path + ".source", skind)
-            if skind == "wave-pe":
-                _validate_window(source, path + ".source")
-                _number(_get(source, "lambda_min", path + ".source"),
-                        path + ".source.lambda_min", positive=True)
-                if "d0" in source:
-                    _number(source["d0"], path + ".source.d0", positive=True)
-            elif skind == "class-constant":
-                source = dict(source)
-                source["class"] = _validate_sclass(
-                    _get(source, "class", path + ".source"),
-                    path + ".source.class")
-                a["source"] = source
-                if "n_cells" in source:
-                    _integer(source["n_cells"], path + ".source.n_cells", minimum=4)
-            else:
-                raise ScenarioError(path + ".source.kind",
-                                    "unknown certificate source %r" % (skind,))
-        theta = _number(_get(a, "theta", path), path + ".theta", positive=True)
-        verify = a.get("verify")
-        if verify is not None:
-            _require(isinstance(verify, dict), path + ".verify", "expected an object")
-            _known_fields(verify, VERIFY_FIELDS, path + ".verify", "verify")
-            _validate_window(verify, path + ".verify")
-            if "n_trials" in verify:
-                _integer(verify["n_trials"], path + ".verify.n_trials", minimum=1)
-            if "horizon" in verify:
-                _number(verify["horizon"], path + ".verify.horizon", positive=True)
-    elif kind == "strong-stability":
-        seq = build_intervals(_get(a, "intervals", path), path + ".intervals")
-        if "level" in a:
-            lv = _number(a["level"], path + ".level")
-            _require(0 < lv <= 1, path + ".level", "must lie in (0, 1]")
-        if "costs" in a and a["costs"] is not None:
-            costs = _number_list(a["costs"], path + ".costs")
-            _require(len(costs) == len(a["intervals"]), path + ".costs",
-                     "need one cost per interval")
-        if "z0" in a and a["z0"] != "random":
-            _number_list(a["z0"], path + ".z0")
-        crit = a.get("criterion")
-        if crit is not None:
-            _require(isinstance(crit, dict), path + ".criterion", "expected an object")
-            _known_fields(crit, CRITERION_FIELDS, path + ".criterion", "criterion")
-            T0 = _number(_get(crit, "T0", path + ".criterion"),
-                         path + ".criterion.T0", positive=True)
-            cpath = path + ".criterion.cost"
-            cost = _get(crit, "cost", path + ".criterion")
-            _require(isinstance(cost, dict), cpath, "expected an object")
-            ckind = _get(cost, "kind", cpath)
-            if isinstance(ckind, str) and ckind in COST_FIELDS:
-                _known_fields(cost, ("kind",) + COST_FIELDS[ckind], cpath, ckind)
-            if ckind == "wave-cubic":
-                rho = _number(_get(cost, "rho", cpath), cpath + ".rho", positive=True)
-                _require(rho <= 1.0, cpath + ".rho", "must lie in (0, 1]")
-                lam = _number(_get(cost, "lambda1", cpath), cpath + ".lambda1",
-                              positive=True)
-                if "d0" in cost:
-                    _number(cost["d0"], cpath + ".d0", positive=True)
-                longest = max(max(seq.lengths), T0)
-                thr = wave_rho_threshold(rho, lam)
-                _require(longest <= thr, cpath,
-                         "the cubic bound holds only for lengths up to %g "
-                         "(pi / (2 lambda1)); the longest interval or T0 is %g"
-                         % (thr, longest))
-            elif ckind == "exp-gap":
-                pass
-            elif ckind == "table":
-                ts = _number_list(_get(cost, "T", cpath), cpath + ".T")
-                cs = _number_list(_get(cost, "c", cpath), cpath + ".c")
-                _require(len(ts) == len(cs) and len(ts) >= 2, cpath,
-                         "need matching T and c lists with at least two points")
-            else:
-                raise ScenarioError(cpath + ".kind",
-                                    "unknown cost form %r" % (ckind,))
-            c_of_T = criterion_cost(cost)
-            for L in tuple(seq.lengths) + (T0,):
-                c = c_of_T(L)
-                _require(cost_within_bound(c, L, system.b_norm), cpath,
-                         "cost %g at length %g exceeds the necessary bound "
-                         "length*||B||^2 = %g" % (c, L, L * system.b_norm ** 2))
+def _dim_at_most(limit: int, what: str, path: str, ctx):
+    dim = ctx["system"].dim
+    _require(dim <= limit, path, "%s is limited to state dimension %d; the "
+             "system has dimension %d" % (what, limit, dim))
+
+
+def _search_dim(a, path, ctx):
+    _dim_at_most(OuterSearch.dim_limit, "the outer search", path, ctx)
     return a
 
 
+def _within_bound(c, L, system, path):
+    _require(cost_within_bound(c, L, system.b_norm), path,
+             "cost %g at length %g exceeds the necessary bound "
+             "length*||B||^2 = %g" % (c, L, L * system.b_norm ** 2))
+
+
+def _initial_state(a, path, ctx):
+    """Resolve ``z0``: a unit state drawn from (scenario seed, analysis
+    index), or the given state."""
+    dim, path = ctx["system"].dim, _at(path, "z0")
+    if a["z0"] == "random":
+        z0 = np.random.default_rng((ctx["seed"], ctx["index"])).standard_normal(dim)
+        a["z0"] = z0 / np.linalg.norm(z0)
+        return
+    z0 = a["z0"] = np.asarray(a["z0"], dtype=float)
+    _require(z0.shape == (dim,), path, "expected %d components, got %d" % (dim, z0.size))
+    _require(np.linalg.norm(z0) > 0, path, "must be nonzero")
+
+
+def _simulate(a, path, ctx):
+    _dim_at_most(DIM_LIMIT, "simulation", path, ctx)
+    _initial_state(a, path, ctx)
+    return a
+
+
+def _check_pe(a, path, ctx):
+    _window(a, path)
+    _require(a["T"] <= ctx["horizon"], _at(path, "T"),
+             "window length T=%g exceeds the horizon %g" % (a["T"], ctx["horizon"]))
+    return a
+
+
+def _kappa_scan(a, path, ctx):
+    _search_dim(a, path, ctx)
+    _require(ctx["system"].skew_flag, path, "needs a skew-symmetric system A")
+    kalman_index(ctx["system"])  # raises when (A, B) is not controllable
+    return a
+
+
+def _certify(a, path, ctx):
+    system, src, theta = ctx["system"], a["source"], a["theta"]
+    _require((a["constant"] is None) != (src is None), path,
+             "exactly one of 'constant' or 'source' is required")
+    if src is not None and src["kind"] == "class-constant":
+        _search_dim(a, path, ctx)
+        # a class horizon below theta only lowers the constant, so it stays sound
+        _require(src["class"].horizon <= theta, _at(path, "source.class.horizon"),
+                 "class horizon %g exceeds theta=%g: the constant would not bound "
+                 "the functional on windows of length theta"
+                 % (src["class"].horizon, theta))
+    else:
+        c = a["constant"] if src is None else wave_pe_lower_bound(
+            src["T"], src["mu"], src["lambda_min"], src["d0"])
+        try:
+            certificate_from_constant(c, theta, system.b_norm)
+        except ValueError as e:
+            raise ScenarioError(_at(path, "constant" if src is None else "source"), str(e))
+    verify = a["verify"]
+    if verify is not None:
+        if verify["horizon"] is None:
+            verify["horizon"] = 50.0 * theta
+        _require(verify["horizon"] >= verify["T"], _at(path, "verify.horizon"),
+                 "verification horizon %g is shorter than the window T=%g"
+                 % (verify["horizon"], verify["T"]))
+        _dim_at_most(DIM_LIMIT, "verification by simulation", path, ctx)
+    return a
+
+
+def _strong_stability(a, path, ctx):
+    system, seq = ctx["system"], a["intervals"]
+    if a["costs"] is not None:
+        _require(len(a["costs"]) == len(seq.intervals), _at(path, "costs"),
+                 "need one cost per interval")
+        for j, (c, L) in enumerate(zip(a["costs"], seq.lengths)):
+            _within_bound(c, L, system, "%s.costs[%d]" % (path, j))
+    _initial_state(a, path, ctx)
+    crit = a["criterion"]
+    if crit is not None:
+        # the criterion evaluates the cost on the interval lengths and on
+        # [T0/2, T0]; each cost form that is positive at the shortest of
+        # these is positive on all of them
+        cpath = _at(path, "criterion.cost")
+        for L in seq.lengths + (crit["T0"] / 2.0, crit["T0"]):
+            try:
+                c = crit["cost"](L)
+            except ValueError as e:
+                raise ScenarioError(cpath, str(e))
+            _require(c > 0, cpath, "cost %g at length %g is not positive" % (c, L))
+            _within_bound(c, L, system, cpath)
+    return a
+
+
+def _scenario(top, path, ctx):
+    _require(top["dt_out"] is None or top["horizon"] is None
+             or top["dt_out"] <= top["horizon"], "dt_out", "must not exceed the horizon")
+    analyses = tuple(_walk(ANALYSES, a, "analyses[%d]" % i, dict(top, index=i))
+                     for i, a in enumerate(top["analyses"]))
+    return Scenario(seed=top["seed"], system=top["system"], signal=top["signal"],
+                    horizon=top["horizon"], dt_out=top["dt_out"], analyses=analyses)
+
+
+# The schema.
+
+DAMPING = Obj("damping", {"uniform": (POSITIVE, None), "omega": (_omega("<="), None)})
+
+SYSTEMS = Kinds("kind", "system kind", {
+    "matrices": Obj("matrices", {"A": MATRIX, "B": MATRIX_OR_VECTOR},
+                    rule=lambda o, path, ctx: LinearSystem(
+                        np.asarray(o["A"], dtype=float), np.asarray(o["B"], dtype=float))),
+    "wave-modal": Obj("wave-modal", {
+        "n_modes": MODES, "damping": DAMPING, "eigenvalues": (NUMBERS, None),
+    }, rule=_modal),
+    "schrodinger-modal": Obj("schrodinger-modal", {"n_modes": MODES, "damping": DAMPING},
+                             rule=_modal, refuse={"eigenvalues": "quantum-particle "
+                                                  "systems fix the eigenvalues (n pi)^2"}),
+})
+
+LEVEL_DEFAULT = _library_default(from_intervals, "level")
+
+SIGNALS = Kinds("gen", "signal generator", {
+    "constant": Obj("constant", {
+        "level": _number(lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    }, rule=lambda o, path, ctx: make_piecewise([], [], o["level"])),
+    "periodic-gate": Obj("periodic-gate", {
+        "period": POSITIVE, "pulse_halfwidth": POSITIVE, "horizon": POSITIVE,
+    }, rule=_gate),
+    "haraux-gap": Obj("haraux-gap", {"n_max": _integer(1, MAX_PULSES)},
+                      rule=lambda o, path, ctx: haraux_gap(o["n_max"])[0]),
+    "intervals": Obj("intervals", {
+        "intervals": _intervals, "level": (FRACTION, LEVEL_DEFAULT),
+    }, rule=lambda o, path, ctx: from_intervals(o["intervals"], o["level"])),
+}, untagged=Obj("piecewise signal", {
+    "breakpoints": NUMBERS, "values": NUMBERS, "tail": NUMBER,
+}, rule=lambda o, path, ctx: make_piecewise(o["breakpoints"], o["values"], o["tail"])))
+
+CLASSES = Kinds("kind", "signal-class kind", {
+    "rho-integral": Obj("rho-integral", {"rho": FRACTION, "horizon": POSITIVE},
+                        rule=lambda o, path, ctx: SignalClass.rho_integral(
+                            float(o["rho"]), float(o["horizon"]))),
+    "pe-windows": Obj("pe-windows", {
+        "T": POSITIVE, "mu": POSITIVE, "horizon": (POSITIVE, None),
+    }, rule=_pe_class),
+})
+
+OUTER = Obj("outer-search", {
+    "n_starts": (_integer(1), OuterSearch.n_starts),
+    "n_iters": (_integer(1), OuterSearch.n_iters),
+    "seed": (_integer(1), None),
+}, rule=_outer)
+
+SOURCES = Kinds("kind", "certificate source", {
+    "wave-pe": Obj("wave-pe", {
+        "T": POSITIVE, "mu": POSITIVE, "lambda_min": POSITIVE,
+        "d0": (POSITIVE, _library_default(wave_pe_lower_bound, "d0")),
+    }, rule=_window),
+    "class-constant": Obj("class-constant", {
+        "class": CLASSES, "n_cells": (CELLS, DEFAULT_N_CELLS),
+    }),
+})
+
+VERIFY = Obj("verify", {
+    "T": POSITIVE, "mu": POSITIVE,
+    "n_trials": (_integer(1), _library_default(verify_certificate, "n_trials")),
+    "horizon": (POSITIVE, None),
+}, rule=_window)
+
+# each cost form resolves to its interval cost function c(L)
+COSTS = Kinds("kind", "cost form", {
+    "wave-cubic": Obj("wave-cubic", {
+        "rho": FRACTION, "lambda1": POSITIVE,
+        "d0": (POSITIVE, _library_default(wave_rho_lower_bound, "d0")),
+    }, rule=lambda o, path, ctx: lambda L: wave_rho_lower_bound(
+        L, o["rho"], o["lambda1"], o["d0"])),
+    "exp-gap": Obj("exp-gap", {}, rule=lambda o, path, ctx: lambda L: math.exp(-2.0 / L)),
+    "table": Obj("table", {"T": _list(POSITIVE), "c": _list(POSITIVE)}, rule=_table_cost),
+})
+
+ANALYSES = Kinds("kind", "analysis kind", {
+    "simulate": Obj("simulate", {
+        "z0": (_z0, "random"),
+        "monotone_tol": (POSITIVE, 1e-9),
+        "balance_tol": (POSITIVE, 1e-5),
+    }, rule=_simulate, needs=("system", "signal", "horizon", "dt_out")),
+    "check-pe": Obj("check-pe", {
+        "T": POSITIVE, "mu": POSITIVE,
+        "tolerance": (NONNEGATIVE, _library_default(pe_check, "tolerance")),
+    }, rule=_check_pe, needs=("signal", "horizon")),
+    "counterexample": Obj("counterexample", {
+        "omega": _omega("<"),
+        "periods": (_integer(1), 3),
+        "drift_tol": (POSITIVE, 1e-8),
+    }),
+    "observability": Obj("observability", {
+        "class": CLASSES, "n_cells": (CELLS, DEFAULT_N_CELLS), "outer": (OUTER, {}),
+    }, rule=_search_dim, needs=("system",)),
+    "kappa-scan": Obj("kappa-scan", {
+        "rho": FRACTION, "T_grid": _t_grid,
+        "n_cells": (CELLS, DEFAULT_N_CELLS), "outer": (OUTER, {}),
+    }, rule=_kappa_scan, needs=("system",)),
+    "certify": Obj("certify", {
+        "constant": (POSITIVE, None), "source": (SOURCES, None),
+        "theta": POSITIVE, "verify": (VERIFY, None),
+    }, rule=_certify, needs=("system",)),
+    "strong-stability": Obj("strong-stability", {
+        "intervals": _intervals,
+        "level": (FRACTION, LEVEL_DEFAULT),
+        "costs": (_list(NONNEGATIVE), None),
+        "z0": (_z0, "random"),
+        "criterion": (Obj("criterion", {"T0": POSITIVE, "cost": COSTS}), None),
+    }, rule=_strong_stability, needs=("system",)),
+})
+
+SCENARIO = Obj("scenario", {
+    "seed": (_integer(0), 0),
+    "system": (SYSTEMS, None),
+    "signal": (SIGNALS, None),
+    "horizon": (POSITIVE, None),
+    "dt_out": (POSITIVE, None),
+    "analyses": _list(lambda a, path: a, min_len=1),
+}, rule=_scenario)
+
+
 def parse_scenario(doc) -> Scenario:
-    """Validate a scenario document and resolve its system and signal.
+    """Validate a scenario document and resolve everything its analyses use.
 
     Raises :class:`ScenarioError` with a field path on any violation,
     including semantic ones (mu > T, omega out of range, wrong dimensions).
     """
-    _require(isinstance(doc, dict), "$", "scenario must be a JSON object")
-    known = {"seed", "system", "signal", "horizon", "dt_out", "analyses"}
-    for key in doc:
-        _require(key in known, key, "unknown scenario field")
-    seed = doc.get("seed", 0)
-    seed = _integer(seed, "seed", minimum=0)
-    horizon = doc.get("horizon")
-    if horizon is not None:
-        horizon = _number(horizon, "horizon", positive=True)
-    dt_out = doc.get("dt_out")
-    if dt_out is not None:
-        dt_out = _number(dt_out, "dt_out", positive=True)
-        _require(horizon is None or dt_out <= horizon, "dt_out",
-                 "must not exceed the horizon")
-    system = None
-    if doc.get("system") is not None:
-        system = build_system(doc["system"], "system")
-    signal = None
-    if doc.get("signal") is not None:
-        signal = build_signal(doc["signal"], "signal")
-    analyses = _get(doc, "analyses", "$")
-    _require(isinstance(analyses, list) and analyses, "analyses",
-             "expected a nonempty list")
-    validated = tuple(_validate_analysis(a, i, doc, system)
-                      for i, a in enumerate(analyses))
-    for i, a in enumerate(validated):
-        if a["kind"] == "simulate":
-            _require(horizon is not None, "horizon",
-                     "simulate analyses need a scenario horizon")
-            _require(dt_out is not None, "dt_out",
-                     "simulate analyses need a scenario dt_out")
-        if a["kind"] == "check-pe":
-            _require(horizon is not None, "horizon",
-                     "check-pe analyses need a scenario horizon")
-    return Scenario(seed=seed, system=system, signal=signal, horizon=horizon,
-                    dt_out=dt_out, analyses=validated, raw=doc)
+    return _walk(SCENARIO, doc, "")

@@ -323,3 +323,64 @@ def test_criterion_cost_above_length_bound_exits_two(tmp_path, capsys):
     doc["analyses"][0]["criterion"] = {"T0": 1.0, "cost": {"kind": "exp-gap"}}
     scen = write_scenario(tmp_path, doc, "cost_ok.json")
     assert main(["run", scen, "--out", str(tmp_path / "ok")]) == 0
+
+
+def _with(doc, *analyses, **fields):
+    return dict(doc, analyses=list(analyses), **fields)
+
+
+# Each of these used to pass `validate` and then fail inside `run`: with a
+# traceback, or (the z0 length) with exit 2 only once the run had started.
+CERTIFY = WAVE_SCENARIO["analyses"][3]
+STRONG = {"kind": "strong-stability", "intervals": [[0.0, 1.0], [2.0, 3.0]]}
+RUNTIME_PRECONDITIONS = [
+    ("nine_modes_observability",
+     _with(WAVE_SCENARIO, WAVE_SCENARIO["analyses"][2],
+           system=dict(WAVE_SCENARIO["system"], n_modes=9)),
+     "analyses[0]"),
+    ("simulate_z0_length",
+     _with(WAVE_SCENARIO, {"kind": "simulate", "z0": [1.0, 0.0]}),
+     "analyses[0].z0"),
+    ("verify_horizon_below_T",
+     _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], horizon=1.0))),
+     "analyses[0].verify.horizon"),
+    ("negative_cost",
+     _with(WAVE_SCENARIO, dict(STRONG, costs=[-0.1, 0.1])),
+     "analyses[0].costs[0]"),
+    ("constant_above_certificate_range",
+     _with(WAVE_SCENARIO, {"kind": "certify", "theta": 1.0, "constant": 10.0}),
+     "analyses[0].constant"),
+    ("kappa_scan_non_skew",
+     _with(SCAN_SCENARIO, SCAN_SCENARIO["analyses"][1],
+           system={"kind": "matrices", "A": [[-1.0, 0.0], [0.0, -1.0]],
+                   "B": [[1.0, 0.0], [0.0, 1.0]]}),
+     "analyses[0]"),
+]
+
+
+@pytest.mark.parametrize("doc, path", [c[1:] for c in RUNTIME_PRECONDITIONS],
+                         ids=[c[0] for c in RUNTIME_PRECONDITIONS])
+def test_runtime_preconditions_exit_two_at_parse(tmp_path, capsys, doc, path):
+    scen = write_scenario(tmp_path, doc)
+    for argv in (["validate", scen], ["run", scen, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert path + ": " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_class_horizon_beyond_theta_exits_two(tmp_path, capsys):
+    # a constant over horizon 8 certified on windows of length 0.5 exceeded
+    # its envelope 26048-fold once verified
+    source = {"kind": "class-constant", "n_cells": 64,
+              "class": {"kind": "pe-windows", "T": 2.0, "mu": 1.0, "horizon": 8.0}}
+    doc = {"seed": 3,
+           "system": {"kind": "wave-modal", "n_modes": 2,
+                      "damping": {"omega": [0.2, 0.6]}},
+           "analyses": [{"kind": "certify", "theta": 0.5, "source": source}]}
+    scen = write_scenario(tmp_path, doc)
+    for argv in (["validate", scen], ["run", scen, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert "analyses[0].source.class.horizon: " in capsys.readouterr().err
+    # a class horizon up to theta only lowers the constant
+    doc["analyses"][0]["theta"] = 8.0
+    assert main(["validate", write_scenario(tmp_path, doc, "ok.json")]) == 0

@@ -2,7 +2,9 @@
 
 Every mutated document must either validate or raise ``ScenarioError``
 carrying a field path, and ``pexstab validate`` must answer it with an exit
-status from the CLI contract, never a traceback.
+status from the CLI contract, never a traceback.  A document that validates
+must run without a precondition error, and the README's scenario-field
+reference must name every field of the schema.
 """
 
 import copy
@@ -13,8 +15,9 @@ import string
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from pexstab import scenario
 from pexstab.cli import main
 from pexstab.scenario import ScenarioError, parse_scenario
 
@@ -27,12 +30,12 @@ SHAPES = tuple(workloads.generate(name, 0, tiny=True) for name in workloads.WORK
 TOP_LEVEL = ("$", "seed", "system", "signal", "horizon", "dt_out", "analyses")
 
 keys = st.text(alphabet=string.ascii_lowercase + "_", min_size=1, max_size=8)
-# Numbers stay within [-10, 50] and away from 0 by 1e-3 at least, so that a
-# mutated size (modes, pulses, gate period) never asks parse for a huge
-# system or signal.
+# Parsing bounds what it builds (modes, pulses, gate breakpoints), so the
+# numbers span magnitudes from 1e-9 and below up to 1e9.
 numbers = st.one_of(
-    st.integers(-3, 40),
-    st.floats(-10.0, 50.0, allow_nan=False).filter(lambda x: x == 0 or abs(x) >= 1e-3),
+    st.integers(-10 ** 9, 10 ** 9),
+    st.floats(-1e9, 1e9, allow_nan=False),
+    st.sampled_from([1e-9, -1e-9, 1e9, 256, 257, 1000, 1001, 10 ** 400]),
 )
 json_values = st.recursive(
     st.none() | st.booleans() | numbers | st.text(max_size=6),
@@ -87,6 +90,56 @@ def test_mutated_scenarios_validate_or_name_a_field(tmp_path, capsys, doc):
     capsys.readouterr()
 
 
+# A run's cost grows with the sizes a mutation may raise (samples, trials,
+# cells, starts), so these runs draw small numbers, positive ones more often:
+# the property is about preconditions, not sizes.
+small_numbers = st.one_of(
+    st.integers(-2, 12),
+    st.floats(-4.0, 12.0, allow_nan=False).filter(lambda x: x == 0 or abs(x) >= 0.05),
+    st.floats(0.05, 12.0),
+)
+
+
+@st.composite
+def renumbered_scenarios(draw):
+    """A benchmark shape with 1-3 numbers redrawn small or fields dropped."""
+    doc = copy.deepcopy(draw(st.sampled_from(SHAPES)))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = draw(st.sampled_from(_slots(doc, [])))
+        value = parent[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and draw(st.integers(0, 3)):
+            parent[key] = draw(small_numbers)
+        elif isinstance(parent, dict):
+            del parent[key]
+    return doc
+
+
+def _validates(doc):
+    try:
+        parse_scenario(doc)
+        return True
+    except ScenarioError:
+        return False
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
+@given(renumbered_scenarios())
+def test_validated_scenarios_run_without_precondition_errors(tmp_path, capsys, doc):
+    assume(_validates(doc))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    try:
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    except RuntimeError:
+        return  # a numerical failure, not a precondition
+    finally:
+        capsys.readouterr()
+    assert code in (0, 1)
+
+
 def test_benchmark_shapes_validate():
     for doc in SHAPES:
         parse_scenario(doc)
@@ -126,3 +179,43 @@ def test_unhashable_kind_is_a_field_error(tmp_path, capsys, name, keys, path):
     scen.write_text(json.dumps(doc))
     assert main(["validate", str(scen)]) == 2
     assert path in capsys.readouterr().err
+
+
+def _tables(table, title):
+    """(title, field names) of every object table under ``table``."""
+    if isinstance(table, scenario.Kinds):
+        for kind, obj in table.kinds.items():
+            yield from _tables(obj, "%s: %s" % (title, kind))
+        if table.untagged is not None:
+            yield from _tables(table.untagged, "%s: %s" % (title, table.untagged.name))
+        return
+    yield title, tuple(table.fields)
+    for key, spec in table.fields.items():
+        check = spec[0] if isinstance(spec, tuple) else spec
+        if isinstance(check, (scenario.Obj, scenario.Kinds)):
+            yield from _tables(check, key)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_every_scenario_field():
+    text = README.read_text()
+    section = text.split("## Scenario fields", 1)[1].split("\n## ", 1)[0]
+    blocks = dict((b.split("\n", 1) + [""])[:2] for b in section.split("\n### ")[1:])
+    tables = dict(_tables(scenario.SCENARIO, "scenario"))
+    tables.update(_tables(scenario.ANALYSES, "analysis"))
+    for title, fields in tables.items():
+        assert title in blocks, title
+        for field in fields:
+            assert "| `%s` |" % field in blocks[title], (title, field)
+    example = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    assert len(parse_scenario(example).analyses) == len(example["analyses"])
+
+
+def test_number_beyond_float_range_is_a_field_error():
+    # a JSON integer too large for a float used to escape as OverflowError
+    doc = _set(_shape("simulate-long"), ("horizon",), 10 ** 400)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.path == "horizon"
