@@ -30,8 +30,7 @@ from . import __version__
 from .dalembert import (build_counterexample, energy_of_counterexample,
                         verify_damping_inert)
 from .linsys import energy_balance, simulate
-from .observability import (OuterSearch, class_constant, kappa_scan,
-                            wave_pe_lower_bound)
+from .observability import class_constant, kappa_scan, wave_pe_lower_bound
 from .scenario import ANALYSES, Scenario, ScenarioError, parse_scenario
 from .signals import from_intervals, pe_check
 from .stability import (CertificateViolation, GateSignalFamily,
@@ -158,8 +157,7 @@ def _run_certify(sc: Scenario, a: dict):
         c = wave_pe_lower_bound(src["T"], src["mu"], src["lambda_min"], src["d0"])
         source = "analytic wave bound (T=%g, mu=%g)" % (src["T"], src["mu"])
     else:
-        est = class_constant(sc.system, src["class"], src["n_cells"],
-                             OuterSearch(seed=sc.seed))
+        est = class_constant(sc.system, src["class"], src["n_cells"], src["outer"])
         c = est.constant
         source = "numerical class constant (%s)" % est.method
     cert = certificate_from_constant(c, a["theta"], sc.system.b_norm, source=source)

@@ -28,8 +28,10 @@ uniform grid of ``n_cells`` cells over [0, theta]:
   The finite LP is written in the cumulative mass F(t) = int_0^t alpha,
   linear between cell edges: a window row reads F(s + T) - F(s) >= mu with at
   most three nonzeros, and the levels are the slopes of F.  Its sparse
-  constraint matrix is built once per grid and window and solved by HiGHS
-  through :func:`scipy.optimize.milp` (all variables continuous).
+  constraint matrix is passed once per inner problem to a HiGHS simplex
+  solver, which re-optimises each new cost from its last basis;
+  ``scipy.optimize`` and ``scipy.sparse`` are imported only when a window
+  LP is built.
 
 The outer minimisation over the unit sphere is nonconvex; it is attacked by
 multi-start local descent with a fixed, recorded seed.  Each descent step
@@ -43,14 +45,11 @@ system (e.g. modal truncation).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
-import scipy.sparse
 
 from .linsys import LinearSystem, observability_gramian
 from .modal import SchrodingerModalSpec, build_schrodinger
@@ -218,8 +217,7 @@ def rho_greedy_min(cell_values, dt: float, mass_budget: float):
     return alpha, float(value)
 
 
-@functools.lru_cache(maxsize=16)
-def _window_model(n: int, T: float, mu: float, horizon: float):
+def _window_constraints(n: int, T: float, mu: float, horizon: float):
     """Constraints of the window LP over the cumulative mass F_1..F_n.
 
     F_k is the mass of the levels on [0, edge_k] (F_0 = 0 is not a
@@ -230,10 +228,10 @@ def _window_model(n: int, T: float, mu: float, horizon: float):
     dropped.  One end of each candidate window lies on a cell edge, so a
     window row has at most three nonzeros.
 
-    Cached per (n, T, mu, horizon): the outer descent solves the same
-    constraints with a new cost on every step.  The result is shared by all
-    callers and must not be modified.
+    Returns (A, row_lower, row_upper) with A a sparse CSC array.
     """
+    import scipy.sparse
+
     dt = horizon / n
     edges = np.array([horizon * j / n for j in range(n + 1)])
     last = horizon - T
@@ -283,21 +281,76 @@ def _window_model(n: int, T: float, mu: float, horizon: float):
     A = scipy.sparse.csc_array((vals, (rows, cols)), shape=(n + len(kept), n))
     lb = np.concatenate([np.zeros(n), np.full(len(kept), mu)])
     ub = np.concatenate([np.full(n, dt), np.full(len(kept), np.inf)])
-    return scipy.optimize.LinearConstraint(A, lb, ub)
+    return A, lb, ub
 
 
-def pe_window_min(cell_values, dt: float, T: float, mu: float, horizon: float):
+class _WindowLP:
+    """The window LP of one grid and window, held by one HiGHS solver.
+
+    The constraints of :func:`_window_constraints` are passed to HiGHS once
+    (presolve off, columns in [0, inf)); each :meth:`solve` changes only the
+    cost and re-optimises from the previous optimal basis, which is what the
+    outer descent needs: consecutive steps change the cost and nothing else.
+    The solver is scipy's bundled HiGHS binding, a private module; the test
+    suite checks every method used here.  A model is not shared between
+    threads: each caller builds its own.
+    """
+
+    def __init__(self, n: int, T: float, mu: float, horizon: float):
+        from scipy.optimize._highspy import _core as highs
+
+        self.key = (n, T, mu, horizon)
+        A, lb, ub = _window_constraints(n, T, mu, horizon)
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]
+        lp.col_cost_ = np.zeros(n)
+        lp.col_lower_ = np.zeros(n)
+        lp.col_upper_ = np.full(n, np.inf)
+        lp.row_lower_, lp.row_upper_ = lb, ub
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = A.shape[1], A.shape[0]
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        self._h = highs._Highs()
+        self._error = highs.HighsStatus.kError
+        self._optimal = highs.HighsModelStatus.kOptimal
+        self._cols = np.arange(n, dtype=np.int32)
+        # a warning from passModel reports matrix entries below 1e-9 that
+        # HiGHS drops; only an error is a failure
+        statuses = (self._h.setOptionValue("output_flag", False),
+                    self._h.setOptionValue("presolve", "off"),
+                    self._h.passModel(lp))
+        if self._error in statuses:
+            raise RuntimeError("window LP failed: HiGHS refused the options or the model")
+
+    def solve(self, cost) -> np.ndarray:
+        """Optimal F for the cost vector over F_1..F_n."""
+        h = self._h
+        if h.changeColsCost(len(self._cols), self._cols, cost) == self._error:
+            raise RuntimeError("window LP failed: HiGHS refused the cost")
+        h.run()
+        status = h.getModelStatus()
+        if status != self._optimal:
+            raise RuntimeError("window LP failed: %s" % h.modelStatusToString(status))
+        return np.array(h.getSolution().col_value)
+
+
+def pe_window_min(cell_values, dt: float, T: float, mu: float, horizon: float,
+                  model: _WindowLP = None):
     """Minimise sum_j alpha_j * cell_values[j] under sliding-window mass >= mu.
 
     Constraints are imposed at every window start where a window edge meets a
     cell edge (plus the range endpoints); for cell-constant signals the
     window mass is piecewise linear in the start, so these finitely many
     constraints are equivalent to all starts in [0, horizon - T].  The LP is
-    solved in the cumulative mass F (see :func:`_window_model`), where a
-    window row has at most three nonzeros and the cost is
-    sum_j g_j (F_{j+1} - F_j) / dt, by HiGHS through
-    :func:`scipy.optimize.milp` with every variable continuous.  The levels
-    are alpha = clip(diff(F) / dt, 0, 1).  ``dt`` must equal
+    solved in the cumulative mass F (see :func:`_window_constraints`), where
+    a window row has at most three nonzeros and the cost is
+    sum_j g_j (F_{j+1} - F_j) / dt, by HiGHS's simplex method (see
+    :class:`_WindowLP`).  ``model`` is a :class:`_WindowLP` built for the
+    same (n, T, mu, horizon), re-solved from its last basis; without one a
+    new model is built and solved cold.  The levels are
+    alpha = clip(diff(F) / dt, 0, 1).  ``dt`` must equal
     ``horizon / len(cell_values)`` (relative 1e-12).  Returns (alpha, value).
     """
     cell_values = np.asarray(cell_values, dtype=float)
@@ -305,13 +358,14 @@ def pe_window_min(cell_values, dt: float, T: float, mu: float, horizon: float):
     if abs(n * dt - horizon) > 1e-12 * max(1.0, horizon):
         raise ValueError("cell width %r does not divide the horizon %r into %d cells"
                          % (dt, horizon, n))
+    if model is None:
+        model = _WindowLP(n, T, mu, horizon)
+    elif model.key != (n, T, mu, horizon):
+        raise ValueError("window LP model built for %r, not %r"
+                         % (model.key, (n, T, mu, horizon)))
     # sum_j g_j (F_{j+1} - F_j) regrouped by F_k, k = 1..n
     cost = np.append(cell_values[:-1] - cell_values[1:], cell_values[-1]) / dt
-    res = scipy.optimize.milp(cost, constraints=_window_model(n, T, mu, horizon),
-                              options={"presolve": False})
-    if not res.success:
-        raise RuntimeError("window LP failed: %s" % res.message)
-    alpha = np.clip(np.diff(res.x, prepend=0.0) / dt, 0.0, 1.0)
+    alpha = np.clip(np.diff(model.solve(cost), prepend=0.0) / dt, 0.0, 1.0)
     return alpha, float(cell_values @ alpha)
 
 
@@ -341,6 +395,8 @@ class _InnerProblem:
         self.n_cells = n_cells
         self.dt = sclass.horizon / n_cells
         self.Ms = _cell_gramians(sys, sclass.horizon, n_cells)
+        self.lp = (_WindowLP(n_cells, sclass.T, sclass.mu, sclass.horizon)
+                   if sclass.kind == "pe-windows" else None)
 
     def cell_values(self, z0) -> np.ndarray:
         return np.einsum("jnm,n,m->j", self.Ms, z0, z0)
@@ -350,7 +406,7 @@ class _InnerProblem:
         if self.sclass.kind == "rho-integral":
             return rho_greedy_min(g, self.dt, self.sclass.rho * self.sclass.horizon)
         return pe_window_min(g, self.dt, self.sclass.T, self.sclass.mu,
-                             self.sclass.horizon)
+                             self.sclass.horizon, self.lp)
 
     def weighted_gramian(self, alpha) -> np.ndarray:
         return np.einsum("j,jnm->nm", np.asarray(alpha, dtype=float), self.Ms)

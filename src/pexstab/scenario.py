@@ -443,7 +443,7 @@ CLASSES = Kinds("kind", "signal-class kind", {
 OUTER = Obj("outer-search", {
     "n_starts": (_integer(1), OuterSearch.n_starts),
     "n_iters": (_integer(1), OuterSearch.n_iters),
-    "seed": (_integer(1), None),
+    "seed": (_integer(0), None),
 }, rule=_outer)
 
 SOURCES = Kinds("kind", "certificate source", {
@@ -452,7 +452,7 @@ SOURCES = Kinds("kind", "certificate source", {
         "d0": (POSITIVE, _library_default(wave_pe_lower_bound, "d0")),
     }, rule=_window),
     "class-constant": Obj("class-constant", {
-        "class": CLASSES, "n_cells": (CELLS, DEFAULT_N_CELLS),
+        "class": CLASSES, "n_cells": (CELLS, DEFAULT_N_CELLS), "outer": (OUTER, {}),
     }),
 })
 

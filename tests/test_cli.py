@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,32 @@ def test_parallel_matches_serial(tmp_path):
     assert main(["run", scen, "--out", str(a)]) == 0
     assert main(["run", scen, "--out", str(b), "--parallel"]) == 0
     assert tree_bytes(a) == tree_bytes(b)
+
+
+def test_parallel_window_lps_match_serial(tmp_path):
+    # two pe-windows analyses on one class, each with its own LP solver
+    obs = {"kind": "observability", "n_cells": 32,
+           "class": {"kind": "pe-windows", "T": 2.0, "mu": 0.5, "horizon": 4.0}}
+    doc = {"seed": 3,
+           "system": {"kind": "wave-modal", "n_modes": 2, "damping": {"omega": [0.2, 0.6]}},
+           "analyses": [dict(obs, outer={"n_starts": 4}),
+                        dict(obs, outer={"n_starts": 4, "seed": 5})]}
+    scen = write_scenario(tmp_path, doc)
+    a, b = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["run", scen, "--out", str(a)]) == 0
+    assert main(["run", scen, "--out", str(b), "--parallel"]) == 0
+    assert tree_bytes(a) == tree_bytes(b)
+
+
+def test_cli_import_leaves_the_lp_stack_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, pexstab.cli; print([m for m in ('scipy.optimize', "
+            "'scipy.sparse') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_scan_scenario(tmp_path):
@@ -384,3 +412,36 @@ def test_class_horizon_beyond_theta_exits_two(tmp_path, capsys):
     # a class horizon up to theta only lowers the constant
     doc["analyses"][0]["theta"] = 8.0
     assert main(["validate", write_scenario(tmp_path, doc, "ok.json")]) == 0
+
+
+def test_class_constant_source_takes_an_outer_search(tmp_path):
+    # the pe-lp class: 8 starts on seed 7 find a constant 33 times too high
+    source = {"kind": "class-constant", "n_cells": 256,
+              "class": {"kind": "pe-windows", "T": 2.0, "mu": 0.5, "horizon": 4.0}}
+    doc = {"seed": 7,
+           "system": {"kind": "wave-modal", "n_modes": 8,
+                      "damping": {"omega": [0.2, 0.6]}},
+           "analyses": [{"kind": "certify", "theta": 4.0, "source": source},
+                        {"kind": "certify", "theta": 4.0,
+                         "source": dict(source, outer={"n_starts": 32})}]}
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+    reports = read_reports(out)
+    c8 = reports["00_certify.json"]["report"]["certificate"]["c"]
+    c32 = reports["01_certify.json"]["report"]["certificate"]["c"]
+    assert c8 == pytest.approx(2.655e-3, rel=1e-3)
+    assert c32 == pytest.approx(7.883e-5, rel=1e-3)
+
+
+def test_outer_seed_zero_names_the_default_search(tmp_path):
+    obs = {"kind": "observability", "n_cells": 16,
+           "class": {"kind": "pe-windows", "T": 2.0, "mu": 0.5, "horizon": 4.0}}
+    doc = {"system": {"kind": "wave-modal", "n_modes": 2,
+                      "damping": {"omega": [0.2, 0.6]}},
+           "analyses": [dict(obs, outer={"n_starts": 2}),
+                        dict(obs, outer={"n_starts": 2, "seed": 0})]}
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+    reports = read_reports(out)
+    assert reports["00_observability.json"]["report"] == \
+        reports["01_observability.json"]["report"]

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+import pexstab.observability as obs
 from pexstab.linsys import LinearSystem, UncontrollableError
 from pexstab.modal import (
     SchrodingerModalSpec,
@@ -15,7 +16,9 @@ from pexstab.modal import (
 from pexstab.observability import (
     EXPLORATION_LABEL,
     _cell_gramians,
-    _window_model,
+    _InnerProblem,
+    _window_constraints,
+    _WindowLP,
     OuterSearch,
     SignalClass,
     class_constant,
@@ -301,24 +304,149 @@ def test_window_lp_matches_dense_reference_off_grid(seed):
             assert float(cover @ alpha) >= mu - 1e-7
 
 
-def test_window_model_is_built_once_and_sparse():
-    _window_model.cache_clear()
-    rng = np.random.default_rng(8)
+def test_window_model_is_built_once_and_sparse(monkeypatch):
+    built = []
+
+    class CountingLP(_WindowLP):
+        def __init__(self, *key):
+            super().__init__(*key)
+            built.append(self)
+
+    monkeypatch.setattr(obs, "_WindowLP", CountingLP)
+    sys = LinearSystem(rotation(), np.array([[1.0], [0.0]]))
+    for _ in range(2):
+        class_constant(sys, SignalClass.pe_windows(2.0, 0.5, 4.0), n_cells=32,
+                       outer=OuterSearch(n_starts=3))
+    # one model per class_constant call, passed to HiGHS once
+    assert [m.key for m in built] == [(32, 2.0, 0.5, 4.0)] * 2
+    assert built[0] is not built[1]
+
     n, T, mu, horizon = 40, 1.3, 0.45, 3.1
-    for _ in range(3):
-        pe_window_min(rng.uniform(0.0, 1.0, n), horizon / n, T, mu, horizon)
-    info = _window_model.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    A = _window_model(n, T, mu, horizon).A.tocsr()
+    A, _, _ = _window_constraints(n, T, mu, horizon)
+    A = A.tocsr()
     assert np.diff(A.indptr)[n:].max() == 3  # off-grid window rows
     assert np.diff(A.indptr)[:n].max() == 2  # slope rows
+    assert _WindowLP(n, T, mu, horizon)._h.getNumNz() == A.nnz
 
-    sys = LinearSystem(rotation(), np.array([[1.0], [0.0]]))
-    _window_model.cache_clear()
-    class_constant(sys, SignalClass.pe_windows(2.0, 0.5, 4.0), n_cells=32,
-                   outer=OuterSearch(n_starts=3))
-    info = _window_model.cache_info()
-    assert info.misses == 1 and info.hits >= 2
+
+def cold_window_min(g, dt, T, mu, horizon):
+    """Reference: the window LP solved from scratch by ``scipy.optimize.milp``.
+
+    Same constraints and cost as :func:`pe_window_min`, a new HiGHS model for
+    every call.  Returns (alpha, value).
+    """
+    g = np.asarray(g, dtype=float)
+    A, lb, ub = _window_constraints(len(g), T, mu, horizon)
+    cost = np.append(g[:-1] - g[1:], g[-1]) / dt
+    res = scipy.optimize.milp(cost, constraints=scipy.optimize.LinearConstraint(A, lb, ub),
+                              options={"presolve": False})
+    assert res.success
+    alpha = np.clip(np.diff(res.x, prepend=0.0) / dt, 0.0, 1.0)
+    return alpha, float(g @ alpha)
+
+
+def assert_window_admissible(alpha, T, mu, horizon, starts):
+    edges = np.linspace(0.0, horizon, len(alpha) + 1)
+    assert np.all((alpha >= 0.0) & (alpha <= 1.0))
+    for s in starts:
+        cover = np.clip(np.minimum(edges[1:], s + T) - np.maximum(edges[:-1], s),
+                        0.0, None)
+        assert float(cover @ alpha) >= mu - 1e-7
+
+
+def candidate_starts(n, T, horizon):
+    edges = np.array([horizon * j / n for j in range(n + 1)])
+    last = horizon - T
+    cands = {0.0, last}
+    cands.update(float(e) for e in edges if 0.0 <= e <= last)
+    cands.update(float(e - T) for e in edges if 0.0 <= e - T <= last)
+    return sorted(cands)
+
+
+def pe_lp_wave():
+    return build_wave(WaveModalSpec(8, omega=(0.2, 0.6)))
+
+
+def test_warm_window_lp_matches_cold_on_a_drifting_state():
+    # a descent's costs: one 16-dimensional state drifting at random, each
+    # step re-solved from the previous basis
+    T, mu, horizon, n = 2.0, 0.5, 4.0, 256
+    prob = _InnerProblem(pe_lp_wave(), SignalClass.pe_windows(T, mu, horizon), n)
+    starts = candidate_starts(n, T, horizon)
+    rng = np.random.default_rng(60)
+    z = rng.standard_normal(16)
+    for _ in range(60):
+        z /= np.linalg.norm(z)
+        alpha, value = prob.minimise(z)
+        _, cold = cold_window_min(prob.cell_values(z), prob.dt, T, mu, horizon)
+        assert abs(value - cold) <= 1e-12 * abs(cold)
+        assert_window_admissible(alpha, T, mu, horizon, starts)
+        z = z + 0.2 * rng.standard_normal(16)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_warm_window_lp_matches_cold_off_grid(seed):
+    # the grids of test_window_lp_matches_dense_reference_off_grid, three
+    # costs per grid on one model
+    rng = np.random.default_rng(700 + seed)
+    for trial in range(10):
+        n = int(rng.integers(4, 48))
+        T = float(rng.uniform(0.3, 2.0))
+        horizon = T if trial % 3 == 0 else T * float(rng.uniform(1.05, 3.0))
+        mu = float(rng.uniform(0.05, 0.95)) * T
+        dt = horizon / n
+        model = _WindowLP(n, T, mu, horizon)
+        starts = candidate_starts(n, T, horizon)
+        for _ in range(3):
+            g = rng.uniform(0.0, 1.0, n)
+            alpha, value = pe_window_min(g, dt, T, mu, horizon, model)
+            _, cold = cold_window_min(g, dt, T, mu, horizon)
+            assert abs(value - cold) <= 1e-12 * abs(cold)
+            assert_window_admissible(alpha, T, mu, horizon, starts)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_warm_descent_constant_equals_cold_descent(monkeypatch, seed):
+    sys, sclass = pe_lp_wave(), SignalClass.pe_windows(2.0, 0.5, 4.0)
+    warm = class_constant(sys, sclass, 256, OuterSearch(seed=seed))
+    monkeypatch.setattr(obs, "pe_window_min",
+                        lambda g, dt, T, mu, horizon, model=None:
+                        cold_window_min(g, dt, T, mu, horizon))
+    cold = class_constant(sys, sclass, 256, OuterSearch(seed=seed))
+    assert warm.constant == cold.constant
+
+
+def test_window_lp_model_must_match_the_grid():
+    model = _WindowLP(16, 1.0, 0.5, 2.0)
+    with pytest.raises(ValueError, match="built for"):
+        pe_window_min(np.ones(16), 2.0 / 16, 1.0, 0.4, 2.0, model)
+
+
+def test_window_lp_failure_raises():
+    # mu > T: no window can carry its mass
+    with pytest.raises(RuntimeError, match="window LP failed"):
+        _WindowLP(8, 1.0, 1.5, 2.0).solve(np.ones(8))
+
+
+def test_highs_binding_has_every_method_the_window_lp_calls():
+    # the window LP uses scipy's private HiGHS binding; a scipy release
+    # without it must fail here rather than in a run
+    from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
+                                               MatrixFormat, _Highs)
+    for name in ("setOptionValue", "passModel", "changeColsCost", "run",
+                 "getModelStatus", "modelStatusToString", "getSolution", "getNumNz"):
+        assert callable(getattr(_Highs, name, None)), name
+    lp = HighsLp()
+    for name in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
+                 "row_lower_", "row_upper_", "a_matrix_"):
+        assert hasattr(lp, name), name
+    for name in ("format_", "num_col_", "num_row_", "start_", "index_", "value_"):
+        assert hasattr(lp.a_matrix_, name), name
+    assert None not in (MatrixFormat.kColwise, HighsModelStatus.kOptimal,
+                        HighsStatus.kError)
+    h = _Highs()
+    assert h.setOptionValue("output_flag", False) == HighsStatus.kOk
+    assert h.setOptionValue("presolve", "off") == HighsStatus.kOk
 
 
 def test_window_lp_rejects_inconsistent_cell_width():
