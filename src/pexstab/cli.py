@@ -38,6 +38,9 @@ from .stability import (CertificateViolation, GateSignalFamily,
                         rho_class_criterion, verify_certificate)
 
 OUT_ENV_VAR = "PEXSTAB_OUT"
+# a class constant is the best value a local search found, so it may lie
+# above the true constant that a certificate needs as a lower bound
+UPPER_ESTIMATE_CAVEAT = "c is an upper estimate; the certificate is not rigorous"
 CSV_CHUNK_ROWS = 4096
 
 
@@ -151,6 +154,7 @@ def _run_kappa_scan(sc: Scenario, a: dict):
 
 def _run_certify(sc: Scenario, a: dict):
     src = a["source"]
+    caveats = list(sc.system.caveats)
     if src is None:
         c, source = float(a["constant"]), "explicit"
     elif src["kind"] == "wave-pe":
@@ -160,8 +164,9 @@ def _run_certify(sc: Scenario, a: dict):
         est = class_constant(sc.system, src["class"], src["n_cells"], src["outer"])
         c = est.constant
         source = "numerical class constant (%s)" % est.method
+        caveats.append(UPPER_ESTIMATE_CAVEAT)
     cert = certificate_from_constant(c, a["theta"], sc.system.b_norm, source=source)
-    report = {"certificate": cert.to_dict(), "caveats": list(sc.system.caveats)}
+    report = {"certificate": cert.to_dict(), "caveats": caveats}
     ok = True
     verify = a["verify"]
     if verify is not None:

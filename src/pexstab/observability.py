@@ -196,6 +196,13 @@ def rho_greedy_min(cell_values, dt: float, mass_budget: float):
     the exact optimum of this LP (continuous knapsack); ties break toward
     the earlier cell, so the result is deterministic.
 
+    The cells switched on are a prefix of the stable sort, found without a
+    per-cell loop: the mass left before each step is a sequential
+    ``subtract.accumulate`` of dt from the budget, every cell of the prefix
+    but the last gets level 1, and the value is a sequential ``cumsum``.
+    Both ufunc scans round in the order of a cell-by-cell fill, so alpha and
+    value are the same floats a loop over the sorted cells would give.
+
     Returns (alpha, value).
     """
     cell_values = np.asarray(cell_values, dtype=float)
@@ -204,16 +211,19 @@ def rho_greedy_min(cell_values, dt: float, mass_budget: float):
         raise ValueError("mass budget %s exceeds the horizon %s" % (mass_budget, n * dt))
     mass_budget = min(mass_budget, n * dt)
     order = np.argsort(cell_values, kind="stable")
+    # remaining[i]: mass still to place before the i-th cheapest cell
+    steps = np.full(n, float(dt))
+    steps[:1] = mass_budget
+    remaining = np.subtract.accumulate(steps)
+    k = int(np.count_nonzero(remaining > 0))
+    on = order[:k]
+    levels = np.ones(k)
+    if k:
+        levels[-1] = min(dt, remaining[k - 1]) / dt
     alpha = np.zeros(n)
-    value = 0.0
-    remaining = mass_budget
-    for j in order:
-        if remaining <= 0:
-            break
-        take = min(dt, remaining)
-        alpha[j] = take / dt
-        value += (take / dt) * cell_values[j]
-        remaining -= take
+    alpha[on] = levels
+    # a leading 0.0 starts the running sum where a loop's accumulator starts
+    value = np.cumsum(np.concatenate(([0.0], levels * cell_values[on])))[-1]
     return alpha, float(value)
 
 
@@ -224,7 +234,8 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
     variable) and F is linear between edges.  Row j < n bounds the slope of
     cell j, 0 <= F_{j+1} - F_j <= dt.  Each further row asks
     F(s + T) - F(s) >= mu at one candidate start s: the range endpoints and
-    every start where a window edge meets a cell edge, near-duplicates
+    every start where a window edge meets a cell edge.  A start within
+    rounding of a cell edge is snapped to that edge, and near-duplicates are
     dropped.  One end of each candidate window lies on a cell edge, so a
     window row has at most three nonzeros.
 
@@ -234,7 +245,16 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
 
     dt = horizon / n
     edges = np.array([horizon * j / n for j in range(n + 1)])
-    last = horizon - T
+    tol = 1e-12 * max(1.0, horizon)
+
+    def snap(t):
+        # the cell edge t lies on up to rounding, else t: a start computed as
+        # e - T that misses an edge by a rounding error starts on that edge
+        # instead of interpolating with a weight of about 1e-16
+        k = min(max(round(t / dt), 0), n)
+        return edges[k] if abs(t - edges[k]) <= tol else t
+
+    last = snap(horizon - T)
     # candidate start -> [index of the edge it starts on, of the edge it ends on]
     on_edge = {}
 
@@ -246,12 +266,13 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
     for k, e in enumerate(edges):
         if 0.0 <= e <= last:
             mark(e, 0, k)
-        if 0.0 <= e - T <= last:
-            mark(e - T, 1, k)
+        s = snap(e - T)
+        if 0.0 <= s <= last:
+            mark(s, 1, k)
     starts = sorted(on_edge)
     kept = [starts[0]]
     for s in starts[1:]:
-        if s - kept[-1] > 1e-12 * max(1.0, horizon):
+        if s - kept[-1] > tol:
             kept.append(s)
 
     rows, cols, vals = [], [], []

@@ -361,7 +361,28 @@ def _certify(a, path, ctx):
                  "verification horizon %g is shorter than the window T=%g"
                  % (verify["horizon"], verify["T"]))
         _dim_at_most(DIM_LIMIT, "verification by simulation", path, ctx)
+        if src is not None and src["kind"] == "class-constant":
+            _verify_in_class(verify, src["class"], path)
     return a
+
+
+def _verify_in_class(verify, sclass, path):
+    """A class constant bounds the functional only for signals of its
+    class, so the gates drawn to verify its certificate must lie in it."""
+    T, mu = verify["T"], verify["mu"]
+    if sclass.kind == "pe-windows":
+        _require(T == sclass.T, _at(path, "verify.T"),
+                 "gate window T=%g differs from the class window T=%g" % (T, sclass.T))
+        _require(mu >= sclass.mu, _at(path, "verify.mu"),
+                 "gate mass mu=%g is below the class mass mu=%g" % (mu, sclass.mu))
+    else:
+        # a T-mu gate carries at least floor(h/T) mu on every window of length h
+        h = sclass.horizon
+        mass = math.floor(h / T) * mu
+        _require(mass >= sclass.rho * h, _at(path, "verify.mu"),
+                 "a gate with T=%g and mu=%g guarantees mass %g on a window of "
+                 "length %g, below the class mass rho*horizon=%g"
+                 % (T, mu, mass, h, sclass.rho * h))
 
 
 def _strong_stability(a, path, ctx):

@@ -445,3 +445,59 @@ def test_outer_seed_zero_names_the_default_search(tmp_path):
     reports = read_reports(out)
     assert reports["00_observability.json"]["report"] == \
         reports["01_observability.json"]["report"]
+
+
+CLASS_CERTIFY = {
+    "seed": 3,
+    "system": {"kind": "wave-modal", "n_modes": 2, "damping": {"omega": [0.2, 0.6]}},
+    "analyses": [
+        {"kind": "certify", "theta": 4.0,
+         "source": {"kind": "class-constant", "n_cells": 16, "outer": {"n_starts": 2},
+                    "class": {"kind": "pe-windows", "T": 2.0, "mu": 1.0,
+                              "horizon": 4.0}},
+         "verify": {"T": 2.0, "mu": 1.0, "n_trials": 2, "horizon": 8.0}},
+        {"kind": "certify", "theta": 4.0,
+         "source": {"kind": "class-constant", "n_cells": 16, "outer": {"n_starts": 2},
+                    "class": {"kind": "rho-integral", "rho": 0.5, "horizon": 4.0}},
+         "verify": {"T": 2.0, "mu": 1.0, "n_trials": 2, "horizon": 8.0}},
+        {"kind": "certify", "theta": 2.0, "constant": 0.1},
+        {"kind": "certify", "theta": 2.0,
+         "source": {"kind": "wave-pe", "T": 2.0, "mu": 1.0,
+                    "lambda_min": math.pi ** 2}},
+    ],
+}
+
+
+def test_class_constant_certificates_carry_the_upper_estimate_caveat(tmp_path):
+    from pexstab.cli import UPPER_ESTIMATE_CAVEAT
+
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, CLASS_CERTIFY), "--out", str(out)]) == 0
+    caveats = [p["report"]["caveats"] for p in read_reports(out).values()]
+    assert caveats == [[UPPER_ESTIMATE_CAVEAT], [UPPER_ESTIMATE_CAVEAT], [], []]
+
+
+@pytest.mark.parametrize("index, verify, path", [
+    # pe-windows T=2, mu=1: the gates need the class window and at least its mass
+    (0, {"T": 1.5, "mu": 1.0}, "analyses[0].verify.T"),
+    (0, {"T": 2.5, "mu": 1.0}, "analyses[0].verify.T"),
+    (0, {"T": 2.0, "mu": 0.5}, "analyses[0].verify.mu"),
+    # rho-integral rho=0.5 over 4: floor(4/T) mu must reach 2
+    (1, {"T": 2.0, "mu": 0.5}, "analyses[1].verify.mu"),
+    (1, {"T": 3.0, "mu": 1.5}, "analyses[1].verify.mu"),
+])
+def test_verify_gates_outside_the_class_exit_two(tmp_path, capsys, index, verify, path):
+    doc = json.loads(json.dumps(CLASS_CERTIFY))
+    doc["analyses"][index]["verify"].update(verify)
+    scen = write_scenario(tmp_path, doc)
+    for argv in (["validate", scen], ["run", scen, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert path + ": " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_gates_inside_the_class_validate(tmp_path):
+    doc = json.loads(json.dumps(CLASS_CERTIFY))
+    doc["analyses"][0]["verify"].update(mu=1.5)  # more mass per window
+    doc["analyses"][1]["verify"].update(T=4.0, mu=2.0)  # floor(4/4) 2 = rho 4
+    assert main(["validate", write_scenario(tmp_path, doc)]) == 0

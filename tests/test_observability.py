@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 import pexstab.observability as obs
 from pexstab.linsys import LinearSystem, UncontrollableError
@@ -215,6 +216,64 @@ def test_greedy_fill_budget_edge_cases():
     assert val == 3.0
 
 
+def greedy_fill_loop(cell_values, dt, mass_budget):
+    """Reference: the greedy fill as a sequential loop over the sorted cells.
+
+    Switches the cells on one at a time, cheapest first (stable order), and
+    adds each one's contribution to a running value.  Returns (alpha, value).
+    """
+    cell_values = np.asarray(cell_values, dtype=float)
+    n = len(cell_values)
+    if mass_budget > n * dt * (1 + 1e-12):
+        raise ValueError("mass budget exceeds the horizon")
+    remaining = min(mass_budget, n * dt)
+    alpha = np.zeros(n)
+    value = 0.0
+    for j in np.argsort(cell_values, kind="stable"):
+        if remaining <= 0:
+            break
+        take = min(dt, remaining)
+        alpha[j] = take / dt
+        value += (take / dt) * cell_values[j]
+        remaining -= take
+    return alpha, float(value)
+
+
+@st.composite
+def greedy_cases(draw):
+    n = draw(st.integers(1, 2048))
+    horizon = draw(st.sampled_from([1.0, 4.0, 7.3]) | st.floats(0.01, 100.0))
+    dt = horizon / n
+    budget = draw(st.sampled_from(["rho", "full", "sub-cell"]))
+    if budget == "rho":
+        mass = draw(st.floats(1e-6, 1.0) | st.sampled_from([0.25, 0.5])) * n * dt
+    elif budget == "full":
+        mass = n * dt  # rho = 1
+    else:
+        mass = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * dt
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "equal", "rounded", "wide"]))
+    if shape == "uniform":
+        values = rng.uniform(0.0, 1.0, n)
+    elif shape == "equal":
+        values = np.full(n, draw(st.floats(1e-12, 1.0)))
+    elif shape == "rounded":  # many ties
+        values = np.round(rng.uniform(0.0, 1.0, n), draw(st.integers(0, 3)))
+    else:  # 1e-12 to 1
+        values = 10.0 ** rng.uniform(-12.0, 0.0, n)
+    return values, dt, mass
+
+
+@settings(max_examples=200, deadline=None)
+@given(greedy_cases())
+def test_greedy_fill_equals_the_sequential_loop(case):
+    values, dt, mass = case
+    alpha, value = rho_greedy_min(values, dt, mass)
+    ref_alpha, ref_value = greedy_fill_loop(values, dt, mass)
+    assert np.array_equal(alpha, ref_alpha)
+    assert value == ref_value
+
+
 def test_window_lp_degenerates_to_greedy_on_one_window():
     # horizon == T leaves a single constraint: total mass >= mu
     rng = np.random.default_rng(5)
@@ -279,6 +338,34 @@ def test_window_lp_aligned_grid_matches_binary_enumeration():
         feasible = np.all(csum[:, tau:] - csum[:, :n + 1 - tau] >= m, axis=1)
         oracle = float(np.min(levels[feasible] @ g))
         assert abs(value - oracle) <= 1e-10
+
+
+def test_window_rows_on_aligned_grids_carry_no_rounding_weights(monkeypatch):
+    # the grids of test_window_lp_aligned_grid_matches_binary_enumeration:
+    # a start e - T that misses a cell edge by a rounding error is put on
+    # that edge, so no row interpolates with a weight HiGHS would drop
+    from scipy.optimize._highspy import _core
+
+    statuses = []
+
+    class RecordingHighs(_core._Highs):
+        def passModel(self, lp):
+            status = super().passModel(lp)
+            statuses.append(status)
+            return status
+
+    monkeypatch.setattr(_core, "_Highs", RecordingHighs)
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(4, 13))
+        dt = float(rng.uniform(0.05, 0.5))
+        tau = int(rng.integers(1, n + 1))
+        m = int(rng.integers(1, tau + 1))
+        rng.uniform(0.0, 1.0, n)  # the cost drawn there
+        A, _, _ = _window_constraints(n, tau * dt, m * dt, n * dt)
+        assert np.abs(A.data).min() >= 1e-9
+        _WindowLP(n, tau * dt, m * dt, n * dt)
+    assert statuses == [_core.HighsStatus.kOk] * 40
 
 
 @pytest.mark.parametrize("seed", range(6))
