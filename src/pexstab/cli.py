@@ -30,7 +30,7 @@ from . import __version__
 from .dalembert import (build_counterexample, energy_of_counterexample,
                         verify_damping_inert)
 from .linsys import energy_balance, simulate
-from .observability import class_constant, kappa_scan, wave_pe_lower_bound
+from .observability import class_constant, kappa_scan
 from .scenario import ANALYSES, Scenario, ScenarioError, parse_scenario
 from .signals import from_intervals, pe_check
 from .stability import (CertificateViolation, GateSignalFamily,
@@ -133,16 +133,8 @@ def _run_counterexample(sc: Scenario, a: dict):
 
 
 def _run_observability(sc: Scenario, a: dict):
-    est = class_constant(sc.system, a["class"], a["n_cells"], a["outer"])
-    d = est.to_dict()
-    report = {
-        "c": d.pop("constant"),
-        "witness_z0": d.pop("witness_z0"),
-        "witness_signal": d.pop("witness_signal"),
-        "grid": d.pop("grid"),
-        "seed": d.pop("seed"),
-    }
-    report.update(d)
+    report = class_constant(sc.system, a["class"], a["n_cells"], a["outer"]).to_dict()
+    report["c"] = report.pop("constant")
     return report, True, None
 
 
@@ -153,19 +145,15 @@ def _run_kappa_scan(sc: Scenario, a: dict):
 
 
 def _run_certify(sc: Scenario, a: dict):
-    src = a["source"]
     caveats = list(sc.system.caveats)
-    if src is None:
-        c, source = float(a["constant"]), "explicit"
-    elif src["kind"] == "wave-pe":
-        c = wave_pe_lower_bound(src["T"], src["mu"], src["lambda_min"], src["d0"])
-        source = "analytic wave bound (T=%g, mu=%g)" % (src["T"], src["mu"])
-    else:
+    cert = a.get("certificate")
+    if cert is None:  # a class-constant source: the search runs here
+        src = a["source"]
         est = class_constant(sc.system, src["class"], src["n_cells"], src["outer"])
-        c = est.constant
-        source = "numerical class constant (%s)" % est.method
+        cert = certificate_from_constant(
+            est.constant, a["theta"], sc.system.b_norm,
+            source="numerical class constant (%s)" % est.method)
         caveats.append(UPPER_ESTIMATE_CAVEAT)
-    cert = certificate_from_constant(c, a["theta"], sc.system.b_norm, source=source)
     report = {"certificate": cert.to_dict(), "caveats": caveats}
     ok = True
     verify = a["verify"]

@@ -41,6 +41,9 @@ import numpy as np
 from .signals import PEReport, Signal, _frac, pe_check, periodic_gate
 
 GAUSS_NODES = 8
+# active times per gate pulse at which verify_damping_inert evaluates the
+# quadrature of v_t^2 over omega
+QUAD_TIMES_PER_WINDOW = 9
 
 
 @dataclass(frozen=True)
@@ -190,11 +193,10 @@ def _overlap_with_omega(sc: CounterexampleScenario, t: Fraction) -> Fraction:
     return total
 
 
-def verify_damping_inert(sc: CounterexampleScenario, n_periods: int = None,
-                         quad_times_per_window: int = 9) -> InertReport:
+def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
     """Certify that supp v_t(t, .) avoids omega whenever the gate is on.
 
-    For every active cell of the gate within the requested horizon the
+    For every active cell of the gate within the ``sc.n_periods`` periods the
     support overlap with omega is a piecewise-linear function of t, so it is
     evaluated at the cell endpoints, at every crossing time of a support
     endpoint with an edge of omega, and at midpoints between those
@@ -202,11 +204,8 @@ def verify_damping_inert(sc: CounterexampleScenario, n_periods: int = None,
     int_omega v_t(t, .)^2 dx over sampled active times corroborates the
     analytic overlap (both must vanish for the certificate to hold).
     """
-    if n_periods is None:
-        n_periods = sc.n_periods
-    fH = _frac(sc.period) * n_periods
-    sig = sc.signal if fH <= _frac(sc.period) * sc.n_periods \
-        else periodic_gate(sc.period, 1 - sc._fbp, float(fH))
+    fH = _frac(sc.period) * sc.n_periods
+    sig = sc.signal
     fa, fb = sc._fomega
     fbp = sc._fbp
     max_overlap = Fraction(0)
@@ -239,13 +238,13 @@ def verify_damping_inert(sc: CounterexampleScenario, n_periods: int = None,
             if ov > max_overlap:
                 max_overlap = ov
         # quadrature corroboration on a sample of active times
-        for t in np.linspace(float(c0), float(c1), quad_times_per_window):
+        for t in np.linspace(float(c0), float(c1), QUAD_TIMES_PER_WINDOW):
             quad_max = max(quad_max, _velocity_mass_on_omega(sc, float(t)))
     pe = pe_check(sig, sc.period, float(1 - fbp), float(fH))
     ok = bool(max_overlap == 0 and quad_max <= 1e-12 and pe.holds)
     return InertReport(
         ok=ok, mu=sc.mu, T=sc.period, max_overlap=float(max_overlap),
-        quad_velocity_mass_max=float(quad_max), pe=pe, n_periods=n_periods,
+        quad_velocity_mass_max=float(quad_max), pe=pe, n_periods=sc.n_periods,
         n_windows_checked=n_windows,
     )
 

@@ -48,35 +48,51 @@ def _check_omega(omega):
     return a, b
 
 
-def _check_modal_spec(spec):
-    """Checks shared by the modal specs; normalises ``spec.omega`` in place."""
-    if spec.n_modes < 1:
-        raise ValueError("need at least one mode")
-    if (spec.uniform is None) == (spec.omega is None):
-        raise ValueError("specify exactly one of uniform damping or omega")
-    if spec.uniform is not None and spec.uniform <= 0:
-        raise ValueError("uniform damping value must be positive")
-    if spec.omega is not None:
-        object.__setattr__(spec, "omega", _check_omega(spec.omega))
-
-
 @dataclass(frozen=True)
-class WaveModalSpec:
-    """Damped-string truncation: ``n_modes`` modes, uniform or localized damping.
+class _ModalSpec:
+    """Fields, checks and spectrum shared by the modal specs.
 
     Exactly one of ``uniform`` (the constant profile value d0 > 0) and
     ``omega`` (the support interval of an indicator profile) must be given.
-    ``eigenvalues`` overrides the default string spectrum lambda_n = (n pi)^2
-    and must then be positive and strictly increasing.
     """
 
     n_modes: int
     uniform: float = None
     omega: tuple = None
+
+    def __post_init__(self):
+        if self.n_modes < 1:
+            raise ValueError("need at least one mode")
+        if (self.uniform is None) == (self.omega is None):
+            raise ValueError("specify exactly one of uniform damping or omega")
+        if self.uniform is not None and self.uniform <= 0:
+            raise ValueError("uniform damping value must be positive")
+        if self.omega is not None:
+            object.__setattr__(self, "omega", _check_omega(self.omega))
+
+    def spectrum(self) -> np.ndarray:
+        n = np.arange(1, self.n_modes + 1)
+        return (n * np.pi) ** 2
+
+    def damping_root(self) -> np.ndarray:
+        """S with S^2 the modal damping footprint: d0 I or the root of G."""
+        if self.uniform is not None:
+            return self.uniform * np.eye(self.n_modes)
+        return _psd_sqrt(gram_matrix(self.omega, self.n_modes))
+
+
+@dataclass(frozen=True)
+class WaveModalSpec(_ModalSpec):
+    """Damped-string truncation: ``n_modes`` modes, uniform or localized damping.
+
+    ``eigenvalues`` overrides the default string spectrum lambda_n = (n pi)^2
+    and must then be positive and strictly increasing.
+    """
+
     eigenvalues: tuple = None
 
     def __post_init__(self):
-        _check_modal_spec(self)
+        super().__post_init__()
         if self.eigenvalues is not None:
             ev = tuple(float(v) for v in self.eigenvalues)
             if len(ev) != self.n_modes:
@@ -88,24 +104,12 @@ class WaveModalSpec:
     def spectrum(self) -> np.ndarray:
         if self.eigenvalues is not None:
             return np.asarray(self.eigenvalues)
-        n = np.arange(1, self.n_modes + 1)
-        return (n * np.pi) ** 2
+        return super().spectrum()
 
 
 @dataclass(frozen=True)
-class SchrodingerModalSpec:
+class SchrodingerModalSpec(_ModalSpec):
     """Damped quantum-particle truncation with spectrum lambda_n = (n pi)^2."""
-
-    n_modes: int
-    uniform: float = None
-    omega: tuple = None
-
-    def __post_init__(self):
-        _check_modal_spec(self)
-
-    def spectrum(self) -> np.ndarray:
-        n = np.arange(1, self.n_modes + 1)
-        return (n * np.pi) ** 2
 
 
 def gram_matrix(omega, n_modes: int) -> np.ndarray:
@@ -138,6 +142,16 @@ def _psd_sqrt(G: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2
 
 
+def _rotation_blocks(speeds) -> np.ndarray:
+    """Skew A with 2x2 blocks [[0, w_n], [-w_n, 0]] along the diagonal."""
+    speeds = np.asarray(speeds)
+    i = 2 * np.arange(len(speeds))
+    A = np.zeros((2 * len(speeds), 2 * len(speeds)))
+    A[i, i + 1] = speeds
+    A[i + 1, i] = -speeds
+    return A
+
+
 def build_wave(spec: WaveModalSpec) -> LinearSystem:
     """Assemble the damped-string truncation as a LinearSystem.
 
@@ -146,21 +160,10 @@ def build_wave(spec: WaveModalSpec) -> LinearSystem:
     skew-symmetric with 2x2 rotation blocks of speed sqrt(lambda_n) and puts
     the damping map on the velocity slots.
     """
-    lam = spec.spectrum()
     n = spec.n_modes
-    N = 2 * n
-    A = np.zeros((N, N))
-    for i in range(n):
-        w = np.sqrt(lam[i])
-        A[2 * i, 2 * i + 1] = w
-        A[2 * i + 1, 2 * i] = -w
-    if spec.uniform is not None:
-        S = spec.uniform * np.eye(n)
-    else:
-        S = _psd_sqrt(gram_matrix(spec.omega, n))
-    B = np.zeros((N, n))
-    B[1::2, :] = S
-    return LinearSystem(A, B)
+    B = np.zeros((2 * n, n))
+    B[1::2, :] = spec.damping_root()
+    return LinearSystem(_rotation_blocks(np.sqrt(spec.spectrum())), B)
 
 
 def build_schrodinger(spec: SchrodingerModalSpec) -> LinearSystem:
@@ -172,18 +175,9 @@ def build_schrodinger(spec: SchrodingerModalSpec) -> LinearSystem:
     matrix on both component families.  The returned system carries the
     modal-truncation caveat, which downstream reports must propagate.
     """
-    lam = spec.spectrum()
-    n = spec.n_modes
-    N = 2 * n
-    A = np.zeros((N, N))
-    for i in range(n):
-        A[2 * i, 2 * i + 1] = lam[i]
-        A[2 * i + 1, 2 * i] = -lam[i]
-    if spec.uniform is not None:
-        S = spec.uniform * np.eye(n)
-    else:
-        S = _psd_sqrt(gram_matrix(spec.omega, n))
+    N = 2 * spec.n_modes
+    S = spec.damping_root()
     B = np.zeros((N, N))
     B[0::2, 0::2] = S
     B[1::2, 1::2] = S
-    return LinearSystem(A, B, caveats=(TRUNCATION_CAVEAT,))
+    return LinearSystem(_rotation_blocks(spec.spectrum()), B, caveats=(TRUNCATION_CAVEAT,))

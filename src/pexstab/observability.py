@@ -51,7 +51,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .linsys import LinearSystem, observability_gramian
+from .linsys import (LinearSystem, cost_within_bound, kalman_index,
+                     observability_gramian)
 from .modal import SchrodingerModalSpec, build_schrodinger
 from .signals import Signal, make_piecewise
 
@@ -59,6 +60,10 @@ EXPLORATION_LABEL = "exploration of an open problem — no claim"
 # cells of the uniform grid the inner problem is solved on, unless a caller
 # chooses another
 DEFAULT_N_CELLS = 64
+# a descent stops once a step improves its value by at most OUTER_TOL; the
+# outer search refuses systems above dimension OUTER_DIM_LIMIT
+OUTER_TOL = 1e-12
+OUTER_DIM_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,6 @@ class OuterSearch:
     n_starts: int = 8
     n_iters: int = 100
     seed: int = 0
-    tol: float = 1e-12
-    dim_limit: int = 16
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,6 @@ class ObservabilityEstimate:
     seed: int
     n_starts: int
     runner_up_gap: float
-    b_norm: float
     method: str = ""
     caveats: tuple = ()
 
@@ -457,19 +459,16 @@ def class_constant(sys: LinearSystem, sclass: SignalClass,
     solve with the exact outer step for frozen signal - the unit eigenvector
     of the smallest eigenvalue of the alpha-weighted Gramian - so the value
     never increases; descent stops when the improvement drops below
-    ``outer.tol``.
+    OUTER_TOL.
 
     The returned constant is the best (smallest) local value; it always
     satisfies the necessary upper bound c <= horizon * ||B||^2.
     """
     outer = outer or OuterSearch()
     N = sys.dim
-    if N > outer.dim_limit:
-        raise ValueError(
-            "outer search limited to dimension %d (got %d); raise "
-            "OuterSearch.dim_limit explicitly for larger systems"
-            % (outer.dim_limit, N)
-        )
+    if N > OUTER_DIM_LIMIT:
+        raise ValueError("outer search limited to dimension %d (got %d)"
+                         % (OUTER_DIM_LIMIT, N))
     prob = _InnerProblem(sys, sclass, n_cells)
     rng = np.random.default_rng(outer.seed)
     starts = []
@@ -487,7 +486,7 @@ def class_constant(sys: LinearSystem, sclass: SignalClass,
             W = prob.weighted_gramian(alpha)
             evals, evecs = np.linalg.eigh((W + W.T) / 2)
             z_new, val_new = evecs[:, 0], float(evals[0])
-            if value is not None and value - val_new <= outer.tol:
+            if value is not None and value - val_new <= OUTER_TOL:
                 z, value = z_new, min(val_new, value)
                 break
             z, value = z_new, val_new
@@ -499,11 +498,10 @@ def class_constant(sys: LinearSystem, sclass: SignalClass,
         if v - distinct[-1] > 1e-10 * max(1.0, abs(best_val)):
             distinct.append(v)
     gap = (distinct[1] - distinct[0]) if len(distinct) > 1 else 0.0
-    bound = sclass.horizon * sys.b_norm ** 2
-    if best_val > bound * (1 + 1e-9) + 1e-12:
+    if not cost_within_bound(best_val, sclass.horizon, sys.b_norm):
         raise RuntimeError(
             "estimate %.6g exceeds the necessary bound horizon*||B||^2 = %.6g"
-            % (best_val, bound)
+            % (best_val, sclass.horizon * sys.b_norm ** 2)
         )
     inner_tag = "greedy fill" if sclass.kind == "rho-integral" else "window LP"
     return ObservabilityEstimate(
@@ -515,7 +513,6 @@ def class_constant(sys: LinearSystem, sclass: SignalClass,
         seed=outer.seed,
         n_starts=outer.n_starts,
         runner_up_gap=float(gap),
-        b_norm=sys.b_norm,
         method="multi-start alternating descent / " + inner_tag,
         caveats=sys.caveats,
     )
@@ -616,10 +613,9 @@ def kappa_scan(sys: LinearSystem, rho: float, T_grid,
     squares, and reports the fitted slope and prefactor next to the
     structural prediction.
     """
-    from .linsys import kalman_index as _kidx
     if not sys.skew_flag:
         raise ValueError("kappa scan requires skew-symmetric A")
-    K = _kidx(sys)  # raises UncontrollableError when rank-deficient
+    K = kalman_index(sys)  # raises UncontrollableError when rank-deficient
     outer = outer or OuterSearch()
     T_grid = tuple(float(T) for T in T_grid)
     if len(T_grid) < 2:

@@ -18,6 +18,7 @@ numerical reasons (exit status 1).
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import math
 import sys
@@ -25,15 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import DIM_LIMIT, LinearSystem, kalman_index
+from .linsys import DIM_LIMIT, LinearSystem, cost_within_bound, kalman_index
 from .modal import (SchrodingerModalSpec, WaveModalSpec, build_schrodinger,
                     build_wave)
-from .observability import (DEFAULT_N_CELLS, OuterSearch, SignalClass,
-                            wave_pe_lower_bound, wave_rho_lower_bound)
+from .observability import (DEFAULT_N_CELLS, OUTER_DIM_LIMIT, OuterSearch,
+                            SignalClass, wave_pe_lower_bound, wave_rho_lower_bound)
 from .signals import (IntervalSequence, Signal, from_intervals, haraux_gap,
                       make_piecewise, pe_check, periodic_gate)
-from .stability import (certificate_from_constant, cost_within_bound,
-                        verify_certificate)
+from .stability import SAMPLES_PER_THETA, certificate_from_constant, verify_certificate
 
 # Parsing builds the system and the signal, so their sizes are bounded: a
 # periodic gate with 200k breakpoints takes about 0.23 s and 50 MB to build,
@@ -41,6 +41,28 @@ from .stability import (certificate_from_constant, cost_within_bound,
 MAX_MODES = 256
 MAX_PULSES = 1000
 MAX_BREAKPOINTS = 200_000
+
+# What a run builds is bounded too.  Costs measured on 2 cores (numpy 2.4,
+# scipy 1.17), wall time of `pexstab run` including start-up:
+# - a trajectory keeps about 8 (N + 8) bytes per sample of state dimension N
+#   and writes one CSV row per sample: 150k samples at N = 64 take 1.7 s and
+#   190 MB, 1M samples at N = 2 take 2.9 s, 150 MB and a 47 MB CSV.  So
+#   samples * (N + 8) is capped, at about 300 MB, for a simulate analysis
+#   and for all the trials of a verify block together;
+# - a verify gate of 50k pulses takes about 0.5 s and 90 MB to build and
+#   check, so a trial's gate is held to the breakpoints a scenario gate may
+#   have;
+# - one inner solve on 4096 cells takes 25 ms (window LP, cold) or 4 ms
+#   (greedy fill), and every start of the outer search makes 1 to n_iters
+#   of them;
+# - a counterexample over 100 periods takes 3 s, over 1000 periods 55 s.
+MAX_SAMPLE_VALUES = 20_000_000
+MAX_GATE_PULSES = MAX_BREAKPOINTS // 2
+MAX_CELLS = 4096
+MAX_STARTS = 256
+MAX_ITERS = 1000
+MAX_T_GRID = 32
+MAX_PERIODS = 100
 
 
 class ScenarioError(ValueError):
@@ -177,10 +199,12 @@ def _integer(lo: int, hi: int = None):
     return check
 
 
-def _list(item, min_len: int = 0):
+def _list(item, min_len: int = 0, max_len: int = None):
     def check(x, path):
         _require(isinstance(x, list), path, "expected a list")
         _require(len(x) >= min_len, path, "need at least %d entries" % min_len)
+        if max_len is not None:
+            _require(len(x) <= max_len, path, "at most %d entries" % max_len)
         return [item(v, "%s[%d]" % (path, i)) for i, v in enumerate(x)]
     return check
 
@@ -195,7 +219,7 @@ MATRIX = _list(NUMBERS, min_len=1)
 MATRIX_OR_VECTOR = _list(lambda x, path: (NUMBERS if isinstance(x, list) else NUMBER)(
     x, path), min_len=1)
 MODES = _integer(1, MAX_MODES)
-CELLS = _integer(4)
+CELLS = _integer(4, MAX_CELLS)
 
 
 def _omega(upper: str):
@@ -210,7 +234,7 @@ def _omega(upper: str):
 
 
 def _t_grid(x, path):
-    grid = _list(FRACTION, min_len=2)(x, path)
+    grid = _list(FRACTION, min_len=2, max_len=MAX_T_GRID)(x, path)
     _require(all(b < a for a, b in zip(grid, grid[1:])), path,
              "window lengths must be strictly decreasing")
     return grid
@@ -292,7 +316,7 @@ def _dim_at_most(limit: int, what: str, path: str, ctx):
 
 
 def _search_dim(a, path, ctx):
-    _dim_at_most(OuterSearch.dim_limit, "the outer search", path, ctx)
+    _dim_at_most(OUTER_DIM_LIMIT, "the outer search", path, ctx)
     return a
 
 
@@ -315,8 +339,23 @@ def _initial_state(a, path, ctx):
     _require(np.linalg.norm(z0) > 0, path, "must be nonzero")
 
 
+def _sample_values(runs: int, samples: float, path: str, what: str, ctx):
+    """Refuse ``runs`` trajectories of ``samples`` samples each when
+    runs * samples * (N + 8) exceeds MAX_SAMPLE_VALUES."""
+    dim = ctx["system"].dim
+    # int-float comparison is exact, whatever the size of runs
+    _require(runs <= MAX_SAMPLE_VALUES / (samples * (dim + 8)), path,
+             "%s keeps %d trajectories of about %.3g samples of a state of "
+             "dimension %d; at most %d values (samples * (dimension + 8)) are built"
+             % (what, runs, samples, dim, MAX_SAMPLE_VALUES))
+
+
 def _simulate(a, path, ctx):
     _dim_at_most(DIM_LIMIT, "simulation", path, ctx)
+    # the output grid plus the signal breakpoints inside the horizon
+    horizon = ctx["horizon"]
+    breaks = bisect.bisect_left(ctx["signal"].breakpoints, horizon)
+    _sample_values(1, horizon / ctx["dt_out"] + breaks + 2, "dt_out", "the simulation", ctx)
     _initial_state(a, path, ctx)
     return a
 
@@ -347,10 +386,16 @@ def _certify(a, path, ctx):
                  "the functional on windows of length theta"
                  % (src["class"].horizon, theta))
     else:
-        c = a["constant"] if src is None else wave_pe_lower_bound(
-            src["T"], src["mu"], src["lambda_min"], src["d0"])
+        # the certificate of an explicit or analytic constant is built here,
+        # once; the runner builds only the class-constant one
+        if src is None:
+            c, source = float(a["constant"]), "explicit"
+        else:
+            c = wave_pe_lower_bound(src["T"], src["mu"], src["lambda_min"], src["d0"])
+            source = "analytic wave bound (T=%g, mu=%g)" % (src["T"], src["mu"])
         try:
-            certificate_from_constant(c, theta, system.b_norm)
+            a["certificate"] = certificate_from_constant(c, theta, system.b_norm,
+                                                         source=source)
         except ValueError as e:
             raise ScenarioError(_at(path, "constant" if src is None else "source"), str(e))
     verify = a["verify"]
@@ -361,6 +406,15 @@ def _certify(a, path, ctx):
                  "verification horizon %g is shorter than the window T=%g"
                  % (verify["horizon"], verify["T"]))
         _dim_at_most(DIM_LIMIT, "verification by simulation", path, ctx)
+        pulses = verify["horizon"] / verify["T"]
+        _require(pulses <= MAX_GATE_PULSES, _at(path, "verify.T"),
+                 "each trial's gate has about %.3g pulses (horizon/T); at most %d "
+                 "are built" % (pulses, MAX_GATE_PULSES))
+        # each trial samples theta / SAMPLES_PER_THETA apart and at both
+        # edges of every pulse
+        per_trial = verify["horizon"] * SAMPLES_PER_THETA / theta + 2 * pulses + 2
+        _sample_values(verify["n_trials"], per_trial, _at(path, "verify.n_trials"),
+                       "verification", ctx)
         if src is not None and src["kind"] == "class-constant":
             _verify_in_class(verify, src["class"], path)
     return a
@@ -462,8 +516,8 @@ CLASSES = Kinds("kind", "signal-class kind", {
 })
 
 OUTER = Obj("outer-search", {
-    "n_starts": (_integer(1), OuterSearch.n_starts),
-    "n_iters": (_integer(1), OuterSearch.n_iters),
+    "n_starts": (_integer(1, MAX_STARTS), OuterSearch.n_starts),
+    "n_iters": (_integer(1, MAX_ITERS), OuterSearch.n_iters),
     "seed": (_integer(0), None),
 }, rule=_outer)
 
@@ -506,7 +560,7 @@ ANALYSES = Kinds("kind", "analysis kind", {
     }, rule=_check_pe, needs=("signal", "horizon")),
     "counterexample": Obj("counterexample", {
         "omega": _omega("<"),
-        "periods": (_integer(1), 3),
+        "periods": (_integer(1, MAX_PERIODS), 3),
         "drift_tol": (POSITIVE, 1e-8),
     }),
     "observability": Obj("observability", {

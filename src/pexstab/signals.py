@@ -243,12 +243,10 @@ class IntervalSequence:
 
     ``rho`` is the guaranteed fraction of each interval carrying damping mass:
     the associated signal satisfies ``integral(a_n, b_n) >= rho * (b_n - a_n)``.
-    ``costs`` optionally attaches a per-interval observability cost c_n.
     """
 
     intervals: tuple
     rho: float
-    costs: tuple = None
 
     def __post_init__(self):
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
@@ -264,13 +262,6 @@ class IntervalSequence:
             prev_end = b
         if not 0 < self.rho <= 1:
             raise ValueError("rho must lie in (0, 1], got %s" % self.rho)
-        if self.costs is not None:
-            costs = tuple(float(c) for c in self.costs)
-            object.__setattr__(self, "costs", costs)
-            if len(costs) != len(ivs):
-                raise ValueError("need one cost per interval")
-            if any(c <= 0 for c in costs):
-                raise ValueError("interval costs must be positive")
 
     @property
     def lengths(self) -> tuple:

@@ -20,14 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .linsys import LinearSystem, Trajectory, _propagate, simulate
+from .linsys import (LinearSystem, Trajectory, _propagate, cost_within_bound,
+                     simulate)
 from .observability import observability_gramian
 from .signals import (IntervalSequence, Signal, _frac, make_piecewise,
                       pe_check, periodic_gate)
+
+# verify_certificate samples each trajectory theta / SAMPLES_PER_THETA apart
+# and accepts a worst ratio up to 1 + VERIFY_SLACK
+SAMPLES_PER_THETA = 64
+VERIFY_SLACK = 1e-6
+# slack of each measured ratio over its factor in interval_product_bound
+PRODUCT_TOLERANCE = 1e-8
 
 CERTIFICATE_DERIVATION = (
     "V is nonincreasing along trajectories and contracts by q over every "
@@ -192,23 +199,21 @@ class CertificateViolation(RuntimeError):
 
 
 def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
-                       family: GateSignalFamily, n_trials: int = 20,
-                       horizon: float = None, dt_out: float = None,
-                       slack: float = 1e-6) -> CertificateCheck:
+                       family: GateSignalFamily, n_trials: int = 20) -> CertificateCheck:
     """Simulate random admissible (z0, signal) pairs against the envelope.
 
-    Every drawn signal is re-checked to be T-mu persistently exciting over
-    the horizon before use (a family bug would otherwise produce vacuous
-    verification).  Raises :class:`CertificateViolation` when any sample
-    exceeds M e^{-gamma t} ||z0|| by more than the relative slack; otherwise
-    returns the report with the worst observed ratio.
+    Each trial runs over ``family.horizon``, sampled theta /
+    SAMPLES_PER_THETA apart.  Every drawn signal is re-checked to be T-mu
+    persistently exciting over the horizon before use (a family bug would
+    otherwise produce vacuous verification).  Raises
+    :class:`CertificateViolation` when any sample exceeds M e^{-gamma t}
+    ||z0|| by more than the relative slack VERIFY_SLACK; otherwise returns
+    the report with the worst observed ratio.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    horizon = family.horizon if horizon is None else horizon
-    if horizon < family.T:
-        raise ValueError("horizon must cover at least one window")
-    dt_out = cert.theta / 64.0 if dt_out is None else dt_out
+    horizon = family.horizon
+    dt_out = cert.theta / SAMPLES_PER_THETA
     worst = (-math.inf, -1, 0.0)
     for i in range(n_trials):
         sig = family.draw(i)
@@ -228,7 +233,7 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
         j = int(np.argmax(ratios))
         if ratios[j] > worst[0]:
             worst = (float(ratios[j]), i, float(traj.times[j]))
-    ok = worst[0] <= 1.0 + slack
+    ok = worst[0] <= 1.0 + VERIFY_SLACK
     report = CertificateCheck(
         ok=ok,
         worst_ratio=worst[0],
@@ -236,7 +241,7 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
         worst_time=worst[2],
         n_trials=n_trials,
         horizon=horizon,
-        slack=slack,
+        slack=VERIFY_SLACK,
         certificate=cert,
     )
     if not ok:
@@ -298,8 +303,7 @@ class ProductBoundReport:
     cost_partial_sums: tuple
     measured_ratios: tuple = None
     ok: bool = True
-    tolerance: float = 1e-8
-    b_norm: float = 0.0
+    tolerance: float = PRODUCT_TOLERANCE
     caveats: tuple = ()
 
     def to_dict(self) -> dict:
@@ -317,21 +321,12 @@ class ProductBoundReport:
         }
 
 
-def cost_within_bound(c: float, L: float, b_norm: float) -> bool:
-    """Whether an interval cost obeys the necessary bound c <= L ||B||^2.
-
-    No signal on an interval of length L can beat the always-on one, whose
-    Gramian is at most L ||B||^2; the slack is 1e-9 relative plus 1e-12.
-    """
-    return c <= L * b_norm ** 2 * (1 + 1e-9) + 1e-12
-
-
 def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
-                           signal: Signal = None, costs=None, z0=None,
-                           tolerance: float = 1e-8) -> ProductBoundReport:
+                           signal: Signal = None, costs=None,
+                           z0=None) -> ProductBoundReport:
     """Energy bound V(z(a_{n+1})) <= prod_j (1 - c_j/(1+L_j^2 ||B||^4)) V(z0).
 
-    Costs come either explicitly (``costs`` or ``seq.costs``) or are computed
+    Costs come either explicitly (``costs``) or are computed
     from the attached signal as the smallest eigenvalue of the per-interval
     observability Gramian along the restarted undamped flow,
 
@@ -341,13 +336,11 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
     valid c_n.  Explicit costs are validated against the necessary bound
     c_n <= L_n ||B||^2.  With ``z0`` (and a signal) attached, the trajectory
     is evaluated at the interval checkpoints and each measured energy ratio
-    is required to stay below its factor plus the tolerance.
+    is required to stay below its factor plus PRODUCT_TOLERANCE.
     """
     intervals = tuple(seq.intervals)
     lengths = seq.lengths
     b2 = sys.b_norm ** 2
-    if costs is None:
-        costs = seq.costs
     if costs is None:
         if signal is None:
             raise ValueError("need either explicit costs or a signal to compute them")
@@ -396,7 +389,7 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
                 continue
             r = float(V[n + 1] / V[n])
             ratios.append(r)
-            if r > factors[n] + tolerance:
+            if r > factors[n] + PRODUCT_TOLERANCE:
                 ok = False
         measured = tuple(ratios)
     return ProductBoundReport(
@@ -407,8 +400,6 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
         cost_partial_sums=tuple(sums),
         measured_ratios=measured,
         ok=ok,
-        tolerance=tolerance,
-        b_norm=sys.b_norm,
         caveats=sys.caveats,
     )
 

@@ -501,3 +501,52 @@ def test_verify_gates_inside_the_class_validate(tmp_path):
     doc["analyses"][0]["verify"].update(mu=1.5)  # more mass per window
     doc["analyses"][1]["verify"].update(T=4.0, mu=2.0)  # floor(4/4) 2 = rho 4
     assert main(["validate", write_scenario(tmp_path, doc)]) == 0
+
+
+# Each of these validated without building anything and then had `run` build
+# it: 4e9 samples, 1e6 verification trials, a 120k-pulse gate per trial, ...
+OBSERVE = WAVE_SCENARIO["analyses"][2]
+KAPPA = SCAN_SCENARIO["analyses"][1]
+OVERSIZED = [
+    ("simulate_samples",
+     _with(WAVE_SCENARIO, {"kind": "simulate"}, horizon=4.0, dt_out=1e-9), "dt_out"),
+    ("verify_trials",
+     _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], n_trials=10 ** 6))),
+     "analyses[0].verify.n_trials"),
+    ("verify_gate_pulses",
+     _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], T=1e-4, mu=5e-5))),
+     "analyses[0].verify.T"),
+    ("n_cells", _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4097)), "analyses[0].n_cells"),
+    ("n_starts", _with(WAVE_SCENARIO, dict(OBSERVE, outer={"n_starts": 257})),
+     "analyses[0].outer.n_starts"),
+    ("n_iters", _with(WAVE_SCENARIO, dict(OBSERVE, outer={"n_iters": 1001})),
+     "analyses[0].outer.n_iters"),
+    ("T_grid_length",
+     _with(SCAN_SCENARIO, dict(KAPPA, T_grid=[1.0 - k / 100 for k in range(33)])),
+     "analyses[0].T_grid"),
+    ("counterexample_periods",
+     _with(SCAN_SCENARIO, dict(SCAN_SCENARIO["analyses"][0], periods=101)),
+     "analyses[0].periods"),
+]
+
+
+@pytest.mark.parametrize("doc, path", [c[1:] for c in OVERSIZED],
+                         ids=[c[0] for c in OVERSIZED])
+def test_oversized_runs_exit_two_at_validation(tmp_path, capsys, doc, path):
+    assert main(["validate", write_scenario(tmp_path, doc)]) == 2
+    assert path + ": " in capsys.readouterr().err
+
+
+def test_inputs_at_the_caps_validate(tmp_path):
+    cert = dict(CERTIFY, verify=dict(CERTIFY["verify"], T=1e-4, mu=5e-5, horizon=10.0))
+    docs = [
+        # 1.6e6 samples of N = 4: 1.92e7 of the 2e7 values a run may keep
+        _with(WAVE_SCENARIO, {"kind": "simulate"}, horizon=12.0, dt_out=12.0 / 1.6e6),
+        _with(WAVE_SCENARIO, dict(cert, verify=dict(cert["verify"], n_trials=1))),
+        _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4096, outer={"n_starts": 256,
+                                                                 "n_iters": 1000})),
+        _with(SCAN_SCENARIO, dict(KAPPA, T_grid=[1.0 - k / 100 for k in range(32)])),
+        _with(SCAN_SCENARIO, dict(SCAN_SCENARIO["analyses"][0], periods=100)),
+    ]
+    for j, doc in enumerate(docs):
+        assert main(["validate", write_scenario(tmp_path, doc, "cap%d.json" % j)]) == 0

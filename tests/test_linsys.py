@@ -158,6 +158,36 @@ def test_flow_skew_path_matches_expm():
         assert np.abs(z - want).max() < 1e-11
 
 
+def test_flow_repeated_times_and_zero():
+    A = np.array([[-0.5, 1.0], [-1.0, -0.5]])
+    sys = LinearSystem(A, np.zeros((2, 1)))
+    z0 = np.array([0.3, -0.7])
+    times = [1.0, 0.0, 1.0, 0.25, 0.0]
+    out = sys.flow(times, z0)
+    assert out.shape == (5, 2)
+    assert np.array_equal(out[1], z0) and np.array_equal(out[4], z0)
+    assert np.array_equal(out[0], out[2])
+    for t, z in zip(times, out):
+        assert np.abs(z - scipy.linalg.expm(A * t) @ z0).max() < 1e-12
+
+
+def test_flow_rejects_negative_time():
+    sys = LinearSystem(rotation(), np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        sys.flow([0.5, -0.1], [1.0, 0.0])
+
+
+def test_flow_ignores_damping():
+    # the flow is e^{tA} z0 whatever B is: the damping map never enters
+    rng = np.random.default_rng(3)
+    for A in (random_skew(rng, 4), random_skew(rng, 4) - 0.2 * np.eye(4)):
+        sys = LinearSystem(A, rng.standard_normal((4, 2)))
+        z0 = rng.standard_normal(4)
+        ts = [2.0, 0.0, 0.5, 1.25]
+        for t, z in zip(ts, sys.flow(ts, z0)):
+            assert np.abs(z - scipy.linalg.expm(A * t) @ z0).max() < 1e-12
+
+
 def test_kalman_index_cases():
     assert kalman_index(LinearSystem(rotation(), np.array([0.0, 1.0]))) == 1
     assert kalman_index(LinearSystem(rotation(), np.eye(2))) == 0

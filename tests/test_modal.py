@@ -8,6 +8,7 @@ from pexstab.modal import (
     SchrodingerModalSpec,
     TRUNCATION_CAVEAT,
     WaveModalSpec,
+    _psd_sqrt,
     build_schrodinger,
     build_wave,
     gram_matrix,
@@ -135,3 +136,54 @@ def test_wave_energy_conserved_undamped():
 def test_schrodinger_rejects_eigenvalue_override():
     with pytest.raises(TypeError):
         SchrodingerModalSpec(n_modes=2, uniform=1.0, eigenvalues=(1.0, 4.0))
+
+
+def loop_damping_root(spec):
+    if spec.uniform is not None:
+        return spec.uniform * np.eye(spec.n_modes)
+    return _psd_sqrt(gram_matrix(spec.omega, spec.n_modes))
+
+
+def loop_wave(spec):
+    """Reference: the per-mode loop assembly of the damped string."""
+    lam = spec.spectrum()
+    n = spec.n_modes
+    A = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        w = np.sqrt(lam[i])
+        A[2 * i, 2 * i + 1] = w
+        A[2 * i + 1, 2 * i] = -w
+    B = np.zeros((2 * n, n))
+    B[1::2, :] = loop_damping_root(spec)
+    return A, B
+
+
+def loop_schrodinger(spec):
+    """Reference: the per-mode loop assembly of the quantum particle."""
+    lam = spec.spectrum()
+    n = spec.n_modes
+    A = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        A[2 * i, 2 * i + 1] = lam[i]
+        A[2 * i + 1, 2 * i] = -lam[i]
+    S = loop_damping_root(spec)
+    B = np.zeros((2 * n, 2 * n))
+    B[0::2, 0::2] = S
+    B[1::2, 1::2] = S
+    return A, B
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("damping", [{"uniform": 0.7}, {"omega": (0.2, 0.6)}])
+def test_builders_match_loop_assembly_bit_for_bit(n, damping):
+    cases = [
+        (build_wave, loop_wave, WaveModalSpec(n, **damping)),
+        (build_wave, loop_wave,
+         WaveModalSpec(n, **damping, eigenvalues=tuple(0.5 + k * k for k in range(1, n + 1)))),
+        (build_schrodinger, loop_schrodinger, SchrodingerModalSpec(n, **damping)),
+    ]
+    for build, reference, spec in cases:
+        sys = build(spec)
+        A, B = reference(spec)
+        assert np.array_equal(sys.A, A)
+        assert np.array_equal(sys.B, B)

@@ -145,6 +145,12 @@ def test_benchmark_shapes_validate():
         parse_scenario(doc)
 
 
+def test_full_size_benchmark_workloads_validate():
+    # the largest inputs in use must stay within the caps on what a run builds
+    for name in workloads.WORKLOADS:
+        parse_scenario(workloads.generate(name, 1))
+
+
 def _shape(name):
     return copy.deepcopy(SHAPES[workloads.WORKLOADS.index(name)])
 

@@ -192,10 +192,6 @@ def test_interval_sequence_validation():
     with pytest.raises(ValueError):
         IntervalSequence(((0, 1),), rho=0.0)
     with pytest.raises(ValueError):
-        IntervalSequence(((0, 1),), rho=1.0, costs=(0.1, 0.2))
-    with pytest.raises(ValueError):
-        IntervalSequence(((0, 1),), rho=1.0, costs=(-1.0,))
-    with pytest.raises(ValueError):
         IntervalSequence((), rho=1.0)
 
 
