@@ -126,7 +126,6 @@ def _run_counterexample(sc: Scenario, a: dict):
     report = inert.to_dict()
     report["energy_drift"] = drift
     report["omega"] = list(omega)
-    report["n_periods"] = periods
     ok = bool(inert.ok and drift <= a["drift_tol"])
     rows = zip(times, energies, np.zeros(len(times)))
     return report, ok, ("t,V,damping_rate", rows)

@@ -41,6 +41,7 @@ import numpy as np
 from .signals import PEReport, Signal, _frac, pe_check, periodic_gate
 
 GAUSS_NODES = 8
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 # active times per gate pulse at which verify_damping_inert evaluates the
 # quadrature of v_t^2 over omega
 QUAD_TIMES_PER_WINDOW = 9
@@ -123,10 +124,16 @@ class CounterexampleScenario:
         return [(float(lo), float(hi)) for lo, hi in self._support_exact(_frac(t))]
 
     def _char_breaks(self, t: float):
-        """x in (0, 1) where a characteristic crosses a bump-support edge."""
+        """x in (0, 1) where a characteristic crosses a bump-support edge.
+
+        The crossings x = edge + 2k - t and x = t - edge - 2k lie in (0, 1)
+        only for k within 1/2 of (t - edge) / 2; the k within one of it are
+        visited, which leaves room for rounding.
+        """
         pts = set()
-        for k in range(-3, int(np.ceil(t / 2.0)) + 3):
-            for edge in (self.b_prime, 1.0):
+        for edge in (self.b_prime, 1.0):
+            c = (t - edge) / 2.0
+            for k in range(math.floor(c) - 1, math.ceil(c) + 2):
                 for x in (edge + 2 * k - t, t - edge - 2 * k):
                     if 0.0 < x < 1.0:
                         pts.add(x)
@@ -249,14 +256,13 @@ def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
     )
 
 
-def _gauss_panels(f, panels, nodes: int = GAUSS_NODES) -> float:
+def _gauss_panels(f, panels) -> float:
     """Gauss-Legendre quadrature of f over each (lo, hi) panel, summed."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
     total = 0.0
     for lo, hi in panels:
         h = 0.5 * (hi - lo)
-        xs = lo + h * (xg + 1.0)
-        total += h * float(np.dot(wg, f(xs)))
+        xs = lo + h * (_GAUSS_X + 1.0)
+        total += h * float(np.dot(_GAUSS_W, f(xs)))
     return total
 
 

@@ -249,29 +249,26 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
     edges = np.array([horizon * j / n for j in range(n + 1)])
     tol = 1e-12 * max(1.0, horizon)
 
-    def snap(t):
-        # the cell edge t lies on up to rounding, else t: a start computed as
-        # e - T that misses an edge by a rounding error starts on that edge
-        # instead of interpolating with a weight of about 1e-16
+    def locate(t):
+        # (m, w) with t at fraction w of cell m.  Within rounding of edge k,
+        # t is that edge, (k, 0.0): a start computed as e - T that misses an
+        # edge by a rounding error starts on that edge instead of
+        # interpolating with a weight of about 1e-16.  Off every edge w != 0.
         k = min(max(round(t / dt), 0), n)
-        return edges[k] if abs(t - edges[k]) <= tol else t
+        if abs(t - edges[k]) <= tol:
+            return k, 0.0
+        m = min(max(int(np.searchsorted(edges, t, side="right")) - 1, 0), n - 1)
+        return m, (t - edges[m]) / dt
+
+    def snap(t):
+        m, w = locate(t)
+        return t if w else float(edges[m])
 
     last = snap(horizon - T)
-    # candidate start -> [index of the edge it starts on, of the edge it ends on]
-    on_edge = {}
-
-    def mark(s, side, k):
-        on_edge.setdefault(float(s), [None, None])[side] = k
-
-    mark(0.0, 0, 0)
-    mark(last, 1, n)
-    for k, e in enumerate(edges):
-        if 0.0 <= e <= last:
-            mark(e, 0, k)
-        s = snap(e - T)
-        if 0.0 <= s <= last:
-            mark(s, 1, k)
-    starts = sorted(on_edge)
+    starts = {0.0, last}
+    starts.update(float(e) for e in edges if 0.0 <= e <= last)
+    starts.update(s for s in (snap(e - T) for e in edges) if 0.0 <= s <= last)
+    starts = sorted(starts)
     kept = [starts[0]]
     for s in starts[1:]:
         if s - kept[-1] > tol:
@@ -279,28 +276,21 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
 
     rows, cols, vals = [], [], []
 
-    def add(row, k, coef):
-        if k > 0 and coef != 0.0:  # F_0 = 0 has no column
-            rows.append(row)
-            cols.append(k - 1)
-            vals.append(coef)
-
-    def add_mass_at(row, t, edge, sign):
-        if edge is not None:
-            add(row, edge, sign)
-            return
-        m = min(int(np.searchsorted(edges, t, side="right")) - 1, n - 1)
-        w = min(max((t - edges[m]) / dt, 0.0), 1.0)
-        add(row, m, sign * (1.0 - w))
-        add(row, m + 1, sign * w)
+    def add_end(row, t, sign):
+        # sign * F(t), F linear on the cell of t; F_0 = 0 has no column
+        m, w = locate(t)
+        for k, coef in ((m, sign * (1.0 - w)), (m + 1, sign * w)):
+            if k > 0 and coef != 0.0:
+                rows.append(row)
+                cols.append(k - 1)
+                vals.append(coef)
 
     for j in range(n):
-        add(j, j, -1.0)
-        add(j, j + 1, 1.0)
+        add_end(j, edges[j], -1.0)
+        add_end(j, edges[j + 1], 1.0)
     for i, s in enumerate(kept):
-        start_edge, end_edge = on_edge[s]
-        add_mass_at(n + i, s, start_edge, -1.0)
-        add_mass_at(n + i, s + T, end_edge, 1.0)
+        add_end(n + i, s, -1.0)
+        add_end(n + i, s + T, 1.0)
     A = scipy.sparse.csc_array((vals, (rows, cols)), shape=(n + len(kept), n))
     lb = np.concatenate([np.zeros(n), np.full(len(kept), mu)])
     ub = np.concatenate([np.full(n, dt), np.full(len(kept), np.inf)])
@@ -316,13 +306,14 @@ class _WindowLP:
     outer descent needs: consecutive steps change the cost and nothing else.
     The solver is scipy's bundled HiGHS binding, a private module; the test
     suite checks every method used here.  A model is not shared between
-    threads: each caller builds its own.
+    threads: each caller builds its own.  ``n`` and ``dt = horizon / n`` are
+    the grid the model was built on.
     """
 
     def __init__(self, n: int, T: float, mu: float, horizon: float):
         from scipy.optimize._highspy import _core as highs
 
-        self.key = (n, T, mu, horizon)
+        self.n, self.dt = n, horizon / n
         A, lb, ub = _window_constraints(n, T, mu, horizon)
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]
@@ -359,33 +350,26 @@ class _WindowLP:
         return np.array(h.getSolution().col_value)
 
 
-def pe_window_min(cell_values, dt: float, T: float, mu: float, horizon: float,
-                  model: _WindowLP = None):
+def pe_window_min(cell_values, model: _WindowLP):
     """Minimise sum_j alpha_j * cell_values[j] under sliding-window mass >= mu.
 
+    ``cell_values`` holds one value per cell of ``model``, the
+    :class:`_WindowLP` of the grid, window length T and mass mu, which is
+    re-solved from its last basis.
     Constraints are imposed at every window start where a window edge meets a
     cell edge (plus the range endpoints); for cell-constant signals the
     window mass is piecewise linear in the start, so these finitely many
     constraints are equivalent to all starts in [0, horizon - T].  The LP is
     solved in the cumulative mass F (see :func:`_window_constraints`), where
     a window row has at most three nonzeros and the cost is
-    sum_j g_j (F_{j+1} - F_j) / dt, by HiGHS's simplex method (see
-    :class:`_WindowLP`).  ``model`` is a :class:`_WindowLP` built for the
-    same (n, T, mu, horizon), re-solved from its last basis; without one a
-    new model is built and solved cold.  The levels are
-    alpha = clip(diff(F) / dt, 0, 1).  ``dt`` must equal
-    ``horizon / len(cell_values)`` (relative 1e-12).  Returns (alpha, value).
+    sum_j g_j (F_{j+1} - F_j) / dt, by HiGHS's simplex method.  The levels
+    are alpha = clip(diff(F) / dt, 0, 1).  Returns (alpha, value).
     """
     cell_values = np.asarray(cell_values, dtype=float)
-    n = len(cell_values)
-    if abs(n * dt - horizon) > 1e-12 * max(1.0, horizon):
-        raise ValueError("cell width %r does not divide the horizon %r into %d cells"
-                         % (dt, horizon, n))
-    if model is None:
-        model = _WindowLP(n, T, mu, horizon)
-    elif model.key != (n, T, mu, horizon):
-        raise ValueError("window LP model built for %r, not %r"
-                         % (model.key, (n, T, mu, horizon)))
+    if len(cell_values) != model.n:
+        raise ValueError("%d cell values for a window LP of %d cells"
+                         % (len(cell_values), model.n))
+    dt = model.dt
     # sum_j g_j (F_{j+1} - F_j) regrouped by F_k, k = 1..n
     cost = np.append(cell_values[:-1] - cell_values[1:], cell_values[-1]) / dt
     alpha = np.clip(np.diff(model.solve(cost), prepend=0.0) / dt, 0.0, 1.0)
@@ -413,9 +397,7 @@ class _InnerProblem:
     def __init__(self, sys: LinearSystem, sclass: SignalClass, n_cells: int):
         if n_cells < 4:
             raise ValueError("need at least 4 cells")
-        self.sys = sys
         self.sclass = sclass
-        self.n_cells = n_cells
         self.dt = sclass.horizon / n_cells
         self.Ms = _cell_gramians(sys, sclass.horizon, n_cells)
         self.lp = (_WindowLP(n_cells, sclass.T, sclass.mu, sclass.horizon)
@@ -428,8 +410,7 @@ class _InnerProblem:
         g = self.cell_values(z0)
         if self.sclass.kind == "rho-integral":
             return rho_greedy_min(g, self.dt, self.sclass.rho * self.sclass.horizon)
-        return pe_window_min(g, self.dt, self.sclass.T, self.sclass.mu,
-                             self.sclass.horizon, self.lp)
+        return pe_window_min(g, self.lp)
 
     def weighted_gramian(self, alpha) -> np.ndarray:
         return np.einsum("j,jnm->nm", np.asarray(alpha, dtype=float), self.Ms)

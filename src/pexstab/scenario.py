@@ -31,7 +31,7 @@ from .modal import (SchrodingerModalSpec, WaveModalSpec, build_schrodinger,
                     build_wave)
 from .observability import (DEFAULT_N_CELLS, OUTER_DIM_LIMIT, OuterSearch,
                             SignalClass, wave_pe_lower_bound, wave_rho_lower_bound)
-from .signals import (IntervalSequence, Signal, from_intervals, haraux_gap,
+from .signals import (IntervalSequence, Signal, _ratio, from_intervals, haraux_gap,
                       make_piecewise, pe_check, periodic_gate)
 from .stability import SAMPLES_PER_THETA, certificate_from_constant, verify_certificate
 
@@ -55,7 +55,7 @@ MAX_BREAKPOINTS = 200_000
 # - one inner solve on 4096 cells takes 25 ms (window LP, cold) or 4 ms
 #   (greedy fill), and every start of the outer search makes 1 to n_iters
 #   of them;
-# - a counterexample over 100 periods takes 3 s, over 1000 periods 55 s.
+# - a counterexample over 100 periods takes 1.5 s, over 1000 periods 10 s.
 MAX_SAMPLE_VALUES = 20_000_000
 MAX_GATE_PULSES = MAX_BREAKPOINTS // 2
 MAX_CELLS = 4096
@@ -250,7 +250,7 @@ def _intervals(x, path):
         _require(b > a, p, "need a < b")
         ivs.append((a, b))
     try:
-        return IntervalSequence(tuple(ivs), rho=1.0)
+        return IntervalSequence(tuple(ivs))
     except ValueError as e:
         raise ScenarioError(path, str(e))
 
@@ -430,13 +430,16 @@ def _verify_in_class(verify, sclass, path):
         _require(mu >= sclass.mu, _at(path, "verify.mu"),
                  "gate mass mu=%g is below the class mass mu=%g" % (mu, sclass.mu))
     else:
-        # a T-mu gate carries at least floor(h/T) mu on every window of length h
+        # a T-mu gate carries at least floor(h/T) mu on every window of length
+        # h; both the floor and the comparison are exact, since h / T in
+        # floats can round up to a whole number
         h = sclass.horizon
-        mass = math.floor(h / T) * mu
-        _require(mass >= sclass.rho * h, _at(path, "verify.mu"),
+        (hn, hd), (tn, td), (mn, md), (rn, rd) = map(_ratio, (h, T, mu, sclass.rho))
+        k = (hn * td) // (hd * tn)
+        _require(k * mn * rd * hd >= rn * hn * md, _at(path, "verify.mu"),
                  "a gate with T=%g and mu=%g guarantees mass %g on a window of "
                  "length %g, below the class mass rho*horizon=%g"
-                 % (T, mu, mass, h, sclass.rho * h))
+                 % (T, mu, k * mu, h, sclass.rho * h))
 
 
 def _strong_stability(a, path, ctx):

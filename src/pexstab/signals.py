@@ -239,14 +239,9 @@ class PEReport:
 
 @dataclass(frozen=True)
 class IntervalSequence:
-    """Ordered disjoint intervals (a_n, b_n) with a mass fraction rho.
-
-    ``rho`` is the guaranteed fraction of each interval carrying damping mass:
-    the associated signal satisfies ``integral(a_n, b_n) >= rho * (b_n - a_n)``.
-    """
+    """Ordered disjoint intervals (a_n, b_n)."""
 
     intervals: tuple
-    rho: float
 
     def __post_init__(self):
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
@@ -260,8 +255,6 @@ class IntervalSequence:
             if prev_end is not None and a < prev_end:
                 raise ValueError("intervals must be ordered and disjoint")
             prev_end = b
-        if not 0 < self.rho <= 1:
-            raise ValueError("rho must lie in (0, 1], got %s" % self.rho)
 
     @property
     def lengths(self) -> tuple:
@@ -405,7 +398,7 @@ def haraux_gap(n_max: int):
     The n-th pulse has length 1/n and is followed by a gap of the same
     length, so the long-run duty cycle is 1/2 while the per-pulse mass 1/n
     decays.  Returns the signal truncated after ``n_max`` pulses together
-    with the pulse intervals as an :class:`IntervalSequence` (rho = 1).
+    with the pulse intervals as an :class:`IntervalSequence`.
     """
     if n_max < 1:
         raise ValueError("need at least one pulse")
@@ -423,7 +416,7 @@ def haraux_gap(n_max: int):
         vals.append(1)
         s += 2 * (L // n)
     sig = Signal._from_lattice(L, breaks, 1, vals, 0)
-    return sig, IntervalSequence(tuple(ivs), rho=1.0)
+    return sig, IntervalSequence(tuple(ivs))
 
 
 def from_intervals(seq: IntervalSequence, level=1.0) -> Signal:

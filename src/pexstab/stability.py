@@ -446,7 +446,7 @@ def refine_intervals(seq: IntervalSequence, sig: Signal, T0: float,
             # unreachable by the averaging argument; guard stays for safety
             raise RuntimeError("no qualifying cell in (%g, %g)" % (a, b))
         chosen.append(picked)
-    return IntervalSequence(tuple(chosen), rho=rho)
+    return IntervalSequence(tuple(chosen))
 
 
 DIVERGENCE_RULE = (

@@ -94,7 +94,7 @@ def test_c3_energy_law_on_trajectories():
     skew6 = LinearSystem(random_skew(rng, 6), rng.standard_normal((6, 2)))
     strict = LinearSystem([[-0.3, 1.0], [-1.0, -0.3]], [[0.5], [0.0]])
     gaps = from_intervals(
-        IntervalSequence(((0.5, 1.5), (3.0, 4.2), (6.0, 7.0)), rho=1.0), 0.8)
+        IntervalSequence(((0.5, 1.5), (3.0, 4.2), (6.0, 7.0))), 0.8)
     cases = [
         (wave, periodic_gate(1.5, 0.4, 12.0), 10.0),
         (schro, periodic_gate(2.0, 0.5, 12.0), 10.0),
@@ -192,7 +192,7 @@ def test_c7_strong_stability_product_bound():
         for n in range(1, 31):
             intervals.append((start, start + 1.0))
             start += 1.0 + 0.2 * n
-        seq = IntervalSequence(tuple(intervals), rho=1.0)
+        seq = IntervalSequence(tuple(intervals))
         signal = from_intervals(seq, 1.0)
         z0 = unit(np.random.default_rng(7), sys.dim)
         rep = interval_product_bound(sys, seq, signal=signal, z0=z0)
@@ -218,7 +218,7 @@ def test_c8_caveats_present_everywhere(tmp_path):
                              n_cells=8, outer=OuterSearch(n_starts=2))
         assert TRUNCATION_CAVEAT in est.to_dict()["caveats"]
 
-        seq = IntervalSequence(((0.0, 1.0),), rho=1.0)
+        seq = IntervalSequence(((0.0, 1.0),))
         bound = interval_product_bound(sys, seq,
                                        signal=from_intervals(seq, 1.0))
         assert TRUNCATION_CAVEAT in bound.caveats

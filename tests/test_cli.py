@@ -496,6 +496,19 @@ def test_verify_gates_outside_the_class_exit_two(tmp_path, capsys, index, verify
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_gate_floor_is_exact(tmp_path, capsys):
+    # 13.299999999999999 / 0.7 rounds up to 19.0 in floats, but only 18
+    # whole windows fit: the gates guarantee 18 * 0.5 = 9.0 < 0.7 * 13.3
+    doc = json.loads(json.dumps(CLASS_CERTIFY))
+    doc["analyses"] = [dict(doc["analyses"][1], theta=14.0,
+                            verify={"T": 0.7, "mu": 0.5, "n_trials": 2, "horizon": 14.0})]
+    doc["analyses"][0]["source"] = dict(doc["analyses"][0]["source"], **{
+        "class": {"kind": "rho-integral", "rho": 0.7, "horizon": 13.299999999999999}})
+    assert 13.299999999999999 / 0.7 == 19.0
+    assert main(["validate", write_scenario(tmp_path, doc)]) == 2
+    assert "analyses[0].verify.mu: " in capsys.readouterr().err
+
+
 def test_verify_gates_inside_the_class_validate(tmp_path):
     doc = json.loads(json.dumps(CLASS_CERTIFY))
     doc["analyses"][0]["verify"].update(mu=1.5)  # more mass per window

@@ -102,6 +102,29 @@ def test_inert_for_random_regions(a, b):
     assert rep.max_overlap == 0.0
 
 
+def char_breaks_full_scan(sc, t):
+    """Reference: every k from -3 to ceil(t / 2) + 2 scanned for crossings."""
+    pts = set()
+    for k in range(-3, int(np.ceil(t / 2.0)) + 3):
+        for edge in (sc.b_prime, 1.0):
+            for x in (edge + 2 * k - t, t - edge - 2 * k):
+                if 0.0 < x < 1.0:
+                    pts.add(x)
+    return sorted(pts)
+
+
+def test_char_breaks_equal_the_full_scan():
+    rng = np.random.default_rng(11)
+    for _ in range(16):
+        a = float(rng.uniform(0.05, 0.5))
+        sc = build_counterexample((a, float(rng.uniform(a + 0.05, 0.95))))
+        # times of a 100-period energy series, integers and random times
+        times = np.concatenate([np.linspace(0.0, 200.0, 6401)[::97],
+                                np.arange(0.0, 40.0), rng.uniform(0.0, 2000.0, 40)])
+        for t in times:
+            assert sc._char_breaks(t) == char_breaks_full_scan(sc, t), (sc.omega, t)
+
+
 def test_modal_truncation_corroborates_zero_decay():
     # project the traveling bump on 64 string modes and simulate with the
     # gate: the damping term never activates in the PDE, so the modal energy

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import pexstab.observability as obs
@@ -278,7 +279,7 @@ def test_window_lp_degenerates_to_greedy_on_one_window():
     # horizon == T leaves a single constraint: total mass >= mu
     rng = np.random.default_rng(5)
     g = rng.uniform(0.0, 1.0, 16)
-    _, v_lp = pe_window_min(g, 2.0 / 16, 2.0, 0.5, 2.0)
+    _, v_lp = pe_window_min(g, _WindowLP(16, 2.0, 0.5, 2.0))
     _, v_gr = rho_greedy_min(g, 2.0 / 16, 0.5)
     assert abs(v_lp - v_gr) <= 1e-9
 
@@ -286,7 +287,7 @@ def test_window_lp_degenerates_to_greedy_on_one_window():
 def test_window_lp_solution_is_admissible():
     rng = np.random.default_rng(6)
     g = rng.uniform(0.0, 1.0, 24)
-    alpha, val = pe_window_min(g, 3.0 / 24, 1.0, 0.4, 3.0)
+    alpha, val = pe_window_min(g, _WindowLP(24, 1.0, 0.4, 3.0))
     edges = np.linspace(0.0, 3.0, 25)
     for s in np.linspace(0.0, 2.0, 201):
         cover = np.clip(np.minimum(edges[1:], s + 1.0) - np.maximum(edges[:-1], s),
@@ -331,7 +332,7 @@ def test_window_lp_aligned_grid_matches_binary_enumeration():
         tau = int(rng.integers(1, n + 1))
         m = int(rng.integers(1, tau + 1))
         g = rng.uniform(0.0, 1.0, n)
-        _, value = pe_window_min(g, dt, tau * dt, m * dt, n * dt)
+        _, value = pe_window_min(g, _WindowLP(n, tau * dt, m * dt, n * dt))
         levels = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
         csum = np.concatenate([np.zeros((2 ** n, 1)), np.cumsum(levels, axis=1)],
                               axis=1)
@@ -380,7 +381,7 @@ def test_window_lp_matches_dense_reference_off_grid(seed):
         assert abs(T / dt - round(T / dt)) > 1e-6 or horizon == T
         assert abs(mu / dt - round(mu / dt)) > 1e-6
         g = rng.uniform(0.0, 1.0, n)
-        alpha, value = pe_window_min(g, dt, T, mu, horizon)
+        alpha, value = pe_window_min(g, _WindowLP(n, T, mu, horizon))
         _, ref, edges, starts = dense_window_lp(g, T, mu, horizon)
         assert abs(value - ref) <= 1e-9
         assert np.all((alpha >= 0.0) & (alpha <= 1.0))
@@ -395,9 +396,9 @@ def test_window_model_is_built_once_and_sparse(monkeypatch):
     built = []
 
     class CountingLP(_WindowLP):
-        def __init__(self, *key):
-            super().__init__(*key)
-            built.append(self)
+        def __init__(self, *grid):
+            super().__init__(*grid)
+            built.append((grid, self))
 
     monkeypatch.setattr(obs, "_WindowLP", CountingLP)
     sys = LinearSystem(rotation(), np.array([[1.0], [0.0]]))
@@ -405,8 +406,8 @@ def test_window_model_is_built_once_and_sparse(monkeypatch):
         class_constant(sys, SignalClass.pe_windows(2.0, 0.5, 4.0), n_cells=32,
                        outer=OuterSearch(n_starts=3))
     # one model per class_constant call, passed to HiGHS once
-    assert [m.key for m in built] == [(32, 2.0, 0.5, 4.0)] * 2
-    assert built[0] is not built[1]
+    assert [grid for grid, _ in built] == [(32, 2.0, 0.5, 4.0)] * 2
+    assert built[0][1] is not built[1][1]
 
     n, T, mu, horizon = 40, 1.3, 0.45, 3.1
     A, _, _ = _window_constraints(n, T, mu, horizon)
@@ -414,6 +415,123 @@ def test_window_model_is_built_once_and_sparse(monkeypatch):
     assert np.diff(A.indptr)[n:].max() == 3  # off-grid window rows
     assert np.diff(A.indptr)[:n].max() == 2  # slope rows
     assert _WindowLP(n, T, mu, horizon)._h.getNumNz() == A.nnz
+
+
+def window_constraints_reference(n, T, mu, horizon):
+    """Reference: the window constraints built with per-start edge records.
+
+    Each candidate start records the edge it starts on and the edge it ends
+    on; an end on an edge takes a coefficient of +-1 there, any other end is
+    interpolated between the two edges of its cell.  Returns
+    (A, row_lower, row_upper) as :func:`_window_constraints` does.
+    """
+    dt = horizon / n
+    edges = np.array([horizon * j / n for j in range(n + 1)])
+    tol = 1e-12 * max(1.0, horizon)
+
+    def snap(t):
+        k = min(max(round(t / dt), 0), n)
+        return edges[k] if abs(t - edges[k]) <= tol else t
+
+    last = snap(horizon - T)
+    on_edge = {}
+
+    def mark(s, side, k):
+        on_edge.setdefault(float(s), [None, None])[side] = k
+
+    mark(0.0, 0, 0)
+    mark(last, 1, n)
+    for k, e in enumerate(edges):
+        if 0.0 <= e <= last:
+            mark(e, 0, k)
+        s = snap(e - T)
+        if 0.0 <= s <= last:
+            mark(s, 1, k)
+    starts = sorted(on_edge)
+    kept = [starts[0]]
+    for s in starts[1:]:
+        if s - kept[-1] > tol:
+            kept.append(s)
+
+    rows, cols, vals = [], [], []
+
+    def add(row, k, coef):
+        if k > 0 and coef != 0.0:
+            rows.append(row)
+            cols.append(k - 1)
+            vals.append(coef)
+
+    def add_mass_at(row, t, edge, sign):
+        if edge is not None:
+            add(row, edge, sign)
+            return
+        m = min(int(np.searchsorted(edges, t, side="right")) - 1, n - 1)
+        w = min(max((t - edges[m]) / dt, 0.0), 1.0)
+        add(row, m, sign * (1.0 - w))
+        add(row, m + 1, sign * w)
+
+    for j in range(n):
+        add(j, j, -1.0)
+        add(j, j + 1, 1.0)
+    for i, s in enumerate(kept):
+        start_edge, end_edge = on_edge[s]
+        add_mass_at(n + i, s, start_edge, -1.0)
+        add_mass_at(n + i, s + T, end_edge, 1.0)
+    A = scipy.sparse.csc_array((vals, (rows, cols)), shape=(n + len(kept), n))
+    lb = np.concatenate([np.zeros(n), np.full(len(kept), mu)])
+    ub = np.concatenate([np.full(n, dt), np.full(len(kept), np.inf)])
+    return A, lb, ub
+
+
+def window_grids():
+    """(n, T, mu, horizon) of the window-LP tests and seeded random grids."""
+    grids = [(256, 2.0, 0.5, 4.0), (40, 1.3, 0.45, 3.1)]
+    rng = np.random.default_rng(41)  # test_window_lp_aligned_grid_matches_binary_enumeration
+    for _ in range(40):
+        n = int(rng.integers(4, 13))
+        dt = float(rng.uniform(0.05, 0.5))
+        tau = int(rng.integers(1, n + 1))
+        m = int(rng.integers(1, tau + 1))
+        rng.uniform(0.0, 1.0, n)
+        grids.append((n, tau * dt, m * dt, n * dt))
+    for seed in range(6):  # test_window_lp_matches_dense_reference_off_grid
+        rng = np.random.default_rng(700 + seed)
+        for trial in range(10):
+            n = int(rng.integers(4, 48))
+            T = float(rng.uniform(0.3, 2.0))
+            horizon = T if trial % 3 == 0 else T * float(rng.uniform(1.05, 3.0))
+            mu = float(rng.uniform(0.05, 0.95)) * T
+            rng.uniform(0.0, 1.0, n)
+            grids.append((n, T, mu, horizon))
+    rng = np.random.default_rng(90)
+    for i in range(400):
+        n = int(rng.integers(4, 80))
+        if i % 2:
+            T = float(rng.uniform(0.05, 3.0))
+            horizon = T * float(rng.uniform(1.0, 4.0))
+        else:  # aligned: T a whole number of cells
+            dt = float(rng.uniform(0.01, 1.0))
+            T = int(rng.integers(1, n + 1)) * dt
+            horizon = n * dt
+        grids.append((n, T, float(rng.uniform(0.01, 1.0)) * T, horizon))
+    return grids
+
+
+def test_window_constraints_equal_the_reference():
+    grids = window_grids()
+    missed = 0  # aligned grids where some e - T misses its cell edge by rounding
+    for n, T, mu, horizon in grids:
+        A, lb, ub = _window_constraints(n, T, mu, horizon)
+        R, rlb, rub = window_constraints_reference(n, T, mu, horizon)
+        A, R = A.tocsr(), R.tocsr()
+        for got, want in ((A.indptr, R.indptr), (A.indices, R.indices), (A.data, R.data),
+                          (lb, rlb), (ub, rub)):
+            assert np.array_equal(got, want), (n, T, mu, horizon)
+        edges = np.array([horizon * j / n for j in range(n + 1)])
+        k = np.clip(np.round((edges - T) / (horizon / n)).astype(int), 0, n)
+        near = np.abs(edges - T - edges[k]) <= 1e-12 * max(1.0, horizon)
+        missed += bool(np.any(near & (edges - T != edges[k])))
+    assert missed >= 100
 
 
 def cold_window_min(g, dt, T, mu, horizon):
@@ -481,13 +599,12 @@ def test_warm_window_lp_matches_cold_off_grid(seed):
         T = float(rng.uniform(0.3, 2.0))
         horizon = T if trial % 3 == 0 else T * float(rng.uniform(1.05, 3.0))
         mu = float(rng.uniform(0.05, 0.95)) * T
-        dt = horizon / n
         model = _WindowLP(n, T, mu, horizon)
         starts = candidate_starts(n, T, horizon)
         for _ in range(3):
             g = rng.uniform(0.0, 1.0, n)
-            alpha, value = pe_window_min(g, dt, T, mu, horizon, model)
-            _, cold = cold_window_min(g, dt, T, mu, horizon)
+            alpha, value = pe_window_min(g, model)
+            _, cold = cold_window_min(g, model.dt, T, mu, horizon)
             assert abs(value - cold) <= 1e-12 * abs(cold)
             assert_window_admissible(alpha, T, mu, horizon, starts)
 
@@ -497,16 +614,17 @@ def test_warm_descent_constant_equals_cold_descent(monkeypatch, seed):
     sys, sclass = pe_lp_wave(), SignalClass.pe_windows(2.0, 0.5, 4.0)
     warm = class_constant(sys, sclass, 256, OuterSearch(seed=seed))
     monkeypatch.setattr(obs, "pe_window_min",
-                        lambda g, dt, T, mu, horizon, model=None:
-                        cold_window_min(g, dt, T, mu, horizon))
+                        lambda g, model: cold_window_min(g, model.dt, sclass.T, sclass.mu,
+                                                         sclass.horizon))
     cold = class_constant(sys, sclass, 256, OuterSearch(seed=seed))
     assert warm.constant == cold.constant
 
 
 def test_window_lp_model_must_match_the_grid():
+    # a short cost must be refused before it reaches HiGHS
     model = _WindowLP(16, 1.0, 0.5, 2.0)
-    with pytest.raises(ValueError, match="built for"):
-        pe_window_min(np.ones(16), 2.0 / 16, 1.0, 0.4, 2.0, model)
+    with pytest.raises(ValueError, match="15 cell values for a window LP of 16 cells"):
+        pe_window_min(np.ones(15), model)
 
 
 def test_window_lp_failure_raises():
@@ -534,13 +652,6 @@ def test_highs_binding_has_every_method_the_window_lp_calls():
     h = _Highs()
     assert h.setOptionValue("output_flag", False) == HighsStatus.kOk
     assert h.setOptionValue("presolve", "off") == HighsStatus.kOk
-
-
-def test_window_lp_rejects_inconsistent_cell_width():
-    g = np.ones(16)
-    with pytest.raises(ValueError, match="cell width"):
-        pe_window_min(g, 0.1, 1.0, 0.5, 2.0)
-    pe_window_min(g, 2.0 / 16, 1.0, 0.5, 2.0)
 
 
 def test_inner_min_flat_system_both_classes():

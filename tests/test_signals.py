@@ -145,7 +145,6 @@ def test_haraux_gap_layout():
     assert sig(0.5) == 1.0
     assert sig(1.5) == 0.0
     assert sig(2.25) == 1.0
-    assert seq.rho == 1.0
 
 
 def test_haraux_gap_window_masses():
@@ -173,7 +172,7 @@ def test_haraux_gap_late_window_mass_near_one():
 
 
 def test_from_intervals_levels():
-    seq = IntervalSequence(((0.5, 1.0), (1.0, 1.5), (3.0, 4.0)), rho=1.0)
+    seq = IntervalSequence(((0.5, 1.0), (1.0, 1.5), (3.0, 4.0)))
     s = from_intervals(seq, 0.75)
     assert s(0.25) == 0.0
     assert s(0.75) == 0.75
@@ -186,13 +185,11 @@ def test_from_intervals_levels():
 
 def test_interval_sequence_validation():
     with pytest.raises(ValueError):
-        IntervalSequence(((0, 1), (0.5, 2)), rho=1.0)  # overlap
+        IntervalSequence(((0, 1), (0.5, 2)))  # overlap
     with pytest.raises(ValueError):
-        IntervalSequence(((1, 1),), rho=1.0)  # empty interval
+        IntervalSequence(((1, 1),))  # empty interval
     with pytest.raises(ValueError):
-        IntervalSequence(((0, 1),), rho=0.0)
-    with pytest.raises(ValueError):
-        IntervalSequence((), rho=1.0)
+        IntervalSequence(())
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,7 +415,7 @@ def test_from_intervals_matches_fraction_reference(ends, level):
     if len(ends) % 2:
         ends = ends[:-1]
     intervals = tuple(zip(ends[::2], ends[1::2]))
-    seq = IntervalSequence(intervals, rho=1.0)
+    seq = IntervalSequence(intervals)
     assert_same_signal(from_intervals(seq, level),
                        *ref_from_intervals(seq.intervals, level))
 

@@ -1,6 +1,8 @@
-"""Checks on the package source and the README's Python example."""
+"""Checks on the package source, the README's Python example and the
+functions the benchmark traces."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -44,3 +46,15 @@ def test_readme_python_example_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["check"].ok
     assert namespace["traj"].times[-1] == 40.0
+
+
+def test_benchmark_span_boundaries_resolve():
+    # perfbench/spans.py wraps these functions by module and name; a rename
+    # must fail here, not first in a benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.BOUNDARIES
+    for _layer, owner, attr, _count in spans.BOUNDARIES:
+        assert callable(getattr(spans._resolve(owner), attr, None)), (owner, attr)

@@ -164,7 +164,7 @@ def test_decay_rate_fit_zero_energy_and_short_tail():
 
 def test_product_bound_explicit_costs():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))  # ||B|| = 1
-    seq = IntervalSequence(((0.0, 1.0), (2.0, 3.0)), rho=1.0)
+    seq = IntervalSequence(((0.0, 1.0), (2.0, 3.0)))
     rep = interval_product_bound(sys, seq, costs=(0.3, 0.1))
     assert rep.factors == (0.85, 0.95)
     assert rep.cumulative == (0.85, 0.85 * 0.95)
@@ -175,7 +175,7 @@ def test_product_bound_explicit_costs():
 
 def test_product_bound_validates_costs():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
-    seq = IntervalSequence(((0.0, 1.0), (2.0, 3.0)), rho=1.0)
+    seq = IntervalSequence(((0.0, 1.0), (2.0, 3.0)))
     with pytest.raises(ValueError):
         interval_product_bound(sys, seq, costs=(1.2, 0.1))  # above L ||B||^2
     with pytest.raises(ValueError):
@@ -188,7 +188,7 @@ def test_product_bound_validates_costs():
 
 def test_product_bound_computed_costs_match_direct_gramian():
     sys = build_wave(WaveModalSpec(n_modes=2, uniform=1.0))
-    seq = IntervalSequence(((0.0, 1.0), (1.5, 2.5)), rho=1.0)
+    seq = IntervalSequence(((0.0, 1.0), (1.5, 2.5)))
     sig = from_intervals(seq)
     rep = interval_product_bound(sys, seq, signal=sig)
     G = observability_gramian(sys, 0.0, 1.0)
@@ -198,7 +198,7 @@ def test_product_bound_computed_costs_match_direct_gramian():
 
 def test_product_bound_measured_ratios_hold():
     sys = build_wave(WaveModalSpec(n_modes=2, uniform=1.0))
-    seq = IntervalSequence(((0.0, 1.0), (1.5, 2.5), (4.0, 5.0)), rho=1.0)
+    seq = IntervalSequence(((0.0, 1.0), (1.5, 2.5), (4.0, 5.0)))
     sig = from_intervals(seq)
     rng = np.random.default_rng(2)
     z0 = rng.standard_normal(4)
@@ -215,23 +215,22 @@ def test_product_bound_measured_ratios_hold():
 
 def test_product_bound_carries_system_caveats():
     sys = build_schrodinger(SchrodingerModalSpec(n_modes=2, omega=(0.2, 0.6)))
-    seq = IntervalSequence(((0.0, 1.0),), rho=1.0)
+    seq = IntervalSequence(((0.0, 1.0),))
     rep = interval_product_bound(sys, seq, signal=from_intervals(seq))
     assert TRUNCATION_CAVEAT in rep.caveats
 
 
 def test_refine_passes_short_intervals_through():
-    seq = IntervalSequence(((0.0, 0.8), (1.0, 1.9)), rho=0.5)
+    seq = IntervalSequence(((0.0, 0.8), (1.0, 1.9)))
     sig = make_piecewise([], [], 1.0)
     out = refine_intervals(seq, sig, T0=1.0, rho=0.5)
     assert out.intervals == seq.intervals
-    assert out.rho == 0.5
 
 
 def test_refine_splits_and_keeps_a_qualifying_cell():
     # mass is concentrated mid-interval, so the first cell fails and the
     # second qualifies
-    seq = IntervalSequence(((0.0, 2.5),), rho=0.3)
+    seq = IntervalSequence(((0.0, 2.5),))
     sig = make_piecewise([0.9, 1.7], [0.0, 1.0], 0.0)
     out = refine_intervals(seq, sig, T0=1.0, rho=0.3)
     ((lo, hi),) = out.intervals
@@ -241,7 +240,7 @@ def test_refine_splits_and_keeps_a_qualifying_cell():
 
 
 def test_refine_rejects_underfilled_intervals():
-    seq = IntervalSequence(((0.0, 2.0),), rho=0.9)
+    seq = IntervalSequence(((0.0, 2.0),))
     sig = make_piecewise([1.0], [1.0], 0.0)  # mass 1 < 0.9 * 2
     with pytest.raises(ValueError):
         refine_intervals(seq, sig, T0=1.0, rho=0.9)
@@ -274,7 +273,7 @@ def test_refine_property_band_and_mass(sig, L, T0):
     while _frac(rho) > q:
         rho = float(np.nextafter(rho, 0.0))
     assume(rho > 0)
-    seq = IntervalSequence(((0.0, float(L)),), rho=rho)
+    seq = IntervalSequence(((0.0, float(L)),))
     out = refine_intervals(seq, sig, T0=T0, rho=rho)
     ((lo, hi),) = out.intervals
     length = hi - lo
@@ -284,8 +283,7 @@ def test_refine_property_band_and_mass(sig, L, T0):
 
 
 def test_criterion_linear_sums_are_divergence_consistent():
-    seq = IntervalSequence(tuple((2.0 * n, 2.0 * n + 1.0) for n in range(40)),
-                           rho=1.0)
+    seq = IntervalSequence(tuple((2.0 * n, 2.0 * n + 1.0) for n in range(40)))
     rep = rho_class_criterion(seq, lambda L: 1e-3 * L ** 3, T0=1.0)
     assert rep.divergence_consistent
     assert rep.verdict == "divergence-consistent at horizon n=40"
@@ -301,28 +299,27 @@ def test_criterion_summable_costs_are_not_consistent():
         L = 1.0 / math.log(n + 2)
         intervals.append((t, t + L))
         t += L + 1.0
-    seq = IntervalSequence(tuple(intervals), rho=1.0)
+    seq = IntervalSequence(tuple(intervals))
     rep = rho_class_criterion(seq, lambda L: math.exp(-2.0 / L), T0=1.0)
     assert not rep.divergence_consistent
     assert rep.verdict.startswith("not divergence-consistent")
 
 
 def test_criterion_constant_costs_are_consistent():
-    seq = IntervalSequence(tuple((3.0 * n, 3.0 * n + 1.0) for n in range(30)),
-                           rho=1.0)
+    seq = IntervalSequence(tuple((3.0 * n, 3.0 * n + 1.0) for n in range(30)))
     rep = rho_class_criterion(seq, lambda L: math.exp(-2.0 / L), T0=1.0)
     assert rep.divergence_consistent
 
 
 def test_criterion_single_interval_is_undecided():
-    seq = IntervalSequence(((0.0, 1.0),), rho=1.0)
+    seq = IntervalSequence(((0.0, 1.0),))
     rep = rho_class_criterion(seq, lambda L: L, T0=1.0)
     assert not rep.divergence_consistent
     assert rep.verdict == "not divergence-consistent at horizon n=1"
 
 
 def test_criterion_refined_bookkeeping():
-    seq = IntervalSequence(((0.0, 0.4), (1.0, 3.5), (4.0, 11.0)), rho=1.0)
+    seq = IntervalSequence(((0.0, 0.4), (1.0, 3.5), (4.0, 11.0)))
     rep = rho_class_criterion(seq, lambda L: L * L, T0=1.0)
     assert rep.refined_lengths == (0.4, pytest.approx(2.5 / 3.0), 1.0)
     assert rep.refined_count_in_band == 2
@@ -331,7 +328,7 @@ def test_criterion_refined_bookkeeping():
 
 
 def test_criterion_validates_cost_function():
-    seq = IntervalSequence(((0.0, 1.0), (2.0, 3.0)), rho=1.0)
+    seq = IntervalSequence(((0.0, 1.0), (2.0, 3.0)))
     with pytest.raises(ValueError):
         rho_class_criterion(seq, lambda L: 0.0, T0=1.0)
     with pytest.raises(ValueError):
@@ -342,8 +339,7 @@ def test_criterion_validates_cost_function():
 
 def test_criterion_reports_energy_trend_without_using_it():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
-    seq = IntervalSequence(tuple((2.0 * n, 2.0 * n + 1.0) for n in range(5)),
-                           rho=1.0)
+    seq = IntervalSequence(tuple((2.0 * n, 2.0 * n + 1.0) for n in range(5)))
     sig = from_intervals(seq)
     traj = simulate(sys, sig, [1.0, 0.0], 9.0, 0.05)
     rep = rho_class_criterion(seq, lambda L: 1e-3 * L ** 3, T0=1.0, traj=traj)
