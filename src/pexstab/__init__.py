@@ -21,10 +21,8 @@ from .signals import (  # noqa: F401
     Signal,
     from_intervals,
     haraux_gap,
-    integral,
     make_piecewise,
     pe_check,
-    periodic_extension,
     periodic_gate,
 )
 from .linsys import (  # noqa: F401
@@ -78,9 +76,7 @@ from .stability import (  # noqa: F401
     ProductBoundReport,
     RhoCriterionReport,
     certificate_from_constant,
-    decay_rate_fit,
     interval_product_bound,
-    refine_intervals,
     rho_class_criterion,
     verify_certificate,
 )

@@ -178,7 +178,8 @@ def _run_strong_stability(sc: Scenario, a: dict):
     ok = rep.ok
     crit = a["criterion"]
     if crit is not None:
-        crit_rep = rho_class_criterion(seq, crit["cost"], crit["T0"])
+        cost, knots = crit["cost"]
+        crit_rep = rho_class_criterion(seq, cost, crit["T0"], knots=knots)
         report["criterion"] = crit_rep.to_dict()
     rows = [(n, rep.factors[n], rep.cumulative[n],
              rep.measured_ratios[n] if rep.measured_ratios else float("nan"))

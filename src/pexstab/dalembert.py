@@ -67,10 +67,6 @@ class CounterexampleScenario:
         object.__setattr__(self, "_fomega", (fa, fb))
         object.__setattr__(self, "_fbp", (1 + fb) / 2)
 
-    @property
-    def bump_support(self) -> tuple:
-        return (self.b_prime, 1.0)
-
     def _psi(self, u):
         """C^1 bump ((u-b')(1-u))^2 on [b', 1], peak amplitude 1."""
         u = np.asarray(u, dtype=float)
@@ -118,10 +114,6 @@ class CounterexampleScenario:
             if hi > lo:
                 out.append((lo, hi))
         return sorted(out)
-
-    def velocity_support(self, t: float):
-        """Support intervals of v_t(t, .) within [0, 1] as float pairs."""
-        return [(float(lo), float(hi)) for lo, hi in self._support_exact(_frac(t))]
 
     def _char_breaks(self, t: float):
         """x in (0, 1) where a characteristic crosses a bump-support edge.

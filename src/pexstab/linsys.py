@@ -132,13 +132,6 @@ class Trajectory:
     system: LinearSystem
     signal: Signal
 
-    def energy_at(self, t: float) -> float:
-        i = int(np.searchsorted(self.times, t))
-        for j in (i - 1, i):
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= 1e-9 * (1 + abs(t)):
-                return float(self.energies[j])
-        raise ValueError("time %s is not a sample instant" % t)
-
 
 @dataclass(frozen=True)
 class EnergyBalance:

@@ -306,7 +306,7 @@ def _table_cost(o, path, ctx):
              "need matching T and c lists with at least two points")
     _require(all(a < b for a, b in zip(ts, ts[1:])), _at(path, "T"),
              "lengths must be strictly increasing")
-    return lambda L: float(np.interp(L, ts, cs))
+    return (lambda L: float(np.interp(L, ts, cs))), tuple(ts)
 
 
 def _dim_at_most(limit: int, what: str, path: str, ctx):
@@ -378,6 +378,13 @@ def _certify(a, path, ctx):
     system, src, theta = ctx["system"], a["source"], a["theta"]
     _require((a["constant"] is None) != (src is None), path,
              "exactly one of 'constant' or 'source' is required")
+    if src is not None and src["kind"] == "wave-pe":
+        # the bound holds on windows of length T, and so on any longer window,
+        # which contains one (the integrand is nonnegative); not on a shorter one
+        _require(theta >= src["T"], _at(path, "theta"),
+                 "theta=%g is shorter than the window T=%g of the wave-pe "
+                 "bound, which holds only on windows of length at least T"
+                 % (theta, src["T"]))
     if src is not None and src["kind"] == "class-constant":
         _search_dim(a, path, ctx)
         # a class horizon below theta only lowers the constant, so it stays sound
@@ -455,10 +462,11 @@ def _strong_stability(a, path, ctx):
         # the criterion evaluates the cost on the interval lengths and on
         # [T0/2, T0]; each cost form that is positive at the shortest of
         # these is positive on all of them
+        cost = crit["cost"][0]
         cpath = _at(path, "criterion.cost")
         for L in seq.lengths + (crit["T0"] / 2.0, crit["T0"]):
             try:
-                c = crit["cost"](L)
+                c = cost(L)
             except ValueError as e:
                 raise ScenarioError(cpath, str(e))
             _require(c > 0, cpath, "cost %g at length %g is not positive" % (c, L))
@@ -540,14 +548,16 @@ VERIFY = Obj("verify", {
     "horizon": (POSITIVE, None),
 }, rule=_window)
 
-# each cost form resolves to its interval cost function c(L)
+# each cost form resolves to its interval cost function c(L) and the knots
+# between which c is monotone; the two closed forms increase in L
 COSTS = Kinds("kind", "cost form", {
     "wave-cubic": Obj("wave-cubic", {
         "rho": FRACTION, "lambda1": POSITIVE,
         "d0": (POSITIVE, _library_default(wave_rho_lower_bound, "d0")),
-    }, rule=lambda o, path, ctx: lambda L: wave_rho_lower_bound(
-        L, o["rho"], o["lambda1"], o["d0"])),
-    "exp-gap": Obj("exp-gap", {}, rule=lambda o, path, ctx: lambda L: math.exp(-2.0 / L)),
+    }, rule=lambda o, path, ctx: ((lambda L: wave_rho_lower_bound(
+        L, o["rho"], o["lambda1"], o["d0"])), ())),
+    "exp-gap": Obj("exp-gap", {}, rule=lambda o, path, ctx: (
+        (lambda L: math.exp(-2.0 / L)), ())),
     "table": Obj("table", {"T": _list(POSITIVE), "c": _list(POSITIVE)}, rule=_table_cost),
 })
 

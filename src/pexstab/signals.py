@@ -266,20 +266,10 @@ def make_piecewise(breakpoints, values, tail_value) -> Signal:
     return Signal(tuple(breakpoints), tuple(values), tail_value)
 
 
-def integral(sig: Signal, a, b) -> Fraction:
-    """Exact mass of ``sig`` over [a, b].
-
-    The result is a :class:`fractions.Fraction`; exactness makes the additive
-    splitting ``integral(a, c) == integral(a, b) + integral(b, c)`` hold with
-    equality, not merely to rounding.
-    """
-    return sig.integral(a, b)
-
-
 def pe_check(sig: Signal, T, mu, horizon, tolerance: float = 0.0) -> PEReport:
     """Exact T-mu persistent-excitation check over [0, horizon].
 
-    Verifies ``integral(sig, t, t + T) >= mu`` for every window start
+    Verifies ``sig.integral(t, t + T) >= mu`` for every window start
     ``t in [0, horizon - T]`` by exact candidate enumeration: the window mass
     is piecewise linear in ``t``, so its minimum is attained where a window
     edge meets a breakpoint or at the range endpoints.
@@ -364,32 +354,6 @@ def periodic_gate(period, pulse_halfwidth, horizon) -> Signal:
     n_pulses = (H + P + h) // P + 1
     breaks = [h] + [e for k in range(1, n_pulses + 1) for e in (k * P - h, k * P + h)]
     return Signal._from_lattice(L, breaks, 1, (1,) + (0, 1) * n_pulses, 0)
-
-
-def periodic_extension(sig: Signal, period, horizon) -> Signal:
-    """Tile the restriction of ``sig`` to [0, period) periodically.
-
-    The pattern is repeated exactly out to at least ``horizon`` plus one full
-    period; after the generated range the signal holds the pattern's first
-    level.  Useful for turning a single-window minimiser into a signal of the
-    same class on a long horizon: a period-T-periodic signal has identical
-    mass in every window of length T.
-    """
-    (pn, pd), (hn, hd) = _ratio(period), _ratio(horizon)
-    if pn <= 0:
-        raise ValueError("period must be positive")
-    if hn <= 0:
-        raise ValueError("horizon must be positive")
-    L = math.lcm(sig._den, pd)
-    s = L // sig._den
-    P = pn * (L // pd)
-    # the m breakpoints before the period end the pattern's first m cells
-    m = bisect.bisect_left(sig._nbreaks, -(-P // s))
-    edges = [nb * s for nb in sig._nbreaks[:m]] + [P]
-    levels = (sig._nvalues + (sig._ntail,))[:m + 1]
-    n_rep = math.ceil((hn * pd) / (hd * pn)) + 1
-    breaks = [k * P + e for k in range(n_rep) for e in edges]
-    return Signal._from_lattice(L, breaks, sig._vden, levels * n_rep, levels[0])
 
 
 def haraux_gap(n_max: int):

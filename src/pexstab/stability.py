@@ -26,8 +26,7 @@ import numpy as np
 from .linsys import (LinearSystem, Trajectory, _propagate, cost_within_bound,
                      simulate)
 from .observability import observability_gramian
-from .signals import (IntervalSequence, Signal, _frac, make_piecewise,
-                      pe_check, periodic_gate)
+from .signals import IntervalSequence, Signal, make_piecewise, pe_check, periodic_gate
 
 # verify_certificate samples each trajectory theta / SAMPLES_PER_THETA apart
 # and accepts a worst ratio up to 1 + VERIFY_SLACK
@@ -119,33 +118,27 @@ class GateSignalFamily:
     """Deterministic family of T-mu persistently exciting signals.
 
     ``draw(0)`` is the constant signal alpha = 1 (always in the class);
-    any ``extras`` follow (adversarial class members supplied by the caller,
-    e.g. a periodically extended minimising witness); every later ``draw(i)``
-    is a T-periodic gate with pulse width drawn uniformly from
-    [mu, min(T, 2 mu)] and a uniform phase, both seeded by (seed, i).  A
-    T-periodic signal has the same mass in every window of length T, so each
-    gate carries window mass >= mu by construction; the verifier still
-    re-checks every draw.
+    every later ``draw(i)`` is a T-periodic gate with pulse width drawn
+    uniformly from [mu, min(T, 2 mu)] and a uniform phase, both seeded by
+    (seed, i).  A T-periodic signal has the same mass in every window of
+    length T, so each gate carries window mass >= mu by construction; the
+    verifier still re-checks every draw.
     """
 
     T: float
     mu: float
     horizon: float
     seed: int = 0
-    extras: tuple = ()
 
     def __post_init__(self):
         if not 0 < self.mu <= self.T:
             raise ValueError("need 0 < mu <= T")
         if self.horizon < self.T:
             raise ValueError("horizon must cover at least one window")
-        object.__setattr__(self, "extras", tuple(self.extras))
 
     def draw(self, i: int) -> Signal:
         if i == 0:
             return make_piecewise([], [], 1.0)
-        if i <= len(self.extras):
-            return self.extras[i - 1]
         rng = np.random.default_rng((self.seed, i))
         width = rng.uniform(self.mu, min(self.T, 2.0 * self.mu))
         phase = rng.uniform(0.0, self.T)
@@ -253,36 +246,6 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
             report,
         )
     return report
-
-
-def decay_rate_fit(traj: Trajectory, tail_fraction: float = 0.5):
-    """Least-squares decay rate from the tail of ln V(t).
-
-    Fits ln V over the last ``tail_fraction`` of the samples and returns
-    (gamma_hat, r_squared) with gamma_hat = -slope/2 (V scales like the
-    squared norm).  When V hits zero the rate is reported as +inf with
-    r_squared 0 (the log fit is undefined; zero energy means the decay
-    already finished).
-    """
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    V = traj.energies
-    n = len(V)
-    k = max(int(math.ceil(n * tail_fraction)), 2)
-    times = traj.times[n - k:]
-    tail = V[n - k:]
-    if np.any(tail <= 0.0):
-        return math.inf, 0.0
-    if k < 10:
-        raise ValueError("need at least 10 samples in the tail window, got %d" % k)
-    y = np.log(tail)
-    X = np.vstack([times, np.ones(k)]).T
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    fit = X @ coef
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(-coef[0] / 2.0), float(r2)
 
 
 @dataclass(frozen=True)
@@ -404,51 +367,6 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
     )
 
 
-def refine_intervals(seq: IntervalSequence, sig: Signal, T0: float,
-                     rho: float) -> IntervalSequence:
-    """Split long intervals into cells of length in [T0/2, T0], keep one each.
-
-    Every input interval must carry signal mass >= rho * length (checked in
-    exact arithmetic).  Intervals of length <= T0 pass through; a longer one
-    is split into ceil(L/T0) equal cells (their common length then lies in
-    (T0/2, T0]), and the first cell with mass >= rho * cell-length is kept.
-    Such a cell exists by averaging: the cells partition the interval, so if
-    every cell fell short the whole interval would.  The mass tests run in
-    exact rational arithmetic, which keeps the averaging argument airtight
-    at the boundaries.
-    """
-    if T0 <= 0:
-        raise ValueError("T0 must be positive")
-    if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
-    frho = _frac(rho)
-    chosen = []
-    for (a, b) in seq.intervals:
-        fa, fb = _frac(a), _frac(b)
-        if sig.integral(a, b) < frho * (fb - fa):
-            raise ValueError(
-                "interval (%g, %g) carries mass below rho * length" % (a, b)
-            )
-        L = b - a
-        if L <= T0:
-            chosen.append((a, b))
-            continue
-        r = int(math.ceil(L / T0 - 1e-12))
-        edges = [a + k * L / r for k in range(r + 1)]
-        edges[-1] = b
-        picked = None
-        for k in range(r):
-            lo, hi = edges[k], edges[k + 1]
-            if sig.integral(lo, hi) >= frho * (_frac(hi) - _frac(lo)):
-                picked = (lo, hi)
-                break
-        if picked is None:
-            # unreachable by the averaging argument; guard stays for safety
-            raise RuntimeError("no qualifying cell in (%g, %g)" % (a, b))
-        chosen.append(picked)
-    return IntervalSequence(tuple(chosen))
-
-
 DIVERGENCE_RULE = (
     "divergence-consistent at horizon n when the last half of the partial "
     "sums contributes at least the share a logarithmically divergent series "
@@ -463,8 +381,8 @@ class RhoCriterionReport:
     Deciding convergence to zero needs sum c(b_n - a_n) = inf; finitely many
     terms cannot settle that, so the verdict states consistency with
     divergence at the available horizon (rule recorded in ``rule``) next to
-    the refined lower bound count * min c over [T0/2, T0] from the
-    splitting step.
+    the refined lower bound count * min c over [T0/2, T0] after long
+    intervals are split.
     """
 
     verdict: str
@@ -497,17 +415,21 @@ class RhoCriterionReport:
         }
 
 
-def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float,
+def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float, knots=(),
                         traj: Trajectory = None) -> RhoCriterionReport:
     """Partial sums of interval costs and a divergence-consistency verdict.
 
     ``c_of_T`` maps an interval length to a positive cost (must be positive
-    on every length encountered and on [T0/2, T0]).  The partial sums use
-    the raw lengths; the refined view replaces each length L > T0 by
-    L / ceil(L / T0) (the cell length the splitting step would keep, which
-    lands in (T0/2, T0]) and reports the count-times-minimum lower bound
-    over the band [T0/2, T0].  When a trajectory is attached its energy
-    trend is reported alongside; it never influences the verdict.
+    on every length encountered and on [T0/2, T0]) and must be monotone
+    between consecutive ``knots`` (on the whole band when there are none).
+    The partial sums use the raw lengths; the refined view replaces each
+    length L > T0 by L / ceil(L / T0) (the common length of the equal cells
+    that split it, which lands in (T0/2, T0]) and reports the
+    count-times-minimum lower bound over the band [T0/2, T0].  A cost that
+    is monotone between knots takes its band minimum at T0/2, at T0 or at a
+    knot inside the band, so that minimum is exact.  When a trajectory is
+    attached its energy trend is reported alongside; it never influences
+    the verdict.
     """
     if T0 <= 0:
         raise ValueError("T0 must be positive")
@@ -534,8 +456,8 @@ def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float,
         consistent = False
     refined = tuple(L if L <= T0 else L / math.ceil(L / T0 - 1e-12)
                     for L in lengths)
-    band = np.linspace(T0 / 2.0, T0, 101)
-    band_costs = [float(c_of_T(float(t))) for t in band]
+    band = [T0 / 2.0, T0] + [float(t) for t in knots if T0 / 2.0 < t < T0]
+    band_costs = [float(c_of_T(t)) for t in band]
     if any(not c > 0 for c in band_costs):
         raise ValueError("cost function must be positive on [T0/2, T0]")
     min_band = min(band_costs)

@@ -414,6 +414,34 @@ def test_class_horizon_beyond_theta_exits_two(tmp_path, capsys):
     assert main(["validate", write_scenario(tmp_path, doc, "ok.json")]) == 0
 
 
+def test_wave_pe_theta_below_its_window_exits_two(tmp_path, capsys):
+    # the constant of length-2 windows does not hold on windows of length 0.5
+    doc = _with(WAVE_SCENARIO, dict(CERTIFY, theta=0.5))
+    assert main(["validate", write_scenario(tmp_path, doc)]) == 2
+    assert "analyses[0].theta: " in capsys.readouterr().err
+    # a longer window contains one of length T
+    doc = _with(WAVE_SCENARIO, dict(CERTIFY, theta=4.0))
+    assert main(["validate", write_scenario(tmp_path, doc, "ok.json")]) == 0
+
+
+def test_table_cost_band_minimum_is_exact(tmp_path):
+    # the table's minimum on [T0/2, T0] sits at its knot 0.503, between two
+    # points of a 101-point grid of the band, whose smallest value is 4.71e-4
+    cost = {"kind": "table", "T": [0.1, 0.503, 1.0], "c": [0.05, 1e-4, 0.5]}
+    doc = {"seed": 0,
+           "system": {"kind": "wave-modal", "n_modes": 2,
+                      "damping": {"uniform": 1.0}},
+           "analyses": [{"kind": "strong-stability",
+                         "intervals": [[0.0, 0.6], [1.0, 1.7], [2.0, 2.9]],
+                         "criterion": {"T0": 1.0, "cost": cost}}]}
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+    crit = read_reports(out)["00_strong-stability.json"]["report"]["criterion"]
+    assert crit["min_cost_on_band"] == 1e-4
+    assert crit["refined_count_in_band"] == 3
+    assert crit["refined_lower_bound"] == 3 * 1e-4
+
+
 def test_class_constant_source_takes_an_outer_search(tmp_path):
     # the pe-lp class: 8 starts on seed 7 find a constant 33 times too high
     source = {"kind": "class-constant", "n_cells": 256,

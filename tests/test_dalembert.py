@@ -20,7 +20,6 @@ def test_gate_parameters_follow_the_region():
     assert sc.b_prime == pytest.approx(0.8)
     assert sc.mu == pytest.approx(0.2)  # (1 - b) / 2
     assert sc.period == 2.0
-    assert sc.bump_support == (sc.b_prime, 1.0)
 
 
 def test_rejects_degenerate_regions():
@@ -34,14 +33,14 @@ def test_rejects_degenerate_regions():
 
 def test_velocity_support_travels_along_characteristics():
     sc = build_counterexample((0.2, 0.6))
-    ((lo, hi),) = sc.velocity_support(0.0)
-    assert lo == pytest.approx(0.8) and hi == 1.0
-    ((lo, hi),) = sc.velocity_support(0.1)
-    assert lo == pytest.approx(0.7) and hi == pytest.approx(0.9)
+    bp = sc._fbp  # the bump edge b' = (1 + 0.6) / 2, exact in the float 0.6
+    assert float(bp) == pytest.approx(0.8)
+    assert sc._support_exact(F(0)) == [(bp, 1)]
+    assert sc._support_exact(F(1, 10)) == [(bp - F(1, 10), F(9, 10))]
     # at t = 1 the bump has reflected to the left end
-    sup = sc.velocity_support(1.0)
-    assert sup[0][0] == pytest.approx(0.0)
-    assert max(hi for _, hi in sup) <= 0.2 + 1e-12
+    sup = sc._support_exact(F(1))
+    assert sup[0][0] == 0
+    assert max(hi for _, hi in sup) == 1 - bp
 
 
 def test_displacement_meets_dirichlet_ends():

@@ -69,10 +69,13 @@ def test_sample_grid_holds_breakpoints_and_horizon():
     sig = make_piecewise([0.7, 1.3], [1.0, 0.0], 1.0)
     sys = LinearSystem(rotation(), np.array([0.0, 1.0]))
     traj = simulate(sys, sig, [1.0, 0.0], 2.0, 0.6)
+
+    def on_grid(t):
+        return bool(np.any(np.abs(traj.times - t) <= 1e-9 * (1 + abs(t))))
+
     for t in (0.0, 0.6, 0.7, 1.2, 1.3, 1.8, 2.0):
-        traj.energy_at(t)  # raises if t is missing from the grid
-    with pytest.raises(ValueError):
-        traj.energy_at(0.65)
+        assert on_grid(t), t
+    assert not on_grid(0.65)
 
 
 def test_simulate_validates_arguments():

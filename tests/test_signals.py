@@ -10,10 +10,8 @@ from pexstab.signals import (
     Signal,
     from_intervals,
     haraux_gap,
-    integral,
     make_piecewise,
     pe_check,
-    periodic_extension,
     periodic_gate,
 )
 
@@ -22,7 +20,7 @@ def test_constant_signal():
     s = make_piecewise([], [], 1.0)
     assert s(0.0) == 1.0
     assert s(123.4) == 1.0
-    assert integral(s, 0, 7) == 7
+    assert s.integral(0, 7) == 7
 
 
 def test_single_breakpoint_cells():
@@ -30,7 +28,7 @@ def test_single_breakpoint_cells():
     assert s(0.0) == 0.0
     assert s(0.999) == 0.0
     assert s(1.0) == 1.0  # right-continuous at the edge
-    assert integral(s, 0.5, 1.5) == F(1, 2)
+    assert s.integral(0.5, 1.5) == F(1, 2)
 
 
 def test_construction_rejects_bad_input():
@@ -51,13 +49,13 @@ def test_construction_rejects_bad_input():
 def test_gate_mass_over_first_period():
     # pulses of halfwidth 1/5 around even integers: mass 2/5 per period
     g = periodic_gate(2, F(1, 5), 20)
-    assert integral(g, 0, 2) == F(2, 5)
-    assert integral(g, 0, 20) == 10 * F(2, 5)
+    assert g.integral(0, 2) == F(2, 5)
+    assert g.integral(0, 20) == 10 * F(2, 5)
 
 
 def test_integral_additivity_exact_simple():
     s = make_piecewise([0.3, 1.7], [1.0, 0.25], 0.5)
-    assert integral(s, 0, 2.5) == integral(s, 0, 1.1) + integral(s, 1.1, 2.5)
+    assert s.integral(0, 2.5) == s.integral(0, 1.1) + s.integral(1.1, 2.5)
 
 
 floats01 = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -180,7 +178,7 @@ def test_from_intervals_levels():
     assert s(2.0) == 0.0
     assert s(3.5) == 0.75
     assert s(10.0) == 0.0
-    assert integral(s, 0, 10) == F(3, 4) * 2
+    assert s.integral(0, 10) == F(3, 4) * 2
 
 
 def test_interval_sequence_validation():
@@ -262,21 +260,6 @@ def ref_periodic_gate(period, h, horizon):
         vals += [F(0), F(1)]
         if k * P - h > H + P:
             return breaks, vals, F(0)
-
-
-def ref_periodic_extension(ref, period, horizon):
-    P, H = F(period), F(horizon)
-    edges, levels = [F(0)], []
-    for b, v in zip(ref.breaks, ref.vals):
-        if b >= P:
-            break
-        edges.append(b)
-        levels.append(v)
-    levels.append(ref.vals[len(edges) - 1] if len(edges) - 1 < len(ref.vals) else ref.tail)
-    edges.append(P)
-    n_rep = int(math.ceil(float(H / P))) + 1
-    breaks = [k * P + e for k in range(n_rep) for e in edges[1:]]
-    return breaks, levels * n_rep, levels[0]
 
 
 def ref_haraux_gap(n_max):
@@ -387,14 +370,6 @@ def test_periodic_gate_matches_fraction_reference(period, share, horizon):
     if 2 * F(h) <= F(period):
         assert_same_signal(periodic_gate(period, h, horizon),
                            *ref_periodic_gate(period, h, horizon))
-
-
-@settings(max_examples=80, deadline=None)
-@given(raw_signals(), mixed(0.05, 20.0), mixed(0.01, 60.0))
-def test_periodic_extension_matches_fraction_reference(raw, period, horizon):
-    sig, ref = make_piecewise(*raw), RefSignal(*raw)
-    assert_same_signal(periodic_extension(sig, period, horizon),
-                       *ref_periodic_extension(ref, period, horizon))
 
 
 @settings(max_examples=30, deadline=None)

@@ -38,6 +38,74 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+# Public definitions that nothing in src/ reads, kept for a reason each.
+UNREACHED_BY_DESIGN = {
+    # acceptance criterion 8 checks the exploration label on a window scan
+    "window_scan",
+    # acceptance criterion 5 compares the greedy fill with vertex enumeration
+    "inner_min_signal",
+    # acceptance criterion 2 checks the gap inequality on random triples
+    "gap_estimate_check",
+    # the witness test re-evaluates the functional at the reported witness
+    "functional",
+    # the modal corroboration test projects the traveling bump onto string modes
+    "CounterexampleScenario.displacement",
+    # the exact mass that defines pe_check; the signal tests hold the lattice to it
+    "Signal.integral",
+    # the undamped flow e^{tA} z0, tested against expm; next in line for deletion
+    "LinearSystem.flow",
+}
+
+
+def unreached(sources: dict) -> list:
+    """Public definitions that nothing in ``sources`` reads outside their own body.
+
+    ``sources`` maps file names to module text.  A module-level function or
+    class counts as read by a ``Name`` node, a method of such a class by an
+    ``Attribute`` node of its name; ``__init__.py`` only re-exports, so it
+    defines nothing here and its imports read nothing.
+    """
+    defs, reads = [], {}
+    for fname, text in sources.items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault((ast.Name, node.id), []).append((fname, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault((ast.Attribute, node.attr), []).append((fname, node.lineno))
+        if fname == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            defs.append((ast.Name, node.name, node.name, fname, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(ast.Attribute, m.name, "%s.%s" % (node.name, m.name), fname, m)
+                         for m in node.body
+                         if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+    return sorted(qual for kind, name, qual, fname, node in defs
+                  if all(f == fname and node.lineno <= line <= node.end_lineno
+                         for f, line in reads.get((kind, name), ())))
+
+
+def test_guard_flags_an_unreached_definition():
+    planted = {
+        "__init__.py": "from .a import recursive\n",
+        "a.py": ("def used():\n    return helper().read()\n\n"
+                 "def helper():\n    return Box()\n\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n\n"
+                 "class Box:\n    def read(self):\n        return 1\n\n"
+                 "    def spare(self):\n        return self.spare()\n"),
+        "b.py": "from .a import used\nused()\n",
+    }
+    assert unreached(planted) == ["Box.spare", "recursive"]
+
+
+def test_every_public_definition_is_reached_or_listed():
+    sources = {p.name: p.read_text() for p in (ROOT / "src" / "pexstab").glob("*.py")}
+    assert unreached(sources) == sorted(UNREACHED_BY_DESIGN)
+
+
 def test_readme_python_example_runs():
     text = (ROOT / "README.md").read_text()
     section = text.split("\n## Python API\n", 1)[1]

@@ -1,11 +1,10 @@
 import math
-from fractions import Fraction as F
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
-from pexstab.linsys import LinearSystem, Trajectory, simulate
+from pexstab.linsys import simulate
 from pexstab.modal import (
     SchrodingerModalSpec,
     TRUNCATION_CAVEAT,
@@ -22,25 +21,29 @@ from pexstab.observability import (
 )
 from pexstab.signals import (
     IntervalSequence,
-    _frac,
+    Signal,
     from_intervals,
     make_piecewise,
     pe_check,
-    periodic_extension,
-    periodic_gate,
 )
 from pexstab.stability import (
     CertificateViolation,
     GateSignalFamily,
     certificate_from_constant,
-    decay_rate_fit,
     interval_product_bound,
-    refine_intervals,
     rho_class_criterion,
     verify_certificate,
 )
 
-ONE = make_piecewise([], [], 1.0)
+
+@dataclass(frozen=True)
+class FamilyWithAdversary(GateSignalFamily):
+    """The gate family with ``adversary`` served as draw 1."""
+
+    adversary: Signal = None
+
+    def draw(self, i):
+        return self.adversary if i == 1 else super().draw(i)
 
 
 def test_certificate_arithmetic():
@@ -76,11 +79,7 @@ def test_family_draws_are_persistently_exciting():
         assert rep.holds
 
 
-def test_family_serves_extras_before_random_draws():
-    special = periodic_gate(2.0, 0.5, 30.0)
-    fam = GateSignalFamily(T=2.0, mu=0.5, horizon=30.0, extras=(special,))
-    assert fam.draw(1) is special
-    assert fam.draw(2) is not special
+def test_family_refuses_mu_above_T_and_short_horizons():
     with pytest.raises(ValueError):
         GateSignalFamily(T=2.0, mu=2.5, horizon=30.0)
     with pytest.raises(ValueError):
@@ -101,8 +100,8 @@ def test_verify_accepts_a_true_bound():
 def test_verify_rejects_non_pe_family_draws():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
     cert = certificate_from_constant(0.05, 2.0, sys.b_norm)
-    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0,
-                           extras=(make_piecewise([], [], 0.0),))
+    fam = FamilyWithAdversary(T=2.0, mu=1.0, horizon=20.0,
+                              adversary=make_piecewise([], [], 0.0))
     with pytest.raises(ValueError, match="non-PE"):
         verify_certificate(sys, cert, fam, n_trials=2)
 
@@ -114,13 +113,14 @@ def test_inflated_constant_is_caught_by_the_witness_signal():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
     sclass = SignalClass.pe_windows(2.0, 1.0)
     est = class_constant(sys, sclass, n_cells=32, outer=OuterSearch(n_starts=4))
-    lifted = make_piecewise(
-        est.witness_signal.breakpoints,
-        [min(1.0, v + 1e-8) for v in est.witness_signal.values],
-        min(1.0, est.witness_signal.tail_value + 1e-8),
-    )
-    adversary = periodic_extension(lifted, 2.0, 100.0)
-    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=100.0, extras=(adversary,))
+    # the witness's cells on [0, 2), lifted by 1e-8 and repeated past the horizon
+    w = est.witness_signal
+    m = sum(1 for b in w.breakpoints if b < 2.0)
+    edges = list(w.breakpoints[:m]) + [2.0]
+    levels = [min(1.0, v + 1e-8) for v in (w.values + (w.tail_value,))[:m + 1]]
+    adversary = make_piecewise([2.0 * k + e for k in range(51) for e in edges],
+                               levels * 51, levels[0])
+    fam = FamilyWithAdversary(T=2.0, mu=1.0, horizon=100.0, adversary=adversary)
     bad = certificate_from_constant(10.0 * est.constant, 2.0, sys.b_norm)
     with pytest.raises(CertificateViolation, match="lower bound") as exc:
         verify_certificate(sys, bad, fam, n_trials=2)
@@ -129,37 +129,6 @@ def test_inflated_constant_is_caught_by_the_witness_signal():
     good = certificate_from_constant(est.constant * 0.999, 2.0, sys.b_norm)
     rep = verify_certificate(sys, good, fam, n_trials=2)
     assert rep.ok
-
-
-def test_decay_rate_fit_matches_commuting_decay():
-    d0 = 0.7
-    sys = build_schrodinger(SchrodingerModalSpec(n_modes=2, uniform=d0))
-    rng = np.random.default_rng(2)
-    z0 = rng.standard_normal(4)
-    traj = simulate(sys, ONE, z0, 10.0, 0.01)
-    gamma_hat, r2 = decay_rate_fit(traj)
-    assert gamma_hat == pytest.approx(d0 ** 2, rel=1e-9)
-    assert r2 > 1.0 - 1e-12
-
-
-def test_decay_rate_fit_flat_energy():
-    sys = LinearSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 1)))
-    traj = simulate(sys, ONE, [1.0, 0.0], 10.0, 0.01)
-    gamma_hat, _ = decay_rate_fit(traj)
-    assert abs(gamma_hat) < 1e-10
-
-
-def test_decay_rate_fit_zero_energy_and_short_tail():
-    sys = LinearSystem(np.zeros((1, 1)), np.eye(1))
-    dead = Trajectory(times=np.linspace(0.0, 1.0, 20), states=np.zeros((20, 1)),
-                      energies=np.zeros(20), damping_rates=np.zeros(20),
-                      system=sys, signal=ONE)
-    assert decay_rate_fit(dead) == (math.inf, 0.0)
-    traj = simulate(sys, ONE, [1.0], 1.0, 0.2)
-    with pytest.raises(ValueError):
-        decay_rate_fit(traj, tail_fraction=0.5)
-    with pytest.raises(ValueError):
-        decay_rate_fit(traj, tail_fraction=0.0)
 
 
 def test_product_bound_explicit_costs():
@@ -218,68 +187,6 @@ def test_product_bound_carries_system_caveats():
     seq = IntervalSequence(((0.0, 1.0),))
     rep = interval_product_bound(sys, seq, signal=from_intervals(seq))
     assert TRUNCATION_CAVEAT in rep.caveats
-
-
-def test_refine_passes_short_intervals_through():
-    seq = IntervalSequence(((0.0, 0.8), (1.0, 1.9)))
-    sig = make_piecewise([], [], 1.0)
-    out = refine_intervals(seq, sig, T0=1.0, rho=0.5)
-    assert out.intervals == seq.intervals
-
-
-def test_refine_splits_and_keeps_a_qualifying_cell():
-    # mass is concentrated mid-interval, so the first cell fails and the
-    # second qualifies
-    seq = IntervalSequence(((0.0, 2.5),))
-    sig = make_piecewise([0.9, 1.7], [0.0, 1.0], 0.0)
-    out = refine_intervals(seq, sig, T0=1.0, rho=0.3)
-    ((lo, hi),) = out.intervals
-    assert lo == pytest.approx(2.5 / 3.0)
-    assert hi == pytest.approx(5.0 / 3.0)
-    assert float(sig.integral(lo, hi)) >= 0.3 * (hi - lo) - 1e-15
-
-
-def test_refine_rejects_underfilled_intervals():
-    seq = IntervalSequence(((0.0, 2.0),))
-    sig = make_piecewise([1.0], [1.0], 0.0)  # mass 1 < 0.9 * 2
-    with pytest.raises(ValueError):
-        refine_intervals(seq, sig, T0=1.0, rho=0.9)
-    with pytest.raises(ValueError):
-        refine_intervals(seq, sig, T0=0.0, rho=0.5)
-    with pytest.raises(ValueError):
-        refine_intervals(seq, sig, T0=1.0, rho=1.5)
-
-
-@st.composite
-def gapped_signals(draw):
-    edges = sorted(draw(st.lists(
-        st.floats(min_value=0.05, max_value=8.0, allow_nan=False),
-        min_size=1, max_size=8, unique=True)))
-    vals = draw(st.lists(st.floats(0.0, 1.0), min_size=len(edges),
-                         max_size=len(edges)))
-    tail = draw(st.floats(0.0, 1.0))
-    return make_piecewise(edges, vals, tail)
-
-
-@settings(max_examples=60, deadline=None)
-@given(gapped_signals(), st.floats(0.6, 8.0), st.floats(0.3, 1.5))
-def test_refine_property_band_and_mass(sig, L, T0):
-    # use the exact mass fraction of the interval itself as rho: the
-    # averaging argument is tight there and exact arithmetic must still
-    # produce a qualifying cell
-    q = sig.integral(0, L) / _frac(L)
-    assume(q > 0)
-    rho = min(float(q), 1.0)
-    while _frac(rho) > q:
-        rho = float(np.nextafter(rho, 0.0))
-    assume(rho > 0)
-    seq = IntervalSequence(((0.0, float(L)),))
-    out = refine_intervals(seq, sig, T0=T0, rho=rho)
-    ((lo, hi),) = out.intervals
-    length = hi - lo
-    assert length <= T0 + 1e-12
-    assert length > T0 / 2.0 - 1e-12 or abs(length - L) < 1e-12
-    assert sig.integral(lo, hi) >= _frac(rho) * (_frac(hi) - _frac(lo))
 
 
 def test_criterion_linear_sums_are_divergence_consistent():
