@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -45,6 +46,15 @@ CSV_CHUNK_ROWS = 4096
 
 
 def _jsonable(x):
+    """JSON value of ``x``, recursing into containers.
+
+    A report is a dataclass: it is written as its fields by name, or as
+    what its ``to_dict`` returns when its report is not just its fields.
+    """
+    if is_dataclass(x):
+        if hasattr(x, "to_dict"):
+            return _jsonable(x.to_dict())
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -113,7 +123,7 @@ def _run_simulate(sc: Scenario, a: dict):
 
 def _run_check_pe(sc: Scenario, a: dict):
     rep = pe_check(sc.signal, a["T"], a["mu"], sc.horizon, tolerance=a["tolerance"])
-    return rep.to_dict(), rep.holds, None
+    return rep, rep.holds, None
 
 
 def _run_counterexample(sc: Scenario, a: dict):
@@ -140,7 +150,7 @@ def _run_observability(sc: Scenario, a: dict):
 def _run_kappa_scan(sc: Scenario, a: dict):
     rep = kappa_scan(sc.system, a["rho"], a["T_grid"], a["n_cells"], a["outer"])
     rows = zip(rep.T_grid, rep.constants)
-    return rep.to_dict(), True, ("T,c", rows)
+    return rep, True, ("T,c", rows)
 
 
 def _run_certify(sc: Scenario, a: dict):
@@ -153,7 +163,7 @@ def _run_certify(sc: Scenario, a: dict):
             est.constant, a["theta"], sc.system.b_norm,
             source="numerical class constant (%s)" % est.method)
         caveats.append(UPPER_ESTIMATE_CAVEAT)
-    report = {"certificate": cert.to_dict(), "caveats": caveats}
+    report = {"certificate": cert, "caveats": caveats}
     ok = True
     verify = a["verify"]
     if verify is not None:
@@ -162,10 +172,9 @@ def _run_certify(sc: Scenario, a: dict):
         try:
             check = verify_certificate(sc.system, cert, family,
                                        n_trials=verify["n_trials"])
-            report["verification"] = check.to_dict()
+            report["verification"] = check
         except CertificateViolation as e:
-            report["verification"] = e.report.to_dict()
-            report["verification"]["violation"] = str(e)
+            report["verification"] = dict(_jsonable(e.report), violation=str(e))
             ok = False
     return report, ok, None
 
@@ -174,13 +183,13 @@ def _run_strong_stability(sc: Scenario, a: dict):
     seq = a["intervals"]
     rep = interval_product_bound(sc.system, seq, signal=from_intervals(seq, a["level"]),
                                  costs=a["costs"], z0=a["z0"])
-    report = {"product_bound": rep.to_dict()}
+    report = {"product_bound": rep}
     ok = rep.ok
     crit = a["criterion"]
     if crit is not None:
         cost, knots = crit["cost"]
         crit_rep = rho_class_criterion(seq, cost, crit["T0"], knots=knots)
-        report["criterion"] = crit_rep.to_dict()
+        report["criterion"] = crit_rep
     rows = [(n, rep.factors[n], rep.cumulative[n],
              rep.measured_ratios[n] if rep.measured_ratios else float("nan"))
             for n in range(len(rep.factors))]

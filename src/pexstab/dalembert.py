@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .signals import PEReport, Signal, _frac, pe_check, periodic_gate
+from .signals import PEReport, Signal, pe_check, periodic_gate
 
 GAUSS_NODES = 8
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
@@ -63,7 +63,7 @@ class CounterexampleScenario:
     _fbp: Fraction = field(init=False, repr=False, compare=False, default=Fraction(0))
 
     def __post_init__(self):
-        fa, fb = _frac(self.omega[0]), _frac(self.omega[1])
+        fa, fb = Fraction(self.omega[0]), Fraction(self.omega[1])
         object.__setattr__(self, "_fomega", (fa, fb))
         object.__setattr__(self, "_fbp", (1 + fb) / 2)
 
@@ -146,6 +146,7 @@ class InertReport:
     n_windows_checked: int
 
     def to_dict(self) -> dict:
+        """Report form: the PE check as its verdict ``pe_ok``."""
         return {
             "ok": self.ok,
             "mu": self.mu,
@@ -173,7 +174,7 @@ def build_counterexample(omega, n_periods: int = 8) -> CounterexampleScenario:
         )
     if n_periods < 1:
         raise ValueError("need at least one period")
-    fb_prime = (1 + _frac(b)) / 2
+    fb_prime = (1 + Fraction(b)) / 2
     fmu = 1 - fb_prime
     sig = periodic_gate(2, fmu, 2 * n_periods)
     return CounterexampleScenario(
@@ -203,7 +204,7 @@ def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
     int_omega v_t(t, .)^2 dx over sampled active times corroborates the
     analytic overlap (both must vanish for the certificate to hold).
     """
-    fH = _frac(sc.period) * sc.n_periods
+    fH = Fraction(sc.period) * sc.n_periods
     sig = sc.signal
     fa, fb = sc._fomega
     fbp = sc._fbp

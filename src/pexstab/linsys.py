@@ -109,11 +109,6 @@ class LinearSystem:
             object.__setattr__(self, "_skew_eig_cache", cache)
         return cache
 
-    def flow(self, times, z0) -> np.ndarray:
-        """Undamped flow e^{tA} z0 at the given times (1-d, any order, >= 0)."""
-        ts, back = np.unique(np.asarray(times, dtype=float), return_inverse=True)
-        return _propagate(self, Signal((), (), 0.0), z0, ts)[back]
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:

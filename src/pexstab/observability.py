@@ -137,23 +137,18 @@ class ObservabilityEstimate:
     caveats: tuple = ()
 
     def to_dict(self) -> dict:
+        """Report form: the class as ``class``, ``n_cells`` under ``grid``."""
         return {
             "constant": self.constant,
             "method": self.method,
-            "witness_z0": list(map(float, self.witness_z0)),
-            "witness_signal": self.witness_signal.to_dict(),
-            "class": {
-                "kind": self.sclass.kind,
-                "horizon": self.sclass.horizon,
-                "rho": self.sclass.rho,
-                "T": self.sclass.T,
-                "mu": self.sclass.mu,
-            },
+            "witness_z0": self.witness_z0,
+            "witness_signal": self.witness_signal,
+            "class": self.sclass,
             "grid": {"n_cells": self.n_cells},
             "seed": self.seed,
             "n_starts": self.n_starts,
             "runner_up_gap": self.runner_up_gap,
-            "caveats": list(self.caveats),
+            "caveats": self.caveats,
         }
 
 
@@ -568,19 +563,6 @@ class KappaScanReport:
     seed: int
     caveats: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "T_grid": list(self.T_grid),
-            "constants": list(self.constants),
-            "slope": self.slope,
-            "kappa": self.kappa,
-            "kalman_index": self.kalman_index,
-            "expected_slope": self.expected_slope,
-            "rho": self.rho,
-            "seed": self.seed,
-            "caveats": list(self.caveats),
-        }
-
 
 def kappa_scan(sys: LinearSystem, rho: float, T_grid,
                n_cells: int = DEFAULT_N_CELLS,
@@ -649,20 +631,6 @@ class WindowScanReport:
     mu: float
     seed: int
     caveats: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n_modes": list(self.n_modes_list),
-            "free_constants": list(self.free_constants),
-            "interval_constants": list(self.interval_constants),
-            "interval_argmin": list(self.interval_argmin),
-            "trend": self.trend,
-            "T": self.T,
-            "mu": self.mu,
-            "seed": self.seed,
-            "caveats": list(self.caveats),
-        }
 
 
 def window_scan(spec: SchrodingerModalSpec, T: float, mu: float,

@@ -54,13 +54,20 @@ MAX_BREAKPOINTS = 200_000
 #   have;
 # - one inner solve on 4096 cells takes 25 ms (window LP, cold) or 4 ms
 #   (greedy fill), and every start of the outer search makes 1 to n_iters
-#   of them;
+#   of them.  One descent iteration on a 16-dimensional system takes about
+#   15 ms at 4096 cells, 4.8 ms at 1024 and 2.6 ms at 256 (window LP; 2.3,
+#   1.4 and 0.7 ms with the greedy fill), so n_cells * n_starts * n_iters,
+#   times the length of a kappa-scan's T_grid, is capped: at the cap a
+#   search whose descents never converge takes about 16 s at 4096 cells and
+#   43 s at 256.  Below about 500 cells an iteration's own cost, about 2 ms,
+#   outweighs its cells, and the caps on n_starts and n_iters bound it;
 # - a counterexample over 100 periods takes 1.5 s, over 1000 periods 10 s.
 MAX_SAMPLE_VALUES = 20_000_000
 MAX_GATE_PULSES = MAX_BREAKPOINTS // 2
 MAX_CELLS = 4096
 MAX_STARTS = 256
 MAX_ITERS = 1000
+MAX_OUTER_WORK = 2 ** 22
 MAX_T_GRID = 32
 MAX_PERIODS = 100
 
@@ -270,10 +277,11 @@ def _window(o, path, ctx=None):
 def _modal(o, path, ctx):
     d = o["damping"]  # the modal specs take exactly one of uniform and omega
     if o["kind"] == "wave-modal":
-        return build_wave(WaveModalSpec(o["n_modes"], uniform=d["uniform"],
-                                        omega=d["omega"], eigenvalues=o["eigenvalues"]))
-    return build_schrodinger(SchrodingerModalSpec(o["n_modes"], uniform=d["uniform"],
-                                                  omega=d["omega"]))
+        spec = WaveModalSpec(o["n_modes"], uniform=d["uniform"], omega=d["omega"],
+                             eigenvalues=o["eigenvalues"])
+        return spec, build_wave(spec)
+    spec = SchrodingerModalSpec(o["n_modes"], uniform=d["uniform"], omega=d["omega"])
+    return spec, build_schrodinger(spec)
 
 
 def _gate(o, path, ctx):
@@ -317,6 +325,23 @@ def _dim_at_most(limit: int, what: str, path: str, ctx):
 
 def _search_dim(a, path, ctx):
     _dim_at_most(OUTER_DIM_LIMIT, "the outer search", path, ctx)
+    return a
+
+
+def _outer_work(o, path, runs=1):
+    """Refuse ``runs`` outer searches on the ``n_cells`` and ``outer`` of
+    ``o`` when runs * n_cells * n_starts * n_iters exceeds MAX_OUTER_WORK."""
+    outer = o["outer"]
+    work = runs * o["n_cells"] * outer.n_starts * outer.n_iters
+    _require(work <= MAX_OUTER_WORK, _at(path, "outer"),
+             "the outer search may run runs * n_cells * n_starts * n_iters = "
+             "%d * %d * %d * %d = %d cell-iterations; at most %d are run"
+             % (runs, o["n_cells"], outer.n_starts, outer.n_iters, work, MAX_OUTER_WORK))
+
+
+def _observability(a, path, ctx):
+    _search_dim(a, path, ctx)
+    _outer_work(a, path)
     return a
 
 
@@ -369,6 +394,7 @@ def _check_pe(a, path, ctx):
 
 def _kappa_scan(a, path, ctx):
     _search_dim(a, path, ctx)
+    _outer_work(a, path, runs=len(a["T_grid"]))
     _require(ctx["system"].skew_flag, path, "needs a skew-symmetric system A")
     kalman_index(ctx["system"])  # raises when (A, B) is not controllable
     return a
@@ -385,8 +411,10 @@ def _certify(a, path, ctx):
                  "theta=%g is shorter than the window T=%g of the wave-pe "
                  "bound, which holds only on windows of length at least T"
                  % (theta, src["T"]))
+        _wave_pe_limits(src, _at(path, "source"), ctx["modal"])
     if src is not None and src["kind"] == "class-constant":
         _search_dim(a, path, ctx)
+        _outer_work(src, _at(path, "source"))
         # a class horizon below theta only lowers the constant, so it stays sound
         _require(src["class"].horizon <= theta, _at(path, "source.class.horizon"),
                  "class horizon %g exceeds theta=%g: the constant would not bound "
@@ -425,6 +453,21 @@ def _certify(a, path, ctx):
         if src is not None and src["kind"] == "class-constant":
             _verify_in_class(verify, src["class"], path)
     return a
+
+
+def _wave_pe_limits(src, path, spec):
+    """The wave-pe bound holds for string modes under uniform damping d0
+    with eigenvalues at least lambda_min, so both are read from the system:
+    a smaller value only weakens the bound, a larger one is refused."""
+    _require(isinstance(spec, WaveModalSpec) and spec.uniform is not None, path,
+             "the wave-pe bound holds only for a wave-modal system with uniform "
+             "damping")
+    _require(src["d0"] <= spec.uniform, _at(path, "d0"),
+             "d0=%g exceeds the system's uniform damping %g" % (src["d0"], spec.uniform))
+    lowest = float(spec.spectrum().min())
+    _require(src["lambda_min"] <= lowest, _at(path, "lambda_min"),
+             "lambda_min=%g exceeds the system's smallest eigenvalue %g"
+             % (src["lambda_min"], lowest))
 
 
 def _verify_in_class(verify, sclass, path):
@@ -477,9 +520,12 @@ def _strong_stability(a, path, ctx):
 def _scenario(top, path, ctx):
     _require(top["dt_out"] is None or top["horizon"] is None
              or top["dt_out"] <= top["horizon"], "dt_out", "must not exceed the horizon")
-    analyses = tuple(_walk(ANALYSES, a, "analyses[%d]" % i, dict(top, index=i))
+    # the analyses see the built system and, for a modal one, its spec
+    modal, system = top["system"] or (None, None)
+    analyses = tuple(_walk(ANALYSES, a, "analyses[%d]" % i,
+                           dict(top, system=system, modal=modal, index=i))
                      for i, a in enumerate(top["analyses"]))
-    return Scenario(seed=top["seed"], system=top["system"], signal=top["signal"],
+    return Scenario(seed=top["seed"], system=system, signal=top["signal"],
                     horizon=top["horizon"], dt_out=top["dt_out"], analyses=analyses)
 
 
@@ -489,8 +535,8 @@ DAMPING = Obj("damping", {"uniform": (POSITIVE, None), "omega": (_omega("<="), N
 
 SYSTEMS = Kinds("kind", "system kind", {
     "matrices": Obj("matrices", {"A": MATRIX, "B": MATRIX_OR_VECTOR},
-                    rule=lambda o, path, ctx: LinearSystem(
-                        np.asarray(o["A"], dtype=float), np.asarray(o["B"], dtype=float))),
+                    rule=lambda o, path, ctx: (None, LinearSystem(
+                        np.asarray(o["A"], dtype=float), np.asarray(o["B"], dtype=float)))),
     "wave-modal": Obj("wave-modal", {
         "n_modes": MODES, "damping": DAMPING, "eigenvalues": (NUMBERS, None),
     }, rule=_modal),
@@ -578,7 +624,7 @@ ANALYSES = Kinds("kind", "analysis kind", {
     }),
     "observability": Obj("observability", {
         "class": CLASSES, "n_cells": (CELLS, DEFAULT_N_CELLS), "outer": (OUTER, {}),
-    }, rule=_search_dim, needs=("system",)),
+    }, rule=_observability, needs=("system",)),
     "kappa-scan": Obj("kappa-scan", {
         "rho": FRACTION, "T_grid": _t_grid,
         "n_cells": (CELLS, DEFAULT_N_CELLS), "outer": (OUTER, {}),

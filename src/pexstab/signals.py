@@ -28,13 +28,6 @@ from fractions import Fraction
 from numbers import Rational
 
 
-def _frac(x) -> Fraction:
-    """Exact rational mirror of a float (or pass rationals through)."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(float(x))
-
-
 def _ratio(x) -> tuple:
     """Exact ``(numerator, denominator)`` of a float or rational, as ints."""
     if isinstance(x, float):
@@ -139,9 +132,6 @@ class Signal:
         object.__setattr__(self, "_ntail", ntail)
         object.__setattr__(self, "_nprefix", tuple(prefix))
 
-    def __call__(self, t: float) -> float:
-        return self.value_at(t)
-
     def value_at(self, t: float) -> float:
         """Level at time ``t`` (right-continuous at breakpoints)."""
         if t < 0:
@@ -203,6 +193,7 @@ class Signal:
                                     self._vden, self._nvalues[i:], self._ntail)
 
     def to_dict(self) -> dict:
+        """Report form: the tail level as ``tail``, without the lattice."""
         return {
             "breakpoints": list(self.breakpoints),
             "values": list(self.values),
@@ -226,6 +217,7 @@ class PEReport:
     tolerance: float = 0.0
 
     def to_dict(self) -> dict:
+        """Report form: the float fields, without the exact Fractions."""
         return {
             "holds": self.holds,
             "T": self.T,

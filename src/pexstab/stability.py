@@ -67,18 +67,6 @@ class DecayCertificate:
         """M e^{-gamma t} for each t (per unit initial norm)."""
         return self.M * np.exp(-self.gamma * np.asarray(times, dtype=float))
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "theta": self.theta,
-            "M": self.M,
-            "gamma": self.gamma,
-            "c": self.c,
-            "b_norm": self.b_norm,
-            "source": self.source,
-            "derivation": self.derivation,
-        }
-
 
 def certificate_from_constant(c: float, theta: float, b_norm: float,
                               source: str = "") -> DecayCertificate:
@@ -163,18 +151,6 @@ class CertificateCheck:
     horizon: float
     slack: float
     certificate: DecayCertificate
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "worst_ratio": self.worst_ratio,
-            "worst_trial": self.worst_trial,
-            "worst_time": self.worst_time,
-            "n_trials": self.n_trials,
-            "horizon": self.horizon,
-            "slack": self.slack,
-            "certificate": self.certificate.to_dict(),
-        }
 
 
 class CertificateViolation(RuntimeError):
@@ -268,20 +244,6 @@ class ProductBoundReport:
     ok: bool = True
     tolerance: float = PRODUCT_TOLERANCE
     caveats: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "intervals": [list(ab) for ab in self.intervals],
-            "costs": list(self.costs),
-            "factors": list(self.factors),
-            "cumulative": list(self.cumulative),
-            "cost_partial_sums": list(self.cost_partial_sums),
-            "measured_ratios": (None if self.measured_ratios is None
-                                else list(self.measured_ratios)),
-            "ok": self.ok,
-            "tolerance": self.tolerance,
-            "caveats": list(self.caveats),
-        }
 
 
 def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
@@ -397,22 +359,6 @@ class RhoCriterionReport:
     T0: float
     rule: str = DIVERGENCE_RULE
     energy_trend: dict = None
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "divergence_consistent": self.divergence_consistent,
-            "partial_sums": list(self.partial_sums),
-            "lengths": list(self.lengths),
-            "refined_lengths": list(self.refined_lengths),
-            "refined_cost_sum": self.refined_cost_sum,
-            "refined_count_in_band": self.refined_count_in_band,
-            "min_cost_on_band": self.min_cost_on_band,
-            "refined_lower_bound": self.refined_lower_bound,
-            "T0": self.T0,
-            "rule": self.rule,
-            "energy_trend": self.energy_trend,
-        }
 
 
 def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float, knots=(),

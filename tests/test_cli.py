@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pexstab.cli import main
@@ -173,6 +174,118 @@ def test_failed_verification_exits_one(tmp_path):
     payload = read_reports(out)["00_check-pe.json"]
     assert payload["ok"] is False
     assert payload["report"]["worst_window_mass"] == pytest.approx(0.4)
+
+
+def key_paths(value, prefix=""):
+    """Dotted paths of every key of the dicts nested in ``value``."""
+    if not isinstance(value, dict):
+        return set()
+    out = set()
+    for key, v in value.items():
+        out |= {prefix + key} | key_paths(v, prefix + key + ".")
+    return out
+
+
+CERTIFICATE_KEYS = {"M", "b_norm", "c", "derivation", "gamma", "q", "source", "theta"}
+VERIFICATION_KEYS = {"certificate", "horizon", "n_trials", "ok", "slack",
+                     "worst_ratio", "worst_time", "worst_trial"}
+
+
+def nested(prefix, keys):
+    return {prefix + "." + k for k in keys}
+
+
+# one small analysis of each kind, and the key set each report must have
+SHAPE_SCENARIO = {
+    "seed": 0,
+    "horizon": 4.0,
+    "dt_out": 0.001,
+    "system": {"kind": "wave-modal", "n_modes": 1, "damping": {"uniform": 1.0}},
+    "signal": {"gen": "periodic-gate", "period": 2.0, "pulse_halfwidth": 0.5,
+               "horizon": 4.0},
+    "analyses": [
+        {"kind": "simulate"},
+        {"kind": "check-pe", "T": 2.0, "mu": 1.0},
+        {"kind": "counterexample", "omega": [0.2, 0.6], "periods": 1},
+        {"kind": "observability", "class": {"kind": "pe-windows", "T": 2.0, "mu": 1.0},
+         "n_cells": 8, "outer": {"n_starts": 1}},
+        {"kind": "kappa-scan", "rho": 0.5, "T_grid": [0.4, 0.2], "n_cells": 8,
+         "outer": {"n_starts": 1}},
+        {"kind": "certify", "theta": 2.0, "constant": 0.1,
+         "verify": {"T": 2.0, "mu": 1.0, "n_trials": 1, "horizon": 4.0}},
+        {"kind": "strong-stability", "intervals": [[0.0, 1.0], [2.0, 3.0]],
+         "criterion": {"T0": 1.0, "cost": {"kind": "exp-gap"}}},
+    ],
+}
+REPORT_KEYS = {
+    "00_simulate.json": {
+        "V_end", "V_start", "balance_ok", "balance_one_sided", "balance_residual",
+        "balance_tol", "caveats", "monotone_ok", "monotone_tol", "samples",
+        "worst_energy_rise", "z0"},
+    "01_check-pe.json": {
+        "T", "holds", "horizon", "mu", "tolerance", "worst_window_mass",
+        "worst_window_start"},
+    "02_counterexample.json": {
+        "T", "energy_drift", "max_overlap", "mu", "n_periods", "n_windows_checked",
+        "ok", "omega", "pe_ok", "quad_velocity_mass_max"},
+    "03_observability.json": {
+        "c", "caveats", "class", "class.T", "class.horizon", "class.kind", "class.mu",
+        "class.rho", "grid", "grid.n_cells", "method", "n_starts", "runner_up_gap",
+        "seed", "witness_signal", "witness_signal.breakpoints", "witness_signal.tail",
+        "witness_signal.values", "witness_z0"},
+    "04_kappa-scan.json": {
+        "T_grid", "caveats", "constants", "expected_slope", "kalman_index", "kappa",
+        "rho", "seed", "slope"},
+    "05_certify.json": (
+        {"caveats", "certificate", "verification"}
+        | nested("certificate", CERTIFICATE_KEYS)
+        | nested("verification", VERIFICATION_KEYS)
+        | nested("verification.certificate", CERTIFICATE_KEYS)),
+    "06_strong-stability.json": (
+        {"criterion", "product_bound"}
+        | nested("criterion", {
+            "T0", "divergence_consistent", "energy_trend", "lengths",
+            "min_cost_on_band", "partial_sums", "refined_cost_sum",
+            "refined_count_in_band", "refined_lengths", "refined_lower_bound",
+            "rule", "verdict"})
+        | nested("product_bound", {
+            "caveats", "cost_partial_sums", "costs", "cumulative", "factors",
+            "intervals", "measured_ratios", "ok", "tolerance"})),
+}
+
+
+def test_report_key_sets_per_analysis_kind(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, SHAPE_SCENARIO), "--out", str(out)]) == 0
+    reports = read_reports(out)
+    assert set(reports) == set(REPORT_KEYS)
+    for name, payload in reports.items():
+        assert set(payload) == ENVELOPE_KEYS
+        assert key_paths(payload["report"]) == REPORT_KEYS[name], name
+
+
+VIOLATION_TEXT = (
+    "trajectory 1 exceeded the certified envelope at t=8 by ratio 2.91659 (q=0.04, "
+    "M=5, gamma=0.804719 from c=4.8): either c is not a lower bound for the class "
+    "or the simulation is wrong")
+
+
+def test_certificate_violation_exits_one(tmp_path):
+    # c = 4.8 claims q = 0.04 per window of length 2, far more decay than a
+    # gate that is on for half of each window gives the unit-damped string
+    doc = {"seed": 0,
+           "system": {"kind": "wave-modal", "n_modes": 1, "damping": {"uniform": 1.0}},
+           "analyses": [{"kind": "certify", "theta": 2.0, "constant": 4.8,
+                         "verify": {"T": 2.0, "mu": 1.0, "n_trials": 2,
+                                    "horizon": 8.0}}]}
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 1
+    payload = read_reports(out)["00_certify.json"]
+    assert payload["ok"] is False
+    verification = payload["report"]["verification"]
+    assert set(verification) == VERIFICATION_KEYS | {"violation"}
+    assert verification["ok"] is False
+    assert verification["violation"] == VIOLATION_TEXT
 
 
 def test_schema_violations_exit_two(tmp_path, capsys):
@@ -424,6 +537,52 @@ def test_wave_pe_theta_below_its_window_exits_two(tmp_path, capsys):
     assert main(["validate", write_scenario(tmp_path, doc, "ok.json")]) == 0
 
 
+def _wave_pe(system=None, **source):
+    doc = _with(WAVE_SCENARIO, dict(CERTIFY, source=dict(CERTIFY["source"], **source)))
+    if system is not None:
+        doc["system"] = dict(WAVE_SCENARIO["system"], **system)
+    return doc
+
+
+# The wave-pe bound holds for string modes under uniform damping d0 with
+# eigenvalues at least lambda_min.  The first three cases used to validate;
+# with a verify block (T 2, mu 1, 20 trials, horizon 40) the first and the
+# third passed at worst ratios 0.9913 and 0.9940, as the bound is loose.
+WAVE_PE_OUTSIDE_THE_SYSTEM = [
+    ("d0_above_the_damping", _wave_pe(d0=1.4), "analyses[0].source.d0"),
+    ("lambda_min_above_the_spectrum", _wave_pe(lambda_min=1e6),
+     "analyses[0].source.lambda_min"),
+    ("localized_damping", _wave_pe(system={"damping": {"omega": [0.2, 0.6]}}),
+     "analyses[0].source"),
+    ("default_d0_above_the_damping", _wave_pe(system={"damping": {"uniform": 0.5}}),
+     "analyses[0].source.d0"),
+    ("lambda_min_above_given_eigenvalues",
+     _wave_pe(system={"eigenvalues": [20.0, 40.0]}, lambda_min=30.0),
+     "analyses[0].source.lambda_min"),
+    ("quantum_particle", _wave_pe(system={"kind": "schrodinger-modal"}),
+     "analyses[0].source"),
+    ("matrices", _with(SCAN_SCENARIO, CERTIFY), "analyses[0].source"),
+]
+
+
+@pytest.mark.parametrize("doc, path", [c[1:] for c in WAVE_PE_OUTSIDE_THE_SYSTEM],
+                         ids=[c[0] for c in WAVE_PE_OUTSIDE_THE_SYSTEM])
+def test_wave_pe_outside_its_system_exits_two(tmp_path, capsys, doc, path):
+    assert main(["validate", write_scenario(tmp_path, doc)]) == 2
+    assert path + ": " in capsys.readouterr().err
+
+
+def test_wave_pe_within_its_system_validates(tmp_path):
+    # smaller values only weaken the bound; the default spectrum's smallest
+    # eigenvalue (1 pi)^2 equals math.pi ** 2 bit for bit
+    assert (1 * np.pi) ** 2 == math.pi ** 2
+    docs = [_wave_pe(d0=0.5, lambda_min=1.0),
+            _wave_pe(system={"damping": {"uniform": 2.0}}, d0=2.0),
+            _wave_pe(system={"eigenvalues": [20.0, 40.0]}, lambda_min=20.0)]
+    for j, doc in enumerate(docs):
+        assert main(["validate", write_scenario(tmp_path, doc, "ok%d.json" % j)]) == 0
+
+
 def test_table_cost_band_minimum_is_exact(tmp_path):
     # the table's minimum on [T0/2, T0] sits at its knot 0.503, between two
     # points of a 101-point grid of the band, whose smallest value is 4.71e-4
@@ -489,9 +648,6 @@ CLASS_CERTIFY = {
                     "class": {"kind": "rho-integral", "rho": 0.5, "horizon": 4.0}},
          "verify": {"T": 2.0, "mu": 1.0, "n_trials": 2, "horizon": 8.0}},
         {"kind": "certify", "theta": 2.0, "constant": 0.1},
-        {"kind": "certify", "theta": 2.0,
-         "source": {"kind": "wave-pe", "T": 2.0, "mu": 1.0,
-                    "lambda_min": math.pi ** 2}},
     ],
 }
 
@@ -499,9 +655,16 @@ CLASS_CERTIFY = {
 def test_class_constant_certificates_carry_the_upper_estimate_caveat(tmp_path):
     from pexstab.cli import UPPER_ESTIMATE_CAVEAT
 
-    out = tmp_path / "out"
-    assert main(["run", write_scenario(tmp_path, CLASS_CERTIFY), "--out", str(out)]) == 0
-    caveats = [p["report"]["caveats"] for p in read_reports(out).values()]
+    # the wave-pe bound needs a uniformly damped string
+    wave_pe = _with(CLASS_CERTIFY, {"kind": "certify", "theta": 2.0,
+                                    "source": CERTIFY["source"]},
+                    system=WAVE_SCENARIO["system"])
+    caveats = []
+    for j, doc in enumerate((CLASS_CERTIFY, wave_pe)):
+        out = tmp_path / ("out%d" % j)
+        scen = write_scenario(tmp_path, doc, "scenario%d.json" % j)
+        assert main(["run", scen, "--out", str(out)]) == 0
+        caveats += [p["report"]["caveats"] for p in read_reports(out).values()]
     assert caveats == [[UPPER_ESTIMATE_CAVEAT], [UPPER_ESTIMATE_CAVEAT], [], []]
 
 
@@ -562,6 +725,17 @@ OVERSIZED = [
      "analyses[0].outer.n_starts"),
     ("n_iters", _with(WAVE_SCENARIO, dict(OBSERVE, outer={"n_iters": 1001})),
      "analyses[0].outer.n_iters"),
+    # n_cells * n_starts * n_iters, times the T_grid length of a kappa-scan,
+    # is at most 2^22
+    ("outer_work", _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4096, outer={
+        "n_starts": 256, "n_iters": 5})), "analyses[0].outer"),
+    ("kappa_scan_outer_work", _with(SCAN_SCENARIO, dict(KAPPA, n_cells=4096, outer={
+        "n_starts": 8, "n_iters": 100})), "analyses[0].outer"),
+    ("certify_source_outer_work",
+     _with(CLASS_CERTIFY, dict(CLASS_CERTIFY["analyses"][0], source=dict(
+         CLASS_CERTIFY["analyses"][0]["source"], n_cells=4096,
+         outer={"n_starts": 32, "n_iters": 100}))),
+     "analyses[0].source.outer"),
     ("T_grid_length",
      _with(SCAN_SCENARIO, dict(KAPPA, T_grid=[1.0 - k / 100 for k in range(33)])),
      "analyses[0].T_grid"),
@@ -584,8 +758,11 @@ def test_inputs_at_the_caps_validate(tmp_path):
         # 1.6e6 samples of N = 4: 1.92e7 of the 2e7 values a run may keep
         _with(WAVE_SCENARIO, {"kind": "simulate"}, horizon=12.0, dt_out=12.0 / 1.6e6),
         _with(WAVE_SCENARIO, dict(cert, verify=dict(cert["verify"], n_trials=1))),
+        # 4096 * 256 * 4 and 16 * 256 * 1000 cell-iterations, within 2^22
         _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4096, outer={"n_starts": 256,
-                                                                 "n_iters": 1000})),
+                                                                 "n_iters": 4})),
+        _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=16, outer={"n_starts": 256,
+                                                               "n_iters": 1000})),
         _with(SCAN_SCENARIO, dict(KAPPA, T_grid=[1.0 - k / 100 for k in range(32)])),
         _with(SCAN_SCENARIO, dict(SCAN_SCENARIO["analyses"][0], periods=100)),
     ]

@@ -139,55 +139,28 @@ def test_energy_balance_one_sided_for_dissipative_drift():
     assert bal.residual <= 1e-9  # V + damping integral only ever undershoots
 
 
-def test_flow_handles_unsorted_times():
-    A = np.array([[-0.5, 1.0], [-1.0, -0.5]])
-    sys = LinearSystem(A, np.zeros((2, 1)))
-    times = np.array([1.5, 0.5, 1.0])
-    out = sys.flow(times, [1.0, 0.0])
-    for t, z in zip(times, out):
-        want = scipy.linalg.expm(A * t) @ np.array([1.0, 0.0])
-        assert np.abs(z - want).max() < 1e-12
-
-
-def test_flow_skew_path_matches_expm():
+def test_undamped_propagation_skew_path_matches_expm():
     rng = np.random.default_rng(9)
     A = random_skew(rng, 5)
     sys = LinearSystem(A, np.zeros((5, 1)))
     z0 = rng.standard_normal(5)
     ts = np.linspace(0.0, 3.0, 7)
-    out = sys.flow(ts, z0)
+    out = _propagate(sys, make_piecewise([], [], 0.0), z0, ts)
+    assert np.array_equal(out[0], z0)
     for t, z in zip(ts, out):
         want = scipy.linalg.expm(A * t) @ z0
         assert np.abs(z - want).max() < 1e-11
 
 
-def test_flow_repeated_times_and_zero():
-    A = np.array([[-0.5, 1.0], [-1.0, -0.5]])
-    sys = LinearSystem(A, np.zeros((2, 1)))
-    z0 = np.array([0.3, -0.7])
-    times = [1.0, 0.0, 1.0, 0.25, 0.0]
-    out = sys.flow(times, z0)
-    assert out.shape == (5, 2)
-    assert np.array_equal(out[1], z0) and np.array_equal(out[4], z0)
-    assert np.array_equal(out[0], out[2])
-    for t, z in zip(times, out):
-        assert np.abs(z - scipy.linalg.expm(A * t) @ z0).max() < 1e-12
-
-
-def test_flow_rejects_negative_time():
-    sys = LinearSystem(rotation(), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        sys.flow([0.5, -0.1], [1.0, 0.0])
-
-
-def test_flow_ignores_damping():
-    # the flow is e^{tA} z0 whatever B is: the damping map never enters
+def test_undamped_propagation_ignores_damping():
+    # at level 0 the step is e^{tA} whatever B is: the damping map never enters
     rng = np.random.default_rng(3)
+    zero = make_piecewise([], [], 0.0)
     for A in (random_skew(rng, 4), random_skew(rng, 4) - 0.2 * np.eye(4)):
         sys = LinearSystem(A, rng.standard_normal((4, 2)))
         z0 = rng.standard_normal(4)
-        ts = [2.0, 0.0, 0.5, 1.25]
-        for t, z in zip(ts, sys.flow(ts, z0)):
+        ts = np.array([0.0, 0.5, 1.25, 2.0])
+        for t, z in zip(ts, _propagate(sys, zero, z0, ts)):
             assert np.abs(z - scipy.linalg.expm(A * t) @ z0).max() < 1e-12
 
 
@@ -378,10 +351,11 @@ def test_batched_propagation_close_spacings_stay_apart():
 
 def test_propagation_rejects_unordered_times():
     sys = LinearSystem(rotation(), np.array([0.0, 1.0]))
-    one = make_piecewise([], [], 1.0)
-    for bad in ([0.5, 0.5], [1.0, 0.5], [-0.1, 0.5]):
-        with pytest.raises(ValueError):
-            _propagate(sys, one, [1.0, 0.0], np.array(bad))
+    for level in (0.0, 1.0):
+        sig = make_piecewise([], [], level)
+        for bad in ([0.5, 0.5], [1.0, 0.5], [-0.1, 0.5], [0.5, -0.1]):
+            with pytest.raises(ValueError):
+                _propagate(sys, sig, [1.0, 0.0], np.array(bad))
 
 
 def loop_sample_grid(sig, horizon, dt_out):

@@ -18,16 +18,16 @@ from pexstab.signals import (
 
 def test_constant_signal():
     s = make_piecewise([], [], 1.0)
-    assert s(0.0) == 1.0
-    assert s(123.4) == 1.0
+    assert s.value_at(0.0) == 1.0
+    assert s.value_at(123.4) == 1.0
     assert s.integral(0, 7) == 7
 
 
 def test_single_breakpoint_cells():
     s = make_piecewise([1.0], [0.0], 1.0)
-    assert s(0.0) == 0.0
-    assert s(0.999) == 0.0
-    assert s(1.0) == 1.0  # right-continuous at the edge
+    assert s.value_at(0.0) == 0.0
+    assert s.value_at(0.999) == 0.0
+    assert s.value_at(1.0) == 1.0  # right-continuous at the edge
     assert s.integral(0.5, 1.5) == F(1, 2)
 
 
@@ -127,7 +127,7 @@ def test_pe_check_validates_arguments():
 def test_gate_degenerates_to_constant_one():
     g = periodic_gate(2, 1, 10)
     assert g.breakpoints == ()
-    assert g(3.14) == 1.0
+    assert g.value_at(3.14) == 1.0
     with pytest.raises(ValueError):
         periodic_gate(2, 1.2, 10)
     with pytest.raises(ValueError):
@@ -140,9 +140,9 @@ def test_haraux_gap_layout():
     assert seq.intervals[0] == (0.0, 1.0)
     assert seq.intervals[1] == (2.0, 2.5)
     assert seq.intervals[2] == (3.0, 3.0 + 1.0 / 3.0)
-    assert sig(0.5) == 1.0
-    assert sig(1.5) == 0.0
-    assert sig(2.25) == 1.0
+    assert sig.value_at(0.5) == 1.0
+    assert sig.value_at(1.5) == 0.0
+    assert sig.value_at(2.25) == 1.0
 
 
 def test_haraux_gap_window_masses():
@@ -172,12 +172,12 @@ def test_haraux_gap_late_window_mass_near_one():
 def test_from_intervals_levels():
     seq = IntervalSequence(((0.5, 1.0), (1.0, 1.5), (3.0, 4.0)))
     s = from_intervals(seq, 0.75)
-    assert s(0.25) == 0.0
-    assert s(0.75) == 0.75
-    assert s(1.25) == 0.75  # touching intervals merge seamlessly
-    assert s(2.0) == 0.0
-    assert s(3.5) == 0.75
-    assert s(10.0) == 0.0
+    assert s.value_at(0.25) == 0.0
+    assert s.value_at(0.75) == 0.75
+    assert s.value_at(1.25) == 0.75  # touching intervals merge seamlessly
+    assert s.value_at(2.0) == 0.0
+    assert s.value_at(3.5) == 0.75
+    assert s.value_at(10.0) == 0.0
     assert s.integral(0, 10) == F(3, 4) * 2
 
 

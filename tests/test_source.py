@@ -52,8 +52,9 @@ UNREACHED_BY_DESIGN = {
     "CounterexampleScenario.displacement",
     # the exact mass that defines pe_check; the signal tests hold the lattice to it
     "Signal.integral",
-    # the undamped flow e^{tA} z0, tested against expm; next in line for deletion
-    "LinearSystem.flow",
+    # the pointwise level lookup: the signal tests read levels through it,
+    # and the batched _levels is tested against it
+    "Signal.value_at",
 }
 
 

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from pexstab.cli import _jsonable
 from pexstab.linsys import simulate
 from pexstab.modal import (
     SchrodingerModalSpec,
@@ -94,7 +95,7 @@ def test_verify_accepts_a_true_bound():
     rep = verify_certificate(sys, cert, fam, n_trials=5)
     assert rep.ok
     assert rep.worst_ratio <= 1.0 + rep.slack
-    assert rep.to_dict()["certificate"]["q"] == cert.q
+    assert _jsonable(rep)["certificate"]["q"] == cert.q
 
 
 def test_verify_rejects_non_pe_family_draws():
