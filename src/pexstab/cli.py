@@ -187,7 +187,7 @@ def _run_strong_stability(sc: Scenario, a: dict):
     ok = rep.ok
     crit = a["criterion"]
     if crit is not None:
-        cost, knots = crit["cost"]
+        cost, knots, _ = crit["cost"]
         crit_rep = rho_class_criterion(seq, cost, crit["T0"], knots=knots)
         report["criterion"] = crit_rep
     rows = [(n, rep.factors[n], rep.cumulative[n],

@@ -28,10 +28,11 @@ uniform grid of ``n_cells`` cells over [0, theta]:
   The finite LP is written in the cumulative mass F(t) = int_0^t alpha,
   linear between cell edges: a window row reads F(s + T) - F(s) >= mu with at
   most three nonzeros, and the levels are the slopes of F.  Its sparse
-  constraint matrix is passed once per inner problem to a HiGHS simplex
-  solver, which re-optimises each new cost from its last basis;
-  ``scipy.optimize`` and ``scipy.sparse`` are imported only when a window
-  LP is built.
+  constraint matrix, built in numpy, is passed once per inner problem to a
+  HiGHS simplex solver, which re-optimises each new cost from its last
+  basis.  The solver is the compiled HiGHS core that scipy ships, loaded
+  from its file when the first window LP is built; neither
+  ``scipy.optimize`` nor ``scipy.sparse`` is imported.
 
 The outer minimisation over the unit sphere is nonconvex; it is attacked by
 multi-start local descent with a fixed, recorded seed.  Each descent step
@@ -45,7 +46,12 @@ system (e.g. modal truncation).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -236,10 +242,15 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
     dropped.  One end of each candidate window lies on a cell edge, so a
     window row has at most three nonzeros.
 
-    Returns (A, row_lower, row_upper) with A a sparse CSC array.
-    """
-    import scipy.sparse
+    A is returned in compressed sparse column form, (indptr, indices,
+    data): the entries of column k are data[indptr[k]:indptr[k + 1]], in
+    rows indices[...] sorted upward.  When T < dt both ends of a window can
+    fall on one cell, so a (row, column) entry is added at most twice; the
+    two are summed (an exact zero sum stays an entry), which is the
+    canonical form scipy.sparse would build from the same triples.
 
+    Returns ((indptr, indices, data), row_lower, row_upper).
+    """
     dt = horizon / n
     edges = np.array([horizon * j / n for j in range(n + 1)])
     tol = 1e-12 * max(1.0, horizon)
@@ -286,10 +297,49 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
     for i, s in enumerate(kept):
         add_end(n + i, s, -1.0)
         add_end(n + i, s + T, 1.0)
-    A = scipy.sparse.csc_array((vals, (rows, cols)), shape=(n + len(kept), n))
+    order = np.lexsort((rows, cols))  # by column, then row
+    rows, cols = np.asarray(rows)[order], np.asarray(cols)[order]
+    first = np.ones(len(order), dtype=bool)  # first entry of its (row, column)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    at = np.flatnonzero(first)
+    # a pair of addends sums to the same float in either order
+    data = np.add.reduceat(np.asarray(vals)[order], at)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols[at], minlength=n))))
     lb = np.concatenate([np.zeros(n), np.full(len(kept), mu)])
     ub = np.concatenate([np.full(n, dt), np.full(len(kept), np.inf)])
-    return A, lb, ub
+    return (indptr, rows[at], data), lb, ub
+
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_highs_lock = threading.Lock()
+
+
+def _highs_core():
+    """The compiled HiGHS core scipy ships, without ``scipy.optimize``.
+
+    The extension module is loaded from its file in scipy's install and
+    registered in ``sys.modules`` under its own name, so a later ``import
+    scipy.optimize`` shares it; when that name is already there (scipy.optimize
+    was imported first), that module is the one returned.
+    """
+    with _highs_lock:
+        core = sys.modules.get(_HIGHS_CORE)
+        if core is not None:
+            return core
+        where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(where, "_core" + suffix)
+            if os.path.isfile(path):
+                break
+        else:
+            raise ImportError("no HiGHS core (_core with an extension suffix) in %s"
+                              % where)
+        loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, path)
+        core = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(_HIGHS_CORE, path, loader=loader))
+        loader.exec_module(core)
+        sys.modules[_HIGHS_CORE] = core
+        return core
 
 
 class _WindowLP:
@@ -299,28 +349,28 @@ class _WindowLP:
     (presolve off, columns in [0, inf)); each :meth:`solve` changes only the
     cost and re-optimises from the previous optimal basis, which is what the
     outer descent needs: consecutive steps change the cost and nothing else.
-    The solver is scipy's bundled HiGHS binding, a private module; the test
-    suite checks every method used here.  A model is not shared between
-    threads: each caller builds its own.  ``n`` and ``dt = horizon / n`` are
-    the grid the model was built on.
+    The solver is scipy's compiled HiGHS core, a private extension module
+    that :func:`_highs_core` loads from its file; the test suite checks
+    every method used here.  A model is not shared between threads: each
+    caller builds its own.  ``n`` and ``dt = horizon / n`` are the grid the
+    model was built on.
     """
 
     def __init__(self, n: int, T: float, mu: float, horizon: float):
-        from scipy.optimize._highspy import _core as highs
-
+        highs = _highs_core()
         self.n, self.dt = n, horizon / n
-        A, lb, ub = _window_constraints(n, T, mu, horizon)
+        (indptr, indices, data), lb, ub = _window_constraints(n, T, mu, horizon)
         lp = highs.HighsLp()
-        lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]
+        lp.num_col_, lp.num_row_ = n, len(lb)
         lp.col_cost_ = np.zeros(n)
         lp.col_lower_ = np.zeros(n)
         lp.col_upper_ = np.full(n, np.inf)
         lp.row_lower_, lp.row_upper_ = lb, ub
         lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = A.shape[1], A.shape[0]
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, len(lb)
+        lp.a_matrix_.start_ = indptr
+        lp.a_matrix_.index_ = indices
+        lp.a_matrix_.value_ = data
         self._h = highs._Highs()
         self._error = highs.HighsStatus.kError
         self._optimal = highs.HighsModelStatus.kOptimal

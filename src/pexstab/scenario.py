@@ -56,11 +56,13 @@ MAX_BREAKPOINTS = 200_000
 #   (greedy fill), and every start of the outer search makes 1 to n_iters
 #   of them.  One descent iteration on a 16-dimensional system takes about
 #   15 ms at 4096 cells, 4.8 ms at 1024 and 2.6 ms at 256 (window LP; 2.3,
-#   1.4 and 0.7 ms with the greedy fill), so n_cells * n_starts * n_iters,
-#   times the length of a kappa-scan's T_grid, is capped: at the cap a
-#   search whose descents never converge takes about 16 s at 4096 cells and
-#   43 s at 256.  Below about 500 cells an iteration's own cost, about 2 ms,
-#   outweighs its cells, and the caps on n_starts and n_iters bound it;
+#   1.4 and 0.7 ms with the greedy fill).  Below about 500 cells an
+#   iteration's own cost, about 2 ms (the HiGHS call, the weighted Gramian
+#   and its eigh), outweighs its cells, so an iteration counts as at least
+#   DEFAULT_N_CELLS cells, and max(n_cells, 64) * n_starts * n_iters, times
+#   the length of a kappa-scan's T_grid, is capped: at the cap a search
+#   whose descents never converge takes about 16 s at 4096 cells, 43 s at
+#   256 and, at about 2 ms an iteration, 2 min at 64 cells or fewer;
 # - a counterexample over 100 periods takes 1.5 s, over 1000 periods 10 s.
 MAX_SAMPLE_VALUES = 20_000_000
 MAX_GATE_PULSES = MAX_BREAKPOINTS // 2
@@ -314,7 +316,7 @@ def _table_cost(o, path, ctx):
              "need matching T and c lists with at least two points")
     _require(all(a < b for a, b in zip(ts, ts[1:])), _at(path, "T"),
              "lengths must be strictly increasing")
-    return (lambda L: float(np.interp(L, ts, cs))), tuple(ts)
+    return (lambda L: float(np.interp(L, ts, cs))), tuple(ts), 0.0
 
 
 def _dim_at_most(limit: int, what: str, path: str, ctx):
@@ -330,13 +332,17 @@ def _search_dim(a, path, ctx):
 
 def _outer_work(o, path, runs=1):
     """Refuse ``runs`` outer searches on the ``n_cells`` and ``outer`` of
-    ``o`` when runs * n_cells * n_starts * n_iters exceeds MAX_OUTER_WORK."""
+    ``o`` when runs * max(n_cells, DEFAULT_N_CELLS) * n_starts * n_iters
+    exceeds MAX_OUTER_WORK: an iteration on few cells costs what one on
+    DEFAULT_N_CELLS does."""
     outer = o["outer"]
-    work = runs * o["n_cells"] * outer.n_starts * outer.n_iters
+    cells = max(o["n_cells"], DEFAULT_N_CELLS)
+    work = runs * cells * outer.n_starts * outer.n_iters
     _require(work <= MAX_OUTER_WORK, _at(path, "outer"),
-             "the outer search may run runs * n_cells * n_starts * n_iters = "
-             "%d * %d * %d * %d = %d cell-iterations; at most %d are run"
-             % (runs, o["n_cells"], outer.n_starts, outer.n_iters, work, MAX_OUTER_WORK))
+             "the outer search may run runs * max(n_cells, %d) * n_starts * n_iters "
+             "= %d * %d * %d * %d = %d cell-iterations; at most %d are run"
+             % (DEFAULT_N_CELLS, runs, cells, outer.n_starts, outer.n_iters, work,
+                MAX_OUTER_WORK))
 
 
 def _observability(a, path, ctx):
@@ -505,8 +511,13 @@ def _strong_stability(a, path, ctx):
         # the criterion evaluates the cost on the interval lengths and on
         # [T0/2, T0]; each cost form that is positive at the shortest of
         # these is positive on all of them
-        cost = crit["cost"][0]
+        cost, _, rho = crit["cost"]
         cpath = _at(path, "criterion.cost")
+        # c grows as rho^3, so a rho above the level overstates every cost
+        _require(rho <= a["level"], _at(cpath, "rho"),
+                 "rho=%g exceeds the level %g of the intervals: the cost assumes "
+                 "a damping mass of rho times each interval's length"
+                 % (rho, a["level"]))
         for L in seq.lengths + (crit["T0"] / 2.0, crit["T0"]):
             try:
                 c = cost(L)
@@ -594,16 +605,18 @@ VERIFY = Obj("verify", {
     "horizon": (POSITIVE, None),
 }, rule=_window)
 
-# each cost form resolves to its interval cost function c(L) and the knots
-# between which c is monotone; the two closed forms increase in L
+# each cost form resolves to its interval cost function c(L), the knots
+# between which c is monotone (the two closed forms increase in L) and the
+# damping level its derivation needs on the intervals: the cubic bound
+# assumes a rho-fraction of each interval's length as its damping mass
 COSTS = Kinds("kind", "cost form", {
     "wave-cubic": Obj("wave-cubic", {
         "rho": FRACTION, "lambda1": POSITIVE,
         "d0": (POSITIVE, _library_default(wave_rho_lower_bound, "d0")),
     }, rule=lambda o, path, ctx: ((lambda L: wave_rho_lower_bound(
-        L, o["rho"], o["lambda1"], o["d0"])), ())),
+        L, o["rho"], o["lambda1"], o["d0"])), (), o["rho"])),
     "exp-gap": Obj("exp-gap", {}, rule=lambda o, path, ctx: (
-        (lambda L: math.exp(-2.0 / L)), ())),
+        (lambda L: math.exp(-2.0 / L)), (), 0.0)),
     "table": Obj("table", {"T": _list(POSITIVE), "c": _list(POSITIVE)}, rule=_table_cost),
 })
 

@@ -128,15 +128,24 @@ def test_parallel_window_lps_match_serial(tmp_path):
     assert tree_bytes(a) == tree_bytes(b)
 
 
-def test_cli_import_leaves_the_lp_stack_unloaded():
+def test_cli_import_leaves_the_lp_stack_unloaded(tmp_path):
+    # importing the CLI loads no LP stack, and a pe-windows run loads only
+    # the HiGHS core: neither scipy.optimize nor scipy.sparse
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, pexstab.cli; print([m for m in ('scipy.optimize', "
-            "'scipy.sparse') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    scen = write_scenario(tmp_path, {"system": WAVE_SCENARIO["system"],
+                                     "analyses": [WAVE_SCENARIO["analyses"][2]]})
+    code = ("import sys, pexstab.cli\n"
+            "def loaded(): return [m for m in ('scipy.optimize', 'scipy.sparse',"
+            " 'scipy.optimize._highspy._core') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "assert pexstab.cli.main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(loaded())")
+    out = subprocess.run([sys.executable, "-c", code, scen, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    lines = out.stdout.splitlines()  # the run's own lines come between
+    assert (lines[0], lines[-1]) == ("[]", "['scipy.optimize._highspy._core']")
 
 
 def test_run_scan_scenario(tmp_path):
@@ -344,6 +353,20 @@ def test_wave_cubic_criterion_outside_its_range_exits_two(tmp_path, capsys):
     assert crit["criterion"]["partial_sums"][0] == pytest.approx(
         25.0 / 72.0, rel=1e-12)
 
+
+
+def test_wave_cubic_rho_above_the_level_exits_two(tmp_path, capsys):
+    # intervals at level 0.5 carry half their length as mass; a cubic cost
+    # at rho 1 would overstate every cost eightfold
+    strong = dict(SCAN_SCENARIO["analyses"][2], level=0.5)
+    doc = dict(SCAN_SCENARIO, analyses=[strong])
+    assert main(["validate", write_scenario(tmp_path, doc, "high.json")]) == 2
+    assert "analyses[0].criterion.cost.rho: rho=1 exceeds the level 0.5" in (
+        capsys.readouterr().err)
+    cost = dict(strong["criterion"]["cost"], rho=0.5)
+    doc = dict(SCAN_SCENARIO, analyses=[dict(strong, criterion=dict(
+        strong["criterion"], cost=cost))])
+    assert main(["validate", write_scenario(tmp_path, doc, "at.json")]) == 0
 
 def test_missing_scenario_exits_three(tmp_path):
     assert main(["run", str(tmp_path / "absent.json"),
@@ -725,10 +748,13 @@ OVERSIZED = [
      "analyses[0].outer.n_starts"),
     ("n_iters", _with(WAVE_SCENARIO, dict(OBSERVE, outer={"n_iters": 1001})),
      "analyses[0].outer.n_iters"),
-    # n_cells * n_starts * n_iters, times the T_grid length of a kappa-scan,
-    # is at most 2^22
+    # max(n_cells, 64) * n_starts * n_iters, times the T_grid length of a
+    # kappa-scan, is at most 2^22
     ("outer_work", _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4096, outer={
         "n_starts": 256, "n_iters": 5})), "analyses[0].outer"),
+    # 64 * 66 * 1000: an iteration on 4 cells costs what one on 64 does
+    ("outer_work_few_cells", _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4, outer={
+        "n_starts": 66, "n_iters": 1000})), "analyses[0].outer"),
     ("kappa_scan_outer_work", _with(SCAN_SCENARIO, dict(KAPPA, n_cells=4096, outer={
         "n_starts": 8, "n_iters": 100})), "analyses[0].outer"),
     ("certify_source_outer_work",
@@ -758,12 +784,16 @@ def test_inputs_at_the_caps_validate(tmp_path):
         # 1.6e6 samples of N = 4: 1.92e7 of the 2e7 values a run may keep
         _with(WAVE_SCENARIO, {"kind": "simulate"}, horizon=12.0, dt_out=12.0 / 1.6e6),
         _with(WAVE_SCENARIO, dict(cert, verify=dict(cert["verify"], n_trials=1))),
-        # 4096 * 256 * 4 and 16 * 256 * 1000 cell-iterations, within 2^22
+        # 4096 * 256 * 4 and 64 * 65 * 1000 cell-iterations, within 2^22; 16
+        # cells count as 64
         _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4096, outer={"n_starts": 256,
                                                                  "n_iters": 4})),
-        _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=16, outer={"n_starts": 256,
+        _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=16, outer={"n_starts": 65,
                                                                "n_iters": 1000})),
         _with(SCAN_SCENARIO, dict(KAPPA, T_grid=[1.0 - k / 100 for k in range(32)])),
+        # 32 * 64 * 8 * 100: the default search on every length of a full T_grid
+        _with(SCAN_SCENARIO, {"kind": "kappa-scan", "rho": 0.5,
+                              "T_grid": [1.0 - k / 100 for k in range(32)]}),
         _with(SCAN_SCENARIO, dict(SCAN_SCENARIO["analyses"][0], periods=100)),
     ]
     for j, doc in enumerate(docs):

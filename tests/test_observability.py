@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -363,8 +369,8 @@ def test_window_rows_on_aligned_grids_carry_no_rounding_weights(monkeypatch):
         tau = int(rng.integers(1, n + 1))
         m = int(rng.integers(1, tau + 1))
         rng.uniform(0.0, 1.0, n)  # the cost drawn there
-        A, _, _ = _window_constraints(n, tau * dt, m * dt, n * dt)
-        assert np.abs(A.data).min() >= 1e-9
+        (_, _, data), _, _ = _window_constraints(n, tau * dt, m * dt, n * dt)
+        assert np.abs(data).min() >= 1e-9
         _WindowLP(n, tau * dt, m * dt, n * dt)
     assert statuses == [_core.HighsStatus.kOk] * 40
 
@@ -410,8 +416,8 @@ def test_window_model_is_built_once_and_sparse(monkeypatch):
     assert built[0][1] is not built[1][1]
 
     n, T, mu, horizon = 40, 1.3, 0.45, 3.1
-    A, _, _ = _window_constraints(n, T, mu, horizon)
-    A = A.tocsr()
+    (indptr, indices, data), lb, _ = _window_constraints(n, T, mu, horizon)
+    A = scipy.sparse.csc_array((data, indices, indptr), shape=(len(lb), n)).tocsr()
     assert np.diff(A.indptr)[n:].max() == 3  # off-grid window rows
     assert np.diff(A.indptr)[:n].max() == 2  # slope rows
     assert _WindowLP(n, T, mu, horizon)._h.getNumNz() == A.nnz
@@ -423,7 +429,7 @@ def window_constraints_reference(n, T, mu, horizon):
     Each candidate start records the edge it starts on and the edge it ends
     on; an end on an edge takes a coefficient of +-1 there, any other end is
     interpolated between the two edges of its cell.  Returns
-    (A, row_lower, row_upper) as :func:`_window_constraints` does.
+    (A, row_lower, row_upper) with A a ``scipy.sparse`` CSC array.
     """
     dt = horizon / n
     edges = np.array([horizon * j / n for j in range(n + 1)])
@@ -514,6 +520,12 @@ def window_grids():
             T = int(rng.integers(1, n + 1)) * dt
             horizon = n * dt
         grids.append((n, T, float(rng.uniform(0.01, 1.0)) * T, horizon))
+    rng = np.random.default_rng(91)
+    for i in range(100):  # windows shorter than a cell: entries added twice
+        n = int(rng.integers(4, 40))
+        dt = float(rng.uniform(0.05, 1.0))
+        T = dt / (2 if i % 4 == 0 else float(rng.uniform(1.05, 20.0)))
+        grids.append((n, T, float(rng.uniform(0.01, 1.0)) * T, n * dt))
     return grids
 
 
@@ -521,10 +533,11 @@ def test_window_constraints_equal_the_reference():
     grids = window_grids()
     missed = 0  # aligned grids where some e - T misses its cell edge by rounding
     for n, T, mu, horizon in grids:
-        A, lb, ub = _window_constraints(n, T, mu, horizon)
+        (indptr, indices, data), lb, ub = _window_constraints(n, T, mu, horizon)
         R, rlb, rub = window_constraints_reference(n, T, mu, horizon)
-        A, R = A.tocsr(), R.tocsr()
-        for got, want in ((A.indptr, R.indptr), (A.indices, R.indices), (A.data, R.data),
+        # scipy's canonical CSC: rows sorted in each column, duplicates summed
+        assert R.has_canonical_format
+        for got, want in ((indptr, R.indptr), (indices, R.indices), (data, R.data),
                           (lb, rlb), (ub, rub)):
             assert np.array_equal(got, want), (n, T, mu, horizon)
         edges = np.array([horizon * j / n for j in range(n + 1)])
@@ -541,7 +554,8 @@ def cold_window_min(g, dt, T, mu, horizon):
     every call.  Returns (alpha, value).
     """
     g = np.asarray(g, dtype=float)
-    A, lb, ub = _window_constraints(len(g), T, mu, horizon)
+    (indptr, indices, data), lb, ub = _window_constraints(len(g), T, mu, horizon)
+    A = scipy.sparse.csc_array((data, indices, indptr), shape=(len(lb), len(g)))
     cost = np.append(g[:-1] - g[1:], g[-1]) / dt
     res = scipy.optimize.milp(cost, constraints=scipy.optimize.LinearConstraint(A, lb, ub),
                               options={"presolve": False})
@@ -652,6 +666,95 @@ def test_highs_binding_has_every_method_the_window_lp_calls():
     h = _Highs()
     assert h.setOptionValue("output_flag", False) == HighsStatus.kOk
     assert h.setOptionValue("presolve", "off") == HighsStatus.kOk
+
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a new interpreter with the package on its path and
+    return the JSON it prints last."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_window_lp_first_leaves_scipy_optimize_working():
+    # the window LP loads the HiGHS core by its file; a later import of
+    # scipy.optimize must take that module over and still solve
+    code = """if True:
+        import json, sys
+        import numpy as np
+        from pexstab.observability import _WindowLP, pe_window_min
+        lp = _WindowLP(8, 1.0, 0.5, 2.0)
+        _, value = pe_window_min(np.arange(1.0, 9.0), lp)
+        before = [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+        core = sys.modules["scipy.optimize._highspy._core"]
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        milp = scipy.optimize.milp([-1.0, -2.0], integrality=[1, 1],
+                                   bounds=scipy.optimize.Bounds(0, 3),
+                                   constraints=scipy.optimize.LinearConstraint(
+                                       [[1.0, 1.0]], -np.inf, 4.0))
+        lin = scipy.optimize.linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[4.5],
+                                     bounds=[(0, 3), (0, 3)], method="highs")
+        print(json.dumps({"before": before, "value": value,
+                          "same": _core is core and type(lp._h) is _core._Highs,
+                          "milp": [milp.success, milp.fun], "linprog": [lin.success, lin.fun]}))
+    """
+    got = run_fresh(code)
+    assert got["before"] == []
+    # windows of four cells need two cells on: cells 0-1 and 4-5, the
+    # cheapest pair in each of the disjoint windows 0-3 and 4-7
+    assert got["value"] == pytest.approx(1.0 + 2.0 + 5.0 + 6.0, rel=1e-12)
+    assert got["same"]
+    assert got["milp"] == [True, -7.0]
+    assert got["linprog"] == [True, -7.5]
+
+
+def test_window_lp_reuses_a_loaded_scipy_optimize():
+    code = """if True:
+        import json, sys
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        from pexstab.observability import _WindowLP
+        lp = _WindowLP(8, 1.0, 0.5, 2.0)
+        print(json.dumps(sys.modules["scipy.optimize._highspy._core"] is _core
+                         and type(lp._h) is _core._Highs))
+    """
+    assert run_fresh(code) is True
+
+
+
+def test_concurrent_first_loads_share_one_core():
+    # --parallel analyses build their window LPs on threads; the first load
+    # must register one whole module that every thread gets.  Unlocked, a
+    # thread was handed a module without its classes in most runs of this.
+    code = """if True:
+        import json, sys, threading
+        from concurrent.futures import ThreadPoolExecutor
+        from pexstab.observability import _highs_core
+        sys.setswitchinterval(1e-6)
+        ready = threading.Barrier(16)
+        def load(_):
+            ready.wait(timeout=60)
+            return _highs_core()
+        with ThreadPoolExecutor(16) as pool:
+            cores = list(pool.map(load, range(16), timeout=60))
+        core = sys.modules["scipy.optimize._highspy._core"]
+        print(json.dumps(all(c is core and hasattr(c, "_Highs") for c in cores)))
+    """
+    for _ in range(3):  # each run is a first load
+        assert run_fresh(code) is True
+
+
+def test_missing_highs_core_names_the_directory(monkeypatch, tmp_path):
+    # no fallback to scipy.optimize: a scipy install without the core fails
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(obs.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    with pytest.raises(ImportError, match=str(tmp_path / "scipy" / "optimize" / "_highspy")):
+        _WindowLP(8, 1.0, 0.5, 2.0)
 
 
 def test_inner_min_flat_system_both_classes():
