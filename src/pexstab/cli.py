@@ -33,7 +33,7 @@ from .dalembert import (build_counterexample, energy_of_counterexample,
 from .linsys import energy_balance, simulate
 from .observability import class_constant, kappa_scan
 from .scenario import ANALYSES, Scenario, ScenarioError, parse_scenario
-from .signals import from_intervals, pe_check
+from .signals import pe_check
 from .stability import (CertificateViolation, GateSignalFamily,
                         certificate_from_constant, interval_product_bound,
                         rho_class_criterion, verify_certificate)
@@ -131,7 +131,7 @@ def _run_counterexample(sc: Scenario, a: dict):
     cx = build_counterexample(omega, n_periods=periods)
     inert = verify_damping_inert(cx)
     times = np.linspace(0.0, periods * cx.period, 64 * periods + 1)
-    energies = np.array([energy_of_counterexample(cx, t) for t in times])
+    energies = energy_of_counterexample(cx, times)
     drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     report = inert.to_dict()
     report["energy_drift"] = drift
@@ -181,8 +181,8 @@ def _run_certify(sc: Scenario, a: dict):
 
 def _run_strong_stability(sc: Scenario, a: dict):
     seq = a["intervals"]
-    rep = interval_product_bound(sc.system, seq, signal=from_intervals(seq, a["level"]),
-                                 costs=a["costs"], z0=a["z0"])
+    rep = interval_product_bound(sc.system, seq, a["z0"], level=a["level"],
+                                 costs=a["costs"])
     report = {"product_bound": rep}
     ok = rep.ok
     crit = a["criterion"]
@@ -190,8 +190,7 @@ def _run_strong_stability(sc: Scenario, a: dict):
         cost, knots, _ = crit["cost"]
         crit_rep = rho_class_criterion(seq, cost, crit["T0"], knots=knots)
         report["criterion"] = crit_rep
-    rows = [(n, rep.factors[n], rep.cumulative[n],
-             rep.measured_ratios[n] if rep.measured_ratios else float("nan"))
+    rows = [(n, rep.factors[n], rep.cumulative[n], rep.measured_ratios[n])
             for n in range(len(rep.factors))]
     return report, ok, ("n,factor,cumulative_bound,measured_ratio", rows)
 

@@ -63,7 +63,9 @@ MAX_BREAKPOINTS = 200_000
 #   the length of a kappa-scan's T_grid, is capped: at the cap a search
 #   whose descents never converge takes about 16 s at 4096 cells, 43 s at
 #   256 and, at about 2 ms an iteration, 2 min at 64 cells or fewer;
-# - a counterexample over 100 periods takes 1.5 s, over 1000 periods 10 s.
+# - a counterexample over 100 periods takes 0.8-1.0 s, 0.23 s of it after
+#   start-up; its quadrature holds the nodes of all times at once, which
+#   over 1000 periods (a library call) takes 2.4 s and about 100 MB.
 MAX_SAMPLE_VALUES = 20_000_000
 MAX_GATE_PULSES = MAX_BREAKPOINTS // 2
 MAX_CELLS = 4096

@@ -7,8 +7,9 @@ forces the energy V = ||z||^2 / 2 down by a fixed factor over every window:
 
 This module turns such constants into explicit exponential certificates
 (q, M, gamma), verifies them against simulation on randomly drawn admissible
-signals, bounds energy along sparse-in-time damping via per-interval
-contraction products, and runs the divergence bookkeeping that upgrades
+signals, bounds the energy under damping that is on only on given
+intervals by per-interval contraction products (checked against the
+simulated trajectory), and runs the divergence bookkeeping that upgrades
 interval costs to a strong-stability verdict at a finite horizon.
 
 Divergence of an infinite series is undecidable from finitely many terms, so
@@ -19,14 +20,16 @@ at horizon n" and never "stable/unstable".
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .linsys import (LinearSystem, Trajectory, _propagate, cost_within_bound,
-                     simulate)
+from .linsys import LinearSystem, _propagate, cost_within_bound, simulate
 from .observability import observability_gramian
-from .signals import IntervalSequence, Signal, make_piecewise, pe_check, periodic_gate
+from .signals import (IntervalSequence, Signal, from_intervals, make_piecewise,
+                      pe_check, periodic_gate)
 
 # verify_certificate samples each trajectory theta / SAMPLES_PER_THETA apart
 # and accepts a worst ratio up to 1 + VERIFY_SLACK
@@ -229,10 +232,9 @@ class ProductBoundReport:
     """Per-interval contraction factors and their cumulative product.
 
     ``cumulative[n]`` bounds V(z(a_{n+1})) / V(z0); it is nonincreasing in n
-    since every factor lies in (0, 1].  ``measured_ratios`` (when a
-    simulation was attached) are the per-interval ratios
-    V(z(a_{n+1})) / V(z(a_n)), each required to stay below its factor plus
-    the tolerance.
+    since every factor lies in (0, 1].  ``measured_ratios`` are the
+    simulated per-interval ratios V(z(a_{n+1})) / V(z(a_n)), each required
+    to stay below its factor plus the tolerance.
     """
 
     intervals: tuple
@@ -240,35 +242,34 @@ class ProductBoundReport:
     factors: tuple
     cumulative: tuple
     cost_partial_sums: tuple
-    measured_ratios: tuple = None
-    ok: bool = True
+    measured_ratios: tuple
+    ok: bool
     tolerance: float = PRODUCT_TOLERANCE
     caveats: tuple = ()
 
 
-def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
-                           signal: Signal = None, costs=None,
-                           z0=None) -> ProductBoundReport:
+def interval_product_bound(sys: LinearSystem, seq: IntervalSequence, z0,
+                           level=1.0, costs=None) -> ProductBoundReport:
     """Energy bound V(z(a_{n+1})) <= prod_j (1 - c_j/(1+L_j^2 ||B||^4)) V(z0).
 
-    Costs come either explicitly (``costs``) or are computed
-    from the attached signal as the smallest eigenvalue of the per-interval
-    observability Gramian along the restarted undamped flow,
+    The damping is ``from_intervals(seq, level)``: on at ``level`` on each
+    interval, off between them.  Costs come either explicitly (``costs``,
+    validated against the necessary bound c_n <= L_n ||B||^2) or as the
+    smallest eigenvalue of the per-interval observability Gramian along the
+    restarted undamped flow,
 
         G_n = int_0^{L_n} alpha(a_n + t) e^{tA^T} B B^T e^{tA} dt,
 
     which is the exact class constant of the single fixed signal and hence a
-    valid c_n.  Explicit costs are validated against the necessary bound
-    c_n <= L_n ||B||^2.  With ``z0`` (and a signal) attached, the trajectory
-    is evaluated at the interval checkpoints and each measured energy ratio
-    is required to stay below its factor plus PRODUCT_TOLERANCE.
+    valid c_n.  The trajectory from ``z0`` is evaluated at the interval
+    checkpoints and each measured energy ratio is required to stay below its
+    factor plus PRODUCT_TOLERANCE.
     """
     intervals = tuple(seq.intervals)
     lengths = seq.lengths
     b2 = sys.b_norm ** 2
+    signal = from_intervals(seq, level)
     if costs is None:
-        if signal is None:
-            raise ValueError("need either explicit costs or a signal to compute them")
         got = []
         for (a, b) in intervals:
             G = observability_gramian(sys, 0.0, b - a, signal=signal.shifted(a))
@@ -288,43 +289,19 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence,
                 )
     factors = tuple(1.0 - c / (1.0 + L * L * b2 * b2)
                     for c, L in zip(costs, lengths))
-    cumulative = []
-    run = 1.0
-    for f in factors:
-        run *= f
-        cumulative.append(run)
-    sums = []
-    s = 0.0
-    for c in costs:
-        s += c
-        sums.append(s)
-    measured = None
-    ok = True
-    if z0 is not None:
-        if signal is None:
-            raise ValueError("measured ratios need the signal that was simulated")
-        z0 = np.asarray(z0, dtype=float).reshape(sys.dim)
-        checkpoints = [a for (a, _) in intervals] + [intervals[-1][1]]
-        states = _propagate(sys, signal, z0, np.asarray(checkpoints))
-        V = 0.5 * np.sum(states * states, axis=1)
-        ratios = []
-        for n in range(len(intervals)):
-            if V[n] <= 0.0:
-                ratios.append(0.0)
-                continue
-            r = float(V[n + 1] / V[n])
-            ratios.append(r)
-            if r > factors[n] + PRODUCT_TOLERANCE:
-                ok = False
-        measured = tuple(ratios)
+    z0 = np.asarray(z0, dtype=float).reshape(sys.dim)
+    checkpoints = [a for (a, _) in intervals] + [intervals[-1][1]]
+    states = _propagate(sys, signal, z0, np.asarray(checkpoints))
+    V = 0.5 * np.sum(states * states, axis=1)
+    measured = tuple(float(v1 / v0) if v0 > 0.0 else 0.0 for v0, v1 in zip(V, V[1:]))
     return ProductBoundReport(
         intervals=intervals,
-        costs=tuple(costs),
+        costs=costs,
         factors=factors,
-        cumulative=tuple(cumulative),
-        cost_partial_sums=tuple(sums),
+        cumulative=tuple(accumulate(factors, operator.mul)),
+        cost_partial_sums=tuple(accumulate(costs)),
         measured_ratios=measured,
-        ok=ok,
+        ok=all(r <= f + PRODUCT_TOLERANCE for r, f in zip(measured, factors)),
         caveats=sys.caveats,
     )
 
@@ -358,11 +335,10 @@ class RhoCriterionReport:
     refined_lower_bound: float
     T0: float
     rule: str = DIVERGENCE_RULE
-    energy_trend: dict = None
 
 
-def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float, knots=(),
-                        traj: Trajectory = None) -> RhoCriterionReport:
+def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float,
+                        knots=()) -> RhoCriterionReport:
     """Partial sums of interval costs and a divergence-consistency verdict.
 
     ``c_of_T`` maps an interval length to a positive cost (must be positive
@@ -373,9 +349,7 @@ def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float, knots=(),
     that split it, which lands in (T0/2, T0]) and reports the
     count-times-minimum lower bound over the band [T0/2, T0].  A cost that
     is monotone between knots takes its band minimum at T0/2, at T0 or at a
-    knot inside the band, so that minimum is exact.  When a trajectory is
-    attached its energy trend is reported alongside; it never influences
-    the verdict.
+    knot inside the band, so that minimum is exact.
     """
     if T0 <= 0:
         raise ValueError("T0 must be positive")
@@ -387,11 +361,7 @@ def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float, knots=(),
             raise ValueError("cost function must be positive and finite at "
                              "length %g (got %g)" % (L, c))
         costs.append(c)
-    partial = []
-    s = 0.0
-    for c in costs:
-        s += c
-        partial.append(s)
+    partial = tuple(accumulate(costs))
     n = len(partial)
     if n >= 2:
         S_n = partial[-1]
@@ -409,19 +379,11 @@ def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float, knots=(),
     min_band = min(band_costs)
     refined_sum = float(sum(c_of_T(L) for L in refined))
     in_band = sum(1 for L in refined if T0 / 2.0 - 1e-12 <= L <= T0 + 1e-12)
-    trend = None
-    if traj is not None:
-        V0, V1 = float(traj.energies[0]), float(traj.energies[-1])
-        trend = {
-            "V_start": V0,
-            "V_end": V1,
-            "ratio": (V1 / V0) if V0 > 0 else 0.0,
-        }
     word = "divergence-consistent" if consistent else "not divergence-consistent"
     return RhoCriterionReport(
         verdict="%s at horizon n=%d" % (word, n),
         divergence_consistent=consistent,
-        partial_sums=tuple(partial),
+        partial_sums=partial,
         lengths=lengths,
         refined_lengths=refined,
         refined_cost_sum=refined_sum,
@@ -429,5 +391,4 @@ def rho_class_criterion(seq: IntervalSequence, c_of_T, T0: float, knots=(),
         min_cost_on_band=min_band,
         refined_lower_bound=in_band * min_band,
         T0=T0,
-        energy_trend=trend,
     )

@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/golden/regen.py
 
-runs every scenario in ``SCENARIOS`` in this process, rewrites
+runs every scenario of ``scenarios()`` in this process, rewrites
 ``tests/golden/manifest.json`` and replaces ``tests/golden/reports/`` with
 the JSON reports verbatim.  ``tests/test_golden.py`` runs the same scenarios
 and compares what they write with the manifest.
@@ -16,7 +16,7 @@ the BLAS name and version, from ``perfbench/run.py``), since OpenBLAS picks
 its kernels per CPU and the last digits of a float follow them.  In that
 environment the digests must match exactly; in another one the reports must
 match the stored ones in structure, strings, booleans and integers exactly,
-and in floats to ``REL_TOL`` relative.
+and in floats to ``REL_TOL`` relative (or ``ABS_TOL`` near zero).
 
 A change that moves a digest on purpose regenerates the manifest and says in
 CHANGES.md which reports changed and why.
@@ -117,11 +117,8 @@ def scenarios() -> dict:
 
 def run_all(root: Path) -> dict:
     """Run every scenario into ``root/<name>``; name -> exit status."""
-    work = root / ".scenarios"
-    work.mkdir(parents=True)
-    status = {name: run(root / name, work) for name, run in scenarios().items()}
-    shutil.rmtree(work)
-    return status
+    with tempfile.TemporaryDirectory() as work:
+        return {name: run(root / name, Path(work)) for name, run in scenarios().items()}
 
 
 def _digest(path: Path) -> str:
@@ -171,7 +168,7 @@ def json_differences(want, got, path: str = "") -> list:
     return [] if want == got else ["%s: %r became %r" % (path, want, got)]
 
 
-def loose_differences(manifest: dict, root: Path, stored: Path = REPORTS) -> list:
+def loose_differences(manifest: dict, root: Path) -> list:
     """Differences of the reports under ``root`` from the stored reports and
     the manifest's CSV entries, under the float tolerances."""
     files = manifest["files"]
@@ -189,7 +186,7 @@ def loose_differences(manifest: dict, root: Path, stored: Path = REPORTS) -> lis
                 out.append("%s: column sums %s became %s"
                            % (name, entry["column_sums"], now["column_sums"]))
         else:
-            out += json_differences(json.loads((stored / name).read_text()),
+            out += json_differences(json.loads((REPORTS / name).read_text()),
                                     json.loads((root / name).read_text()), name)
     return out
 

@@ -193,9 +193,8 @@ def test_c7_strong_stability_product_bound():
             intervals.append((start, start + 1.0))
             start += 1.0 + 0.2 * n
         seq = IntervalSequence(tuple(intervals))
-        signal = from_intervals(seq, 1.0)
         z0 = unit(np.random.default_rng(7), sys.dim)
-        rep = interval_product_bound(sys, seq, signal=signal, z0=z0)
+        rep = interval_product_bound(sys, seq, z0)
         assert rep.ok
         measured = np.asarray(rep.measured_ratios)
         factors = np.asarray(rep.factors)
@@ -219,8 +218,8 @@ def test_c8_caveats_present_everywhere(tmp_path):
         assert TRUNCATION_CAVEAT in est.to_dict()["caveats"]
 
         seq = IntervalSequence(((0.0, 1.0),))
-        bound = interval_product_bound(sys, seq,
-                                       signal=from_intervals(seq, 1.0))
+        z0 = unit(np.random.default_rng(8), sys.dim)
+        bound = interval_product_bound(sys, seq, z0)
         assert TRUNCATION_CAVEAT in bound.caveats
 
         scan = window_scan(spec, 1.0, 0.4, n_cells=8,

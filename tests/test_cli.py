@@ -253,7 +253,7 @@ REPORT_KEYS = {
     "06_strong-stability.json": (
         {"criterion", "product_bound"}
         | nested("criterion", {
-            "T0", "divergence_consistent", "energy_trend", "lengths",
+            "T0", "divergence_consistent", "lengths",
             "min_cost_on_band", "partial_sums", "refined_cost_sum",
             "refined_count_in_band", "refined_lengths", "refined_lower_bound",
             "rule", "verdict"})

@@ -107,6 +107,97 @@ def test_every_public_definition_is_reached_or_listed():
     assert unreached(sources) == sorted(UNREACHED_BY_DESIGN)
 
 
+# Defaulted parameters that no call in src/ passes, kept for a reason each.
+UNSET_BY_DESIGN = {
+    # the console entry point: argv=None makes argparse read sys.argv
+    "main(argv)",
+}
+
+
+def _public_functions(tree):
+    """(qualified name, node, call kind, positional offset) of each public
+    module-level function and each public method of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, ast.Name, 0
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and m.name[0] != "_":
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in m.decorator_list)
+                    yield "%s.%s" % (node.name, m.name), m, ast.Attribute, 0 if static else 1
+
+
+def unset_parameters(sources: dict) -> list:
+    """``name(param)`` for each defaulted parameter of a public function or
+    method that no call in ``sources`` passes, by keyword or by position.
+
+    A function counts as called by a ``Name`` call of its name, a method by
+    an ``Attribute`` call of its name, whose positions start after ``self``
+    or ``cls``; a ``*args`` or ``**kwargs`` call passes everything.
+    """
+    calls = {}
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                key = (ast.Name, f.id) if isinstance(f, ast.Name) else (
+                    (ast.Attribute, f.attr) if isinstance(f, ast.Attribute) else None)
+                calls.setdefault(key, []).append(node)
+    out = []
+    for fname, text in sources.items():
+        if fname == "__init__.py":
+            continue
+        for qual, fn, kind, offset in _public_functions(ast.parse(text)):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, name in defaulted:
+                if not any(_passes(call, index, name, offset)
+                           for call in calls.get((kind, fn.name), ())):
+                    out.append("%s(%s)" % (qual, name))
+    return sorted(out)
+
+
+def _passes(call: ast.Call, index, name: str, offset: int) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index - offset
+
+
+def test_guard_flags_an_unset_parameter():
+    planted = {
+        "__init__.py": "from .a import solve\n",
+        "a.py": ("def solve(x, tol=1e-9, steps=10, *, log=None, quiet=False):\n"
+                 "    return x\n\n"
+                 "def spread(*args, scale=1.0):\n    return args\n\n"
+                 "class Box:\n"
+                 "    def fill(self, level=1.0, clip=True):\n        return level\n\n"
+                 "    @staticmethod\n"
+                 "    def make(size=1):\n        return Box()\n"),
+        "b.py": ("from .a import Box, solve, spread\n"
+                 "solve(1.0, 1e-6, log=print)\n"
+                 "spread(*[1, 2], **{})\n"
+                 "Box.make(3).fill(0.5)\n"),
+    }
+    assert unset_parameters(planted) == [
+        "Box.fill(clip)", "solve(quiet)", "solve(steps)"]
+
+
+def test_every_defaulted_parameter_is_passed_or_listed():
+    sources = {p.name: p.read_text() for p in (ROOT / "src" / "pexstab").glob("*.py")}
+    exempt = {q for q in unset_parameters(sources)
+              if q.split("(")[0] in UNREACHED_BY_DESIGN}
+    assert sorted(set(unset_parameters(sources)) - exempt) == sorted(UNSET_BY_DESIGN)
+
+
 def test_readme_python_example_runs():
     text = (ROOT / "README.md").read_text()
     section = text.split("\n## Python API\n", 1)[1]

@@ -135,32 +135,34 @@ def test_inflated_constant_is_caught_by_the_witness_signal():
 def test_product_bound_explicit_costs():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))  # ||B|| = 1
     seq = IntervalSequence(((0.0, 1.0), (2.0, 3.0)))
-    rep = interval_product_bound(sys, seq, costs=(0.3, 0.1))
+    rep = interval_product_bound(sys, seq, [1.0, 0.0], costs=(0.3, 0.1))
     assert rep.factors == (0.85, 0.95)
     assert rep.cumulative == (0.85, 0.85 * 0.95)
     assert rep.cost_partial_sums == (0.3, pytest.approx(0.4))
-    assert rep.measured_ratios is None
+    # the simulated energy ratios between the checkpoints 0, 2 and 3
+    traj = simulate(sys, from_intervals(seq), [1.0, 0.0], 3.0, 1.0)
+    V = traj.energies
+    assert rep.measured_ratios == (pytest.approx(V[2] / V[0], rel=1e-12),
+                                   pytest.approx(V[3] / V[2], rel=1e-12))
     assert rep.ok
 
 
 def test_product_bound_validates_costs():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
     seq = IntervalSequence(((0.0, 1.0), (2.0, 3.0)))
+    z0 = [1.0, 0.0]
     with pytest.raises(ValueError):
-        interval_product_bound(sys, seq, costs=(1.2, 0.1))  # above L ||B||^2
+        interval_product_bound(sys, seq, z0, costs=(1.2, 0.1))  # above L ||B||^2
     with pytest.raises(ValueError):
-        interval_product_bound(sys, seq, costs=(-0.1, 0.1))
+        interval_product_bound(sys, seq, z0, costs=(-0.1, 0.1))
     with pytest.raises(ValueError):
-        interval_product_bound(sys, seq, costs=(0.1,))
-    with pytest.raises(ValueError):
-        interval_product_bound(sys, seq)  # neither costs nor signal
+        interval_product_bound(sys, seq, z0, costs=(0.1,))
 
 
 def test_product_bound_computed_costs_match_direct_gramian():
     sys = build_wave(WaveModalSpec(n_modes=2, uniform=1.0))
     seq = IntervalSequence(((0.0, 1.0), (1.5, 2.5)))
-    sig = from_intervals(seq)
-    rep = interval_product_bound(sys, seq, signal=sig)
+    rep = interval_product_bound(sys, seq, [1.0, 0.0, 0.0, 0.0])
     G = observability_gramian(sys, 0.0, 1.0)
     assert rep.costs[0] == pytest.approx(float(np.linalg.eigvalsh(G)[0]), rel=1e-12)
     assert all(0.0 < f <= 1.0 for f in rep.factors)
@@ -169,11 +171,10 @@ def test_product_bound_computed_costs_match_direct_gramian():
 def test_product_bound_measured_ratios_hold():
     sys = build_wave(WaveModalSpec(n_modes=2, uniform=1.0))
     seq = IntervalSequence(((0.0, 1.0), (1.5, 2.5), (4.0, 5.0)))
-    sig = from_intervals(seq)
     rng = np.random.default_rng(2)
     z0 = rng.standard_normal(4)
     z0 /= np.linalg.norm(z0)
-    rep = interval_product_bound(sys, seq, signal=sig, z0=z0)
+    rep = interval_product_bound(sys, seq, z0)
     assert rep.ok
     assert len(rep.measured_ratios) == 3
     for r, f in zip(rep.measured_ratios, rep.factors):
@@ -186,7 +187,7 @@ def test_product_bound_measured_ratios_hold():
 def test_product_bound_carries_system_caveats():
     sys = build_schrodinger(SchrodingerModalSpec(n_modes=2, omega=(0.2, 0.6)))
     seq = IntervalSequence(((0.0, 1.0),))
-    rep = interval_product_bound(sys, seq, signal=from_intervals(seq))
+    rep = interval_product_bound(sys, seq, np.eye(sys.dim)[0])
     assert TRUNCATION_CAVEAT in rep.caveats
 
 
@@ -244,14 +245,3 @@ def test_criterion_validates_cost_function():
     with pytest.raises(ValueError):
         rho_class_criterion(seq, lambda L: L, T0=0.0)
 
-
-def test_criterion_reports_energy_trend_without_using_it():
-    sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
-    seq = IntervalSequence(tuple((2.0 * n, 2.0 * n + 1.0) for n in range(5)))
-    sig = from_intervals(seq)
-    traj = simulate(sys, sig, [1.0, 0.0], 9.0, 0.05)
-    rep = rho_class_criterion(seq, lambda L: 1e-3 * L ** 3, T0=1.0, traj=traj)
-    assert rep.energy_trend["ratio"] < 1.0
-    assert rep.energy_trend["V_start"] == pytest.approx(0.5)
-    rep2 = rho_class_criterion(seq, lambda L: 1e-3 * L ** 3, T0=1.0)
-    assert rep2.divergence_consistent == rep.divergence_consistent
