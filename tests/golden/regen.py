@@ -4,10 +4,14 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tests/golden/regen.py
 
-runs every scenario of ``scenarios()`` in this process, rewrites
+runs every scenario of ``scenarios()`` in this process and
+``tests/test_cli.py`` in a child pytest with ``--golden-record``, rewrites
 ``tests/golden/manifest.json`` and replaces ``tests/golden/reports/`` with
 the JSON reports verbatim.  ``tests/test_golden.py`` runs the same scenarios
-and compares what they write with the manifest.
+and compares what they write with the manifest.  The report trees of
+``tests/test_cli.py`` sit under ``test_cli/<test name>/``; the
+``golden_cli_tree`` fixture of ``tests/conftest.py`` compares each test's
+tree with them after the test, so they cost no runs of their own.
 
 The manifest holds, per report file, its sha256; a CSV also keeps its
 header, row count and per-column sums (``math.fsum``), and no copy.  It
@@ -30,7 +34,9 @@ import importlib.util
 import io
 import json
 import math
+import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +52,10 @@ REL_TOL = 1e-9
 # the smallest eigenvalue of a nearly singular Gramian) and count as equal
 ABS_TOL = 1e-12
 WORKLOAD_SEED = 1
+# the reports of tests/test_cli.py, one directory per test
+CLI_TREES = "test_cli"
+# what `pexstab run` writes: NN_<kind>.json and NN_<kind>.csv
+REPORT_NAME = re.compile(r"\d{2}_[\w-]+\.(json|csv)")
 
 # level 0.3 on the intervals, a table criterion, and the same intervals with
 # explicit costs; the table's band minimum sits at its knot 0.55
@@ -121,6 +131,14 @@ def run_all(root: Path) -> dict:
         return {name: run(root / name, Path(work)) for name, run in scenarios().items()}
 
 
+def record_cli_trees(root: Path):
+    """Run ``tests/test_cli.py`` and copy each test's reports to
+    ``root/test_cli/<test name>/``."""
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                    str(ROOT / "tests" / "test_cli.py"),
+                    "--golden-record", str(root / CLI_TREES)], cwd=ROOT, check=True)
+
+
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -133,15 +151,38 @@ def _csv_entry(path: Path) -> dict:
             "column_sums": [math.fsum(col) for col in rows.T]}
 
 
+def report_files(root: Path) -> dict:
+    """Report file under ``root`` (as a path relative to it) -> its path."""
+    return {p.relative_to(root).as_posix(): p for p in sorted(root.rglob("*"))
+            if p.is_file() and REPORT_NAME.fullmatch(p.name)}
+
+
 def describe(root: Path) -> dict:
     """Report file (relative to ``root``) -> its manifest entry."""
-    return {p.relative_to(root).as_posix():
-            _csv_entry(p) if p.suffix == ".csv" else {"sha256": _digest(p)}
-            for p in sorted(root.rglob("*")) if p.is_file()}
+    return {name: _csv_entry(p) if p.suffix == ".csv" else {"sha256": _digest(p)}
+            for name, p in report_files(root).items()}
+
+
+def digests(root: Path) -> dict:
+    """Report file (relative to ``root``) -> its sha256."""
+    return {name: _digest(p) for name, p in report_files(root).items()}
 
 
 def load_manifest() -> dict:
     return json.loads(MANIFEST.read_text())
+
+
+def under(files: dict, prefix: str) -> dict:
+    """The manifest entries below the directory ``prefix``, named relative
+    to it."""
+    head = prefix + "/"
+    return {name[len(head):]: e for name, e in files.items() if name.startswith(head)}
+
+
+def scenario_files(manifest: dict) -> dict:
+    """The manifest entries of ``scenarios()``, without the CLI test trees."""
+    return {name: e for name, e in manifest["files"].items()
+            if not name.startswith(CLI_TREES + "/")}
 
 
 def _close(a: float, b: float) -> bool:
@@ -168,10 +209,10 @@ def json_differences(want, got, path: str = "") -> list:
     return [] if want == got else ["%s: %r became %r" % (path, want, got)]
 
 
-def loose_differences(manifest: dict, root: Path) -> list:
-    """Differences of the reports under ``root`` from the stored reports and
-    the manifest's CSV entries, under the float tolerances."""
-    files = manifest["files"]
+def loose_differences(files: dict, root: Path, stored: Path = REPORTS) -> list:
+    """Differences of the reports under ``root`` from the manifest entries
+    ``files`` (named relative to ``root``): JSON against the copies under
+    ``stored``, CSV against the entry, under the float tolerances."""
     got = describe(root)
     if set(got) != set(files):
         return ["files %s became %s" % (sorted(files), sorted(got))]
@@ -186,7 +227,7 @@ def loose_differences(manifest: dict, root: Path) -> list:
                 out.append("%s: column sums %s became %s"
                            % (name, entry["column_sums"], now["column_sums"]))
         else:
-            out += json_differences(json.loads((REPORTS / name).read_text()),
+            out += json_differences(json.loads((stored / name).read_text()),
                                     json.loads((root / name).read_text()), name)
     return out
 
@@ -195,6 +236,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         status = run_all(root)
+        record_cli_trees(root)
         manifest = {"environment": environment(), "exit_status": status,
                     "files": describe(root)}
         shutil.rmtree(REPORTS, ignore_errors=True)

@@ -10,6 +10,10 @@ import pytest
 
 from pexstab.cli import main
 
+# every report a test writes under its tmp_path is held to the golden
+# manifest's test_cli/<test name>/ entries (see tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("golden_cli_tree")
+
 ENVELOPE_KEYS = {"tool", "version", "scenario_sha256", "seed", "analysis_index",
                  "kind", "ok", "report"}
 

@@ -5,7 +5,9 @@ counterexample over 8 periods and a small strong-stability scenario) run
 once, in this process.  In the manifest's environment their digests must
 match exactly; in any other, the reports must match in structure and
 non-float values exactly and in floats to 1e-9 relative (see
-``tests/golden/regen.py``, which also regenerates the manifest).
+``tests/golden/regen.py``, which also regenerates the manifest).  The
+report trees of ``tests/test_cli.py`` are held to the same manifest by the
+``golden_cli_tree`` fixture of ``tests/conftest.py``.
 """
 
 import importlib.util
@@ -30,12 +32,12 @@ def fresh(tmp_path_factory):
 def test_reports_match_the_manifest(fresh):
     root, status = fresh
     manifest = golden.load_manifest()
+    files = golden.scenario_files(manifest)
     assert status == manifest["exit_status"]
     if golden.environment() == manifest["environment"]:
-        digests = {name: e["sha256"] for name, e in golden.describe(root).items()}
-        assert digests == {name: e["sha256"] for name, e in manifest["files"].items()}
+        assert golden.digests(root) == {name: e["sha256"] for name, e in files.items()}
     else:
-        assert golden.loose_differences(manifest, root) == []
+        assert golden.loose_differences(files, root) == []
 
 
 def test_stored_reports_are_the_digested_ones():
@@ -48,7 +50,8 @@ def test_stored_reports_are_the_digested_ones():
 def test_loose_comparison_accepts_the_fresh_reports(fresh):
     # the comparison another environment takes must pass on this one too
     root, _ = fresh
-    assert golden.loose_differences(golden.load_manifest(), root) == []
+    files = golden.scenario_files(golden.load_manifest())
+    assert golden.loose_differences(files, root) == []
 
 
 def test_loose_comparison_flags_what_it_must():
@@ -70,14 +73,14 @@ def test_loose_comparison_flags_what_it_must():
 def test_loose_comparison_flags_csv_changes(fresh, tmp_path):
     root, _ = fresh
     name = "counterexample/00_counterexample.csv"
-    manifest = {"files": {name: golden.load_manifest()["files"][name]}}
+    files = {name: golden.load_manifest()["files"][name]}
     lines = (root / name).read_text().splitlines(keepends=True)
     target = tmp_path / name
     target.parent.mkdir()
     target.write_text("".join(lines))
-    assert golden.loose_differences(manifest, tmp_path) == []
+    assert golden.loose_differences(files, tmp_path) == []
     target.write_text("".join(lines[:-1]))
-    assert any("rows" in d for d in golden.loose_differences(manifest, tmp_path))
+    assert any("rows" in d for d in golden.loose_differences(files, tmp_path))
     t, v, rate = lines[-1].rstrip("\n").split(",")
     target.write_text("".join(lines[:-1]) + "%s,%r,%s\n" % (t, float(v) * (1 + 1e-6), rate))
-    assert any("column sums" in d for d in golden.loose_differences(manifest, tmp_path))
+    assert any("column sums" in d for d in golden.loose_differences(files, tmp_path))
