@@ -18,6 +18,7 @@ exponential per signal cell.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,9 @@ DISSIPATIVITY_TOL = 1e-9
 
 # slack of gap_estimate_check's comparison, reported as GapCheck.tolerance
 GAP_TOLERANCE = 1e-9
+
+# most step matrices _step_matrix keeps per system
+STEP_CACHE_SIZE = 128
 
 
 class UncontrollableError(ValueError):
@@ -89,6 +93,8 @@ class LinearSystem:
         scale = 1.0 + float(np.abs(A).max())
         object.__setattr__(self, "skew_flag", bool(np.abs(A + A.T).max() <= 1e-12 * scale))
         object.__setattr__(self, "caveats", tuple(self.caveats))
+        object.__setattr__(self, "_step_cache", {})
+        object.__setattr__(self, "_step_lock", threading.Lock())
 
     @property
     def dim(self) -> int:
@@ -168,12 +174,25 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
 
     For skew A at level 0 the step comes from the cached unitary
     eigendecomposition of iA, so it is orthogonal to machine precision for
-    any dt; every other step is ``scipy.linalg.expm``.
+    any dt; every other step is ``scipy.linalg.expm``.  Steps are memoized
+    on the system by exact (level, dt), read-only, until it holds
+    STEP_CACHE_SIZE of them; the function is pure, so what the cache holds
+    never changes a result.
     """
+    key = (level, dt)
+    P = sys._step_cache.get(key)
+    if P is not None:
+        return P
     if _orthogonal_step(sys, level):
         w, U = sys._skew_eig()
-        return np.real((U * np.exp(-1j * w * dt)) @ U.conj().T)
-    return scipy.linalg.expm(sys.closed_loop(level) * dt)
+        P = np.real((U * np.exp(-1j * w * dt)) @ U.conj().T)
+    else:
+        P = scipy.linalg.expm(sys.closed_loop(level) * dt)
+    P.flags.writeable = False
+    with sys._step_lock:
+        if len(sys._step_cache) < STEP_CACHE_SIZE:
+            sys._step_cache.setdefault(key, P)
+    return P
 
 
 # Sample spacings that agree within this many machine epsilons of t are one
@@ -183,6 +202,11 @@ _SPACING_ULPS = 4.0
 # Largest |G| |d| for which a cached step over h stands in for the step over
 # h + d after a first-order correction; the dropped |G d|^2 / 2 is < eps / 4.
 _NEAR_STEP = 1e-8
+
+# Runs of one (level, h) that are filled together hold at most this many
+# state entries in their (m, R, N) block; larger groups, and lone runs, are
+# filled run by run into the output.
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 def _runs(times: np.ndarray, prev: np.ndarray, heads: np.ndarray):
@@ -211,6 +235,33 @@ def _runs(times: np.ndarray, prev: np.ndarray, heads: np.ndarray):
     return lo, m, h, err, tol[lo + m - 1]
 
 
+def _spacings(level, h, m, err, tol):
+    """Index of the spacing each multi-sample run is filled at, or -1 where
+    its gaps drift too far for one spacing; and the spacings, in order.
+
+    The runs are taken in order.  A run takes the first spacing already in
+    use at its level that still lands every sample within tol; failing
+    that, its own h when its lattice error is within tol, which puts h in
+    use.  Reusing spacings keeps the step cache small.  Each pass settles
+    the runs up to the next one that puts a new spacing in use.
+    """
+    pick = np.full(len(h), -1)
+    used = []
+    first = 0
+    while True:
+        new = np.flatnonzero((pick[first:] < 0) & (err[first:] <= tol[first:]))
+        if not len(new):
+            return pick, np.array(used)
+        f = first + int(new[0])
+        pick[f] = len(used)
+        used.append(h[f])
+        rest = slice(f + 1, None)
+        near = ((pick[rest] < 0) & (level[rest] == level[f])
+                & (err[rest] + m[rest] * np.abs(h[f] - h[rest]) <= tol[rest]))
+        pick[rest][near] = pick[f]
+        first = f + 1
+
+
 def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray):
     """States at strictly increasing times >= 0, stepped from cell edge to edge.
 
@@ -221,24 +272,35 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
     maximal runs of equal spacing h (equal within a few ulps of t), and a run
     of m samples is the rows P_h^k z, k = 1..m, with P_h the step over h.
     The rows are filled by doubling: rows [k, 2k) are rows [0, k) times
-    (P_h^k)^T, so a run costs about log2(m) matrix products whatever m is.
-    Step matrices and their squarings are cached per (level, h) for the
-    call, and a step whose length differs from an exponentiated one only by
-    the rounding of cell edges is derived from it by a first-order
+    (P_h^k)^T.  The k-th runs of all cells form a wave, which needs only the
+    (k-1)-th; a wave's runs of one (level, h) are filled together on one
+    time-major (m, R, N) block, so each doubling step is one matrix product
+    over all R runs and a trajectory costs a few array operations per
+    (level, h) and wave, whatever its number of cells.  A lone run, or a
+    group whose block would exceed _BLOCK_ELEMENTS, is filled run by run.
+    Every row is the same product of the same matrices as in a run-by-run
+    fill.  Step matrices and their squarings are cached per (level, h) for
+    the call, and a step whose length differs from an exponentiated one
+    only by the rounding of cell edges is derived from it by a first-order
     correction that is exact to rounding.  An irregular time list is a
     sequence of runs of length 1, each one step as in sample-by-sample
     propagation.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z0, dtype=float).reshape(sys.dim)
-    n = len(times)
-    out = np.empty((n, sys.dim))
+    n, N = len(times), sys.dim
+    out = np.empty((n, N))
     if n == 0:
         return out
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("propagation times must be strictly increasing and >= 0")
+    if times[0] == 0.0:
+        out[0] = z
     cells = list(sig.cells_between(0.0, float(times[-1])))
+    if not cells:  # the single time 0
+        return out
     starts = np.array([c0 for c0, _, _ in cells])
+    levels = np.array([level for _, _, level in cells])
     # cell k fills samples [begin[k], end[k]); a sample on a cell edge takes
     # the edge state instead
     begin = np.searchsorted(times, starts, side="right")
@@ -246,12 +308,30 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
     prev = np.concatenate([[0.0], times[:-1]])
     held = begin < end
     prev[begin[held]] = starts[held]
-    runs = list(zip(*(col.tolist() for col in
-                      _runs(times, prev, np.concatenate([begin, end[:-1]])))))
+    lo, m, h, err, tol = _runs(times, prev, np.concatenate([begin, end[:-1]]))
+
+    # the cell each run fills; the runs of the sample at t = 0 and of the
+    # samples on cell edges fill none
+    cell = np.searchsorted(end, lo, side="right")
+    keep = lo >= begin[cell]
+    multi = np.flatnonzero(keep & (m > 1))
+    pick, used = _spacings(levels[cell[multi]], h[multi], m[multi], err[multi], tol[multi])
+    h[multi[pick >= 0]] = used[pick[pick >= 0]]
+    # a run whose gaps drift off one lattice steps singly: runs of length 1
+    single = np.zeros(len(lo), dtype=bool)
+    single[multi[pick < 0]] = True
+    kept = np.flatnonzero(keep)
+    count = np.where(single[kept], m[kept], 1)
+    rep = np.repeat(kept, count)
+    run_lo = lo[rep] + np.arange(len(rep)) - np.repeat(np.cumsum(count) - count, count)
+    run_m = np.where(single[rep], 1, m[rep])
+    run_h = np.where(single[rep], times[run_lo] - prev[run_lo], h[rep])
+    run_cell = cell[rep]
+    run_level = levels[run_cell]
+    wave = np.arange(len(rep)) - np.searchsorted(run_cell, run_cell, side="left")
 
     powers = {}     # (level, h) -> [P_h, P_h^2, P_h^4, ...]
     exact = {}      # level -> (generator, its 1-norm, [(h, P_h) from _step_matrix])
-    spacings = {}   # level -> spacings of the multi-sample runs so far
 
     def new_step(level, h):
         # Cell lengths that differ only by the rounding of their edges share
@@ -290,37 +370,61 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
             np.matmul(rows[:c], power(level, h, j).T, out=rows[k:k + c])
             k, j = 2 * k, j + 1
 
-    if times[0] == 0.0:
-        out[0] = z
-    r = 0
-    for (c0, c1, level), b, e in zip(cells, begin.tolist(), end.tolist()):
-        zs = z
-        while r < len(runs) and runs[r][0] < e:
-            lo, m, h, err, tol = runs[r]
-            r += 1
-            if lo < b:  # the sample at t = 0 or on this cell's start edge
-                continue
-            if m > 1:
-                # a spacing already in use is taken whenever it still lands
-                # every sample within tol, which keeps the step cache small
-                used = spacings.setdefault(level, [])
-                near = [u for u in used if err + m * abs(u - h) <= tol]
-                if near:
-                    h = near[0]
-                elif err <= tol:
-                    used.append(h)
-                else:  # gaps drift too far for one spacing: step singly
-                    for k in range(lo, lo + m):
-                        fill(k, 1, zs, level, float(times[k] - prev[k]))
-                        zs = out[k]
-                    continue
-            fill(lo, m, zs, level, h)
-            zs = out[lo + m - 1]
-        if e == n:
-            break
-        z = power(level, c1 - c0, 0) @ z
-        if times[e] == c1:
-            out[e] = z
+    def fill_block(los, ms, Z, level, h):
+        # the same products as fill on every run: row 0 and every row made
+        # from one row (k = 1, or a run of m = k + 1) as matrix-vector
+        # products, the others as one product over the block
+        mx = int(ms.max())
+        block = np.empty((mx, len(los), N))
+        np.matmul(power(level, h, 0), Z[:, :, None], out=block[0, :, :, None])
+        if mx > 1:
+            np.matmul(block[0, :, None, :], power(level, h, 0).T, out=block[1, :, None, :])
+        k, j = 2, 1
+        while k < mx:
+            c = min(k, mx - k)
+            np.matmul(block[:c].reshape(-1, N), power(level, h, j).T,
+                      out=block[k:k + c].reshape(-1, N))
+            k, j = 2 * k, j + 1
+        tail = ms - 1
+        for k in np.unique(tail[(tail >= 2) & (tail & (tail - 1) == 0)]).tolist():
+            last = ms == k + 1
+            block[k, last] = np.matmul(block[0, last, None, :],
+                                       power(level, h, k.bit_length() - 1).T)[:, 0]
+        steps = np.arange(mx)[:, None]
+        valid = steps < ms
+        out[(los + steps)[valid]] = block[valid]
+
+    # exponentiate each (level, h) where the run-by-run order first needs it:
+    # a cell's runs, then its edge step; a cached step seeds the nearby ones.
+    # The last cell holds the last sample, so no edge step leaves it.
+    lengths = [c1 - c0 for c0, c1, _ in cells[:-1]]
+    order = np.argsort(np.concatenate([2 * run_lo, 2 * end[:-1] - 1]), kind="stable")
+    need = zip(np.concatenate([run_level, levels[:-1]])[order].tolist(),
+               np.concatenate([run_h, lengths])[order].tolist())
+    for level, step in dict.fromkeys(need):
+        power(level, step, 0)
+
+    # the state at each cell's start, and at the samples on cell edges
+    chain = np.empty((len(cells), N))
+    chain[0] = z
+    for k, step in enumerate(zip(levels[:-1].tolist(), lengths)):
+        np.matmul(powers[step][0], chain[k], out=chain[k + 1])
+    edge = np.flatnonzero(times[end[:-1]] == starts[1:])
+    out[end[edge]] = chain[edge + 1]
+
+    order = np.lexsort((run_h, run_level, wave))
+    key = np.stack([wave[order], run_level[order], run_h[order]])
+    cuts = np.flatnonzero((np.diff(key, axis=1) != 0).any(axis=0)) + 1
+    for g in np.split(order, cuts):
+        # a wave's first runs start at their cell's start, the others where
+        # the previous run of their cell ended
+        Z = chain[run_cell[g]] if wave[g[0]] == 0 else out[run_lo[g] - 1]
+        level, step = float(run_level[g[0]]), float(run_h[g[0]])
+        if len(g) > 1 and int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS:
+            fill_block(run_lo[g], run_m[g], Z, level, step)
+        else:
+            for r, z in zip(g.tolist(), Z):
+                fill(int(run_lo[r]), int(run_m[r]), z, level, step)
     if not np.isfinite(out).all():
         raise RuntimeError("propagation produced non-finite states")
     return out

@@ -1,20 +1,27 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from pexstab import linsys
 from pexstab.linsys import (
+    STEP_CACHE_SIZE,
     LinearSystem,
     UncontrollableError,
     _levels,
     _propagate,
     _runs,
     _sample_grid,
+    _step_matrix,
     energy_balance,
     gap_estimate_check,
     kalman_index,
     simulate,
 )
+from pexstab.modal import WaveModalSpec, build_wave
 from pexstab.signals import make_piecewise, periodic_gate
+from pexstab.stability import GateSignalFamily
 
 
 def rotation(w=1.0):
@@ -403,3 +410,231 @@ def test_levels_match_pointwise_lookup():
     times = _sample_grid(sig, 15.0, 0.01)
     assert np.array_equal(_levels(sig, times),
                           np.array([sig.value_at(t) for t in times]))
+
+
+def run_by_run_states(sys, sig, z0, times):
+    """Reference for the wave fill: the same cell-edge chain, with each run
+    of equal spacing filled on its own, cell after cell."""
+    times = np.asarray(times, dtype=float)
+    z = np.asarray(z0, dtype=float).reshape(sys.dim)
+    n = len(times)
+    out = np.empty((n, sys.dim))
+    cells = list(sig.cells_between(0.0, float(times[-1])))
+    starts = np.array([c0 for c0, _, _ in cells])
+    begin = np.searchsorted(times, starts, side="right")
+    end = np.append(np.searchsorted(times, starts[1:], side="left"), n)
+    prev = np.concatenate([[0.0], times[:-1]])
+    held = begin < end
+    prev[begin[held]] = starts[held]
+    runs = list(zip(*(col.tolist() for col in
+                      _runs(times, prev, np.concatenate([begin, end[:-1]])))))
+    powers, exact, spacings = {}, {}, {}
+
+    def new_step(level, h):
+        if level not in exact:
+            G = sys.closed_loop(level)
+            exact[level] = (G, float(np.abs(G).sum(axis=0).max()), [])
+        G, norm, anchors = exact[level]
+        for h_near, P in anchors:
+            if abs(h - h_near) * norm <= linsys._NEAR_STEP:
+                return P + (h - h_near) * (P @ G)
+        P = _step_matrix(sys, level, h)
+        anchors.append((h, P))
+        return P
+
+    def power(level, h, j):
+        pw = powers.get((level, h))
+        if pw is None:
+            pw = powers[(level, h)] = [new_step(level, h)]
+        while len(pw) <= j:
+            if linsys._orthogonal_step(sys, level):
+                pw.append(_step_matrix(sys, level, h * 2 ** len(pw)))
+            else:
+                pw.append(pw[-1] @ pw[-1])
+        return pw[j]
+
+    def fill(lo, m, z, level, h):
+        rows = out[lo:lo + m]
+        np.matmul(power(level, h, 0), z, out=rows[0])
+        k, j = 1, 0
+        while k < m:
+            c = min(k, m - k)
+            np.matmul(rows[:c], power(level, h, j).T, out=rows[k:k + c])
+            k, j = 2 * k, j + 1
+
+    if times[0] == 0.0:
+        out[0] = z
+    r = 0
+    for (c0, c1, level), b, e in zip(cells, begin.tolist(), end.tolist()):
+        zs = z
+        while r < len(runs) and runs[r][0] < e:
+            lo, m, h, err, tol = runs[r]
+            r += 1
+            if lo < b:
+                continue
+            if m > 1:
+                used = spacings.setdefault(level, [])
+                near = [u for u in used if err + m * abs(u - h) <= tol]
+                if near:
+                    h = near[0]
+                elif err <= tol:
+                    used.append(h)
+                else:
+                    for k in range(lo, lo + m):
+                        fill(k, 1, zs, level, float(times[k] - prev[k]))
+                        zs = out[k]
+                    continue
+            fill(lo, m, zs, level, h)
+            zs = out[lo + m - 1]
+        if e == n:
+            break
+        z = power(level, c1 - c0, 0) @ z
+        if times[e] == c1:
+            out[e] = z
+    return out
+
+
+def string_system(n_modes, dissipative):
+    """The uniformly damped string (skew A), or the same with A - 0.3 I."""
+    sys = build_wave(WaveModalSpec(n_modes, uniform=1.0))
+    if dissipative:
+        sys = LinearSystem(sys.A - 0.3 * np.eye(sys.dim), sys.B)
+        assert not sys.skew_flag
+    return sys
+
+
+def assert_wave_fill_is_run_by_run(sys, sig, z0, times):
+    want = run_by_run_states(sys, sig, z0, times)
+    got = _propagate(sys, sig, z0, times)
+    assert np.array_equal(got, want)
+
+
+FILLS = pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "dissipative"])
+
+
+@FILLS
+def test_wave_fill_matches_run_by_run_on_verify_gates(dissipative):
+    # gates drawn as verify_certificate draws them: T 2, width in [1, 2],
+    # random phase, sampled 2/64 apart over 100 on the 8-state string
+    sys = string_system(4, dissipative)
+    family = GateSignalFamily(T=2.0, mu=1.0, horizon=100.0, seed=11)
+    rng = np.random.default_rng(40)
+    for i in range(5):
+        sig = family.draw(i)
+        times = _sample_grid(sig, family.horizon, 2.0 / 64)
+        assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+
+
+@FILLS
+def test_wave_fill_matches_run_by_run_on_irregular_times(dissipative):
+    sys = string_system(4, dissipative)
+    rng = np.random.default_rng(41)
+    breaks = np.sort(rng.uniform(0.0, 10.0, size=30))
+    sig = make_piecewise(breaks.tolist(), rng.choice([0.0, 0.5, 1.0], size=30).tolist(), 0.3)
+    times = np.sort(rng.uniform(0.0, 12.0, size=400))
+    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+    # the same times starting at 0, and runs of equal spacing between them
+    times = np.unique(np.concatenate([[0.0], times, np.arange(1, 600) * 0.02]))
+    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+
+
+@FILLS
+def test_wave_fill_matches_run_by_run_with_samples_on_cell_edges(dissipative):
+    sys = string_system(4, dissipative)
+    rng = np.random.default_rng(42)
+    sig = periodic_gate(1.0, 0.25, 20.0).shifted(0.25)
+    grid = np.arange(0, 1201) * 0.0125  # every breakpoint is a sample
+    assert np.isin(sig.breakpoints, grid).any()
+    for times in (grid, grid[1:], grid[7:]):  # from t = 0, then later
+        assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+
+
+@FILLS
+def test_wave_fill_matches_run_by_run_when_gaps_drift(dissipative):
+    # consecutive gaps agree within tolerance, yet every cell's run drifts
+    # off one lattice, so each cell steps singly
+    sys = string_system(4, dissipative)
+    sig = make_piecewise([1.3, 2.6, 3.1], [1.0, 0.0, 0.5], 1.0)
+    times = np.cumsum(0.01 + np.arange(400) * 7e-16)
+    drifting = 0
+    for c0, c1, _ in sig.cells_between(0.0, float(times[-1])):
+        inside = times[(times > c0) & (times < c1)]
+        prev = np.concatenate([[c0], inside[:-1]])
+        _, _, _, err, tol = _runs(inside, prev, np.array([0]))
+        drifting += bool((err > tol).any())
+    assert drifting >= 2
+    rng = np.random.default_rng(43)
+    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+
+
+@FILLS
+def test_wave_fill_matches_run_by_run_beyond_the_block_cap(dissipative):
+    # seven damped cells of 2000 samples each: 2000 x 7 x 8 entries exceed
+    # the block cap, so these runs are filled one by one
+    sys = string_system(4, dissipative)
+    sig = periodic_gate(20.0, 5.0, 160.0)
+    times = _sample_grid(sig, 150.0, 5e-3)
+    assert 2000 * 7 * sys.dim > linsys._BLOCK_ELEMENTS
+    rng = np.random.default_rng(44)
+    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+
+
+def test_wave_fill_of_wide_states_matches_run_by_run_to_rounding():
+    # from 32 states on, OpenBLAS rounds a product of a few rows with a
+    # small-matrix kernel and the same rows inside a larger product with
+    # its general one, so the block fill agrees to rounding, not bit for bit
+    sys = string_system(16, False)
+    family = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=11)
+    rng = np.random.default_rng(45)
+    for i in range(1, 4):
+        sig = family.draw(i)
+        times = _sample_grid(sig, family.horizon, 2.0 / 64)
+        z0 = rng.standard_normal(sys.dim)
+        want = run_by_run_states(sys, sig, z0, times)
+        got = _propagate(sys, sig, z0, times)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_step_cache_returns_the_cached_step():
+    sys = string_system(2, False)
+    for level in (0.0, 1.0):  # the eigendecomposition path and expm
+        P = _step_matrix(sys, level, 0.1)
+        assert _step_matrix(sys, level, 0.1) is P
+        assert not P.flags.writeable
+        want = scipy.linalg.expm(sys.closed_loop(level) * 0.1)
+        assert np.abs(P - want).max() <= 1e-13
+
+
+def test_step_cache_stops_growing_at_its_bound():
+    sys = string_system(1, False)
+    for k in range(STEP_CACHE_SIZE + 10):
+        _step_matrix(sys, 1.0, 0.01 * (k + 1))
+    assert len(sys._step_cache) == STEP_CACHE_SIZE
+    past = _step_matrix(sys, 1.0, 5.0)
+    again = _step_matrix(sys, 1.0, 5.0)
+    assert again is not past and np.array_equal(again, past)
+    assert len(sys._step_cache) == STEP_CACHE_SIZE
+
+
+def test_threads_propagating_on_one_system_match_a_serial_run():
+    family = GateSignalFamily(T=2.0, mu=1.0, horizon=40.0, seed=3)
+    draws = [(family.draw(i), np.random.default_rng(i).standard_normal(8))
+             for i in range(8)]
+
+    def propagate_all(sys, picks, results):
+        for i in picks:
+            sig, z0 = draws[i]
+            results[i] = _propagate(sys, sig, z0, _sample_grid(sig, 40.0, 2.0 / 64))
+
+    serial = {}
+    propagate_all(string_system(4, False), range(8), serial)
+    shared, threaded = string_system(4, False), {}
+    workers = [threading.Thread(target=propagate_all, args=(shared, picks, threaded))
+               for picks in (range(0, 8, 2), range(1, 8, 2))]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert sorted(threaded) == list(range(8))
+    for i in range(8):
+        assert np.array_equal(threaded[i], serial[i])
