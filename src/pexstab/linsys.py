@@ -7,13 +7,17 @@ constant level ``a`` the flow is the matrix exponential of
 ``(A - a B B^T) * dt``, so trajectories are computed exactly per cell (up to
 the exponential's own rounding) rather than by an ODE stepper with local
 truncation error.  Propagation steps from cell edge to cell edge, one step
-per cell, and fills the output samples inside a cell in batches: a run of
-equally spaced samples is the powers of one step matrix applied to the
-cell's start state, built by doubling.  For skew-symmetric ``A`` the
-undamped flow uses a unitary eigendecomposition of ``iA``, which preserves
-the energy V = ||z||^2 / 2 to machine precision.  Signal-weighted
-observability Gramians of the undamped flow are exact too: one block matrix
-exponential per signal cell.
+per cell, and fills the output samples inside a cell from its start state:
+a run of equally spaced samples is the powers of one step matrix, built by
+doubling.  The k-th runs of all cells are filled together, one matrix
+product per doubling step over every run of one (level, spacing), up to a
+block of 2^16 state entries; larger groups and lone runs are filled run
+by run.  Step matrices are memoized on the system by exact (level, dt),
+up to STEP_CACHE_SIZE of them, so repeated trajectories on one system
+share them.  For skew-symmetric ``A`` the undamped flow uses a unitary
+eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2 to
+machine precision.  Signal-weighted observability Gramians of the undamped
+flow are exact too: one block matrix exponential per signal cell.
 """
 
 from __future__ import annotations
@@ -272,19 +276,24 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
     maximal runs of equal spacing h (equal within a few ulps of t), and a run
     of m samples is the rows P_h^k z, k = 1..m, with P_h the step over h.
     The rows are filled by doubling: rows [k, 2k) are rows [0, k) times
-    (P_h^k)^T.  The k-th runs of all cells form a wave, which needs only the
-    (k-1)-th; a wave's runs of one (level, h) are filled together on one
-    time-major (m, R, N) block, so each doubling step is one matrix product
-    over all R runs and a trajectory costs a few array operations per
-    (level, h) and wave, whatever its number of cells.  A lone run, or a
-    group whose block would exceed _BLOCK_ELEMENTS, is filled run by run.
-    Every row is the same product of the same matrices as in a run-by-run
-    fill.  Step matrices and their squarings are cached per (level, h) for
-    the call, and a step whose length differs from an exponentiated one
-    only by the rounding of cell edges is derived from it by a first-order
-    correction that is exact to rounding.  An irregular time list is a
-    sequence of runs of length 1, each one step as in sample-by-sample
-    propagation.
+    (P_h^k)^T.  The k-th runs of all cells form a wave, which needs only
+    the (k-1)-th.  A wave's runs of one (level, h) are filled together on
+    one time-major (m, R, N) block, so each doubling step is one matrix
+    product over all R runs, and a trajectory costs a few array operations
+    per (level, h) and wave, not per cell.  A lone run, or a group whose
+    block would exceed _BLOCK_ELEMENTS, is filled run by run.  Every row is
+    the same product of the same matrices as in a run-by-run fill, and the
+    rows that fill forms as matrix-vector products stay so, since BLAS
+    rounds those apart from matrix products; a BLAS whose matrix product
+    rounds a row by the number of rows around it (OpenBLAS from 32 states)
+    can still move the last bits.
+
+    Step matrices and their squarings are cached per (level, h) for the
+    call, their exponentials also on the system (see :func:`_step_matrix`).
+    A step whose length differs from an exponentiated one only by the
+    rounding of cell edges is derived from it by a first-order correction
+    that is exact to rounding.  An irregular time list is a sequence of runs
+    of length 1, each one step as in sample-by-sample propagation.
     """
     times = np.asarray(times, dtype=float)
     z = np.asarray(z0, dtype=float).reshape(sys.dim)
@@ -423,8 +432,8 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
         if len(g) > 1 and int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS:
             fill_block(run_lo[g], run_m[g], Z, level, step)
         else:
-            for r, z in zip(g.tolist(), Z):
-                fill(int(run_lo[r]), int(run_m[r]), z, level, step)
+            for r, start in zip(g.tolist(), Z):
+                fill(int(run_lo[r]), int(run_m[r]), start, level, step)
     if not np.isfinite(out).all():
         raise RuntimeError("propagation produced non-finite states")
     return out

@@ -1,4 +1,5 @@
 import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -616,6 +617,22 @@ def test_step_cache_stops_growing_at_its_bound():
     assert len(sys._step_cache) == STEP_CACHE_SIZE
 
 
+def run_threads(target, args_per_thread):
+    """Run one thread per argument tuple with a short switch interval, so
+    the threads interleave often; every thread must finish in time."""
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=target, args=args) for args in args_per_thread]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+
+
 def test_threads_propagating_on_one_system_match_a_serial_run():
     family = GateSignalFamily(T=2.0, mu=1.0, horizon=40.0, seed=3)
     draws = [(family.draw(i), np.random.default_rng(i).standard_normal(8))
@@ -629,12 +646,19 @@ def test_threads_propagating_on_one_system_match_a_serial_run():
     serial = {}
     propagate_all(string_system(4, False), range(8), serial)
     shared, threaded = string_system(4, False), {}
-    workers = [threading.Thread(target=propagate_all, args=(shared, picks, threaded))
-               for picks in (range(0, 8, 2), range(1, 8, 2))]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
+    run_threads(propagate_all, [(shared, range(k, 8, 4), threaded) for k in range(4)])
     assert sorted(threaded) == list(range(8))
     for i in range(8):
         assert np.array_equal(threaded[i], serial[i])
+
+
+def test_step_cache_bound_holds_under_threads():
+    # four threads insert 4 x 100 distinct steps into one cache of 128
+    sys = string_system(1, False)
+
+    def insert(k):
+        for j in range(100):
+            _step_matrix(sys, 1.0, 1e-3 * (4 * j + k + 1))
+
+    run_threads(insert, [(k,) for k in range(4)])
+    assert len(sys._step_cache) == STEP_CACHE_SIZE
