@@ -27,12 +27,10 @@ from .signals import (  # noqa: F401
 )
 from .linsys import (  # noqa: F401
     EnergyBalance,
-    GapCheck,
     LinearSystem,
     Trajectory,
     UncontrollableError,
     energy_balance,
-    gap_estimate_check,
     kalman_index,
     simulate,
 )
@@ -52,21 +50,16 @@ from .dalembert import (  # noqa: F401
     verify_damping_inert,
 )
 from .observability import (  # noqa: F401
-    EXPLORATION_LABEL,
     KappaScanReport,
     ObservabilityEstimate,
     OuterSearch,
     SignalClass,
-    WindowScanReport,
     class_constant,
-    functional,
-    inner_min_signal,
     kappa_scan,
     observability_gramian,
     wave_pe_lower_bound,
     wave_rho_lower_bound,
     wave_rho_threshold,
-    window_scan,
 )
 from .stability import (  # noqa: F401
     CertificateCheck,

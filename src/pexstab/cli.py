@@ -4,7 +4,9 @@ Exit status contract:
 
 * 0 - scenario ran and every requested verification passed
 * 1 - a verification failed (certificate violated, PE check negative,
-      monotonicity or balance breached, measured ratio above its factor)
+      monotonicity or balance breached, measured ratio above its factor),
+      or an analysis stopped on a numerical failure (its report is
+      ``{"error": message}``; the other analyses still run)
 * 2 - schema or semantic violation in the scenario file (message carries
       the offending field's path)
 * 3 - I/O failure (unreadable scenario, unwritable output directory)
@@ -257,7 +259,12 @@ def _run_parsed(sc: Scenario, digest: str, path: str, out_dir: str,
 
     def run_one(job):
         _, a = job
-        return _RUNNERS[a["kind"]](sc, a)
+        # a numerical failure that validation cannot foresee (a scan grid too
+        # coarse, an LP the solver gives up on) fails this analysis alone
+        try:
+            return _RUNNERS[a["kind"]](sc, a)
+        except RuntimeError as e:
+            return {"error": str(e)}, False, None
 
     if parallel and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -35,9 +35,6 @@ DIM_LIMIT = 256
 
 DISSIPATIVITY_TOL = 1e-9
 
-# slack of gap_estimate_check's comparison, reported as GapCheck.tolerance
-GAP_TOLERANCE = 1e-9
-
 # most step matrices _step_matrix keeps per system
 STEP_CACHE_SIZE = 128
 
@@ -144,18 +141,6 @@ class EnergyBalance:
 
     residual: float
     one_sided: bool
-
-
-@dataclass(frozen=True)
-class GapCheck:
-    """Outcome of the window decay estimate between two instants a < b."""
-
-    lhs: float
-    rhs: float
-    integral: float
-    margin: float
-    ok: bool
-    tolerance: float
 
 
 def cost_within_bound(c: float, L: float, b_norm: float) -> bool:
@@ -581,29 +566,3 @@ def observability_gramian(sys: LinearSystem, t0: float, t1: float,
             cell = P.T @ cell @ P
         G += level * cell
     return (G + G.T) / 2
-
-
-def gap_estimate_check(sys: LinearSystem, sig: Signal, z0, a: float, b: float) -> GapCheck:
-    """Check the per-window energy decay estimate between instants a < b.
-
-    Verifies, along the damped trajectory from ``z0``,
-
-        V(z(b)) - V(z(a)) <= -(2 + 2 (b-a)^2 ||B||^4)^{-1}
-                              * int_0^{b-a} alpha(a+t) ||B^T e^{tA} z(a)||^2 dt
-
-    where the integral runs along the *undamped* flow started at z(a) and
-    equals z(a)^T G z(a) for the exact :func:`observability_gramian` G of
-    the shifted signal over [0, b-a].
-    """
-    if not 0 <= a < b:
-        raise ValueError("need 0 <= a < b, got a=%s b=%s" % (a, b))
-    za, zb = _propagate(sys, sig, z0, np.array([float(a), float(b)]))
-    Va = 0.5 * float(za @ za)
-    Vb = 0.5 * float(zb @ zb)
-    L = b - a
-    total = float(za @ observability_gramian(sys, 0.0, L, sig.shifted(a)) @ za)
-    rhs = -total / (2.0 + 2.0 * L * L * sys.b_norm ** 4)
-    lhs = Vb - Va
-    margin = rhs - lhs
-    return GapCheck(lhs=lhs, rhs=rhs, integral=total, margin=margin,
-                    ok=bool(lhs <= rhs + GAP_TOLERANCE), tolerance=GAP_TOLERANCE)

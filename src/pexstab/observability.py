@@ -52,17 +52,15 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .linsys import (LinearSystem, cost_within_bound, kalman_index,
                      observability_gramian)
-from .modal import SchrodingerModalSpec, build_schrodinger
 from .signals import Signal, make_piecewise
 
-EXPLORATION_LABEL = "exploration of an open problem — no claim"
 # cells of the uniform grid the inner problem is solved on, unless a caller
 # chooses another
 DEFAULT_N_CELLS = 64
@@ -126,9 +124,11 @@ class ObservabilityEstimate:
     """Best located value of the two-level minimisation with its witnesses.
 
     ``constant`` is an upper bound on the true class constant (the search is
-    local); plugging the witnesses back into :func:`functional` reproduces
-    it to rounding.  ``runner_up_gap`` is the distance from the best to
-    the second-best distinct local value found (0 when all starts agree).
+    local); the witnesses reproduce it to rounding as the quadratic form
+    ``witness_z0 @ observability_gramian(sys, 0.0, sclass.horizon,
+    witness_signal) @ witness_z0``.  ``runner_up_gap`` is the distance from
+    the best to the second-best distinct local value found (0 when all
+    starts agree).
     """
 
     constant: float
@@ -172,21 +172,6 @@ def _cell_gramians(sys: LinearSystem, theta: float, n_cells: int) -> np.ndarray:
     for j in range(1, n_cells):
         out[j] = P.T @ out[j - 1] @ P
     return out
-
-
-def functional(sys: LinearSystem, sig: Signal, z0, theta: float) -> float:
-    """J(z0, alpha) = int_0^theta alpha(t) ||B^T e^{tA} z0||^2 dt.
-
-    Evaluated as z0^T G z0 with G the exact signal-weighted
-    :func:`observability_gramian` over [0, theta]; the flow is the undamped
-    e^{tA}.
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    z0 = np.asarray(z0, dtype=float).reshape(sys.dim)
-    if abs(np.linalg.norm(z0) - 1.0) > 1e-9:
-        raise ValueError("z0 must be a unit vector (within 1e-9)")
-    return float(z0 @ observability_gramian(sys, 0.0, theta, sig) @ z0)
 
 
 def rho_greedy_min(cell_values, dt: float, mass_budget: float):
@@ -461,20 +446,6 @@ class _InnerProblem:
         return np.einsum("j,jnm->nm", np.asarray(alpha, dtype=float), self.Ms)
 
 
-def inner_min_signal(sys: LinearSystem, z0, sclass: SignalClass,
-                     n_cells: int = DEFAULT_N_CELLS):
-    """Worst admissible signal for a fixed initial state.
-
-    Returns (signal, value): the cell-constant signal in ``sclass``
-    minimising the observability functional of ``z0`` on the uniform grid,
-    and the attained value.
-    """
-    z0 = np.asarray(z0, dtype=float).reshape(sys.dim)
-    prob = _InnerProblem(sys, sclass, n_cells)
-    alpha, value = prob.minimise(z0)
-    return _signal_from_levels(alpha, sclass.horizon), value
-
-
 def class_constant(sys: LinearSystem, sclass: SignalClass,
                    n_cells: int = DEFAULT_N_CELLS,
                    outer: OuterSearch = None) -> ObservabilityEstimate:
@@ -657,79 +628,4 @@ def kappa_scan(sys: LinearSystem, rho: float, T_grid,
         rho=float(rho),
         seed=outer.seed,
         caveats=sys.caveats,
-    )
-
-
-@dataclass(frozen=True)
-class WindowScanReport:
-    """Exploration of worst measure-mu damping windows for quantum particles.
-
-    ``free_constants[i]`` is the LP-relaxed worst constant over arbitrary
-    measure-mu level profiles for ``n_modes_list[i]`` modes;
-    ``interval_constants[i]`` restricts the profile to a single interval of
-    length mu (always >= the free value).  No limit claim is made: the scan
-    merely reports the finite-truncation trend, and the label says so.
-    """
-
-    label: str
-    n_modes_list: tuple
-    free_constants: tuple
-    interval_constants: tuple
-    interval_argmin: tuple
-    trend: str
-    T: float
-    mu: float
-    seed: int
-    caveats: tuple = ()
-
-
-def window_scan(spec: SchrodingerModalSpec, T: float, mu: float,
-                n_cells: int = DEFAULT_N_CELLS, outer: OuterSearch = None,
-                n_modes_list=None) -> WindowScanReport:
-    """Scan worst-case damping windows for growing quantum-particle truncations.
-
-    For each truncation size the free problem minimises the functional over
-    unit states and measure-mu level profiles on [0, T] (the LP relaxation
-    of indicator windows); the interval problem restricts to contiguous
-    windows [s, s + mu] and minimises the smallest Gramian eigenvalue over
-    the start s on a grid.  Whether the free constants approach a positive
-    limit as the truncation grows is open; the report is labelled
-    accordingly and carries the modal-truncation caveat.
-    """
-    if not 0 < mu <= T:
-        raise ValueError("need 0 < mu <= T")
-    outer = outer or OuterSearch()
-    if n_modes_list is None:
-        n_modes_list = tuple(range(1, spec.n_modes + 1))
-    n_modes_list = tuple(int(n) for n in n_modes_list)
-    free_vals, interval_vals, interval_arg = [], [], []
-    caveats = ()
-    for n in n_modes_list:
-        sys_n = build_schrodinger(replace(spec, n_modes=n))
-        caveats = sys_n.caveats
-        est = class_constant(sys_n, SignalClass.rho_integral(mu / T, T),
-                             n_cells, outer)
-        free_vals.append(est.constant)
-        # contiguous windows: smallest Gramian eigenvalue over interval starts
-        best_s, best_v = 0.0, None
-        for s in np.linspace(0.0, T - mu, 33):
-            G = observability_gramian(sys_n, float(s), float(s) + mu)
-            v = float(np.linalg.eigvalsh(G)[0])
-            if best_v is None or v < best_v:
-                best_s, best_v = float(s), v
-        interval_vals.append(best_v)
-        interval_arg.append(best_s)
-    first, last = free_vals[0], free_vals[-1]
-    trend = "decreasing" if last < 0.95 * first else "plateau"
-    return WindowScanReport(
-        label=EXPLORATION_LABEL,
-        n_modes_list=n_modes_list,
-        free_constants=tuple(free_vals),
-        interval_constants=tuple(interval_vals),
-        interval_argmin=tuple(interval_arg),
-        trend=trend,
-        T=float(T),
-        mu=float(mu),
-        seed=outer.seed,
-        caveats=tuple(caveats) + (EXPLORATION_LABEL,),
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import displacement
 from pexstab.dalembert import (
     build_counterexample,
     energy_of_counterexample,
@@ -46,8 +47,8 @@ def test_velocity_support_travels_along_characteristics():
 def test_displacement_meets_dirichlet_ends():
     sc = build_counterexample((0.2, 0.6))
     for t in np.linspace(0.0, 6.0, 25):
-        assert abs(float(sc.displacement(t, 0.0))) < 1e-14
-        assert abs(float(sc.displacement(t, 1.0))) < 1e-14
+        assert abs(float(displacement(sc, t, 0.0))) < 1e-14
+        assert abs(float(displacement(sc, t, 1.0))) < 1e-14
 
 
 def test_damping_inert_certificate():
@@ -71,10 +72,10 @@ def test_gate_passes_pe_check_with_zero_overlap():
 
 def test_energy_constant_over_three_periods():
     sc = build_counterexample((0.2, 0.6))
-    E0 = energy_of_counterexample(sc, 0.0)
+    energies = energy_of_counterexample(sc, np.linspace(0.0, 6.0, 61))
+    E0 = energies[0]
     assert E0 == pytest.approx(512.0 / 21.0, rel=1e-12)  # closed-form bump energy
-    ts = np.linspace(0.0, 6.0, 61)
-    drift = max(abs(energy_of_counterexample(sc, t) - E0) for t in ts)
+    drift = float(np.max(np.abs(energies - E0)))
     assert drift <= 1e-8 * E0
 
 
@@ -136,13 +137,13 @@ def test_modal_truncation_corroborates_zero_decay():
     x = 0.5 * (1.0 - sc.b_prime) * (xg + 1.0) + sc.b_prime
     w = 0.5 * (1.0 - sc.b_prime) * wg
     phi = np.sqrt(2.0) * np.sin(np.outer(np.arange(1, n_modes + 1), np.pi * x))
-    coeff = phi @ (w * sc.displacement(0.0, x))
+    coeff = phi @ (w * displacement(sc, 0.0, x))
     coeff_t = phi @ (w * sc.velocity(0.0, x))
     z0 = np.empty(2 * n_modes)
     z0[0::2] = np.sqrt(spec.spectrum()) * coeff
     z0[1::2] = coeff_t
     V0 = 0.5 * float(z0 @ z0)
-    E0 = energy_of_counterexample(sc, 0.0)
+    E0 = energy_of_counterexample(sc, np.array([0.0]))[0]
     assert abs(V0 - E0) <= 1e-3 * E0  # the bump is spectrally concentrated
     traj = simulate(sys, sc.signal, z0, 6.0, 0.05)
     assert traj.energies[-1] <= traj.energies[0] * (1 + 1e-12)

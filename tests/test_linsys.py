@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import gap_estimate_check
 from pexstab import linsys
 from pexstab.linsys import (
     STEP_CACHE_SIZE,
@@ -16,7 +17,6 @@ from pexstab.linsys import (
     _sample_grid,
     _step_matrix,
     energy_balance,
-    gap_estimate_check,
     kalman_index,
     simulate,
 )

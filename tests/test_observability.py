@@ -15,23 +15,20 @@ import pexstab.observability as obs
 from pexstab.linsys import LinearSystem, UncontrollableError
 from pexstab.modal import (
     SchrodingerModalSpec,
-    TRUNCATION_CAVEAT,
     WaveModalSpec,
     build_schrodinger,
     build_wave,
     gram_matrix,
 )
 from pexstab.observability import (
-    EXPLORATION_LABEL,
     _cell_gramians,
     _InnerProblem,
+    _signal_from_levels,
     _window_constraints,
     _WindowLP,
     OuterSearch,
     SignalClass,
     class_constant,
-    functional,
-    inner_min_signal,
     kappa_scan,
     observability_gramian,
     pe_window_min,
@@ -39,7 +36,6 @@ from pexstab.observability import (
     wave_pe_lower_bound,
     wave_rho_lower_bound,
     wave_rho_threshold,
-    window_scan,
 )
 from pexstab.signals import make_piecewise
 
@@ -171,30 +167,29 @@ def test_gramian_validates_window():
         observability_gramian(sys, 1.0, 0.5)
     with pytest.raises(ValueError):
         observability_gramian(sys, -0.1, 0.5)
+    for theta in (0.0, -1.0):  # the functional over [0, theta] needs theta > 0
+        with pytest.raises(ValueError):
+            observability_gramian(sys, 0.0, theta, make_piecewise([], [], 1.0))
 
 
 def test_functional_flat_system():
-    # A = 0, B = I: the functional is the signal mass
+    # A = 0, B = I: the functional z0^T G z0 over [0, 2] is the signal mass
+    z0 = np.array([1.0])
     one = make_piecewise([], [], 1.0)
-    assert functional(flat_system(), one, [1.0], 2.0) == pytest.approx(2.0, abs=1e-12)
+    G = observability_gramian(flat_system(), 0.0, 2.0, one)
+    assert z0 @ G @ z0 == pytest.approx(2.0, abs=1e-12)
     gate = make_piecewise([0.5, 1.5], [1.0, 0.0], 0.5)
     mass = float(gate.integral(0, 2))
-    assert functional(flat_system(), gate, [1.0], 2.0) == pytest.approx(mass, abs=1e-12)
+    G = observability_gramian(flat_system(), 0.0, 2.0, gate)
+    assert z0 @ G @ z0 == pytest.approx(mass, abs=1e-12)
 
 
 def test_functional_one_mode_string():
     # unit damping on the velocity slot: J = int_0^1 sin^2(pi t) dt = 1/2
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
-    one = make_piecewise([], [], 1.0)
-    val = functional(sys, one, [1.0, 0.0], 1.0)
-    assert val == pytest.approx(0.5, abs=1e-10)
-
-
-def test_functional_requires_unit_state():
-    with pytest.raises(ValueError):
-        functional(flat_system(), make_piecewise([], [], 1.0), [2.0], 1.0)
-    with pytest.raises(ValueError):
-        functional(flat_system(), make_piecewise([], [], 1.0), [1.0], -1.0)
+    z0 = np.array([1.0, 0.0])
+    G = observability_gramian(sys, 0.0, 1.0, make_piecewise([], [], 1.0))
+    assert z0 @ G @ z0 == pytest.approx(0.5, abs=1e-10)
 
 
 def test_greedy_fill_takes_cheapest_cells():
@@ -759,19 +754,18 @@ def test_missing_highs_core_names_the_directory(monkeypatch, tmp_path):
 
 def test_inner_min_flat_system_both_classes():
     sys = flat_system()
-    sig, val = inner_min_signal(sys, [1.0], SignalClass.rho_integral(0.25, 2.0),
-                                n_cells=16)
+    z0 = np.array([1.0])
+    alpha, val = _InnerProblem(sys, SignalClass.rho_integral(0.25, 2.0), 16).minimise(z0)
     assert val == pytest.approx(0.5, abs=1e-12)
+    sig = _signal_from_levels(alpha, 2.0)
     assert float(sig.integral(0, 2)) == pytest.approx(0.5, abs=1e-12)
-    _, val2 = inner_min_signal(sys, [1.0], SignalClass.pe_windows(2.0, 0.5),
-                               n_cells=16)
+    _, val2 = _InnerProblem(sys, SignalClass.pe_windows(2.0, 0.5), 16).minimise(z0)
     assert val2 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_inner_min_needs_enough_cells():
     with pytest.raises(ValueError):
-        inner_min_signal(flat_system(), [1.0], SignalClass.rho_integral(0.5, 1.0),
-                         n_cells=3)
+        _InnerProblem(flat_system(), SignalClass.rho_integral(0.5, 1.0), 3)
 
 
 def test_class_constant_flat_system():
@@ -789,7 +783,8 @@ def test_witness_reproduces_estimate():
     sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
     est = class_constant(sys, SignalClass.pe_windows(2.0, 1.0), n_cells=32,
                          outer=OuterSearch(n_starts=4))
-    val = functional(sys, est.witness_signal, est.witness_z0, 2.0)
+    z0 = est.witness_z0
+    val = float(z0 @ observability_gramian(sys, 0.0, 2.0, est.witness_signal) @ z0)
     assert abs(val - est.constant) <= 1e-12
     assert abs(np.linalg.norm(est.witness_z0) - 1.0) <= 1e-9
 
@@ -913,39 +908,20 @@ def test_kappa_scan_validation():
         kappa_scan(dead, 0.5, (0.4, 0.2))
 
 
-def test_window_scan_full_region_is_flat():
-    # omega = (0, 1) gives B B^T = I: the worst profile value is exactly mu
-    spec = SchrodingerModalSpec(n_modes=2, omega=(0.0, 1.0))
-    rep = window_scan(spec, T=1.0, mu=0.3, n_cells=8,
-                      outer=OuterSearch(n_starts=2), n_modes_list=(1, 2))
-    for v in rep.free_constants:
-        assert v == pytest.approx(0.3, rel=1e-9)
-    assert rep.trend == "plateau"
-    assert rep.label == EXPLORATION_LABEL
-    assert EXPLORATION_LABEL in rep.caveats
-    assert TRUNCATION_CAVEAT in rep.caveats
-    for f, iv in zip(rep.free_constants, rep.interval_constants):
-        assert iv >= f - 1e-9  # restricting to one interval cannot help
+def test_class_constant_full_region_is_rho_horizon():
+    # omega = (0, 1) gives B B^T = I, so the flow weight of every unit state
+    # is 1 and the functional is the signal mass, at least rho * horizon
+    for n_modes in (1, 2):
+        sys = build_schrodinger(SchrodingerModalSpec(n_modes=n_modes, omega=(0.0, 1.0)))
+        est = class_constant(sys, SignalClass.rho_integral(0.3, 1.0), n_cells=8,
+                             outer=OuterSearch(n_starts=2))
+        assert est.constant == pytest.approx(0.3, rel=1e-9)
 
 
-def test_window_scan_single_mode_closed_form():
+def test_class_constant_single_mode_particle_closed_form():
     omega = (0.2, 0.7)
-    spec = SchrodingerModalSpec(n_modes=1, omega=omega)
+    sys = build_schrodinger(SchrodingerModalSpec(n_modes=1, omega=omega))
     g11 = gram_matrix(omega, 1)[0, 0]
-    rep = window_scan(spec, 1.0, 0.25, n_cells=8, outer=OuterSearch(n_starts=2))
-    assert rep.free_constants[0] == pytest.approx(0.25 * g11, rel=1e-9)
-
-
-def test_window_scan_detects_decreasing_trend():
-    # a region straddling the node of mode 2 starves the higher truncations
-    spec = SchrodingerModalSpec(n_modes=3, omega=(0.45, 0.55))
-    rep = window_scan(spec, 1.0, 0.3, n_cells=8, outer=OuterSearch(n_starts=3),
-                      n_modes_list=(1, 3))
-    assert rep.free_constants[-1] < 0.95 * rep.free_constants[0]
-    assert rep.trend == "decreasing"
-
-
-def test_window_scan_validates_window():
-    spec = SchrodingerModalSpec(n_modes=1, omega=(0.2, 0.6))
-    with pytest.raises(ValueError):
-        window_scan(spec, 1.0, 1.5)
+    est = class_constant(sys, SignalClass.rho_integral(0.25, 1.0), n_cells=8,
+                         outer=OuterSearch(n_starts=2))
+    assert est.constant == pytest.approx(0.25 * g11, rel=1e-9)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from pexstab import scenario
+from pexstab import cli, scenario
 from pexstab.cli import main
 from pexstab.scenario import ScenarioError, parse_scenario
 
@@ -131,13 +131,53 @@ def test_validated_scenarios_run_without_precondition_errors(tmp_path, capsys, d
     assume(_validates(doc))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    try:
-        code = main(["run", str(path), "--out", str(tmp_path / "out")])
-    except RuntimeError:
-        return  # a numerical failure, not a precondition
-    finally:
-        capsys.readouterr()
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
     assert code in (0, 1)
+
+
+# two rotation blocks of speeds 1 and 3 behind one input; with T_grid
+# [0.001, 1e-6] the scan validates, but its class constant at T = 1e-6 can
+# round to a value <= 0 and the scan raises
+TWO_ANALYSES = {
+    "seed": 1,
+    "system": {"kind": "matrices",
+               "A": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]],
+               "B": [[0], [1], [0], [1]]},
+    "analyses": [
+        {"kind": "kappa-scan", "rho": 0.5, "T_grid": [0.4, 0.2], "n_cells": 8,
+         "outer": {"n_starts": 2}},
+        {"kind": "observability",
+         "class": {"kind": "rho-integral", "rho": 0.5, "horizon": 1.0},
+         "n_cells": 8, "outer": {"n_starts": 2}},
+    ],
+}
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+@pytest.mark.parametrize("target, failed", [("kappa_scan", 0), ("class_constant", 1)])
+def test_numerical_failure_is_that_analysis_report(tmp_path, capsys, monkeypatch,
+                                                   target, failed, parallel):
+    # whether that scan fails depends on rounding, so one runner is made to
+    # raise what the library raises on a numerical failure
+    def fail(*args, **kwargs):
+        raise RuntimeError("nonpositive class constant in scan; grid too coarse")
+
+    monkeypatch.setattr(cli, target, fail)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(TWO_ANALYSES))
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    argv = ["run", str(path), "--out", str(out)] + (["--parallel"] if parallel else [])
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    reports = [json.loads((out / name).read_text())
+               for name in ("00_kappa-scan.json", "01_observability.json")]
+    assert reports[failed]["ok"] is False
+    assert reports[failed]["report"] == {
+        "error": "nonpositive class constant in scan; grid too coarse"}
+    assert reports[1 - failed]["ok"] is True
+    assert "error" not in reports[1 - failed]["report"]
 
 
 def test_benchmark_shapes_validate():

@@ -40,16 +40,6 @@ def test_no_unused_imports(path):
 
 # Public definitions that nothing in src/ reads, kept for a reason each.
 UNREACHED_BY_DESIGN = {
-    # acceptance criterion 8 checks the exploration label on a window scan
-    "window_scan",
-    # acceptance criterion 5 compares the greedy fill with vertex enumeration
-    "inner_min_signal",
-    # acceptance criterion 2 checks the gap inequality on random triples
-    "gap_estimate_check",
-    # the witness test re-evaluates the functional at the reported witness
-    "functional",
-    # the modal corroboration test projects the traveling bump onto string modes
-    "CounterexampleScenario.displacement",
     # the exact mass that defines pe_check; the signal tests hold the lattice to it
     "Signal.integral",
     # the pointwise level lookup: the signal tests read levels through it,
