@@ -167,9 +167,14 @@ def test_gramian_validates_window():
         observability_gramian(sys, 1.0, 0.5)
     with pytest.raises(ValueError):
         observability_gramian(sys, -0.1, 0.5)
-    for theta in (0.0, -1.0):  # the functional over [0, theta] needs theta > 0
+
+
+def test_functional_needs_positive_horizon():
+    # z0^T G z0 over [0, theta] is the functional only for theta > 0
+    for theta in (0.0, -1.0):
         with pytest.raises(ValueError):
-            observability_gramian(sys, 0.0, theta, make_piecewise([], [], 1.0))
+            observability_gramian(flat_system(), 0.0, theta,
+                                  make_piecewise([], [], 1.0))
 
 
 def test_functional_flat_system():
