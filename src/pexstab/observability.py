@@ -14,8 +14,11 @@ class constant
 is the bridge between signal structure and decay certificates.  The weight
 of a grid cell is z0^T M z0 with M the exact cell Gramian of
 :func:`~pexstab.linsys.observability_gramian` (re-exported here), so J is
-exact for every cell-constant signal.  Two signal classes are supported on a
-uniform grid of ``n_cells`` cells over [0, theta]:
+exact for every cell-constant signal.  The cell Gramians are held flat, one
+row of N*N entries per cell, so the cell values of a state (the rows against
+the flattened z0 z0^T) and the alpha-weighted Gramian (the levels against
+the rows) are each one matrix-vector product.  Two signal classes are
+supported on a uniform grid of ``n_cells`` cells over [0, theta]:
 
 * ``rho-integral``: levels alpha_j in [0, 1] with total mass >= rho * theta.
   The inner minimisation is a continuous knapsack solved exactly by a greedy
@@ -422,19 +425,27 @@ def _signal_from_levels(alpha, theta: float) -> Signal:
 
 
 class _InnerProblem:
-    """Cell Gramians for a (system, class, grid) triple with inner solvers."""
+    """Cell Gramians for a (system, class, grid) triple with inner solvers.
+
+    The cell Gramians are held flat, as one C-contiguous (n_cells, N*N)
+    matrix ``Mf`` (a reshape view of :func:`_cell_gramians`), so both
+    contractions of the descent are one BLAS matrix-vector product: the
+    cell values z0^T M_j z0 are ``Mf @ vec(z0 z0^T)`` and the alpha-weighted
+    Gramian sum_j alpha_j M_j is ``alpha @ Mf`` read back as N x N.
+    """
 
     def __init__(self, sys: LinearSystem, sclass: SignalClass, n_cells: int):
         if n_cells < 4:
             raise ValueError("need at least 4 cells")
         self.sclass = sclass
         self.dt = sclass.horizon / n_cells
-        self.Ms = _cell_gramians(sys, sclass.horizon, n_cells)
+        self.dim = sys.dim
+        self.Mf = _cell_gramians(sys, sclass.horizon, n_cells).reshape(n_cells, -1)
         self.lp = (_WindowLP(n_cells, sclass.T, sclass.mu, sclass.horizon)
                    if sclass.kind == "pe-windows" else None)
 
     def cell_values(self, z0) -> np.ndarray:
-        return np.einsum("jnm,n,m->j", self.Ms, z0, z0)
+        return self.Mf @ np.outer(z0, z0).ravel()
 
     def minimise(self, z0):
         g = self.cell_values(z0)
@@ -443,7 +454,7 @@ class _InnerProblem:
         return pe_window_min(g, self.lp)
 
     def weighted_gramian(self, alpha) -> np.ndarray:
-        return np.einsum("j,jnm->nm", np.asarray(alpha, dtype=float), self.Ms)
+        return (np.asarray(alpha, dtype=float) @ self.Mf).reshape(self.dim, self.dim)
 
 
 def class_constant(sys: LinearSystem, sclass: SignalClass,
@@ -595,7 +606,9 @@ def kappa_scan(sys: LinearSystem, rho: float, T_grid,
     with rank [B, AB, ..., A^K B] full).  The scan computes the class
     constant on each window length, fits log c against log T by least
     squares, and reports the fitted slope and prefactor next to the
-    structural prediction.
+    structural prediction.  A constant below 100 eps T ||B||^2 is made of
+    the rounding of its cell values, not of the flow, and raises
+    RuntimeError naming T, the constant and that floor.
     """
     if not sys.skew_flag:
         raise ValueError("kappa scan requires skew-symmetric A")
@@ -610,11 +623,17 @@ def kappa_scan(sys: LinearSystem, rho: float, T_grid,
         raise ValueError("window lengths must be strictly decreasing")
     consts = []
     for T in T_grid:
-        est = class_constant(sys, SignalClass.rho_integral(rho, T), n_cells, outer)
-        consts.append(est.constant)
+        c = class_constant(sys, SignalClass.rho_integral(rho, T), n_cells, outer).constant
+        # c sums cell values whose Gramians are of size T ||B||^2, each
+        # rounded to eps of that; near the floor a constant is rounding noise
+        floor = 100 * np.finfo(float).eps * T * sys.b_norm ** 2
+        if c < floor:
+            raise RuntimeError(
+                "class constant %.3g at T = %g lies below the rounding floor "
+                "100 eps T ||B||^2 = %.3g; the window is too short to resolve"
+                % (c, T, floor))
+        consts.append(c)
     consts = np.asarray(consts)
-    if np.any(consts <= 0):
-        raise RuntimeError("nonpositive class constant in scan; grid too coarse")
     X = np.vstack([np.log(T_grid), np.ones(len(T_grid))]).T
     coef, *_ = np.linalg.lstsq(X, np.log(consts), rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])

@@ -8,6 +8,9 @@ against; no report uses them, so they live here rather than in ``src/``.
 * :func:`displacement`: the traveling-bump displacement of the
   counterexample, which the modal-corroboration test projects onto string
   modes.
+* :func:`cell_values_einsum` and :func:`weighted_gramian_einsum`: the two
+  contractions of the inner problem over the stacked cell Gramians, written
+  index by index, against which its flat matrix-vector forms are checked.
 """
 
 from dataclasses import dataclass
@@ -64,3 +67,13 @@ def displacement(sc: CounterexampleScenario, t: float, x):
     """v(t, x) = Psi(x + t) - Psi(t - x), Psi the 2-periodised bump."""
     x = np.asarray(x, dtype=float)
     return sc._psi(np.mod(x + t, 2.0)) - sc._psi(np.mod(t - x, 2.0))
+
+
+def cell_values_einsum(Ms, z0):
+    """z0^T M_j z0 for each cell Gramian M_j of the (n_cells, N, N) stack."""
+    return np.einsum("jnm,n,m->j", Ms, z0, z0)
+
+
+def weighted_gramian_einsum(Ms, alpha):
+    """sum_j alpha_j M_j over the (n_cells, N, N) stack."""
+    return np.einsum("j,jnm->nm", np.asarray(alpha, dtype=float), Ms)

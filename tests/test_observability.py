@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import pexstab.observability as obs
+from oracles import cell_values_einsum, weighted_gramian_einsum
 from pexstab.linsys import LinearSystem, UncontrollableError
 from pexstab.modal import (
     SchrodingerModalSpec,
@@ -26,6 +29,7 @@ from pexstab.observability import (
     _signal_from_levels,
     _window_constraints,
     _WindowLP,
+    OUTER_DIM_LIMIT,
     OuterSearch,
     SignalClass,
     class_constant,
@@ -159,6 +163,46 @@ def test_gramian_cells_far_from_zero_match_closed_form():
     ref = np.array([skew_gramian_closed_form(sys.A, sys.B, a, b)
                     for a, b in zip(edges[:-1], edges[1:])])
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_cells", [64, 1024])
+@pytest.mark.parametrize("N", [4, 12, OUTER_DIM_LIMIT])
+def test_inner_contractions_match_the_einsum_forms(N, n_cells):
+    rng = np.random.default_rng(100 * N + n_cells)
+    sys = LinearSystem(2.0 * random_skew(rng, N), rng.standard_normal((N, 2)))
+    prob = _InnerProblem(sys, SignalClass.rho_integral(0.5, 1.0), n_cells)
+    Ms = _cell_gramians(sys, 1.0, n_cells)
+    assert prob.Mf.shape == (n_cells, N * N) and prob.Mf.flags.c_contiguous
+    # each difference is held to the size of its positive semidefinite form:
+    # a cell value to the trace of its cell Gramian, since |z| = 1
+    scale = np.trace(Ms, axis1=1, axis2=2)
+    for _ in range(8):
+        z = rng.standard_normal(N)
+        z /= np.linalg.norm(z)
+        assert np.all(np.abs(prob.cell_values(z) - cell_values_einsum(Ms, z))
+                      <= 1e-13 * scale)
+        alpha = rng.uniform(0.0, 1.0, n_cells)
+        ref = weighted_gramian_einsum(Ms, alpha)
+        assert np.abs(prob.weighted_gramian(alpha) - ref).max() <= 1e-13 * np.trace(ref)
+
+
+def test_class_constant_bits_do_not_follow_the_blas_thread_count():
+    # the rho-gramian benchmark's observability analysis, in this process and
+    # in a child that runs OpenBLAS on one thread
+    code = (
+        "import json\n"
+        "from pexstab.modal import SchrodingerModalSpec, build_schrodinger\n"
+        "from pexstab.observability import OuterSearch, SignalClass, class_constant\n"
+        "sys = build_schrodinger(SchrodingerModalSpec(n_modes=6, omega=(0.3, 0.5)))\n"
+        "est = class_constant(sys, SignalClass.rho_integral(0.3, 1.0), 1024,\n"
+        "                     OuterSearch(seed=1))\n"
+        "print(json.dumps([est.constant.hex(), [float(x).hex() for x in est.witness_z0],\n"
+        "                  est.runner_up_gap.hex()]))\n"
+    )
+    with contextlib.redirect_stdout(io.StringIO()) as here:
+        exec(code, {})
+    child = run_fresh(code, OPENBLAS_NUM_THREADS="1")
+    assert child == json.loads(here.getvalue())
 
 
 def test_gramian_validates_window():
@@ -669,12 +713,12 @@ def test_highs_binding_has_every_method_the_window_lp_calls():
 
 
 
-def run_fresh(code: str):
-    """Run ``code`` in a new interpreter with the package on its path and
-    return the JSON it prints last."""
+def run_fresh(code: str, **env_vars):
+    """Run ``code`` in a new interpreter with the package on its path (and
+    ``env_vars`` set) and return the JSON it prints last."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env_vars)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     return json.loads(out.stdout.splitlines()[-1])

@@ -136,9 +136,9 @@ def test_validated_scenarios_run_without_precondition_errors(tmp_path, capsys, d
     assert code in (0, 1)
 
 
-# two rotation blocks of speeds 1 and 3 behind one input; with T_grid
-# [0.001, 1e-6] the scan validates, but its class constant at T = 1e-6 can
-# round to a value <= 0 and the scan raises
+# two rotation blocks of speeds 1 and 3 behind one input (Kalman index 3,
+# so the class constant falls like T^7); a scan down to T = 0.03 validates,
+# but its constant there is within 10 eps T ||B||^2 of zero
 TWO_ANALYSES = {
     "seed": 1,
     "system": {"kind": "matrices",
@@ -158,10 +158,10 @@ TWO_ANALYSES = {
 @pytest.mark.parametrize("target, failed", [("kappa_scan", 0), ("class_constant", 1)])
 def test_numerical_failure_is_that_analysis_report(tmp_path, capsys, monkeypatch,
                                                    target, failed, parallel):
-    # whether that scan fails depends on rounding, so one runner is made to
-    # raise what the library raises on a numerical failure
+    # one runner is made to raise what class_constant raises on a numerical
+    # failure, which both runners call
     def fail(*args, **kwargs):
-        raise RuntimeError("nonpositive class constant in scan; grid too coarse")
+        raise RuntimeError("estimate 2 exceeds the necessary bound horizon*||B||^2 = 1")
 
     monkeypatch.setattr(cli, target, fail)
     path = tmp_path / "scenario.json"
@@ -175,9 +175,27 @@ def test_numerical_failure_is_that_analysis_report(tmp_path, capsys, monkeypatch
                for name in ("00_kappa-scan.json", "01_observability.json")]
     assert reports[failed]["ok"] is False
     assert reports[failed]["report"] == {
-        "error": "nonpositive class constant in scan; grid too coarse"}
+        "error": "estimate 2 exceeds the necessary bound horizon*||B||^2 = 1"}
     assert reports[1 - failed]["ok"] is True
     assert "error" not in reports[1 - failed]["report"]
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_scan_below_the_rounding_floor_is_an_error_report(tmp_path, capsys, parallel):
+    doc = copy.deepcopy(TWO_ANALYSES)
+    doc["analyses"][0]["T_grid"] = [0.1, 0.03]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    argv = ["run", str(path), "--out", str(out)] + (["--parallel"] if parallel else [])
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    scan = json.loads((out / "00_kappa-scan.json").read_text())
+    assert scan["ok"] is False
+    message = scan["report"]["error"]
+    assert "T = 0.03 " in message and "rounding floor" in message
+    assert json.loads((out / "01_observability.json").read_text())["ok"] is True
 
 
 def test_benchmark_shapes_validate():
