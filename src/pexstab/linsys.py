@@ -13,8 +13,8 @@ doubling.  The k-th runs of all cells are filled together, one matrix
 product per doubling step over every run of one (level, spacing), up to a
 block of 2^16 state entries; larger groups and lone runs are filled run
 by run.  Step matrices are memoized on the system by exact (level, dt),
-up to STEP_CACHE_SIZE of them, so repeated trajectories on one system
-share them.  For skew-symmetric ``A`` the undamped flow uses a unitary
+within STEP_CACHE_BYTES, so repeated trajectories on one system share
+them.  For skew-symmetric ``A`` the undamped flow uses a unitary
 eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2 to
 machine precision.  Signal-weighted observability Gramians of the undamped
 flow are exact too: one block matrix exponential per signal cell.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from sys import getsizeof
 
 import numpy as np
 import scipy.linalg
@@ -35,8 +36,12 @@ DIM_LIMIT = 256
 
 DISSIPATIVITY_TOL = 1e-9
 
-# most step matrices _step_matrix keeps per system
-STEP_CACHE_SIZE = 128
+# most bytes the step cache of one system holds (see _held_bytes): 254 to
+# 509 steps of 64 states, 15 to 31 of DIM_LIMIT states
+STEP_CACHE_BYTES = 16 * 2 ** 20
+
+# rows of the states that simulate multiplies by B at a time
+_OUTPUT_CHUNK_ROWS = 4096
 
 
 class UncontrollableError(ValueError):
@@ -95,6 +100,7 @@ class LinearSystem:
         object.__setattr__(self, "skew_flag", bool(np.abs(A + A.T).max() <= 1e-12 * scale))
         object.__setattr__(self, "caveats", tuple(self.caveats))
         object.__setattr__(self, "_step_cache", {})
+        object.__setattr__(self, "_step_cache_bytes", 0)
         object.__setattr__(self, "_step_lock", threading.Lock())
 
     @property
@@ -123,13 +129,16 @@ class Trajectory:
 
     ``times`` include every output instant and every signal breakpoint inside
     the horizon, so each inter-sample interval carries a single damping level.
-    ``damping_rates[i]`` is the instantaneous rate alpha(t_i) ||B^T z_i||^2
-    with alpha read right-continuously.
+    ``output_sq[i]`` is the output norm ||B^T z_i||^2, computed once for
+    both ``damping_rates`` and :func:`energy_balance`; ``damping_rates[i]``
+    is the instantaneous rate alpha(t_i) ||B^T z_i||^2 with alpha read
+    right-continuously.
     """
 
     times: np.ndarray
     states: np.ndarray
     energies: np.ndarray
+    output_sq: np.ndarray
     damping_rates: np.ndarray
     system: LinearSystem
     signal: Signal
@@ -164,9 +173,9 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
     For skew A at level 0 the step comes from the cached unitary
     eigendecomposition of iA, so it is orthogonal to machine precision for
     any dt; every other step is ``scipy.linalg.expm``.  Steps are memoized
-    on the system by exact (level, dt), read-only, until it holds
-    STEP_CACHE_SIZE of them; the function is pure, so what the cache holds
-    never changes a result.
+    on the system by exact (level, dt), read-only, while the bytes they hold
+    (see :func:`_held_bytes`) fit in STEP_CACHE_BYTES; the function is pure,
+    so what the cache holds never changes a result.
     """
     key = (level, dt)
     P = sys._step_cache.get(key)
@@ -178,10 +187,21 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
     else:
         P = scipy.linalg.expm(sys.closed_loop(level) * dt)
     P.flags.writeable = False
+    size = _held_bytes(key, P)
     with sys._step_lock:
-        if len(sys._step_cache) < STEP_CACHE_SIZE:
-            sys._step_cache.setdefault(key, P)
+        held = sys._step_cache_bytes + size
+        if key not in sys._step_cache and held <= STEP_CACHE_BYTES:
+            sys._step_cache[key] = P
+            object.__setattr__(sys, "_step_cache_bytes", held)
     return P
+
+
+def _held_bytes(key, P: np.ndarray) -> int:
+    """Bytes a step cache entry keeps alive: its key, its array and the
+    array that one views (an eigendecomposition step is the real part of a
+    complex product, twice its own size)."""
+    held = getsizeof(key) + getsizeof(P)
+    return held if P.base is None else held + getsizeof(P.base)
 
 
 # Sample spacings that agree within this many machine epsilons of t are one
@@ -474,12 +494,18 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
     times = _sample_grid(sig, float(horizon), float(dt_out))
     states = _propagate(sys, sig, z0, times)
     energies = 0.5 * _row_norms_sq(states)
-    rates = _levels(sig, times) * _row_norms_sq(states @ sys.B)
+    # in row chunks, so no (samples, r) product is held; a test holds the
+    # norms to the bits of the full product
+    output_sq = np.empty(len(times))
+    for lo in range(0, len(times), _OUTPUT_CHUNK_ROWS):
+        hi = lo + _OUTPUT_CHUNK_ROWS
+        output_sq[lo:hi] = _row_norms_sq(states[lo:hi] @ sys.B)
     return Trajectory(
         times=times,
         states=states,
         energies=energies,
-        damping_rates=rates,
+        output_sq=output_sq,
+        damping_rates=_levels(sig, times) * output_sq,
         system=sys,
         signal=sig,
     )
@@ -489,17 +515,17 @@ def energy_balance(traj: Trajectory) -> EnergyBalance:
     """Check V(t) - V(0) = -int_0^t alpha ||B^T z||^2 along a trajectory.
 
     The damping integral is accumulated by the trapezoid rule on each
-    inter-sample interval; sample grids produced by :func:`simulate` are
-    aligned with the signal cells, so the level is constant per interval and
-    the only quadrature error is the smooth ||B^T z||^2 curvature.
+    inter-sample interval from the trajectory's ``output_sq``; sample grids
+    produced by :func:`simulate` are aligned with the signal cells, so the
+    level is constant per interval and the only quadrature error is the
+    smooth ||B^T z||^2 curvature.
 
     Returns the largest absolute residual for skew-symmetric A.  For merely
     dissipative A the identity becomes the inequality
     ``V(t) - V(0) + int <= 0`` and the positive part of the worst violation
     is returned with ``one_sided=True``.
     """
-    t, states = traj.times, traj.states
-    g = _row_norms_sq(states @ traj.system.B)
+    t, g = traj.times, traj.output_sq
     levels = _levels(traj.signal, t[:-1])
     inc = levels * 0.5 * (g[:-1] + g[1:]) * np.diff(t)
     cum = np.concatenate([[0.0], np.cumsum(inc)])

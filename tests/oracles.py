@@ -11,14 +11,21 @@ against; no report uses them, so they live here rather than in ``src/``.
 * :func:`cell_values_einsum` and :func:`weighted_gramian_einsum`: the two
   contractions of the inner problem over the stacked cell Gramians, written
   index by index, against which its flat matrix-vector forms are checked.
+* :func:`write_csv_rowwise`: the CSV report writer with one format string
+  per row, against which the chunk-wide writer is checked byte for byte.
+* :func:`energy_balance_from_states`: the energy balance with the output
+  norms formed from the whole state array, against which the trajectory's
+  own ``output_sq`` is checked bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from pexstab.cli import CSV_CHUNK_ROWS
 from pexstab.dalembert import CounterexampleScenario
-from pexstab.linsys import LinearSystem, _propagate, observability_gramian
+from pexstab.linsys import (EnergyBalance, LinearSystem, _levels, _propagate,
+                            _row_norms_sq, observability_gramian)
 from pexstab.signals import Signal
 
 # slack of gap_estimate_check's comparison, reported as GapCheck.tolerance
@@ -77,3 +84,31 @@ def cell_values_einsum(Ms, z0):
 def weighted_gramian_einsum(Ms, alpha):
     """sum_j alpha_j M_j over the (n_cells, N, N) stack."""
     return np.einsum("j,jnm->nm", np.asarray(alpha, dtype=float), Ms)
+
+
+def write_csv_rowwise(path: str, header: str, rows):
+    """Write ``rows`` (one value per header column) as %.17g CSV, one
+    format string per row, in chunks of CSV_CHUNK_ROWS lines."""
+    line = ",".join(["%.17g"] * len(header.split(","))) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        chunk = []
+        for row in rows:
+            chunk.append(line % tuple(row))
+            if len(chunk) == CSV_CHUNK_ROWS:
+                fh.write("".join(chunk))
+                chunk.clear()
+        fh.write("".join(chunk))
+
+
+def energy_balance_from_states(traj) -> EnergyBalance:
+    """Energy balance with ||B^T z||^2 from one product of all the states."""
+    t, states = traj.times, traj.states
+    g = _row_norms_sq(states @ traj.system.B)
+    levels = _levels(traj.signal, t[:-1])
+    inc = levels * 0.5 * (g[:-1] + g[1:]) * np.diff(t)
+    cum = np.concatenate([[0.0], np.cumsum(inc)])
+    drift = traj.energies - traj.energies[0] + cum
+    if traj.system.skew_flag:
+        return EnergyBalance(residual=float(np.abs(drift).max()), one_sided=False)
+    return EnergyBalance(residual=float(max(drift.max(), 0.0)), one_sided=True)

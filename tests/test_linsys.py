@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import gap_estimate_check
+from oracles import energy_balance_from_states, gap_estimate_check
 from pexstab import linsys
 from pexstab.linsys import (
-    STEP_CACHE_SIZE,
+    _OUTPUT_CHUNK_ROWS,
+    DIM_LIMIT,
+    STEP_CACHE_BYTES,
     LinearSystem,
     UncontrollableError,
+    _held_bytes,
     _levels,
     _propagate,
+    _row_norms_sq,
     _runs,
     _sample_grid,
     _step_matrix,
@@ -127,6 +131,22 @@ def test_energy_balance_gate_damping():
     traj = simulate(sys, gate, z0, 10.0, 1e-3)
     bal = energy_balance(traj)
     assert bal.residual <= 1e-5 * max(1.0, traj.energies[0])
+
+
+@pytest.mark.parametrize("n_modes,dissipative", [(16, False), (32, False), (32, True)])
+def test_output_norms_match_the_full_product_bit_for_bit(n_modes, dissipative):
+    # N = 32 and 64 states, where OpenBLAS can round a product row by the
+    # number of rows around it; the samples span three chunks, the last one
+    # short
+    sys = string_system(n_modes, dissipative)
+    gate = periodic_gate(2.0, 0.5, 12.0)
+    z0 = np.random.default_rng(n_modes).standard_normal(sys.dim)
+    traj = simulate(sys, gate, z0, 10.0, 1e-3)
+    assert 2 * _OUTPUT_CHUNK_ROWS < len(traj.times) < 3 * _OUTPUT_CHUNK_ROWS
+    full = _row_norms_sq(traj.states @ sys.B)
+    assert np.array_equal(traj.output_sq, full)
+    assert np.array_equal(traj.damping_rates, _levels(gate, traj.times) * full)
+    assert energy_balance(traj) == energy_balance_from_states(traj)
 
 
 def test_energy_conserved_without_damping():
@@ -606,15 +626,40 @@ def test_step_cache_returns_the_cached_step():
         assert np.abs(P - want).max() <= 1e-13
 
 
-def test_step_cache_stops_growing_at_its_bound():
+def budget_of(monkeypatch, sys, entries):
+    """Set the step cache budget to ``entries`` expm steps of ``sys``."""
+    entry = _held_bytes((1.0, 0.5), _step_matrix(sys, 1.0, 0.5))
+    monkeypatch.setattr(linsys, "STEP_CACHE_BYTES", entries * entry)
+    return entry
+
+
+def test_step_cache_stops_growing_at_its_bound(monkeypatch):
     sys = string_system(1, False)
-    for k in range(STEP_CACHE_SIZE + 10):
+    entry = budget_of(monkeypatch, sys, 128)
+    for k in range(128 + 10):
         _step_matrix(sys, 1.0, 0.01 * (k + 1))
-    assert len(sys._step_cache) == STEP_CACHE_SIZE
+    assert len(sys._step_cache) == 128
+    assert sys._step_cache_bytes == 128 * entry
     past = _step_matrix(sys, 1.0, 5.0)
     again = _step_matrix(sys, 1.0, 5.0)
     assert again is not past and np.array_equal(again, past)
-    assert len(sys._step_cache) == STEP_CACHE_SIZE
+    assert len(sys._step_cache) == 128
+
+
+def test_step_cache_stays_within_its_budget_at_the_dimension_limit():
+    # skew A at level 0: every step is the real part of a complex product,
+    # which the cache keeps alive with it
+    rng = np.random.default_rng(5)
+    sys = LinearSystem(random_skew(rng, DIM_LIMIT), np.zeros((DIM_LIMIT, 1)))
+    for k in range(20):
+        _step_matrix(sys, 0.0, 0.1 * (k + 1))
+    steps = list(sys._step_cache.values())
+    assert all(P.base.nbytes == 2 * P.nbytes == 16 * DIM_LIMIT ** 2 for P in steps)
+    held = sum(_held_bytes(key, P) for key, P in sys._step_cache.items())
+    assert held == sys._step_cache_bytes <= STEP_CACHE_BYTES
+    assert sum(P.base.nbytes for P in steps) <= STEP_CACHE_BYTES
+    assert held + _held_bytes((0.0, 1.0), steps[0]) > STEP_CACHE_BYTES
+    assert len(steps) == 15
 
 
 def run_threads(target, args_per_thread):
@@ -652,13 +697,15 @@ def test_threads_propagating_on_one_system_match_a_serial_run():
         assert np.array_equal(threaded[i], serial[i])
 
 
-def test_step_cache_bound_holds_under_threads():
+def test_step_cache_bound_holds_under_threads(monkeypatch):
     # four threads insert 4 x 100 distinct steps into one cache of 128
     sys = string_system(1, False)
+    entry = budget_of(monkeypatch, sys, 128)
 
     def insert(k):
         for j in range(100):
             _step_matrix(sys, 1.0, 1e-3 * (4 * j + k + 1))
 
     run_threads(insert, [(k,) for k in range(4)])
-    assert len(sys._step_cache) == STEP_CACHE_SIZE
+    assert len(sys._step_cache) == 128
+    assert sys._step_cache_bytes == 128 * entry
