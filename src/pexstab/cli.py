@@ -143,9 +143,7 @@ def _run_counterexample(sc: Scenario, a: dict):
 
 
 def _run_observability(sc: Scenario, a: dict):
-    report = class_constant(sc.system, a["class"], a["n_cells"], a["outer"]).to_dict()
-    report["c"] = report.pop("constant")
-    return report, True, None
+    return class_constant(sc.system, a["class"], a["n_cells"], a["outer"]), True, None
 
 
 def _run_kappa_scan(sc: Scenario, a: dict):

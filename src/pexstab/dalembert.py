@@ -70,15 +70,9 @@ class CounterexampleScenario:
         object.__setattr__(self, "_fomega", (fa, fb))
         object.__setattr__(self, "_fbp", (1 + fb) / 2)
 
-    def _psi(self, u):
-        """C^1 bump ((u-b')(1-u))^2 on [b', 1], peak amplitude 1."""
-        u = np.asarray(u, dtype=float)
-        half = (1.0 - self.b_prime) / 2.0
-        s = (u - self.b_prime) * (1.0 - u)
-        inside = (u >= self.b_prime) & (u <= 1.0)
-        return np.where(inside, (s / half ** 2) ** 2, 0.0)
-
     def _psi_prime(self, u):
+        """Derivative of the C^1 bump ((u-b')(1-u))^2 on [b', 1], scaled to
+        peak amplitude 1."""
         u = np.asarray(u, dtype=float)
         half = (1.0 - self.b_prime) / 2.0
         s = (u - self.b_prime) * (1.0 - u)

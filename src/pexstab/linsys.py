@@ -11,13 +11,14 @@ per cell, and fills the output samples inside a cell from its start state:
 a run of equally spaced samples is the powers of one step matrix, built by
 doubling.  The k-th runs of all cells are filled together, one matrix
 product per doubling step over every run of one (level, spacing), up to a
-block of 2^16 state entries; larger groups and lone runs are filled run
-by run.  Step matrices are memoized on the system by exact (level, dt),
-within STEP_CACHE_BYTES, so repeated trajectories on one system share
-them.  For skew-symmetric ``A`` the undamped flow uses a unitary
-eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2 to
-machine precision.  Signal-weighted observability Gramians of the undamped
-flow are exact too: one block matrix exponential per signal cell.
+block of 2^16 state entries; a lone run, and each run of a larger group,
+is filled the same way in its own rows of the output.  Step matrices are
+memoized on the system by exact (level, dt), as arrays of their own, within
+STEP_CACHE_BYTES, so repeated trajectories on one system share them.  For
+skew-symmetric ``A`` the undamped flow uses a unitary eigendecomposition of
+``iA``, which preserves the energy V = ||z||^2 / 2 to machine precision.
+Signal-weighted observability Gramians of the undamped flow are exact too:
+one block matrix exponential per signal cell.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ DIM_LIMIT = 256
 
 DISSIPATIVITY_TOL = 1e-9
 
-# most bytes the step cache of one system holds (see _held_bytes): 254 to
-# 509 steps of 64 states, 15 to 31 of DIM_LIMIT states
+# most bytes the step cache of one system holds, keys included: 509 steps
+# of 64 states, 31 of DIM_LIMIT states
 STEP_CACHE_BYTES = 16 * 2 ** 20
 
 # rows of the states that simulate multiplies by B at a time
@@ -100,7 +101,6 @@ class LinearSystem:
         object.__setattr__(self, "skew_flag", bool(np.abs(A + A.T).max() <= 1e-12 * scale))
         object.__setattr__(self, "caveats", tuple(self.caveats))
         object.__setattr__(self, "_step_cache", {})
-        object.__setattr__(self, "_step_cache_bytes", 0)
         object.__setattr__(self, "_step_lock", threading.Lock())
 
     @property
@@ -172,10 +172,10 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
 
     For skew A at level 0 the step comes from the cached unitary
     eigendecomposition of iA, so it is orthogonal to machine precision for
-    any dt; every other step is ``scipy.linalg.expm``.  Steps are memoized
-    on the system by exact (level, dt), read-only, while the bytes they hold
-    (see :func:`_held_bytes`) fit in STEP_CACHE_BYTES; the function is pure,
-    so what the cache holds never changes a result.
+    any dt; every other step is ``scipy.linalg.expm``.  Either way it is a
+    C-contiguous array of its own.  Steps are memoized on the system by
+    exact (level, dt), read-only, up to STEP_CACHE_BYTES of keys and arrays;
+    the function is pure, so what the cache holds never changes a result.
     """
     key = (level, dt)
     P = sys._step_cache.get(key)
@@ -183,25 +183,16 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
         return P
     if _orthogonal_step(sys, level):
         w, U = sys._skew_eig()
-        P = np.real((U * np.exp(-1j * w * dt)) @ U.conj().T)
+        P = np.ascontiguousarray(((U * np.exp(-1j * w * dt)) @ U.conj().T).real)
     else:
         P = scipy.linalg.expm(sys.closed_loop(level) * dt)
     P.flags.writeable = False
-    size = _held_bytes(key, P)
+    # every entry is a key and an owned N x N array, so the budget is a count
+    entries = STEP_CACHE_BYTES // (getsizeof(key) + getsizeof(P))
     with sys._step_lock:
-        held = sys._step_cache_bytes + size
-        if key not in sys._step_cache and held <= STEP_CACHE_BYTES:
-            sys._step_cache[key] = P
-            object.__setattr__(sys, "_step_cache_bytes", held)
+        if len(sys._step_cache) < entries:
+            sys._step_cache.setdefault(key, P)
     return P
-
-
-def _held_bytes(key, P: np.ndarray) -> int:
-    """Bytes a step cache entry keeps alive: its key, its array and the
-    array that one views (an eigendecomposition step is the real part of a
-    complex product, twice its own size)."""
-    held = getsizeof(key) + getsizeof(P)
-    return held if P.base is None else held + getsizeof(P.base)
 
 
 # Sample spacings that agree within this many machine epsilons of t are one
@@ -285,13 +276,13 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
     the (k-1)-th.  A wave's runs of one (level, h) are filled together on
     one time-major (m, R, N) block, so each doubling step is one matrix
     product over all R runs, and a trajectory costs a few array operations
-    per (level, h) and wave, not per cell.  A lone run, or a group whose
-    block would exceed _BLOCK_ELEMENTS, is filled run by run.  Every row is
-    the same product of the same matrices as in a run-by-run fill, and the
-    rows that fill forms as matrix-vector products stay so, since BLAS
-    rounds those apart from matrix products; a BLAS whose matrix product
-    rounds a row by the number of rows around it (OpenBLAS from 32 states)
-    can still move the last bits.
+    per (level, h) and wave, not per cell.  A lone run, and each run of a
+    group whose block would exceed _BLOCK_ELEMENTS, is filled on a block
+    that is a view of its own rows of the output.  Every row is the same
+    product of the same matrices as in a run-by-run fill; a row formed from
+    one row stays a matrix-vector product, which BLAS rounds apart from a
+    matrix product.  A BLAS whose matrix product rounds a row by the rows
+    around it (OpenBLAS from 32 states) can still move the last bits.
 
     Step matrices and their squarings are cached per (level, h) for the
     call, their exponentials also on the system (see :func:`_step_matrix`).
@@ -375,21 +366,15 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
                 pw.append(pw[-1] @ pw[-1])
         return pw[j]
 
-    def fill(lo, m, z, level, h):
-        rows = out[lo:lo + m]
-        np.matmul(power(level, h, 0), z, out=rows[0])
-        k, j = 1, 0
-        while k < m:
-            c = min(k, m - k)
-            np.matmul(rows[:c], power(level, h, j).T, out=rows[k:k + c])
-            k, j = 2 * k, j + 1
-
-    def fill_block(los, ms, Z, level, h):
-        # the same products as fill on every run: row 0 and every row made
-        # from one row (k = 1, or a run of m = k + 1) as matrix-vector
-        # products, the others as one product over the block
+    def fill_block(g, Z, level, h):
+        # the rows P_h^k z, k = 1..m, of the runs g on one time-major
+        # (m, R, N) block, a view of out's own rows for a lone run: row 0 and
+        # every row made from one row (k = 1, or a run of m = k + 1) as
+        # matrix-vector products, the others as one product over the block
+        los, ms = run_lo[g], run_m[g]
         mx = int(ms.max())
-        block = np.empty((mx, len(los), N))
+        lone = len(g) == 1
+        block = out[los[0]:los[0] + mx, None] if lone else np.empty((mx, len(g), N))
         np.matmul(power(level, h, 0), Z[:, :, None], out=block[0, :, :, None])
         if mx > 1:
             np.matmul(block[0, :, None, :], power(level, h, 0).T, out=block[1, :, None, :])
@@ -399,6 +384,8 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
             np.matmul(block[:c].reshape(-1, N), power(level, h, j).T,
                       out=block[k:k + c].reshape(-1, N))
             k, j = 2 * k, j + 1
+        if lone:
+            return
         tail = ms - 1
         for k in np.unique(tail[(tail >= 2) & (tail & (tail - 1) == 0)]).tolist():
             last = ms == k + 1
@@ -430,15 +417,13 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
     key = np.stack([wave[order], run_level[order], run_h[order]])
     cuts = np.flatnonzero((np.diff(key, axis=1) != 0).any(axis=0)) + 1
     for g in np.split(order, cuts):
-        # a wave's first runs start at their cell's start, the others where
-        # the previous run of their cell ended
-        Z = chain[run_cell[g]] if wave[g[0]] == 0 else out[run_lo[g] - 1]
         level, step = float(run_level[g[0]]), float(run_h[g[0]])
-        if len(g) > 1 and int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS:
-            fill_block(run_lo[g], run_m[g], Z, level, step)
-        else:
-            for r, start in zip(g.tolist(), Z):
-                fill(int(run_lo[r]), int(run_m[r]), start, level, step)
+        fits = int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS
+        for part in (g[None] if fits else g[:, None]):
+            # a wave's first runs start at their cell's start, the others
+            # where the previous run of their cell ended
+            Z = chain[run_cell[part]] if wave[g[0]] == 0 else out[run_lo[part] - 1]
+            fill_block(part, Z, level, step)
     if not np.isfinite(out).all():
         raise RuntimeError("propagation produced non-finite states")
     return out

@@ -146,9 +146,10 @@ class ObservabilityEstimate:
     caveats: tuple = ()
 
     def to_dict(self) -> dict:
-        """Report form: the class as ``class``, ``n_cells`` under ``grid``."""
+        """Report form: the constant as ``c``, the key of every observability
+        report, the class as ``class``, ``n_cells`` under ``grid``."""
         return {
-            "constant": self.constant,
+            "c": self.constant,
             "method": self.method,
             "witness_z0": self.witness_z0,
             "witness_signal": self.witness_signal,

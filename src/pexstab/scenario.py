@@ -419,7 +419,7 @@ def _certify(a, path, ctx):
                  "theta=%g is shorter than the window T=%g of the wave-pe "
                  "bound, which holds only on windows of length at least T"
                  % (theta, src["T"]))
-        _wave_pe_limits(src, _at(path, "source"), ctx["modal"])
+        _wave_limits(src, _at(path, "source"), ctx["modal"], "wave-pe", "lambda_min")
     if src is not None and src["kind"] == "class-constant":
         _search_dim(a, path, ctx)
         _outer_work(src, _at(path, "source"))
@@ -463,19 +463,28 @@ def _certify(a, path, ctx):
     return a
 
 
-def _wave_pe_limits(src, path, spec):
-    """The wave-pe bound holds for string modes under uniform damping d0
-    with eigenvalues at least lambda_min, so both are read from the system:
-    a smaller value only weakens the bound, a larger one is refused."""
+def _wave_limits(o, path, spec, bound, lowest):
+    """The wave-pe and wave-cubic bounds are derived for string modes under
+    uniform damping d0, so their constants are read from the system: ``d0``
+    may not exceed its uniform damping, and the field ``lowest`` may not
+    exceed its smallest eigenvalue (``lambda_min``, wave-pe) or the root of
+    that, its lowest rotation speed (``lambda1``, wave-cubic).  A smaller
+    d0 or lambda_min only weakens a bound; a larger value is refused."""
     _require(isinstance(spec, WaveModalSpec) and spec.uniform is not None, path,
-             "the wave-pe bound holds only for a wave-modal system with uniform "
-             "damping")
-    _require(src["d0"] <= spec.uniform, _at(path, "d0"),
-             "d0=%g exceeds the system's uniform damping %g" % (src["d0"], spec.uniform))
-    lowest = float(spec.spectrum().min())
-    _require(src["lambda_min"] <= lowest, _at(path, "lambda_min"),
-             "lambda_min=%g exceeds the system's smallest eigenvalue %g"
-             % (src["lambda_min"], lowest))
+             "the %s bound holds only for a wave-modal system with uniform "
+             "damping" % bound)
+    _require(o["d0"] <= spec.uniform, _at(path, "d0"),
+             "d0=%g exceeds the system's uniform damping %g" % (o["d0"], spec.uniform))
+    limit, what = float(spec.spectrum().min()), "smallest eigenvalue"
+    if lowest == "lambda1":
+        limit, what = math.sqrt(limit), "lowest rotation speed sqrt(lambda)"
+    _require(o[lowest] <= limit, _at(path, lowest),
+             "%s=%g exceeds the system's %s %g" % (lowest, o[lowest], what, limit))
+
+
+def _wave_cubic(o, path, ctx):
+    _wave_limits(o, path, ctx["modal"], "wave-cubic", "lambda1")
+    return (lambda L: wave_rho_lower_bound(L, o["rho"], o["lambda1"], o["d0"])), (), o["rho"]
 
 
 def _verify_in_class(verify, sclass, path):
@@ -615,8 +624,7 @@ COSTS = Kinds("kind", "cost form", {
     "wave-cubic": Obj("wave-cubic", {
         "rho": FRACTION, "lambda1": POSITIVE,
         "d0": (POSITIVE, _library_default(wave_rho_lower_bound, "d0")),
-    }, rule=lambda o, path, ctx: ((lambda L: wave_rho_lower_bound(
-        L, o["rho"], o["lambda1"], o["d0"])), (), o["rho"])),
+    }, rule=_wave_cubic),
     "exp-gap": Obj("exp-gap", {}, rule=lambda o, path, ctx: (
         (lambda L: math.exp(-2.0 / L)), (), 0.0)),
     "table": Obj("table", {"T": _list(POSITIVE), "c": _list(POSITIVE)}, rule=_table_cost),

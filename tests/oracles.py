@@ -7,7 +7,7 @@ against; no report uses them, so they live here rather than in ``src/``.
   a damped trajectory (acceptance criterion 2 and ``tests/test_linsys.py``).
 * :func:`displacement`: the traveling-bump displacement of the
   counterexample, which the modal-corroboration test projects onto string
-  modes.
+  modes, built from the bump :func:`psi`.
 * :func:`cell_values_einsum` and :func:`weighted_gramian_einsum`: the two
   contractions of the inner problem over the stacked cell Gramians, written
   index by index, against which its flat matrix-vector forms are checked.
@@ -70,10 +70,20 @@ def gap_estimate_check(sys: LinearSystem, sig: Signal, z0, a: float, b: float) -
                     ok=bool(lhs <= rhs + GAP_TOLERANCE), tolerance=GAP_TOLERANCE)
 
 
+def psi(sc: CounterexampleScenario, u):
+    """C^1 bump ((u-b')(1-u))^2 on [b', 1], peak amplitude 1; its
+    derivative is the counterexample's ``_psi_prime``."""
+    u = np.asarray(u, dtype=float)
+    half = (1.0 - sc.b_prime) / 2.0
+    s = (u - sc.b_prime) * (1.0 - u)
+    inside = (u >= sc.b_prime) & (u <= 1.0)
+    return np.where(inside, (s / half ** 2) ** 2, 0.0)
+
+
 def displacement(sc: CounterexampleScenario, t: float, x):
     """v(t, x) = Psi(x + t) - Psi(t - x), Psi the 2-periodised bump."""
     x = np.asarray(x, dtype=float)
-    return sc._psi(np.mod(x + t, 2.0)) - sc._psi(np.mod(t - x, 2.0))
+    return psi(sc, np.mod(x + t, 2.0)) - psi(sc, np.mod(t - x, 2.0))
 
 
 def cell_values_einsum(Ms, z0):

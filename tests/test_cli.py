@@ -47,9 +47,7 @@ SCAN_SCENARIO = {
          "outer": {"n_starts": 2}},
         {"kind": "strong-stability",
          "intervals": [[0.0, 1.0], [2.0, 3.0], [5.0, 6.5]],
-         "criterion": {"T0": 1.0,
-                       "cost": {"kind": "wave-cubic", "rho": 1.0,
-                                "lambda1": 1.0}}},
+         "criterion": {"T0": 1.0, "cost": {"kind": "exp-gap"}}},
     ],
 }
 
@@ -328,8 +326,8 @@ def test_schema_violations_exit_two(tmp_path, capsys):
 
 
 def test_wave_cubic_criterion_outside_its_range_exits_two(tmp_path, capsys):
-    # lambda1 = pi^2 caps the cubic bound at lengths <= 1/(2 pi); at length 1
-    # and d0 = 5 it would claim 33.8 per interval against L ||B||^2 = 1
+    # lambda1 = 3 caps the cubic bound at lengths <= pi/6 = 0.52, below the
+    # intervals' length 1
     doc = {"seed": 0,
            "system": {"kind": "wave-modal", "n_modes": 1,
                       "damping": {"uniform": 1.0}},
@@ -338,8 +336,7 @@ def test_wave_cubic_criterion_outside_its_range_exits_two(tmp_path, capsys):
                          "costs": [0.5] * 6,
                          "criterion": {"T0": 1.0,
                                        "cost": {"kind": "wave-cubic", "rho": 1.0,
-                                                "lambda1": math.pi ** 2,
-                                                "d0": 5.0}}}]}
+                                                "lambda1": 3.0, "d0": 1.0}}}]}
     cost = doc["analyses"][0]["criterion"]["cost"]
     cases = [(dict(cost), "analyses[0].criterion.cost: "),
              (dict(cost, lambda1=1.0, rho=1.5), "analyses[0].criterion.cost.rho: "),
@@ -354,23 +351,72 @@ def test_wave_cubic_criterion_outside_its_range_exits_two(tmp_path, capsys):
     scen = write_scenario(tmp_path, doc, "cubic_ok.json")
     assert main(["run", scen, "--out", str(tmp_path / "ok")]) == 0
     crit = read_reports(tmp_path / "ok")["00_strong-stability.json"]["report"]
-    assert crit["criterion"]["partial_sums"][0] == pytest.approx(
-        25.0 / 72.0, rel=1e-12)
+    assert crit["criterion"]["partial_sums"][0] == pytest.approx(1.0 / 72.0, rel=1e-12)
 
+
+# A 2-mode string with uniform damping 1: its lowest rotation speed is pi.
+# d0 = 3 made every cost of this scenario 9 times too large, with exit 0.
+STRING = {"kind": "wave-modal", "n_modes": 2, "damping": {"uniform": 1.0}}
+CUBIC = {"kind": "wave-cubic", "rho": 1, "lambda1": 3.14159, "d0": 3.0}
+CUBIC_SCENARIO = {
+    "seed": 0, "system": STRING,
+    "analyses": [{"kind": "strong-stability",
+                  "intervals": [[0.0, 0.1], [0.3, 0.42], [0.8, 0.95]],
+                  "criterion": {"T0": 0.3, "cost": CUBIC}}]}
+
+
+def _cubic(system=None, **cost):
+    strong = CUBIC_SCENARIO["analyses"][0]
+    return dict(CUBIC_SCENARIO, system=dict(STRING, **(system or {})), analyses=[
+        dict(strong, criterion=dict(strong["criterion"], cost=dict(CUBIC, **cost)))])
+
+
+WAVE_CUBIC_OUTSIDE_THE_SYSTEM = [
+    ("d0_above_the_damping", CUBIC_SCENARIO, "analyses[0].criterion.cost.d0"),
+    ("lambda1_above_the_lowest_speed", _cubic(d0=1.0, lambda1=3.2),
+     "analyses[0].criterion.cost.lambda1"),
+    ("lambda1_above_given_eigenvalues",
+     _cubic(system={"eigenvalues": [4.0, 9.0]}, d0=1.0), "analyses[0].criterion.cost.lambda1"),
+    ("localized_damping", _cubic(system={"damping": {"omega": [0.2, 0.6]}}, d0=1.0),
+     "analyses[0].criterion.cost"),
+    ("quantum_particle", _cubic(system={"kind": "schrodinger-modal"}, d0=1.0),
+     "analyses[0].criterion.cost"),
+    ("matrices", dict(_cubic(d0=1.0), system=SCAN_SCENARIO["system"]),
+     "analyses[0].criterion.cost"),
+]
 
 
 def test_wave_cubic_rho_above_the_level_exits_two(tmp_path, capsys):
     # intervals at level 0.5 carry half their length as mass; a cubic cost
     # at rho 1 would overstate every cost eightfold
-    strong = dict(SCAN_SCENARIO["analyses"][2], level=0.5)
-    doc = dict(SCAN_SCENARIO, analyses=[strong])
+    strong = dict(SCAN_SCENARIO["analyses"][2], level=0.5, criterion={
+        "T0": 1.0, "cost": {"kind": "wave-cubic", "rho": 1.0, "lambda1": 1.0}})
+    doc = dict(SCAN_SCENARIO, system=STRING, analyses=[strong])
     assert main(["validate", write_scenario(tmp_path, doc, "high.json")]) == 2
     assert "analyses[0].criterion.cost.rho: rho=1 exceeds the level 0.5" in (
         capsys.readouterr().err)
     cost = dict(strong["criterion"]["cost"], rho=0.5)
-    doc = dict(SCAN_SCENARIO, analyses=[dict(strong, criterion=dict(
-        strong["criterion"], cost=cost))])
+    doc = dict(doc, analyses=[dict(strong, criterion=dict(strong["criterion"], cost=cost))])
     assert main(["validate", write_scenario(tmp_path, doc, "at.json")]) == 0
+
+
+@pytest.mark.parametrize("doc, path", [c[1:] for c in WAVE_CUBIC_OUTSIDE_THE_SYSTEM],
+                         ids=[c[0] for c in WAVE_CUBIC_OUTSIDE_THE_SYSTEM])
+def test_wave_cubic_outside_its_system_exits_two(tmp_path, capsys, doc, path):
+    scen = write_scenario(tmp_path, doc)
+    for argv in (["validate", scen], ["run", scen, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert path + ": " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_wave_cubic_within_its_system_validates(tmp_path):
+    # d0 at the system's damping, lambda1 just below pi and at the root of
+    # the smallest given eigenvalue
+    for j, doc in enumerate([_cubic(d0=1.0), _cubic(system={"eigenvalues": [4.0, 9.0]},
+                                                    lambda1=2.0, d0=1.0)]):
+        assert main(["validate", write_scenario(tmp_path, doc, "ok%d.json" % j)]) == 0
+
 
 def test_missing_scenario_exits_three(tmp_path):
     assert main(["run", str(tmp_path / "absent.json"),
@@ -470,8 +516,8 @@ def test_unknown_system_and_signal_fields_exit_two(tmp_path, capsys):
 
 
 def test_criterion_cost_above_length_bound_exits_two(tmp_path, capsys):
-    # d0 = 10 claims c(0.1) = 100 pi^4 0.1^3 / 72 = 0.135 per interval, more
-    # than the 0.1 * ||B||^2 = 0.1 any signal can reach on the unit-damped string
+    # the table claims c(0.1) = 0.135 per interval, more than the
+    # 0.1 * ||B||^2 = 0.1 any signal can reach on the unit-damped string
     doc = {"seed": 0,
            "system": {"kind": "wave-modal", "n_modes": 1,
                       "damping": {"uniform": 1.0}},
@@ -479,9 +525,8 @@ def test_criterion_cost_above_length_bound_exits_two(tmp_path, capsys):
                          "intervals": [[k, k + 0.1] for k in range(4)],
                          "costs": [0.05] * 4,
                          "criterion": {"T0": 0.1,
-                                       "cost": {"kind": "wave-cubic", "rho": 1.0,
-                                                "lambda1": math.pi ** 2,
-                                                "d0": 10.0}}}]}
+                                       "cost": {"kind": "table", "T": [0.1, 0.2],
+                                                "c": [0.135, 0.27]}}}]}
     scen = write_scenario(tmp_path, doc, "cost_high.json")
     assert main(["run", scen, "--out", str(tmp_path / "high")]) == 2
     err = capsys.readouterr().err

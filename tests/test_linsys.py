@@ -1,5 +1,5 @@
 import threading
-from sys import getswitchinterval, setswitchinterval
+from sys import getsizeof, getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from pexstab.linsys import (
     STEP_CACHE_BYTES,
     LinearSystem,
     UncontrollableError,
-    _held_bytes,
     _levels,
     _propagate,
     _row_norms_sq,
@@ -622,24 +621,29 @@ def test_step_cache_returns_the_cached_step():
         P = _step_matrix(sys, level, 0.1)
         assert _step_matrix(sys, level, 0.1) is P
         assert not P.flags.writeable
+        assert P.base is None and P.flags.c_contiguous
         want = scipy.linalg.expm(sys.closed_loop(level) * 0.1)
         assert np.abs(P - want).max() <= 1e-13
 
 
+def held_bytes(sys):
+    """Bytes the step cache of ``sys`` holds: its keys and their arrays."""
+    return sum(getsizeof(key) + getsizeof(P) for key, P in sys._step_cache.items())
+
+
 def budget_of(monkeypatch, sys, entries):
     """Set the step cache budget to ``entries`` expm steps of ``sys``."""
-    entry = _held_bytes((1.0, 0.5), _step_matrix(sys, 1.0, 0.5))
+    entry = getsizeof((1.0, 0.5)) + getsizeof(_step_matrix(sys, 1.0, 0.5))
     monkeypatch.setattr(linsys, "STEP_CACHE_BYTES", entries * entry)
-    return entry
 
 
 def test_step_cache_stops_growing_at_its_bound(monkeypatch):
     sys = string_system(1, False)
-    entry = budget_of(monkeypatch, sys, 128)
+    budget_of(monkeypatch, sys, 128)
     for k in range(128 + 10):
         _step_matrix(sys, 1.0, 0.01 * (k + 1))
     assert len(sys._step_cache) == 128
-    assert sys._step_cache_bytes == 128 * entry
+    assert held_bytes(sys) == linsys.STEP_CACHE_BYTES
     past = _step_matrix(sys, 1.0, 5.0)
     again = _step_matrix(sys, 1.0, 5.0)
     assert again is not past and np.array_equal(again, past)
@@ -647,19 +651,17 @@ def test_step_cache_stops_growing_at_its_bound(monkeypatch):
 
 
 def test_step_cache_stays_within_its_budget_at_the_dimension_limit():
-    # skew A at level 0: every step is the real part of a complex product,
-    # which the cache keeps alive with it
+    # skew A at level 0: every step comes from the eigendecomposition
     rng = np.random.default_rng(5)
     sys = LinearSystem(random_skew(rng, DIM_LIMIT), np.zeros((DIM_LIMIT, 1)))
-    for k in range(20):
+    for k in range(40):
         _step_matrix(sys, 0.0, 0.1 * (k + 1))
     steps = list(sys._step_cache.values())
-    assert all(P.base.nbytes == 2 * P.nbytes == 16 * DIM_LIMIT ** 2 for P in steps)
-    held = sum(_held_bytes(key, P) for key, P in sys._step_cache.items())
-    assert held == sys._step_cache_bytes <= STEP_CACHE_BYTES
-    assert sum(P.base.nbytes for P in steps) <= STEP_CACHE_BYTES
-    assert held + _held_bytes((0.0, 1.0), steps[0]) > STEP_CACHE_BYTES
-    assert len(steps) == 15
+    assert all(P.base is None and P.flags.c_contiguous and P.nbytes == 8 * DIM_LIMIT ** 2
+               for P in steps)
+    held = held_bytes(sys)
+    assert held <= STEP_CACHE_BYTES < held + getsizeof((0.0, 1.0)) + getsizeof(steps[0])
+    assert len(steps) == 31
 
 
 def run_threads(target, args_per_thread):
@@ -700,7 +702,7 @@ def test_threads_propagating_on_one_system_match_a_serial_run():
 def test_step_cache_bound_holds_under_threads(monkeypatch):
     # four threads insert 4 x 100 distinct steps into one cache of 128
     sys = string_system(1, False)
-    entry = budget_of(monkeypatch, sys, 128)
+    budget_of(monkeypatch, sys, 128)
 
     def insert(k):
         for j in range(100):
@@ -708,4 +710,4 @@ def test_step_cache_bound_holds_under_threads(monkeypatch):
 
     run_threads(insert, [(k,) for k in range(4)])
     assert len(sys._step_cache) == 128
-    assert sys._step_cache_bytes == 128 * entry
+    assert held_bytes(sys) == linsys.STEP_CACHE_BYTES

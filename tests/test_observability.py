@@ -824,7 +824,7 @@ def test_class_constant_flat_system():
     assert est.runner_up_gap == 0.0
     assert "window LP" in est.method
     d = est.to_dict()
-    assert d["constant"] == est.constant
+    assert d["c"] == est.constant
     assert d["grid"] == {"n_cells": 16}
 
 

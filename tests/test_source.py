@@ -48,12 +48,17 @@ UNREACHED_BY_DESIGN = {
 }
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreached(sources: dict) -> list:
-    """Public definitions that nothing in ``sources`` reads outside their own body.
+    """Definitions that nothing in ``sources`` reads outside their own body.
 
     ``sources`` maps file names to module text.  A module-level function or
-    class counts as read by a ``Name`` node, a method of such a class by an
-    ``Attribute`` node of its name; ``__init__.py`` only re-exports, so it
+    class, public or private, counts as read by a ``Name`` node, a method of
+    such a class by an ``Attribute`` node of its name; dunders are called
+    by the language and never count.  ``__init__.py`` only re-exports, so it
     defines nothing here and its imports read nothing.
     """
     defs, reads = [], {}
@@ -67,13 +72,13 @@ def unreached(sources: dict) -> list:
         if fname == "__init__.py":
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _dunder(node.name):
                 continue
             defs.append((ast.Name, node.name, node.name, fname, node))
             if isinstance(node, ast.ClassDef):
                 defs += [(ast.Attribute, m.name, "%s.%s" % (node.name, m.name), fname, m)
                          for m in node.body
-                         if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+                         if isinstance(m, ast.FunctionDef) and not _dunder(m.name)]
     return sorted(qual for kind, name, qual, fname, node in defs
                   if all(f == fname and node.lineno <= line <= node.end_lineno
                          for f, line in reads.get((kind, name), ())))
@@ -85,11 +90,16 @@ def test_guard_flags_an_unreached_definition():
         "a.py": ("def used():\n    return helper().read()\n\n"
                  "def helper():\n    return Box()\n\n"
                  "def recursive(n):\n    return recursive(n - 1)\n\n"
-                 "class Box:\n    def read(self):\n        return 1\n\n"
-                 "    def spare(self):\n        return self.spare()\n"),
+                 "def _private():\n    return 0\n\n"
+                 "def _kept():\n    return 1\n\n"
+                 "class Box:\n    def read(self):\n        return self._shape() + _kept()\n\n"
+                 "    def spare(self):\n        return self.spare()\n\n"
+                 "    def _shape(self):\n        return 2\n\n"
+                 "    def _hidden(self):\n        return 3\n\n"
+                 "    def __repr__(self):\n        return 'Box'\n"),
         "b.py": "from .a import used\nused()\n",
     }
-    assert unreached(planted) == ["Box.spare", "recursive"]
+    assert unreached(planted) == ["Box._hidden", "Box.spare", "_private", "recursive"]
 
 
 def test_every_public_definition_is_reached_or_listed():
@@ -208,3 +218,48 @@ def test_benchmark_span_boundaries_resolve():
     assert spans.BOUNDARIES
     for _layer, owner, attr, _count in spans.BOUNDARIES:
         assert callable(getattr(spans._resolve(owner), attr, None)), (owner, attr)
+
+
+def schema_tables():
+    """``### <object>`` heading of README "Scenario fields" -> field names of
+    that object's table in ``scenario.py``: ``field`` for the object a field
+    holds, ``field: kind`` for each kind a tagged field may hold."""
+    from pexstab import scenario
+
+    out = {}
+
+    def visit(heading, table):
+        if isinstance(table, scenario.Kinds):
+            kinds = list(table.kinds.values())
+            if table.untagged is not None:
+                kinds.append(table.untagged)
+            for obj in kinds:
+                visit("%s: %s" % (heading, obj.name), obj)
+            return
+        out[heading] = set(table.fields)
+        for key, spec in table.fields.items():
+            check = spec[0] if isinstance(spec, tuple) else spec
+            if isinstance(check, (scenario.Obj, scenario.Kinds)):
+                visit(key, check)
+
+    visit("scenario", scenario.SCENARIO)
+    visit("analysis", scenario.ANALYSES)
+    return out
+
+
+def readme_tables():
+    """``### <object>`` heading of README "Scenario fields" -> the fields its
+    table names (none for an object without a table)."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Scenario fields\n", 1)[1].split("\n## ", 1)[0]
+    out = {}
+    for block in section.split("\n### ")[1:]:
+        heading, body = block.split("\n", 1)
+        out[heading.strip()] = set(re.findall(r"^\| `(\w+)` \|", body, re.M))
+    return out
+
+
+def test_readme_field_tables_match_the_schema():
+    tables = schema_tables()
+    assert len(tables) == 27
+    assert readme_tables() == tables
