@@ -9,14 +9,19 @@ the exponential's own rounding) rather than by an ODE stepper with local
 truncation error.  Propagation steps from cell edge to cell edge, one step
 per cell, and fills the output samples inside a cell from its start state:
 a run of equally spaced samples is the powers of one step matrix, built by
-doubling.  The k-th runs of all cells are filled together, one matrix
-product per doubling step over every run of one (level, spacing), up to a
-block of 2^16 state entries; a lone run, and each run of a larger group,
-is filled the same way in its own rows of the output.  Step matrices are
-memoized on the system by exact (level, dt), as arrays of their own, within
-STEP_CACHE_BYTES, so repeated trajectories on one system share them.  For
-skew-symmetric ``A`` the undamped flow uses a unitary eigendecomposition of
-``iA``, which preserves the energy V = ||z||^2 / 2 to machine precision.
+doubling.  The k-th runs of all cells are filled together: the
+single-sample ones as one gathered stack of matrix-vector products, the
+longer ones one matrix product per doubling step over every run of one
+step matrix, up to a block of 2^16 state entries; a larger group is filled
+the same way trajectory by trajectory or run by run.  One call propagates
+several trajectories at once, their cell-edge chains stepping together,
+and each comes out bit for bit as it would alone (where BLAS rounds a
+matrix product row by row), since every choice that sets its numbers is
+made per trajectory.  Step matrices are memoized on the system by exact
+(level, dt), as arrays of their own, within STEP_CACHE_BYTES, so repeated
+trajectories on one system share them.  For skew-symmetric ``A`` the
+undamped flow uses a unitary eigendecomposition of ``iA``, which preserves
+the energy V = ||z||^2 / 2 to machine precision.
 Signal-weighted observability Gramians of the undamped flow are exact too:
 one block matrix exponential per signal cell.
 """
@@ -203,9 +208,10 @@ _SPACING_ULPS = 4.0
 # h + d after a first-order correction; the dropped |G d|^2 / 2 is < eps / 4.
 _NEAR_STEP = 1e-8
 
-# Runs of one (level, h) that are filled together hold at most this many
-# state entries in their (m, R, N) block; larger groups, and lone runs, are
-# filled run by run into the output.
+# Runs of one step that are filled together hold at most this many state
+# entries in their (m, R, N) block; larger groups are filled trajectory by
+# trajectory, or run by run into the output.  A stack of gathered steps
+# holds at most this many entries too.
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -235,15 +241,16 @@ def _runs(times: np.ndarray, prev: np.ndarray, heads: np.ndarray):
     return lo, m, h, err, tol[lo + m - 1]
 
 
-def _spacings(level, h, m, err, tol):
+def _spacings(scope, h, m, err, tol):
     """Index of the spacing each multi-sample run is filled at, or -1 where
     its gaps drift too far for one spacing; and the spacings, in order.
 
     The runs are taken in order.  A run takes the first spacing already in
-    use at its level that still lands every sample within tol; failing
-    that, its own h when its lattice error is within tol, which puts h in
-    use.  Reusing spacings keeps the step cache small.  Each pass settles
-    the runs up to the next one that puts a new spacing in use.
+    use in its scope (one trajectory at one level) that still lands every
+    sample within tol; failing that, its own h when its lattice error is
+    within tol, which puts h in use.  Reusing spacings keeps the step cache
+    small.  Each pass settles the runs up to the next one that puts a new
+    spacing in use.
     """
     pick = np.full(len(h), -1)
     used = []
@@ -256,71 +263,126 @@ def _spacings(level, h, m, err, tol):
         pick[f] = len(used)
         used.append(h[f])
         rest = slice(f + 1, None)
-        near = ((pick[rest] < 0) & (level[rest] == level[f])
+        near = ((pick[rest] < 0) & (scope[rest] == scope[f])
                 & (err[rest] + m[rest] * np.abs(h[f] - h[rest]) <= tol[rest]))
         pick[rest][near] = pick[f]
         first = f + 1
 
 
-def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray):
-    """States at strictly increasing times >= 0, stepped from cell edge to edge.
+def _propagate(sys: LinearSystem, trajectories):
+    """States of several trajectories, each stepped from cell edge to edge.
 
-    The state crosses each signal cell [c0, c1) in one exact step
-    e^{(A - a B B^T)(c1 - c0)}, so the chain of cell-edge states does not
-    depend on how densely the output is sampled.  The samples inside a cell
-    are filled from the cell's start state: their times are split into
-    maximal runs of equal spacing h (equal within a few ulps of t), and a run
-    of m samples is the rows P_h^k z, k = 1..m, with P_h the step over h.
-    The rows are filled by doubling: rows [k, 2k) are rows [0, k) times
-    (P_h^k)^T.  The k-th runs of all cells form a wave, which needs only
-    the (k-1)-th.  A wave's runs of one (level, h) are filled together on
-    one time-major (m, R, N) block, so each doubling step is one matrix
-    product over all R runs, and a trajectory costs a few array operations
-    per (level, h) and wave, not per cell.  A lone run, and each run of a
-    group whose block would exceed _BLOCK_ELEMENTS, is filled on a block
-    that is a view of its own rows of the output.  Every row is the same
-    product of the same matrices as in a run-by-run fill; a row formed from
-    one row stays a matrix-vector product, which BLAS rounds apart from a
-    matrix product.  A BLAS whose matrix product rounds a row by the rows
-    around it (OpenBLAS from 32 states) can still move the last bits.
+    ``trajectories`` is a sequence of ``(sig, z0, times)``, each with
+    strictly increasing times >= 0; the result is one (len(times), N) array
+    per trajectory, in order (views of one buffer).  The state crosses each
+    signal cell [c0, c1) in one exact step e^{(A - a B B^T)(c1 - c0)}, so
+    the chain of cell-edge states does not depend on how densely the output
+    is sampled; the chains of all trajectories step together, one gathered
+    stack of matrix-vector products per cell position.  The samples inside
+    a cell are filled from the cell's start state: their times are split
+    into maximal runs of equal spacing h (equal within a few ulps of t),
+    and a run of m samples is the rows P_h^k z, k = 1..m, with P_h the step
+    over h.  The rows are filled by doubling: rows [k, 2k) are rows [0, k)
+    times (P_h^k)^T.  The k-th runs of all cells form a wave, which needs
+    only the (k-1)-th.  A wave's single-sample runs are one gathered stack
+    of matrix-vector products, whatever their steps.  Its longer runs that
+    share one step matrix are filled together on one time-major (m, R, N)
+    block, so each doubling step is one matrix product over all R runs; a
+    group whose block would exceed _BLOCK_ELEMENTS is filled trajectory by
+    trajectory, and a trajectory whose runs alone exceed it fills them one
+    by one, each on a view of its own rows of the output.
 
-    Step matrices and their squarings are cached per (level, h) for the
-    call, their exponentials also on the system (see :func:`_step_matrix`).
-    A step whose length differs from an exponentiated one only by the
+    Every choice that sets a trajectory's numbers is made per trajectory:
+    its runs, the spacings its runs share (:func:`_spacings`), and which of
+    its steps are exponentiated and which are derived from a nearby one.  A
+    step whose length differs from an exponentiated one only by the
     rounding of cell edges is derived from it by a first-order correction
-    that is exact to rounding.  An irregular time list is a sequence of runs
-    of length 1, each one step as in sample-by-sample propagation.
+    that is exact to rounding; each trajectory takes its own steps in its
+    own run-by-run order.  Runs of different trajectories meet in one
+    product only where they use the same step matrix, which the system's
+    step cache makes one array per exact (level, h) (see
+    :func:`_step_matrix`).  Every row is the same product of the same
+    matrices as in a run-by-run fill of its trajectory alone; a row formed
+    from one row stays a matrix-vector product, which BLAS rounds apart
+    from a matrix product.  A BLAS whose matrix product rounds a row by the
+    rows around it (OpenBLAS from 32 states) can still move the last bits.
+    An irregular time list is a sequence of runs of length 1, each one step
+    as in sample-by-sample propagation.
     """
-    times = np.asarray(times, dtype=float)
-    z = np.asarray(z0, dtype=float).reshape(sys.dim)
-    n, N = len(times), sys.dim
-    out = np.empty((n, N))
-    if n == 0:
-        return out
-    if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
+    N = sys.dim
+    parts = [np.asarray(ts, dtype=float).reshape(-1) for _, _, ts in trajectories]
+    sizes = np.array([len(ts) for ts in parts])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    # one trajectory's times are used as they are, several are joined
+    times = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    n = len(times)
+    first_sample = offsets[:-1][sizes > 0]
+    rising = np.diff(times) > 0.0
+    rising[first_sample[1:] - 1] = True
+    if (times[first_sample] < 0.0).any() or not rising.all():
         raise ValueError("propagation times must be strictly increasing and >= 0")
-    if times[0] == 0.0:
-        out[0] = z
-    cells = list(sig.cells_between(0.0, float(times[-1])))
-    if not cells:  # the single time 0
-        return out
-    starts = np.array([c0 for c0, _, _ in cells])
-    levels = np.array([level for _, _, level in cells])
-    # cell k fills samples [begin[k], end[k]); a sample on a cell edge takes
-    # the edge state instead
-    begin = np.searchsorted(times, starts, side="right")
-    end = np.append(np.searchsorted(times, starts[1:], side="left"), n)
-    prev = np.concatenate([[0.0], times[:-1]])
+    z0s = np.array([np.asarray(z0, dtype=float).reshape(N) for _, z0, _ in trajectories])
+
+    # the cells of every trajectory, one after another; a trajectory of the
+    # single time 0 has none
+    starts, levels, begin, end, owner = [], [], [], [], []
+    for t, (sig, _, _) in enumerate(trajectories):
+        a, b = offsets[t], offsets[t + 1]
+        if b == a or times[b - 1] == 0.0:
+            continue
+        cells = list(sig.cells_between(0.0, float(times[b - 1])))
+        c0 = np.array([c for c, _, _ in cells])
+        lv = np.array([level for _, _, level in cells])
+        ts = times[a:b]
+        # cell k fills samples [begin[k], end[k]); a sample on a cell edge
+        # takes the edge state instead
+        starts.append(c0)
+        levels.append(lv)
+        begin.append(a + np.searchsorted(ts, c0, side="right"))
+        end.append(a + np.append(np.searchsorted(ts, c0[1:], side="left"), b - a))
+        owner.append(np.full(len(c0), t))
+    if starts:
+        starts, levels, begin, end, owner = map(np.concatenate,
+                                                (starts, levels, begin, end, owner))
+        out = _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner)
+    else:
+        out = np.empty((n + 1, N))
+    zero = first_sample[times[first_sample] == 0.0]
+    out[zero] = z0s[np.searchsorted(offsets, zero, side="right") - 1]
+    if not np.isfinite(out[:n]).all():
+        raise RuntimeError("propagation produced non-finite states")
+    return [out[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+
+
+def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner):
+    """The states of :func:`_propagate`, one row per sample and one spare
+    row that takes the padding of every block.
+
+    ``times`` are the samples of all trajectories, one after another, and
+    ``first_sample`` where each nonempty one starts; the cells of all
+    trajectories come one after another too, each with its start, level,
+    samples [begin, end) and ``owner``, the index of its trajectory.
+    """
+    n, N, C = len(times), sys.dim, len(starts)
+    last = np.append(owner[1:] != owner[:-1], True)
+    first_cell = np.flatnonzero(np.append(True, last[:-1]))
+    prev = np.empty(n)
+    prev[1:] = times[:-1]
+    prev[first_sample] = 0.0
     held = begin < end
     prev[begin[held]] = starts[held]
-    lo, m, h, err, tol = _runs(times, prev, np.concatenate([begin, end[:-1]]))
+    lo, m, h, err, tol = _runs(times, prev, np.concatenate([first_sample, begin, end[~last]]))
 
-    # the cell each run fills; the runs of the sample at t = 0 and of the
-    # samples on cell edges fill none
+    # the cell each run fills; the runs of the samples at t = 0 and on cell
+    # edges, and of trajectories with no cell, fill none
     cell = np.searchsorted(end, lo, side="right")
-    keep = lo >= begin[cell]
+    keep = cell < C
+    cell[~keep] = 0
+    keep &= lo >= begin[cell]
     multi = np.flatnonzero(keep & (m > 1))
-    pick, used = _spacings(levels[cell[multi]], h[multi], m[multi], err[multi], tol[multi])
+    # runs may share a spacing within one trajectory and level only
+    scope = owner * C + np.unique(levels, return_inverse=True)[1].reshape(-1)
+    pick, used = _spacings(scope[cell[multi]], h[multi], m[multi], err[multi], tol[multi])
     h[multi[pick >= 0]] = used[pick[pick >= 0]]
     # a run whose gaps drift off one lattice steps singly: runs of length 1
     single = np.zeros(len(lo), dtype=bool)
@@ -332,31 +394,36 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
     run_m = np.where(single[rep], 1, m[rep])
     run_h = np.where(single[rep], times[run_lo] - prev[run_lo], h[rep])
     run_cell = cell[rep]
-    run_level = levels[run_cell]
     wave = np.arange(len(rep)) - np.searchsorted(run_cell, run_cell, side="left")
 
-    powers = {}     # (level, h) -> [P_h, P_h^2, P_h^4, ...]
-    exact = {}      # level -> (generator, its 1-norm, [(h, P_h) from _step_matrix])
+    steps = []      # step id -> [P, P^2, P^4, ...] and its (level, h)
+    sid_of = {}     # id(P) -> step id: one id per step matrix
+    gens = {}       # level -> (generator, its 1-norm)
+    anchors = {}    # (trajectory, level) -> [(h, P_h) from _step_matrix]
 
-    def new_step(level, h):
+    def new_step(t, level, h):
         # Cell lengths that differ only by the rounding of their edges share
         # one exponential: e^{G (h' + d)} = P_h' (I + G d) + O(|G d|^2), exact
         # to rounding while |G| |d| <= _NEAR_STEP.
-        if level not in exact:
+        if level not in gens:
             G = sys.closed_loop(level)
-            exact[level] = (G, float(np.abs(G).sum(axis=0).max()), [])
-        G, norm, anchors = exact[level]
-        for h_near, P in anchors:
+            gens[level] = (G, float(np.abs(G).sum(axis=0).max()))
+        G, norm = gens[level]
+        near = anchors.setdefault((t, level), [])
+        for h_near, P in near:
             if abs(h - h_near) * norm <= _NEAR_STEP:
-                return P + (h - h_near) * (P @ G)
-        P = _step_matrix(sys, level, h)
-        anchors.append((h, P))
-        return P
+                P = P + (h - h_near) * (P @ G)
+                break
+        else:
+            P = _step_matrix(sys, level, h)
+            near.append((h, P))
+        if id(P) not in sid_of:
+            sid_of[id(P)] = len(steps)
+            steps.append(([P], level, h))
+        return sid_of[id(P)]
 
-    def power(level, h, j):
-        pw = powers.get((level, h))
-        if pw is None:
-            pw = powers[(level, h)] = [new_step(level, h)]
+    def power(s, j):
+        pw, level, h = steps[s]
         while len(pw) <= j:
             if _orthogonal_step(sys, level):
                 # squaring would let orthogonality slip by ~eps per doubling;
@@ -366,70 +433,122 @@ def _propagate(sys: LinearSystem, sig: Signal, z0: np.ndarray, times: np.ndarray
                 pw.append(pw[-1] @ pw[-1])
         return pw[j]
 
-    def fill_block(g, Z, level, h):
-        # the rows P_h^k z, k = 1..m, of the runs g on one time-major
-        # (m, R, N) block, a view of out's own rows for a lone run: row 0 and
-        # every row made from one row (k = 1, or a run of m = k + 1) as
+    # exponentiate each (level, h) where the run-by-run order of its
+    # trajectory first needs it: a cell's runs, then its edge step; a cached
+    # step seeds the nearby ones.  A trajectory's last cell holds its last
+    # sample, so no edge step leaves it.
+    inner = np.flatnonzero(~last)
+    order = np.argsort(np.concatenate([2 * run_lo, 2 * end[inner] - 1]), kind="stable")
+    need = list(zip(owner[np.concatenate([run_cell, inner])][order].tolist(),
+                    np.concatenate([levels[run_cell], levels[inner]])[order].tolist(),
+                    np.concatenate([run_h, starts[inner + 1] - starts[inner]])[order].tolist()))
+    sid = dict.fromkeys(need)
+    for key in sid:
+        sid[key] = new_step(*key)
+    ids = np.empty(len(need), dtype=int)
+    ids[order] = [sid[key] for key in need]
+    run_sid, edge_sid = ids[:len(run_lo)], ids[len(run_lo):]
+    del need, sid, ids, order
+
+    out = np.empty((n + 1, N))
+
+    def gathered(rows, Z, sids):
+        # out[rows] = P_s Z for each step s of sids, as stacked matrix-vector
+        # products over a stack of their steps, _BLOCK_ELEMENTS at a time
+        size = max(1, _BLOCK_ELEMENTS // (N * N))
+        for k in range(0, len(rows), size):
+            P = np.array([steps[s][0][0] for s in sids[k:k + size].tolist()])
+            out[rows[k:k + size]] = np.matmul(P, Z[k:k + size, :, None])[:, :, 0]
+
+    def fill_block(g, Z, s):
+        # the rows P^k z, k = 1..m, of the runs g on one time-major (m, R, N)
+        # block, a view of out's own rows for a lone run: row 0 and every
+        # row made from one row (k = 1, or a run of m = k + 1) as
         # matrix-vector products, the others as one product over the block
         los, ms = run_lo[g], run_m[g]
         mx = int(ms.max())
         lone = len(g) == 1
         block = out[los[0]:los[0] + mx, None] if lone else np.empty((mx, len(g), N))
-        np.matmul(power(level, h, 0), Z[:, :, None], out=block[0, :, :, None])
+        np.matmul(power(s, 0), Z[:, :, None], out=block[0, :, :, None])
         if mx > 1:
-            np.matmul(block[0, :, None, :], power(level, h, 0).T, out=block[1, :, None, :])
+            np.matmul(block[0, :, None, :], power(s, 0).T, out=block[1, :, None, :])
         k, j = 2, 1
         while k < mx:
             c = min(k, mx - k)
-            np.matmul(block[:c].reshape(-1, N), power(level, h, j).T,
+            np.matmul(block[:c].reshape(-1, N), power(s, j).T,
                       out=block[k:k + c].reshape(-1, N))
             k, j = 2 * k, j + 1
         if lone:
             return
         tail = ms - 1
         for k in np.unique(tail[(tail >= 2) & (tail & (tail - 1) == 0)]).tolist():
-            last = ms == k + 1
-            block[k, last] = np.matmul(block[0, last, None, :],
-                                       power(level, h, k.bit_length() - 1).T)[:, 0]
-        steps = np.arange(mx)[:, None]
-        valid = steps < ms
-        out[(los + steps)[valid]] = block[valid]
+            ends = ms == k + 1
+            block[k, ends] = np.matmul(block[0, ends, None, :],
+                                       power(s, k.bit_length() - 1).T)[:, 0]
+        # rows past a run's end land on the spare last row of out
+        row = np.arange(mx)[:, None]
+        out[np.where(row < ms, los + row, n)] = block
 
-    # exponentiate each (level, h) where the run-by-run order first needs it:
-    # a cell's runs, then its edge step; a cached step seeds the nearby ones.
-    # The last cell holds the last sample, so no edge step leaves it.
-    lengths = [c1 - c0 for c0, c1, _ in cells[:-1]]
-    order = np.argsort(np.concatenate([2 * run_lo, 2 * end[:-1] - 1]), kind="stable")
-    need = zip(np.concatenate([run_level, levels[:-1]])[order].tolist(),
-               np.concatenate([run_h, lengths])[order].tolist())
-    for level, step in dict.fromkeys(need):
-        power(level, step, 0)
+    def blocks(g):
+        # the runs g of one wave and step, as parts that fit _BLOCK_ELEMENTS:
+        # all of them, else each trajectory's, else each run alone
+        if int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS:
+            return [g]
+        parts = []
+        for seg in np.split(g, np.flatnonzero(np.diff(owner[run_cell[g]])) + 1):
+            fits = int(run_m[seg].max()) * len(seg) * N <= _BLOCK_ELEMENTS
+            parts.extend([seg] if fits else seg[:, None])
+        return parts
 
-    # the state at each cell's start, and at the samples on cell edges
-    chain = np.empty((len(cells), N))
-    chain[0] = z
-    for k, step in enumerate(zip(levels[:-1].tolist(), lengths)):
-        np.matmul(powers[step][0], chain[k], out=chain[k + 1])
-    edge = np.flatnonzero(times[end[:-1]] == starts[1:])
-    out[end[edge]] = chain[edge + 1]
+    # the state at each cell's start, and at the samples on cell edges: the
+    # k-th edge steps of all trajectories as one stack, position-major, so
+    # the cell of trajectory r at position k is row k * R + r of chain; a
+    # trajectory with fewer cells steps on by the identity
+    rank = np.cumsum(np.append(True, last[:-1])) - 1
+    R = int(rank[-1]) + 1
+    position = np.arange(C) - first_cell[rank]
+    at = position * R + rank
+    P0 = [pw[0] for pw, _, _ in steps] + [np.eye(N)]
+    grid = np.full((int(position.max()), R), len(steps))
+    grid[position[inner], rank[inner]] = edge_sid
+    chain = np.empty((len(grid) + 1, R, N))
+    chain[0] = z0s[owner[first_cell]]
+    for k, ids in enumerate(grid.tolist()):
+        np.matmul(np.array([P0[s] for s in ids]), chain[k, :, :, None],
+                  out=chain[k + 1, :, :, None])
+    chain = chain.reshape(-1, N)
+    edge = inner[times[end[inner]] == starts[inner + 1]]
+    out[end[edge]] = chain[at[edge] + R]
 
-    order = np.lexsort((run_h, run_level, wave))
-    key = np.stack([wave[order], run_level[order], run_h[order]])
+    # a wave's single-sample runs together, then its longer runs by level,
+    # spacing and step
+    lone = run_m == 1
+    group = np.where(lone, -1, run_sid)
+    order = np.lexsort((group, run_h, levels[run_cell], ~lone, wave))
+    key = np.stack([wave[order], lone[order], group[order]])
     cuts = np.flatnonzero((np.diff(key, axis=1) != 0).any(axis=0)) + 1
     for g in np.split(order, cuts):
-        level, step = float(run_level[g[0]]), float(run_h[g[0]])
-        fits = int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS
-        for part in (g[None] if fits else g[:, None]):
-            # a wave's first runs start at their cell's start, the others
-            # where the previous run of their cell ended
-            Z = chain[run_cell[part]] if wave[g[0]] == 0 else out[run_lo[part] - 1]
-            fill_block(part, Z, level, step)
-    if not np.isfinite(out).all():
-        raise RuntimeError("propagation produced non-finite states")
+        # a wave's first runs start at their cell's start, the others where
+        # the previous run of their cell ended
+        if lone[g[0]]:
+            Z = chain[at[run_cell[g]]] if wave[g[0]] == 0 else out[run_lo[g] - 1]
+            gathered(run_lo[g], Z, run_sid[g])
+            continue
+        for part in blocks(g):
+            Z = chain[at[run_cell[part]]] if wave[g[0]] == 0 else out[run_lo[part] - 1]
+            fill_block(part, Z, int(run_sid[g[0]]))
     return out
 
 
 def _sample_grid(sig: Signal, horizon: float, dt_out: float) -> np.ndarray:
+    """The grid 0, dt_out, 2 dt_out, ... up to the horizon, the horizon, and
+    every breakpoint of ``sig`` inside (0, horizon), in order.
+
+    Instants within 1e-12 max(1, horizon) of each other are one sample: a
+    grid point that close to a breakpoint gives way to it (t = 0 stays), so
+    no interval between samples straddles a switch; of two grid points, the
+    first stays.
+    """
     n = int(np.floor(horizon / dt_out + 1e-9))
     pts = np.arange(n + 1) * dt_out
     if pts[-1] < horizon:
@@ -437,8 +556,16 @@ def _sample_grid(sig: Signal, horizon: float, dt_out: float) -> np.ndarray:
     breaks = np.asarray(sig.breakpoints, dtype=float)
     inside = breaks[(breaks > 0.0) & (breaks < horizon)]
     merged = np.unique(np.concatenate([pts, inside]))
-    # drop near-duplicates (grid point within 1e-12 of a breakpoint)
     keep = np.concatenate([[True], np.diff(merged) > 1e-12 * max(1.0, horizon)])
+    if keep.all():
+        return merged
+    # the later of a close pair goes, unless it is a breakpoint: then the
+    # earlier goes if it is a grid point other than 0
+    later = np.flatnonzero(~keep)
+    later = later[np.isin(merged[later], inside)]
+    keep[later] = True
+    earlier = later - 1
+    keep[earlier[(merged[earlier] > 0.0) & ~np.isin(merged[earlier], inside)]] = False
     return merged[keep]
 
 
@@ -451,6 +578,15 @@ def _levels(sig: Signal, times: np.ndarray) -> np.ndarray:
 def _row_norms_sq(X: np.ndarray) -> np.ndarray:
     """||x_i||^2 of every row, with no temporary the size of X."""
     return np.einsum("ij,ij->i", X, X)
+
+
+def check_sampling(sys: LinearSystem, horizon: float, dt_out: float):
+    """Refuse a system above DIM_LIMIT and a nonpositive horizon or spacing."""
+    if sys.dim > DIM_LIMIT:
+        raise ValueError("state dimension %d exceeds the dense-solver limit %d"
+                         % (sys.dim, DIM_LIMIT))
+    if horizon <= 0 or dt_out <= 0:
+        raise ValueError("horizon and dt_out must be positive")
 
 
 def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) -> Trajectory:
@@ -471,13 +607,9 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
     dt_out : float
         Output spacing, > 0; the cell-edge states do not depend on dt_out.
     """
-    if sys.dim > DIM_LIMIT:
-        raise ValueError("state dimension %d exceeds the dense-solver limit %d"
-                         % (sys.dim, DIM_LIMIT))
-    if horizon <= 0 or dt_out <= 0:
-        raise ValueError("horizon and dt_out must be positive")
+    check_sampling(sys, horizon, dt_out)
     times = _sample_grid(sig, float(horizon), float(dt_out))
-    states = _propagate(sys, sig, z0, times)
+    states, = _propagate(sys, [(sig, z0, times)])
     energies = 0.5 * _row_norms_sq(states)
     # in row chunks, so no (samples, r) product is held; a test holds the
     # norms to the bits of the full product

@@ -1,3 +1,4 @@
+import bisect
 import threading
 from sys import getsizeof, getswitchinterval, setswitchinterval
 
@@ -26,6 +27,12 @@ from pexstab.linsys import (
 from pexstab.modal import WaveModalSpec, build_wave
 from pexstab.signals import make_piecewise, periodic_gate
 from pexstab.stability import GateSignalFamily
+
+
+def propagate_alone(sys, sig, z0, times):
+    """The states of one trajectory, propagated on its own."""
+    states, = _propagate(sys, [(sig, z0, times)])
+    return states
 
 
 def rotation(w=1.0):
@@ -172,7 +179,7 @@ def test_undamped_propagation_skew_path_matches_expm():
     sys = LinearSystem(A, np.zeros((5, 1)))
     z0 = rng.standard_normal(5)
     ts = np.linspace(0.0, 3.0, 7)
-    out = _propagate(sys, make_piecewise([], [], 0.0), z0, ts)
+    out = propagate_alone(sys, make_piecewise([], [], 0.0), z0, ts)
     assert np.array_equal(out[0], z0)
     for t, z in zip(ts, out):
         want = scipy.linalg.expm(A * t) @ z0
@@ -185,7 +192,7 @@ def test_flow_rejects_negative_time():
     zero = make_piecewise([], [], 0.0)
     for bad in ([0.5, -0.1], [-0.1, 0.5]):
         with pytest.raises(ValueError):
-            _propagate(sys, zero, [1.0, 0.0], np.array(bad))
+            propagate_alone(sys, zero, [1.0, 0.0], np.array(bad))
 
 
 def test_undamped_propagation_ignores_damping():
@@ -196,7 +203,7 @@ def test_undamped_propagation_ignores_damping():
         sys = LinearSystem(A, rng.standard_normal((4, 2)))
         z0 = rng.standard_normal(4)
         ts = np.array([0.0, 0.5, 1.25, 2.0])
-        for t, z in zip(ts, _propagate(sys, zero, z0, ts)):
+        for t, z in zip(ts, propagate_alone(sys, zero, z0, ts)):
             assert np.abs(z - scipy.linalg.expm(A * t) @ z0).max() < 1e-12
 
 
@@ -286,7 +293,7 @@ def test_batched_propagation_damped_non_skew_drift():
     sig = make_piecewise([0.35, 1.1, 1.9], [1.0, 0.0, 0.6], 0.25)
     z0 = rng.standard_normal(6)
     times = np.arange(0, 61) * 0.05
-    got = _propagate(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -296,7 +303,7 @@ def test_batched_propagation_samples_on_breakpoints():
     sig = make_piecewise([0.5, 1.25, 2.0], [1.0, 0.0, 0.5], 1.0)
     z0 = rng.standard_normal(4)
     times = np.arange(0, 13) * 0.25  # 0.5, 1.25 and 2.0 are samples
-    got = _propagate(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -307,7 +314,7 @@ def test_batched_propagation_cell_with_one_sample():
     sig = make_piecewise([0.95, 1.05, 2.02], [0.0, 1.0, 0.0], 0.7)
     z0 = rng.standard_normal(4)
     times = np.arange(0, 31) * 0.1
-    got = _propagate(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -320,7 +327,7 @@ def test_batched_propagation_many_tiny_cells():
     sig = make_piecewise(breaks.tolist(), levels.tolist(), 0.0)
     z0 = rng.standard_normal(4)
     times = np.arange(0, 160) * 0.013
-    got = _propagate(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times)
     assert_rows_close(got, sequential_states(sys, sig, z0, times))
 
 
@@ -330,7 +337,7 @@ def test_batched_propagation_times_not_starting_at_zero():
     sig = make_piecewise([0.7, 1.3, 2.0], [1.0, 0.0, 0.5], 0.25)
     z0 = rng.standard_normal(4)
     times = np.concatenate([[0.3, 0.31, 1.0], 1.5 + np.arange(40) * 0.03])
-    got = _propagate(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -340,7 +347,7 @@ def test_batched_propagation_long_uniform_run():
     one = make_piecewise([], [], 1.0)
     z0 = rng.standard_normal(6)
     times = np.arange(0, 5001) * 1e-3  # one cell, 5000 samples after t = 0
-    got = _propagate(sys, one, z0, times)
+    got = propagate_alone(sys, one, z0, times)
     pick = np.r_[np.arange(0, 5001, 97), 4095, 4096, 5000]
     want = np.array([scipy.linalg.expm(sys.closed_loop(1.0) * times[k]) @ z0
                      for k in pick])
@@ -357,7 +364,7 @@ def test_batched_propagation_drifting_spacing_steps_singly():
     lo, m, h, err, tol = _runs(times, prev, np.array([0]))
     assert len(lo) == 1 and err[0] > tol[0]
     z0 = rng.standard_normal(4)
-    got = _propagate(sys, one, z0, times)
+    got = propagate_alone(sys, one, z0, times)
     assert_rows_close(got, sequential_states(sys, one, z0, times))
 
 
@@ -381,7 +388,7 @@ def test_batched_propagation_close_spacings_stay_apart():
     z0 = rng.standard_normal(4)
     k = np.arange(1, 100)
     times = np.concatenate([0.01 * k, 1.0 + 0.0100003 * k])
-    got = _propagate(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -390,22 +397,26 @@ def test_propagation_rejects_unordered_times():
     one = make_piecewise([], [], 1.0)
     for bad in ([0.5, 0.5], [1.0, 0.5], [-0.1, 0.5]):
         with pytest.raises(ValueError):
-            _propagate(sys, one, [1.0, 0.0], np.array(bad))
+            propagate_alone(sys, one, [1.0, 0.0], np.array(bad))
 
 
 def loop_sample_grid(sig, horizon, dt_out):
-    """The sample grid built point by point, as the reference."""
+    """The sample grid built point by point, as the reference: a grid point
+    within the tolerance of a breakpoint gives way to it (t = 0 stays), the
+    horizon to the last grid point."""
+    tol = 1e-12 * max(1.0, horizon)
     n = int(np.floor(horizon / dt_out + 1e-9))
     pts = [k * dt_out for k in range(n + 1)]
-    if pts[-1] < horizon:
+    if horizon - pts[-1] > tol:
         pts.append(horizon)
     inside = [b for b in sig.breakpoints if 0.0 < b < horizon]
-    merged = np.unique(np.concatenate([pts, inside]))
-    keep = [merged[0]]
-    for t in merged[1:]:
-        if t - keep[-1] > 1e-12 * max(1.0, horizon):
-            keep.append(t)
-    return np.asarray(keep)
+
+    def near_a_breakpoint(p):
+        i = bisect.bisect_left(inside, p)
+        return any(abs(p - b) <= tol for b in inside[max(i - 1, 0):i + 1])
+
+    keep = [p for p in pts if p == 0.0 or not near_a_breakpoint(p)]
+    return np.asarray(sorted(set(keep) | set(inside)))
 
 
 def test_sample_grid_matches_pointwise_loop():
@@ -423,6 +434,30 @@ def test_sample_grid_matches_pointwise_loop():
         want = loop_sample_grid(sig, horizon, dt_out)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_sample_grid_keeps_every_breakpoint():
+    # a grid point an ulp below a breakpoint (3 * 0.3 = 0.8999999999999999
+    # below 0.9) gives way to it, so no sample interval straddles a switch
+    sig = make_piecewise([0.9, 2.0], [0.0, 1.0], 0.0)
+    grid = _sample_grid(sig, 3.0, 0.3)
+    assert 0.9 in grid and 3 * 0.3 not in grid
+    traj = simulate(string_system(2, False), sig, np.ones(4), 3.0, 0.3)
+    assert np.array_equal(traj.times, grid)
+    rng = np.random.default_rng(31)
+    for dt_out in (0.3, 0.1, 0.7, 1 / 3, 2.3 / 64, 0.013):
+        horizon = 200 * dt_out
+        k = rng.integers(1, 200, size=40)
+        # breakpoints on grid points, a few ulps either side, and off grid
+        near = k * dt_out + rng.integers(-3, 4, size=40) * np.spacing(k * dt_out)
+        breaks = np.unique(np.concatenate([near, rng.uniform(0.0, horizon, size=20)]))
+        sig = make_piecewise(breaks.tolist(), [1.0, 0.0] * (len(breaks) // 2)
+                             + [1.0] * (len(breaks) % 2), 0.5)
+        grid = _sample_grid(sig, horizon, dt_out)
+        inside = breaks[(breaks > 0.0) & (breaks < horizon)]
+        assert np.isin(inside, grid).all()
+        assert grid[0] == 0.0 and np.all(np.diff(grid) > 0.0)
+        assert np.array_equal(grid, loop_sample_grid(sig, horizon, dt_out))
 
 
 def test_levels_match_pointwise_lookup():
@@ -525,7 +560,7 @@ def string_system(n_modes, dissipative):
 
 def assert_wave_fill_is_run_by_run(sys, sig, z0, times):
     want = run_by_run_states(sys, sig, z0, times)
-    got = _propagate(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times)
     assert np.array_equal(got, want)
 
 
@@ -611,8 +646,114 @@ def test_wave_fill_of_wide_states_matches_run_by_run_to_rounding():
         times = _sample_grid(sig, family.horizon, 2.0 / 64)
         z0 = rng.standard_normal(sys.dim)
         want = run_by_run_states(sys, sig, z0, times)
-        got = _propagate(sys, sig, z0, times)
+        got = propagate_alone(sys, sig, z0, times)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def assert_batch_is_each_alone(sys, trajectories):
+    """Each trajectory of one batched call, bit for bit as propagated alone
+    on a system of its own (with an empty step cache)."""
+    got = _propagate(sys, trajectories)
+    assert len(got) == len(trajectories)
+    for states, (sig, z0, times) in zip(got, trajectories):
+        alone = propagate_alone(LinearSystem(sys.A, sys.B), sig, z0, times)
+        assert np.array_equal(states, alone)
+
+
+@FILLS
+def test_wave_fill_of_a_batch_matches_each_trajectory_alone_on_verify_gates(dissipative):
+    # six gates as verify_certificate draws them, 3300 samples each: their
+    # wave groups exceed the block cap, so they fill trajectory by trajectory
+    sys = string_system(4, dissipative)
+    family = GateSignalFamily(T=2.0, mu=1.0, horizon=100.0, seed=11)
+    rng = np.random.default_rng(46)
+    trajs = [(family.draw(i), rng.standard_normal(8),
+              _sample_grid(family.draw(i), family.horizon, 2.0 / 64)) for i in range(6)]
+    assert sum(len(t) for _, _, t in trajs) * 8 > 2 * linsys._BLOCK_ELEMENTS
+    assert_batch_is_each_alone(sys, trajs)
+
+
+@FILLS
+def test_wave_fill_of_a_batch_matches_each_trajectory_alone_on_irregular_times(dissipative):
+    sys = string_system(4, dissipative)
+    rng = np.random.default_rng(47)
+    breaks = np.sort(rng.uniform(0.0, 10.0, size=30))
+    sig = make_piecewise(breaks.tolist(), rng.choice([0.0, 0.5, 1.0], size=30).tolist(), 0.3)
+    irregular = np.sort(rng.uniform(0.0, 12.0, size=400))
+    with_runs = np.unique(np.concatenate([[0.0], irregular, np.arange(1, 600) * 0.02]))
+    gate = periodic_gate(1.0, 0.3, 12.0).shifted(0.37)
+    trajs = [(sig, rng.standard_normal(8), irregular),
+             (gate, rng.standard_normal(8), np.array([0.0])),
+             (sig, rng.standard_normal(8), with_runs),
+             (gate, rng.standard_normal(8), np.array([])),
+             (gate, rng.standard_normal(8), irregular[irregular > 3.0])]
+    assert_batch_is_each_alone(sys, trajs)
+
+
+@FILLS
+def test_wave_fill_of_a_batch_matches_each_trajectory_alone_with_samples_on_cell_edges(
+        dissipative):
+    sys = string_system(4, dissipative)
+    rng = np.random.default_rng(48)
+    sig = periodic_gate(1.0, 0.25, 20.0).shifted(0.25)
+    grid = np.arange(0, 1201) * 0.0125
+    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), times)
+                                     for times in (grid, grid[1:], grid[7:])])
+
+
+@FILLS
+def test_wave_fill_of_a_batch_matches_each_trajectory_alone_when_gaps_drift(dissipative):
+    sys = string_system(4, dissipative)
+    rng = np.random.default_rng(49)
+    sig = make_piecewise([1.3, 2.6, 3.1], [1.0, 0.0, 0.5], 1.0)
+    drifting = np.cumsum(0.01 + np.arange(400) * 7e-16)
+    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), drifting),
+                                     (sig, rng.standard_normal(8), np.arange(1, 400) * 0.01)])
+
+
+@FILLS
+def test_wave_fill_of_a_batch_matches_each_trajectory_alone_beyond_the_block_cap(dissipative):
+    # one trajectory's wave groups alone exceed the cap: its runs fill one
+    # by one, beside a short trajectory
+    sys = string_system(4, dissipative)
+    rng = np.random.default_rng(50)
+    sig = periodic_gate(20.0, 5.0, 160.0)
+    long = _sample_grid(sig, 150.0, 5e-3)
+    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), long[:100]),
+                                     (sig, rng.standard_normal(8), long),
+                                     (sig.shifted(1.0), rng.standard_normal(8), long[::7])])
+
+
+def test_wave_fill_of_a_batch_of_24_states_matches_each_trajectory_alone():
+    sys = string_system(12, False)
+    family = GateSignalFamily(T=2.0, mu=1.0, horizon=40.0, seed=12)
+    rng = np.random.default_rng(51)
+    assert_batch_is_each_alone(sys, [(family.draw(i), rng.standard_normal(24),
+                                      _sample_grid(family.draw(i), 40.0, 2.3 / 64))
+                                     for i in range(5)])
+
+
+@FILLS
+def test_wave_fill_of_a_batch_scopes_spacings_and_steps_per_trajectory(dissipative):
+    # Spacings a few ulps apart: within one trajectory the runs of b would
+    # take a's spacing, and c's cell lengths would derive from a's
+    # exponential by the first-order correction.  Across trajectories
+    # neither may happen, or b and c would differ from themselves alone.
+    sys = string_system(4, dissipative)
+    rng = np.random.default_rng(52)
+    k = np.arange(1, 100)
+    h_a = 0.01
+    h_b = h_a * (1 + 3 * np.finfo(float).eps)
+    ta, tb = k * h_a, 1.0 + k * h_b
+    tol = linsys._SPACING_ULPS * np.finfo(float).eps * tb[-1]
+    assert h_b != h_a and len(k) * (h_b - h_a) <= tol
+    edge = 1.0 + 2 * np.spacing(1.0)
+    sig_a = make_piecewise([0.5, 1.0], [0.0, 1.0], 0.5)
+    sig_c = make_piecewise([0.5, edge], [0.0, 1.0], 0.5)
+    trajs = [(sig_a, rng.standard_normal(8), np.concatenate([ta, 1.0 + k * h_a])),
+             (sig_a, rng.standard_normal(8), np.concatenate([ta, tb])),
+             (sig_c, rng.standard_normal(8), np.concatenate([ta, edge + k * h_a]))]
+    assert_batch_is_each_alone(sys, trajs)
 
 
 def test_step_cache_returns_the_cached_step():
@@ -688,7 +829,7 @@ def test_threads_propagating_on_one_system_match_a_serial_run():
     def propagate_all(sys, picks, results):
         for i in picks:
             sig, z0 = draws[i]
-            results[i] = _propagate(sys, sig, z0, _sample_grid(sig, 40.0, 2.0 / 64))
+            results[i] = propagate_alone(sys, sig, z0, _sample_grid(sig, 40.0, 2.0 / 64))
 
     serial = {}
     propagate_all(string_system(4, False), range(8), serial)

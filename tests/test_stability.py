@@ -4,8 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracles import verify_certificate_trialwise
+from pexstab import stability
 from pexstab.cli import _jsonable
-from pexstab.linsys import simulate
+from pexstab.linsys import DIM_LIMIT, LinearSystem, simulate
 from pexstab.modal import (
     SchrodingerModalSpec,
     TRUNCATION_CAVEAT,
@@ -96,6 +98,44 @@ def test_verify_accepts_a_true_bound():
     assert rep.ok
     assert rep.worst_ratio <= 1.0 + rep.slack
     assert _jsonable(rep)["certificate"]["q"] == cert.q
+
+
+def report_fields(rep):
+    """The fields of a verification report, floats as their hex strings."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in vars(rep).items()}
+
+
+@pytest.mark.parametrize("theta", [2.0, 2.3])
+@pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "dissipative"])
+def test_batched_verification_matches_the_trialwise_oracle(monkeypatch, theta, dissipative):
+    # 12 trials over 100 fill several batches (theta 2.3 gives the spacing
+    # 2.3/64, which is not dyadic); every report field must match to the bit
+    sys = build_wave(WaveModalSpec(n_modes=4, uniform=1.0))
+    if dissipative:
+        sys = LinearSystem(sys.A - 0.3 * np.eye(sys.dim), sys.B)
+    cert = certificate_from_constant(wave_pe_lower_bound(2.0, 1.0, np.pi ** 2), theta,
+                                     sys.b_norm)
+    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=100.0, seed=5)
+    batches = []
+    propagate = stability._propagate
+    monkeypatch.setattr(stability, "_propagate",
+                        lambda sys, trajs: batches.append(len(trajs)) or propagate(sys, trajs))
+    got = verify_certificate(sys, cert, fam, n_trials=12)
+    assert sum(batches) == 12 and len(batches) >= 3 and max(batches) > 1
+    want = verify_certificate_trialwise(sys, cert, fam, n_trials=12)
+    assert report_fields(got) == report_fields(want)
+
+
+def test_verification_refuses_a_system_above_the_dimension_limit(monkeypatch):
+    def no_propagation(*args):
+        raise AssertionError("propagated before refusing the system")
+
+    monkeypatch.setattr(stability, "_propagate", no_propagation)
+    big = LinearSystem(np.zeros((DIM_LIMIT + 2, DIM_LIMIT + 2)), np.ones(DIM_LIMIT + 2))
+    cert = certificate_from_constant(0.05, 2.0, big.b_norm)
+    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=1)
+    with pytest.raises(ValueError, match="dense-solver limit"):
+        verify_certificate(big, cert, fam, n_trials=2)
 
 
 def test_verify_rejects_non_pe_family_draws():
