@@ -13,15 +13,19 @@ doubling.  The k-th runs of all cells are filled together: the
 single-sample ones as one gathered stack of matrix-vector products, the
 longer ones one matrix product per doubling step over every run of one
 step matrix, up to a block of 2^16 state entries; a larger group is filled
-the same way trajectory by trajectory or run by run.  One call propagates
-several trajectories at once, their cell-edge chains stepping together,
-and each comes out bit for bit as it would alone (where BLAS rounds a
-matrix product row by row), since every choice that sets its numbers is
-made per trajectory.  Step matrices are memoized on the system by exact
-(level, dt), as arrays of their own, within STEP_CACHE_BYTES, so repeated
-trajectories on one system share them.  For skew-symmetric ``A`` the
-undamped flow uses a unitary eigendecomposition of ``iA``, which preserves
-the energy V = ||z||^2 / 2 to machine precision.
+the same way trajectory by trajectory or run by run.  Each finished piece
+of states goes to a consumer, which keeps what it needs (simulate the
+energies and output norms, certificate verification the norms), so no
+(samples, N) array of states is held; between waves only the last state of
+each cell is kept.  One call propagates several trajectories at once,
+their cell-edge chains stepping together, and each comes out bit for bit
+as it would alone (where BLAS rounds a matrix product row by row), since
+every choice that sets its numbers is made per trajectory.  Step matrices
+are memoized on the system by exact (level, dt), as arrays of their own,
+within STEP_CACHE_BYTES, so repeated trajectories on one system share
+them.  For skew-symmetric ``A`` the undamped flow uses a unitary
+eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2
+to machine precision.
 Signal-weighted observability Gramians of the undamped flow are exact too:
 one block matrix exponential per signal cell.
 """
@@ -45,9 +49,6 @@ DISSIPATIVITY_TOL = 1e-9
 # most bytes the step cache of one system holds, keys included: 509 steps
 # of 64 states, 31 of DIM_LIMIT states
 STEP_CACHE_BYTES = 16 * 2 ** 20
-
-# rows of the states that simulate multiplies by B at a time
-_OUTPUT_CHUNK_ROWS = 4096
 
 
 class UncontrollableError(ValueError):
@@ -134,14 +135,15 @@ class Trajectory:
 
     ``times`` include every output instant and every signal breakpoint inside
     the horizon, so each inter-sample interval carries a single damping level.
-    ``output_sq[i]`` is the output norm ||B^T z_i||^2, computed once for
-    both ``damping_rates`` and :func:`energy_balance`; ``damping_rates[i]``
-    is the instantaneous rate alpha(t_i) ||B^T z_i||^2 with alpha read
-    right-continuously.
+    ``energies[i]`` is V(z_i) = ||z_i||^2 / 2 and ``output_sq[i]`` the
+    output norm ||B^T z_i||^2, computed once for both ``damping_rates`` and
+    :func:`energy_balance`; ``damping_rates[i]`` is the instantaneous rate
+    alpha(t_i) ||B^T z_i||^2 with alpha read right-continuously.  The
+    states themselves are not kept: a trajectory holds a few floats per
+    sample, whatever the state dimension.
     """
 
     times: np.ndarray
-    states: np.ndarray
     energies: np.ndarray
     output_sq: np.ndarray
     damping_rates: np.ndarray
@@ -269,28 +271,41 @@ def _spacings(scope, h, m, err, tol):
         first = f + 1
 
 
-def _propagate(sys: LinearSystem, trajectories):
+def _propagate(sys: LinearSystem, trajectories, sink=None):
     """States of several trajectories, each stepped from cell edge to edge.
 
     ``trajectories`` is a sequence of ``(sig, z0, times)``, each with
-    strictly increasing times >= 0; the result is one (len(times), N) array
-    per trajectory, in order (views of one buffer).  The state crosses each
-    signal cell [c0, c1) in one exact step e^{(A - a B B^T)(c1 - c0)}, so
-    the chain of cell-edge states does not depend on how densely the output
-    is sampled; the chains of all trajectories step together, one gathered
-    stack of matrix-vector products per cell position.  The samples inside
-    a cell are filled from the cell's start state: their times are split
-    into maximal runs of equal spacing h (equal within a few ulps of t),
-    and a run of m samples is the rows P_h^k z, k = 1..m, with P_h the step
-    over h.  The rows are filled by doubling: rows [k, 2k) are rows [0, k)
-    times (P_h^k)^T.  The k-th runs of all cells form a wave, which needs
-    only the (k-1)-th.  A wave's single-sample runs are one gathered stack
-    of matrix-vector products, whatever their steps.  Its longer runs that
+    strictly increasing times >= 0.  The states are handed to ``sink`` as
+    they are finished, a piece of rows at a time: ``sink(rows, states)``
+    gets the C-contiguous (k, N) array ``states`` of the samples ``rows``
+    (a slice or an index array) of the times of all trajectories joined,
+    every sample exactly once, in no fixed order.  Without a sink the
+    result is one (len(times), N) array per trajectory, in order (views of
+    one buffer).
+
+    The state crosses each signal cell [c0, c1) in one exact step
+    e^{(A - a B B^T)(c1 - c0)}, so the chain of cell-edge states does not
+    depend on how densely the output is sampled; the chains of all
+    trajectories step together, one gathered stack of matrix-vector
+    products per cell position.  The samples inside a cell are filled from
+    the cell's start state: their times are split into maximal runs of
+    equal spacing h (equal within a few ulps of t), and a run of m samples
+    is the rows P_h^k z, k = 1..m, with P_h the step over h.  The rows are
+    filled by doubling: rows [k, 2k) are rows [0, k) times (P_h^k)^T.  The
+    k-th runs of all cells form a wave, which needs only the last state of
+    the (k-1)-th.  A wave's single-sample runs are one gathered stack of
+    matrix-vector products, whatever their steps.  Its longer runs that
     share one step matrix are filled together on one time-major (m, R, N)
     block, so each doubling step is one matrix product over all R runs; a
     group whose block would exceed _BLOCK_ELEMENTS is filled trajectory by
     trajectory, and a trajectory whose runs alone exceed it fills them one
-    by one, each on a view of its own rows of the output.
+    by one.
+
+    With a sink, what is held besides the per-sample plan (the runs and
+    their steps, a few arrays of one entry per sample) is the chain, the
+    last state of every cell, and one piece: a gathered stack or block of
+    at most _BLOCK_ELEMENTS entries, or one whole run, m x N entries, since
+    a run is filled whole by doubling.
 
     Every choice that sets a trajectory's numbers is made per trajectory:
     its runs, the spacings its runs share (:func:`_spacings`), and which of
@@ -315,14 +330,26 @@ def _propagate(sys: LinearSystem, trajectories):
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     # one trajectory's times are used as they are, several are joined
     times = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    n = len(times)
     first_sample = offsets[:-1][sizes > 0]
     rising = np.diff(times) > 0.0
     rising[first_sample[1:] - 1] = True
     if (times[first_sample] < 0.0).any() or not rising.all():
         raise ValueError("propagation times must be strictly increasing and >= 0")
     z0s = np.array([np.asarray(z0, dtype=float).reshape(N) for _, z0, _ in trajectories])
+    out = None
+    if sink is None:
+        out = np.empty((len(times), N))
 
+        def sink(rows, states):
+            out[rows] = states
+
+    def emit(rows, states):
+        if not np.isfinite(states).all():
+            raise RuntimeError("propagation produced non-finite states")
+        sink(rows, states)
+
+    zero = first_sample[times[first_sample] == 0.0]
+    emit(zero, z0s[np.searchsorted(offsets, zero, side="right") - 1])
     # the cells of every trajectory, one after another; a trajectory of the
     # single time 0 has none
     starts, levels, begin, end, owner = [], [], [], [], []
@@ -344,19 +371,15 @@ def _propagate(sys: LinearSystem, trajectories):
     if starts:
         starts, levels, begin, end, owner = map(np.concatenate,
                                                 (starts, levels, begin, end, owner))
-        out = _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner)
-    else:
-        out = np.empty((n + 1, N))
-    zero = first_sample[times[first_sample] == 0.0]
-    out[zero] = z0s[np.searchsorted(offsets, zero, side="right") - 1]
-    if not np.isfinite(out[:n]).all():
-        raise RuntimeError("propagation produced non-finite states")
-    return [out[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+        _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner, emit)
+    if out is not None:
+        return [out[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
-def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner):
-    """The states of :func:`_propagate`, one row per sample and one spare
-    row that takes the padding of every block.
+def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner, emit):
+    """The states of :func:`_propagate` after t = 0, handed to ``emit`` a
+    piece of rows at a time: the cell-edge samples, each gathered stack and
+    each block.
 
     ``times`` are the samples of all trajectories, one after another, and
     ``first_sample`` where each nonempty one starts; the cells of all
@@ -450,26 +473,27 @@ def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner):
     run_sid, edge_sid = ids[:len(run_lo)], ids[len(run_lo):]
     del need, sid, ids, order
 
-    out = np.empty((n + 1, N))
-
-    def gathered(rows, Z, sids):
-        # out[rows] = P_s Z for each step s of sids, as stacked matrix-vector
-        # products over a stack of their steps, _BLOCK_ELEMENTS at a time
+    def gathered(g):
+        # the single-sample runs g: P_s z for each step s, as stacked
+        # matrix-vector products over a stack of their steps,
+        # _BLOCK_ELEMENTS at a time
         size = max(1, _BLOCK_ELEMENTS // (N * N))
-        for k in range(0, len(rows), size):
-            P = np.array([steps[s][0][0] for s in sids[k:k + size].tolist()])
-            out[rows[k:k + size]] = np.matmul(P, Z[k:k + size, :, None])[:, :, 0]
+        for k in range(0, len(g), size):
+            part = g[k:k + size]
+            P = np.array([steps[s][0][0] for s in run_sid[part].tolist()])
+            states = np.matmul(P, cell_state[run_cell[part], :, None])[:, :, 0]
+            cell_state[run_cell[part]] = states
+            emit(run_lo[part], states)
 
-    def fill_block(g, Z, s):
+    def fill_block(g, s):
         # the rows P^k z, k = 1..m, of the runs g on one time-major (m, R, N)
-        # block, a view of out's own rows for a lone run: row 0 and every
-        # row made from one row (k = 1, or a run of m = k + 1) as
-        # matrix-vector products, the others as one product over the block
+        # block: row 0 and every row made from one row (k = 1, or a run of
+        # m = k + 1) as matrix-vector products, the others as one product
+        # over the block
         los, ms = run_lo[g], run_m[g]
         mx = int(ms.max())
-        lone = len(g) == 1
-        block = out[los[0]:los[0] + mx, None] if lone else np.empty((mx, len(g), N))
-        np.matmul(power(s, 0), Z[:, :, None], out=block[0, :, :, None])
+        block = np.empty((mx, len(g), N))
+        np.matmul(power(s, 0), cell_state[run_cell[g], :, None], out=block[0, :, :, None])
         if mx > 1:
             np.matmul(block[0, :, None, :], power(s, 0).T, out=block[1, :, None, :])
         k, j = 2, 1
@@ -478,16 +502,19 @@ def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner):
             np.matmul(block[:c].reshape(-1, N), power(s, j).T,
                       out=block[k:k + c].reshape(-1, N))
             k, j = 2 * k, j + 1
-        if lone:
+        if len(g) == 1:
+            cell_state[run_cell[g[0]]] = block[-1, 0]
+            emit(slice(los[0], los[0] + mx), block[:, 0])
             return
         tail = ms - 1
         for k in np.unique(tail[(tail >= 2) & (tail & (tail - 1) == 0)]).tolist():
             ends = ms == k + 1
             block[k, ends] = np.matmul(block[0, ends, None, :],
                                        power(s, k.bit_length() - 1).T)[:, 0]
-        # rows past a run's end land on the spare last row of out
+        cell_state[run_cell[g]] = block[tail, np.arange(len(g))]
         row = np.arange(mx)[:, None]
-        out[np.where(row < ms, los + row, n)] = block
+        held = row < ms
+        emit((los + row)[held], block[held])
 
     def blocks(g):
         # the runs g of one wave and step, as parts that fit _BLOCK_ELEMENTS:
@@ -518,7 +545,11 @@ def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner):
                   out=chain[k + 1, :, :, None])
     chain = chain.reshape(-1, N)
     edge = inner[times[end[inner]] == starts[inner + 1]]
-    out[end[edge]] = chain[at[edge] + R]
+    emit(end[edge], chain[at[edge] + R])
+    # the last state filled in each cell, from which its next run starts:
+    # the cell's start state until its first run is filled
+    cell_state = chain[at]
+    del chain
 
     # a wave's single-sample runs together, then its longer runs by level,
     # spacing and step
@@ -528,20 +559,15 @@ def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner):
     key = np.stack([wave[order], lone[order], group[order]])
     cuts = np.flatnonzero((np.diff(key, axis=1) != 0).any(axis=0)) + 1
     for g in np.split(order, cuts):
-        # a wave's first runs start at their cell's start, the others where
-        # the previous run of their cell ended
         if lone[g[0]]:
-            Z = chain[at[run_cell[g]]] if wave[g[0]] == 0 else out[run_lo[g] - 1]
-            gathered(run_lo[g], Z, run_sid[g])
+            gathered(g)
             continue
         for part in blocks(g):
-            Z = chain[at[run_cell[part]]] if wave[g[0]] == 0 else out[run_lo[part] - 1]
-            fill_block(part, Z, int(run_sid[g[0]]))
-    return out
+            fill_block(part, int(run_sid[g[0]]))
 
 
 def _sample_grid(sig: Signal, horizon: float, dt_out: float) -> np.ndarray:
-    """The grid 0, dt_out, 2 dt_out, ... up to the horizon, the horizon, and
+    """The grid 0, dt_out, 2 dt_out, ... below the horizon, the horizon, and
     every breakpoint of ``sig`` inside (0, horizon), in order.
 
     Instants within 1e-12 max(1, horizon) of each other are one sample: a
@@ -551,8 +577,8 @@ def _sample_grid(sig: Signal, horizon: float, dt_out: float) -> np.ndarray:
     """
     n = int(np.floor(horizon / dt_out + 1e-9))
     pts = np.arange(n + 1) * dt_out
-    if pts[-1] < horizon:
-        pts = np.append(pts, horizon)
+    # the last grid point can lie just past the horizon: it gives way to it
+    pts = np.append(pts[pts < horizon], horizon)
     breaks = np.asarray(sig.breakpoints, dtype=float)
     inside = breaks[(breaks > 0.0) & (breaks < horizon)]
     merged = np.unique(np.concatenate([pts, inside]))
@@ -596,7 +622,9 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
     signal breakpoints inside the horizon (so energy bookkeeping never
     straddles a damping switch) plus the horizon itself.  The state steps
     from cell edge to cell edge and the samples inside each cell are filled
-    in batches (see :func:`_propagate`).
+    in batches (see :func:`_propagate`).  The energies and output norms are
+    taken from each piece of states as it is filled, so no (samples, N)
+    array of states is held.
 
     Parameters
     ----------
@@ -609,17 +637,23 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
     """
     check_sampling(sys, horizon, dt_out)
     times = _sample_grid(sig, float(horizon), float(dt_out))
-    states, = _propagate(sys, [(sig, z0, times)])
-    energies = 0.5 * _row_norms_sq(states)
-    # in row chunks, so no (samples, r) product is held; a test holds the
-    # norms to the bits of the full product
+    energies = np.empty(len(times))
     output_sq = np.empty(len(times))
-    for lo in range(0, len(times), _OUTPUT_CHUNK_ROWS):
-        hi = lo + _OUTPUT_CHUNK_ROWS
-        output_sq[lo:hi] = _row_norms_sq(states[lo:hi] @ sys.B)
+
+    def norms(rows, states):
+        energies[rows] = 0.5 * _row_norms_sq(states)
+        # numpy hands a one-row product to gemv, which can round apart from
+        # the same row in a matrix product, so a lone row is taken twice; a
+        # test holds the norms to the bits of one product of all the states
+        if len(states) == 1:
+            out = (np.repeat(states, 2, axis=0) @ sys.B)[:1]
+        else:
+            out = states @ sys.B
+        output_sq[rows] = _row_norms_sq(out)
+
+    _propagate(sys, [(sig, z0, times)], norms)
     return Trajectory(
         times=times,
-        states=states,
         energies=energies,
         output_sq=output_sq,
         damping_rates=_levels(sig, times) * output_sq,

@@ -44,11 +44,13 @@ MAX_BREAKPOINTS = 200_000
 
 # What a run builds is bounded too.  Costs measured on 2 cores (numpy 2.4,
 # scipy 1.17), wall time of `pexstab run` including start-up:
-# - a trajectory keeps about 8 (N + 8) bytes per sample of state dimension N
-#   and writes one CSV row per sample: 150k samples at N = 64 take 1.7 s and
-#   190 MB, 1M samples at N = 2 take 2.9 s, 150 MB and a 47 MB CSV.  So
-#   samples * (N + 8) is capped, at about 300 MB, for a simulate analysis
-#   and for all the trials of a verify block together;
+# - a trajectory writes one CSV row per sample and, while it is filled,
+#   holds its longest run inside one signal cell, 8 N bytes per sample of
+#   it at state dimension N (all of it on a constant signal): 150k samples
+#   at N = 64 took 1.7 s and 190 MB when every state was kept, 1M samples
+#   at N = 2 2.9 s, 150 MB and a 47 MB CSV.  So samples * (N + 8) is
+#   capped, at about 300 MB, for a simulate analysis and for all the
+#   trials of a verify block together;
 # - a verify gate of 50k pulses takes about 0.5 s and 90 MB to build and
 #   check, so a trial's gate is held to the breakpoints a scenario gate may
 #   have;

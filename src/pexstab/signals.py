@@ -322,30 +322,38 @@ def pe_check(sig: Signal, T, mu, horizon, tolerance: float = 0.0) -> PEReport:
     )
 
 
-def periodic_gate(period, pulse_halfwidth, horizon) -> Signal:
+def periodic_gate(period, pulse_halfwidth, horizon, phase=0.0) -> Signal:
     """Periodic on/off gate: level 1 on [k*period - h, k*period + h), else 0.
 
     The pulse train is generated exactly out to at least ``horizon`` plus one
     full period and then truncated (tail level 0), so any window analysis on
     [0, horizon] sees the exact periodic signal.  ``h = period / 2`` makes the
-    pulses touch and the gate degenerates to the constant 1.
+    pulses touch and the gate degenerates to the constant 1.  A ``phase``
+    >= 0 gives ``t -> gate(phase + t)``, whose pulse train ends ``phase``
+    earlier: the signal ``gate.shifted(phase)``, built in one pass.
     """
     (pn, pd), (hn, hd), (Hn, Hd) = _ratio(period), _ratio(pulse_halfwidth), _ratio(horizon)
+    fn, fd = _ratio(phase)
     if pn <= 0:
         raise ValueError("period must be positive")
     if not (0 < hn and 2 * hn * pd <= pn * hd):
         raise ValueError("pulse halfwidth must lie in (0, period/2]")
     if Hn < 0:
         raise ValueError("horizon must be nonnegative")
+    if fn < 0:
+        raise ValueError("phase must be nonnegative, got %s" % phase)
     if 2 * hn * pd == pn * hd:
         return Signal._from_lattice(1, (), 1, (), 1)
-    L = math.lcm(pd, hd, Hd)
-    P, h, H = pn * (L // pd), hn * (L // hd), Hn * (L // Hd)
+    L = math.lcm(pd, hd, Hd, fd)
+    P, h, H, x0 = pn * (L // pd), hn * (L // hd), Hn * (L // Hd), fn * (L // fd)
     # the first pulse is clipped to [0, h); pulse k sits at [kP - h, kP + h),
     # up to the first one that switches on after H + P
     n_pulses = (H + P + h) // P + 1
     breaks = [h] + [e for k in range(1, n_pulses + 1) for e in (k * P - h, k * P + h)]
-    return Signal._from_lattice(L, breaks, 1, (1,) + (0, 1) * n_pulses, 0)
+    # the breakpoints after the phase, measured from it
+    i = bisect.bisect_right(breaks, x0)
+    return Signal._from_lattice(L, [b - x0 for b in breaks[i:]], 1,
+                                ((1,) + (0, 1) * n_pulses)[i:], 0)
 
 
 def haraux_gap(n_max: int):

@@ -138,8 +138,7 @@ class GateSignalFamily:
         rng = np.random.default_rng((self.seed, i))
         width = rng.uniform(self.mu, min(self.T, 2.0 * self.mu))
         phase = rng.uniform(0.0, self.T)
-        gate = periodic_gate(self.T, width / 2.0, self.horizon + 2.0 * self.T)
-        return gate.shifted(phase)
+        return periodic_gate(self.T, width / 2.0, self.horizon + 2.0 * self.T, phase)
 
 
 @dataclass(frozen=True)
@@ -184,9 +183,10 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
     persistently exciting over the horizon before use (a family bug would
     otherwise produce vacuous verification).  The trials are drawn,
     checked and propagated in batches of at most _BATCH_ELEMENTS
-    state entries, one :func:`~pexstab.linsys._propagate` call per batch;
-    each trial's states are those of propagating it alone (see there), so
-    the report does not depend on the batches.  Raises
+    state entries, one :func:`~pexstab.linsys._propagate` call per batch,
+    which hands over the states a piece at a time and keeps only their
+    norms; each trial's states are those of propagating it alone (see
+    there), so the report does not depend on the batches.  Raises
     :class:`CertificateViolation` when any sample exceeds M e^{-gamma t}
     ||z0|| by more than the relative slack VERIFY_SLACK; otherwise returns
     the report with the worst observed ratio, the earliest trial's on a tie.
@@ -200,9 +200,16 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
     batch, entries = [], 0
 
     def measure(batch, worst):
-        for (i, (_, _, times)), states in zip(batch, _propagate(sys, [b for _, b in batch])):
+        # the norms of the samples of all the batch's trials, joined
+        sizes = [len(times) for _, (_, _, times) in batch]
+        joined = np.empty(sum(sizes))
+
+        def sink(rows, states):
             # the norms from the energies ||z||^2 / 2, as simulate forms them
-            norms = np.sqrt(2.0 * (0.5 * _row_norms_sq(states)))
+            joined[rows] = np.sqrt(2.0 * (0.5 * _row_norms_sq(states)))
+
+        _propagate(sys, [b for _, b in batch], sink)
+        for (i, (_, _, times)), norms in zip(batch, np.split(joined, np.cumsum(sizes)[:-1])):
             envelope = cert.envelope(times) * norms[0]
             ratios = norms / envelope
             j = int(np.argmax(ratios))

@@ -116,14 +116,17 @@ def write_csv_rowwise(path: str, header: str, rows):
         fh.write("".join(chunk))
 
 
-def energy_balance_from_states(traj) -> EnergyBalance:
-    """Energy balance with ||B^T z||^2 from one product of all the states."""
-    t, states = traj.times, traj.states
+def energy_balance_from_states(traj, states) -> EnergyBalance:
+    """Energy balance of ``traj`` with V and ||B^T z||^2 formed from its
+    ``states`` (collected by ``_propagate``), ||B^T z||^2 from one product
+    of all of them."""
+    t = traj.times
+    V = 0.5 * _row_norms_sq(states)
     g = _row_norms_sq(states @ traj.system.B)
     levels = _levels(traj.signal, t[:-1])
     inc = levels * 0.5 * (g[:-1] + g[1:]) * np.diff(t)
     cum = np.concatenate([[0.0], np.cumsum(inc)])
-    drift = traj.energies - traj.energies[0] + cum
+    drift = V - V[0] + cum
     if traj.system.skew_flag:
         return EnergyBalance(residual=float(np.abs(drift).max()), one_sided=False)
     return EnergyBalance(residual=float(max(drift.max(), 0.0)), one_sided=True)

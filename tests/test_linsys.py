@@ -1,5 +1,6 @@
 import bisect
 import threading
+import tracemalloc
 from sys import getsizeof, getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -9,7 +10,6 @@ import scipy.linalg
 from oracles import energy_balance_from_states, gap_estimate_check
 from pexstab import linsys
 from pexstab.linsys import (
-    _OUTPUT_CHUNK_ROWS,
     DIM_LIMIT,
     STEP_CACHE_BYTES,
     LinearSystem,
@@ -33,6 +33,14 @@ def propagate_alone(sys, sig, z0, times):
     """The states of one trajectory, propagated on its own."""
     states, = _propagate(sys, [(sig, z0, times)])
     return states
+
+
+def piece_rows(sys, sig, z0, times):
+    """The rows of each piece _propagate hands to a sink, in order."""
+    index, pieces = np.arange(len(times)), []
+    _propagate(sys, [(sig, z0, times)],
+               lambda rows, states: pieces.append(np.sort(index[rows])))
+    return pieces
 
 
 def rotation(w=1.0):
@@ -73,13 +81,13 @@ def test_propagation_matches_direct_exponential_product():
     sys = LinearSystem(A, rng.standard_normal((4, 2)))
     sig = make_piecewise([0.7, 1.3, 2.0], [1.0, 0.0, 0.5], 0.25)
     z0 = rng.standard_normal(4)
-    traj = simulate(sys, sig, z0, 3.0, 0.5)
+    times = _sample_grid(sig, 3.0, 0.5)
     P = np.eye(4)
     for c0, c1, level in sig.cells_between(0.0, 3.0):
         P = scipy.linalg.expm((sys.A - level * sys.B @ sys.B.T) * (c1 - c0)) @ P
     want = P @ z0
-    got = traj.states[-1]
-    assert traj.times[-1] == 3.0
+    got = propagate_alone(sys, sig, z0, times)[-1]
+    assert times[-1] == 3.0
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -142,17 +150,69 @@ def test_energy_balance_gate_damping():
 @pytest.mark.parametrize("n_modes,dissipative", [(16, False), (32, False), (32, True)])
 def test_output_norms_match_the_full_product_bit_for_bit(n_modes, dissipative):
     # N = 32 and 64 states, where OpenBLAS can round a product row by the
-    # number of rows around it; the samples span three chunks, the last one
-    # short
+    # number of rows around it; simulate takes the norms from pieces of
+    # states of many sizes, one row among them
     sys = string_system(n_modes, dissipative)
     gate = periodic_gate(2.0, 0.5, 12.0)
     z0 = np.random.default_rng(n_modes).standard_normal(sys.dim)
     traj = simulate(sys, gate, z0, 10.0, 1e-3)
-    assert 2 * _OUTPUT_CHUNK_ROWS < len(traj.times) < 3 * _OUTPUT_CHUNK_ROWS
-    full = _row_norms_sq(traj.states @ sys.B)
+    pieces = piece_rows(sys, gate, z0, traj.times)
+    assert len(pieces) > 2 and min(len(rows) for rows in pieces) == 1
+    states = propagate_alone(sys, gate, z0, traj.times)
+    full = _row_norms_sq(states @ sys.B)
     assert np.array_equal(traj.output_sq, full)
     assert np.array_equal(traj.damping_rates, _levels(gate, traj.times) * full)
-    assert energy_balance(traj) == energy_balance_from_states(traj)
+    assert energy_balance(traj) == energy_balance_from_states(traj, states)
+
+
+def damped_string(n_modes, dissipative):
+    """The string damped on (0.2, 0.6), whose B is dense, or the same with
+    A - 0.3 I."""
+    sys = build_wave(WaveModalSpec(n_modes, omega=(0.2, 0.6)))
+    if dissipative:
+        sys = LinearSystem(sys.A - 0.3 * np.eye(sys.dim), sys.B)
+    return sys
+
+
+@pytest.mark.parametrize("n_modes", [2, 16, 32])
+@pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "dissipative"])
+def test_simulate_norms_match_the_collected_states_bit_for_bit(n_modes, dissipative):
+    # N = 4, 32 and 64 states.  The gate's phase puts its switches off the
+    # output grid, so every cell opens with a one-sample run (a gathered
+    # stack, and a lone row at t = 0) before its long run; its 100 short
+    # cells let the long runs of one step share a block
+    sys = damped_string(n_modes, dissipative)
+    gate = periodic_gate(0.2, 0.05, 12.0, 0.037)
+    z0 = np.random.default_rng(n_modes).standard_normal(sys.dim)
+    traj = simulate(sys, gate, z0, 10.0, 0.01)
+    pieces = piece_rows(sys, gate, z0, traj.times)
+    # a block of several runs: consecutive rows, and a gap between runs
+    shared = [rows for rows in pieces
+              if (np.diff(rows) == 1).any() and (np.diff(rows) > 1).any()]
+    assert shared and min(len(rows) for rows in pieces) == 1
+    states = propagate_alone(sys, gate, z0, traj.times)
+    assert np.array_equal(traj.energies, 0.5 * _row_norms_sq(states))
+    full = _row_norms_sq(states @ sys.B)
+    assert np.array_equal(traj.output_sq, full)
+    assert np.array_equal(traj.damping_rates, _levels(gate, traj.times) * full)
+
+
+def test_simulate_holds_no_array_of_all_the_states():
+    # 32 modes (N = 64) over 20,001 samples: all the states would take
+    # 10.2 MB; the simulate path holds its per-sample plan and one run
+    sys = string_system(32, False)
+    gate = periodic_gate(2.0, 0.25, 20.0)
+    z0 = np.random.default_rng(5).standard_normal(sys.dim)
+    simulate(sys, gate, z0, 20.0, 1e-3)  # fills the step cache
+    tracemalloc.start()
+    try:
+        traj = simulate(sys, gate, z0, 20.0, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    states_bytes = len(traj.times) * sys.dim * 8
+    assert len(traj.times) == 20001
+    assert peak < states_bytes / 2
 
 
 def test_energy_conserved_without_damping():
@@ -403,10 +463,11 @@ def test_propagation_rejects_unordered_times():
 def loop_sample_grid(sig, horizon, dt_out):
     """The sample grid built point by point, as the reference: a grid point
     within the tolerance of a breakpoint gives way to it (t = 0 stays), the
-    horizon to the last grid point."""
+    horizon to the last grid point, and a grid point past the horizon to
+    the horizon."""
     tol = 1e-12 * max(1.0, horizon)
     n = int(np.floor(horizon / dt_out + 1e-9))
-    pts = [k * dt_out for k in range(n + 1)]
+    pts = [k * dt_out for k in range(n + 1) if k * dt_out <= horizon]
     if horizon - pts[-1] > tol:
         pts.append(horizon)
     inside = [b for b in sig.breakpoints if 0.0 < b < horizon]
@@ -458,6 +519,20 @@ def test_sample_grid_keeps_every_breakpoint():
         assert np.isin(inside, grid).all()
         assert grid[0] == 0.0 and np.all(np.diff(grid) > 0.0)
         assert np.array_equal(grid, loop_sample_grid(sig, horizon, dt_out))
+
+
+def test_sample_grid_ends_at_the_horizon():
+    # horizon / dt_out lies within 1e-9 below an integer, so the last grid
+    # point rounds past the horizon; it gives way to the horizon
+    one = make_piecewise([], [], 1.0)
+    for horizon, dt_out in ((3.0 - 1e-12, 0.3), (1.0 - 1e-13, 0.1), (150.0 - 1e-13, 1e-3),
+                            (3.0, 0.3), (2.9, 0.3)):
+        grid = _sample_grid(one, horizon, dt_out)
+        assert grid[-1] == horizon
+        assert np.all(np.diff(grid) > 0.0)
+        assert np.array_equal(grid, loop_sample_grid(one, horizon, dt_out))
+    traj = simulate(string_system(2, False), one, np.ones(4), 3.0 - 1e-12, 0.3)
+    assert traj.times[-1] == 3.0 - 1e-12 and len(traj.times) == 11
 
 
 def test_levels_match_pointwise_lookup():

@@ -372,6 +372,24 @@ def test_periodic_gate_matches_fraction_reference(period, share, horizon):
                            *ref_periodic_gate(period, h, horizon))
 
 
+@settings(max_examples=80, deadline=None)
+@given(mixed(0.1, 4.0), st.fractions(F(1, 50), F(1, 2), max_denominator=50),
+       mixed(0.0, 20.0), mixed(0.0, 30.0))
+def test_phased_periodic_gate_is_the_shifted_gate(period, share, horizon, phase):
+    h = F(period) * share
+    gate = periodic_gate(period, h, horizon, phase)
+    assert_same_signal(gate, *RefSignal(*ref_periodic_gate(period, h, horizon)).shifted(phase))
+    shifted = periodic_gate(period, h, horizon).shifted(phase)
+    assert (gate._den, gate._nbreaks, gate._vden, gate._nvalues, gate._ntail, gate._nprefix) \
+        == (shifted._den, shifted._nbreaks, shifted._vden, shifted._nvalues,
+            shifted._ntail, shifted._nprefix)
+
+
+def test_phased_periodic_gate_rejects_a_negative_phase():
+    with pytest.raises(ValueError, match="phase"):
+        periodic_gate(2, 0.5, 10, -0.1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 60))
 def test_haraux_gap_matches_fraction_reference(n_max):

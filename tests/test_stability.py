@@ -28,6 +28,7 @@ from pexstab.signals import (
     from_intervals,
     make_piecewise,
     pe_check,
+    periodic_gate,
 )
 from pexstab.stability import (
     CertificateViolation,
@@ -118,12 +119,30 @@ def test_batched_verification_matches_the_trialwise_oracle(monkeypatch, theta, d
     fam = GateSignalFamily(T=2.0, mu=1.0, horizon=100.0, seed=5)
     batches = []
     propagate = stability._propagate
-    monkeypatch.setattr(stability, "_propagate",
-                        lambda sys, trajs: batches.append(len(trajs)) or propagate(sys, trajs))
+    monkeypatch.setattr(stability, "_propagate", lambda sys, trajs, sink=None:
+                        batches.append(len(trajs)) or propagate(sys, trajs, sink))
     got = verify_certificate(sys, cert, fam, n_trials=12)
     assert sum(batches) == 12 and len(batches) >= 3 and max(batches) > 1
     want = verify_certificate_trialwise(sys, cert, fam, n_trials=12)
     assert report_fields(got) == report_fields(want)
+
+
+def test_family_builds_each_gate_once(monkeypatch):
+    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=3)
+    want = []
+    for i in range(1, 6):
+        rng = np.random.default_rng((fam.seed, i))
+        width, phase = rng.uniform(fam.mu, min(fam.T, 2.0 * fam.mu)), rng.uniform(0.0, fam.T)
+        want.append(periodic_gate(fam.T, width / 2.0, fam.horizon + 2.0 * fam.T).shifted(phase))
+
+    def no_shift(self, t0):
+        raise AssertionError("built the gate twice")
+
+    monkeypatch.setattr(Signal, "shifted", no_shift)
+    for i, sig in enumerate(want, start=1):
+        got = fam.draw(i)
+        assert (got._den, got._nbreaks, got._nvalues, got._ntail) \
+            == (sig._den, sig._nbreaks, sig._nvalues, sig._ntail)
 
 
 def test_verification_refuses_a_system_above_the_dimension_limit(monkeypatch):
