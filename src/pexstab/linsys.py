@@ -8,24 +8,25 @@ constant level ``a`` the flow is the matrix exponential of
 the exponential's own rounding) rather than by an ODE stepper with local
 truncation error.  Propagation steps from cell edge to cell edge, one step
 per cell, and fills the output samples inside a cell from its start state:
-a run of equally spaced samples is the powers of one step matrix, built by
-doubling.  The k-th runs of all cells are filled together: the
-single-sample ones as one gathered stack of matrix-vector products, the
-longer ones one matrix product per doubling step over every run of one
-step matrix, up to a block of 2^16 state entries; a larger group is filled
-the same way trajectory by trajectory or run by run.  Each finished piece
-of states goes to a consumer, which keeps what it needs (simulate the
-energies and output norms, certificate verification the norms), so no
-(samples, N) array of states is held; between waves only the last state of
-each cell is kept.  One call propagates several trajectories at once,
-their cell-edge chains stepping together, and each comes out bit for bit
-as it would alone (where BLAS rounds a matrix product row by row), since
-every choice that sets its numbers is made per trajectory.  Step matrices
-are memoized on the system by exact (level, dt), as arrays of their own,
-within STEP_CACHE_BYTES, so repeated trajectories on one system share
-them.  For skew-symmetric ``A`` the undamped flow uses a unitary
-eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2
-to machine precision.
+a run of consecutive points of the output grid is the powers of the step
+over the grid spacing, built by doubling; the runs are read off the grid
+indices, not inferred from the sample times.  The k-th runs of all cells
+are filled together: the single-sample ones as one gathered stack of
+matrix-vector products, the longer ones one matrix product per doubling
+step over every run of one step matrix, up to a block of 2^16 state
+entries; a larger group is filled the same way trajectory by trajectory or
+run by run.  Each finished piece of states goes to a consumer, which keeps
+what it needs (simulate the energies and output norms, certificate
+verification the norms), so no (samples, N) array of states is held;
+between waves only the last state of each cell is kept.  One call
+propagates several trajectories at once, their cell-edge chains stepping
+together, and each comes out bit for bit as it would alone (where BLAS
+rounds a matrix product row by row), since every choice that sets its
+numbers is made per trajectory.  Step matrices are memoized on the system
+by exact (level, dt), as arrays of their own, within STEP_CACHE_BYTES, so
+repeated trajectories on one system share them.  For skew-symmetric ``A``
+the undamped flow uses a unitary eigendecomposition of ``iA``, which
+preserves the energy V = ||z||^2 / 2 to machine precision.
 Signal-weighted observability Gramians of the undamped flow are exact too:
 one block matrix exponential per signal cell.
 """
@@ -202,10 +203,6 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
     return P
 
 
-# Sample spacings that agree within this many machine epsilons of t are one
-# spacing: k * dt_out grids round each instant to within an ulp of t.
-_SPACING_ULPS = 4.0
-
 # Largest |G| |d| for which a cached step over h stands in for the step over
 # h + d after a first-order correction; the dropped |G d|^2 / 2 is < eps / 4.
 _NEAR_STEP = 1e-8
@@ -217,115 +214,64 @@ _NEAR_STEP = 1e-8
 _BLOCK_ELEMENTS = 2 ** 16
 
 
-def _runs(times: np.ndarray, prev: np.ndarray, heads: np.ndarray):
-    """Maximal runs of equal spacing among ``times``.
-
-    ``prev[k]`` is the point sample k is stepped from (the previous sample,
-    or the start of its cell) and ``heads`` the samples that must open a run.
-    Returns, per run: first index, length, mean spacing h, the largest
-    distance of a sample from its place prev[first] + j h on the run's
-    lattice, and the tolerance for that distance (a few ulps of t).
-    """
-    n = len(times)
-    gaps = times - prev
-    tol = _SPACING_ULPS * np.finfo(float).eps * np.maximum(1.0, times)
-    head = np.zeros(n, dtype=bool)
-    head[heads] = True
-    head[0] = True
-    head[1:] |= np.abs(np.diff(gaps)) > tol[1:]
-    lo = np.flatnonzero(head)
-    m = np.diff(lo, append=n)
-    base = prev[lo]
-    h = (times[lo + m - 1] - base) / m
-    rid = np.cumsum(head) - 1
-    j = np.arange(1, n + 1) - lo[rid]
-    err = np.maximum.reduceat(np.abs(base[rid] + j * h[rid] - times), lo)
-    return lo, m, h, err, tol[lo + m - 1]
-
-
-def _spacings(scope, h, m, err, tol):
-    """Index of the spacing each multi-sample run is filled at, or -1 where
-    its gaps drift too far for one spacing; and the spacings, in order.
-
-    The runs are taken in order.  A run takes the first spacing already in
-    use in its scope (one trajectory at one level) that still lands every
-    sample within tol; failing that, its own h when its lattice error is
-    within tol, which puts h in use.  Reusing spacings keeps the step cache
-    small.  Each pass settles the runs up to the next one that puts a new
-    spacing in use.
-    """
-    pick = np.full(len(h), -1)
-    used = []
-    first = 0
-    while True:
-        new = np.flatnonzero((pick[first:] < 0) & (err[first:] <= tol[first:]))
-        if not len(new):
-            return pick, np.array(used)
-        f = first + int(new[0])
-        pick[f] = len(used)
-        used.append(h[f])
-        rest = slice(f + 1, None)
-        near = ((pick[rest] < 0) & (scope[rest] == scope[f])
-                & (err[rest] + m[rest] * np.abs(h[f] - h[rest]) <= tol[rest]))
-        pick[rest][near] = pick[f]
-        first = f + 1
-
-
 def _propagate(sys: LinearSystem, trajectories, sink=None):
     """States of several trajectories, each stepped from cell edge to edge.
 
-    ``trajectories`` is a sequence of ``(sig, z0, times)``, each with
-    strictly increasing times >= 0.  The states are handed to ``sink`` as
-    they are finished, a piece of rows at a time: ``sink(rows, states)``
-    gets the C-contiguous (k, N) array ``states`` of the samples ``rows``
-    (a slice or an index array) of the times of all trajectories joined,
-    every sample exactly once, in no fixed order.  Without a sink the
-    result is one (len(times), N) array per trajectory, in order (views of
-    one buffer).
+    ``trajectories`` is a sequence of ``(sig, z0, times, dt_out)``, each
+    with strictly increasing times >= 0; ``dt_out`` is the spacing the
+    times were gridded at (see :func:`_sample_grid`), or None for a plain
+    time list.  The states are handed to ``sink`` as they are finished, a
+    piece of rows at a time: ``sink(rows, states)`` gets the C-contiguous
+    (k, N) array ``states`` of the samples ``rows`` (a slice or an index
+    array) of the times of all trajectories joined, every sample exactly
+    once, in no fixed order.  Without a sink the result is one
+    (len(times), N) array per trajectory, in order (views of one buffer).
 
     The state crosses each signal cell [c0, c1) in one exact step
     e^{(A - a B B^T)(c1 - c0)}, so the chain of cell-edge states does not
     depend on how densely the output is sampled; the chains of all
     trajectories step together, one gathered stack of matrix-vector
     products per cell position.  The samples inside a cell are filled from
-    the cell's start state: their times are split into maximal runs of
-    equal spacing h (equal within a few ulps of t), and a run of m samples
-    is the rows P_h^k z, k = 1..m, with P_h the step over h.  The rows are
-    filled by doubling: rows [k, 2k) are rows [0, k) times (P_h^k)^T.  The
-    k-th runs of all cells form a wave, which needs only the last state of
-    the (k-1)-th.  A wave's single-sample runs are one gathered stack of
-    matrix-vector products, whatever their steps.  Its longer runs that
-    share one step matrix are filled together on one time-major (m, R, N)
-    block, so each doubling step is one matrix product over all R runs; a
-    group whose block would exceed _BLOCK_ELEMENTS is filled trajectory by
-    trajectory, and a trajectory whose runs alone exceed it fills them one
-    by one.
+    the cell's start state, in runs read off the grid: a sample on its
+    trajectory's grid (rint(t / dt_out) dt_out == t) whose grid index
+    follows that of the sample before it in the same cell joins that
+    sample's run; every other sample opens a run of its own, which it
+    fills alone, one step from the cell start or the sample before it.
+    The grid samples after it are the rows P^k z, k = 1..m, with P the
+    step over dt_out, filled by doubling: rows [k, 2k) are rows [0, k)
+    times (P^k)^T.  The k-th runs of all cells form a wave, which needs
+    only the last state of the (k-1)-th.  A wave's single-sample runs are
+    one gathered stack of matrix-vector products, whatever their steps.
+    Its longer runs that share one step matrix are filled together on one
+    time-major (m, R, N) block, so each doubling step is one matrix
+    product over all R runs; a group whose block would exceed
+    _BLOCK_ELEMENTS is filled trajectory by trajectory, and a trajectory
+    whose runs alone exceed it fills them one by one.  A plain time list
+    steps sample by sample, as irregular times must.
 
-    With a sink, what is held besides the per-sample plan (the runs and
-    their steps, a few arrays of one entry per sample) is the chain, the
-    last state of every cell, and one piece: a gathered stack or block of
-    at most _BLOCK_ELEMENTS entries, or one whole run, m x N entries, since
-    a run is filled whole by doubling.
+    With a sink, what is held besides the per-sample plan (the times and
+    one flag per sample) is the chain, the last state of every cell, the
+    runs, and one piece: a gathered stack or block of at most
+    _BLOCK_ELEMENTS entries, or one whole run, m x N entries, since a run
+    is filled whole by doubling.
 
     Every choice that sets a trajectory's numbers is made per trajectory:
-    its runs, the spacings its runs share (:func:`_spacings`), and which of
-    its steps are exponentiated and which are derived from a nearby one.  A
-    step whose length differs from an exponentiated one only by the
-    rounding of cell edges is derived from it by a first-order correction
-    that is exact to rounding; each trajectory takes its own steps in its
-    own run-by-run order.  Runs of different trajectories meet in one
-    product only where they use the same step matrix, which the system's
-    step cache makes one array per exact (level, h) (see
-    :func:`_step_matrix`).  Every row is the same product of the same
-    matrices as in a run-by-run fill of its trajectory alone; a row formed
-    from one row stays a matrix-vector product, which BLAS rounds apart
-    from a matrix product.  A BLAS whose matrix product rounds a row by the
-    rows around it (OpenBLAS from 32 states) can still move the last bits.
-    An irregular time list is a sequence of runs of length 1, each one step
-    as in sample-by-sample propagation.
+    its runs, and which of its lone and cell-edge steps are exponentiated
+    and which are derived from a nearby one.  A step whose length differs
+    from an exponentiated one only by the rounding of cell edges is
+    derived from it by a first-order correction that is exact to rounding;
+    each trajectory takes these steps in its own run-by-run order.  The
+    step over dt_out is always :func:`_step_matrix`'s, the same array for
+    every trajectory and call while the step cache holds it.  Runs of
+    different trajectories meet in one product only where they use the
+    same step matrix.  Every row is the same product of the same matrices
+    as in a run-by-run fill of its trajectory alone; a row formed from one
+    row stays a matrix-vector product, which BLAS rounds apart from a
+    matrix product.  A BLAS whose matrix product rounds a row by the rows
+    around it (OpenBLAS from 32 states) can still move the last bits.
     """
     N = sys.dim
-    parts = [np.asarray(ts, dtype=float).reshape(-1) for _, _, ts in trajectories]
+    parts = [np.asarray(ts, dtype=float).reshape(-1) for _, _, ts, _ in trajectories]
     sizes = np.array([len(ts) for ts in parts])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     # one trajectory's times are used as they are, several are joined
@@ -335,7 +281,8 @@ def _propagate(sys: LinearSystem, trajectories, sink=None):
     rising[first_sample[1:] - 1] = True
     if (times[first_sample] < 0.0).any() or not rising.all():
         raise ValueError("propagation times must be strictly increasing and >= 0")
-    z0s = np.array([np.asarray(z0, dtype=float).reshape(N) for _, z0, _ in trajectories])
+    z0s = np.array([np.asarray(z0, dtype=float).reshape(N) for _, z0, _, _ in trajectories])
+    spacing = np.array([np.nan if dt is None else dt for *_, dt in trajectories], dtype=float)
     out = None
     if sink is None:
         out = np.empty((len(times), N))
@@ -351,80 +298,80 @@ def _propagate(sys: LinearSystem, trajectories, sink=None):
     zero = first_sample[times[first_sample] == 0.0]
     emit(zero, z0s[np.searchsorted(offsets, zero, side="right") - 1])
     # the cells of every trajectory, one after another; a trajectory of the
-    # single time 0 has none
+    # single time 0 has none.  lattice marks the samples that step from the
+    # sample before them over their trajectory's dt_out.
+    lattice = np.zeros(len(times), dtype=bool)
     starts, levels, begin, end, owner = [], [], [], [], []
-    for t, (sig, _, _) in enumerate(trajectories):
+    for t, (sig, _, _, dt_out) in enumerate(trajectories):
         a, b = offsets[t], offsets[t + 1]
         if b == a or times[b - 1] == 0.0:
             continue
         cells = list(sig.cells_between(0.0, float(times[b - 1])))
         c0 = np.array([c for c, _, _ in cells])
-        lv = np.array([level for _, _, level in cells])
         ts = times[a:b]
-        # cell k fills samples [begin[k], end[k]); a sample on a cell edge
+        # cell k fills samples [lo[k], hi[k]); a sample on a cell edge
         # takes the edge state instead
+        lo = np.searchsorted(ts, c0, side="right")
+        hi = np.append(np.searchsorted(ts, c0[1:], side="left"), b - a)
+        if dt_out is not None:
+            k = np.rint(ts / dt_out)
+            on = k * dt_out == ts
+            lattice[a + 1:b] = on[1:] & on[:-1] & (np.diff(k) == 1.0)
+            lattice[a + np.append(lo, hi[:-1])] = False
         starts.append(c0)
-        levels.append(lv)
-        begin.append(a + np.searchsorted(ts, c0, side="right"))
-        end.append(a + np.append(np.searchsorted(ts, c0[1:], side="left"), b - a))
+        levels.append(np.array([level for _, _, level in cells]))
+        begin.append(a + lo)
+        end.append(a + hi)
         owner.append(np.full(len(c0), t))
     if starts:
-        starts, levels, begin, end, owner = map(np.concatenate,
-                                                (starts, levels, begin, end, owner))
-        _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner, emit)
+        cells = map(np.concatenate, (starts, levels, begin, end, owner))
+        _fill(sys, times, lattice, z0s, spacing, *cells, emit)
     if out is not None:
         return [out[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
-def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner, emit):
+def _fill(sys, times, lattice, z0s, spacing, starts, levels, begin, end, owner, emit):
     """The states of :func:`_propagate` after t = 0, handed to ``emit`` a
     piece of rows at a time: the cell-edge samples, each gathered stack and
     each block.
 
     ``times`` are the samples of all trajectories, one after another, and
-    ``first_sample`` where each nonempty one starts; the cells of all
-    trajectories come one after another too, each with its start, level,
-    samples [begin, end) and ``owner``, the index of its trajectory.
+    ``lattice`` marks those that step from the sample before them over
+    their trajectory's grid ``spacing`` (nan for a plain time list); the
+    cells of all trajectories come one after another too, each with its
+    start, level, samples [begin, end) and ``owner``, the index of its
+    trajectory.
     """
     n, N, C = len(times), sys.dim, len(starts)
     last = np.append(owner[1:] != owner[:-1], True)
     first_cell = np.flatnonzero(np.append(True, last[:-1]))
-    prev = np.empty(n)
-    prev[1:] = times[:-1]
-    prev[first_sample] = 0.0
-    held = begin < end
-    prev[begin[held]] = starts[held]
-    lo, m, h, err, tol = _runs(times, prev, np.concatenate([first_sample, begin, end[~last]]))
-
+    # a run opens at each sample off the lattice, and at the first sample
+    # on it after one off it
+    lo = np.flatnonzero(~lattice | np.append(True, ~lattice[:-1]))
     # the cell each run fills; the runs of the samples at t = 0 and on cell
     # edges, and of trajectories with no cell, fill none
     cell = np.searchsorted(end, lo, side="right")
     keep = cell < C
     cell[~keep] = 0
     keep &= lo >= begin[cell]
-    multi = np.flatnonzero(keep & (m > 1))
-    # runs may share a spacing within one trajectory and level only
-    scope = owner * C + np.unique(levels, return_inverse=True)[1].reshape(-1)
-    pick, used = _spacings(scope[cell[multi]], h[multi], m[multi], err[multi], tol[multi])
-    h[multi[pick >= 0]] = used[pick[pick >= 0]]
-    # a run whose gaps drift off one lattice steps singly: runs of length 1
-    single = np.zeros(len(lo), dtype=bool)
-    single[multi[pick < 0]] = True
-    kept = np.flatnonzero(keep)
-    count = np.where(single[kept], m[kept], 1)
-    rep = np.repeat(kept, count)
-    run_lo = lo[rep] + np.arange(len(rep)) - np.repeat(np.cumsum(count) - count, count)
-    run_m = np.where(single[rep], 1, m[rep])
-    run_h = np.where(single[rep], times[run_lo] - prev[run_lo], h[rep])
-    run_cell = cell[rep]
-    wave = np.arange(len(rep)) - np.searchsorted(run_cell, run_cell, side="left")
+    run_lo, run_m, run_cell = lo[keep], np.diff(lo, append=n)[keep], cell[keep]
+    on_grid, alone = np.flatnonzero(lattice[run_lo]), np.flatnonzero(~lattice[run_lo])
+    # a lone run steps from its cell's start or from the sample before it
+    run_h = spacing[owner[run_cell]]
+    a_lo, a_cell = run_lo[alone], run_cell[alone]
+    run_h[alone] = times[a_lo] - np.where(a_lo == begin[a_cell], starts[a_cell],
+                                          times[a_lo - 1])
+    wave = np.arange(len(run_lo)) - np.searchsorted(run_cell, run_cell, side="left")
 
     steps = []      # step id -> [P, P^2, P^4, ...] and its (level, h)
-    sid_of = {}     # id(P) -> step id: one id per step matrix
     gens = {}       # level -> (generator, its 1-norm)
     anchors = {}    # (trajectory, level) -> [(h, P_h) from _step_matrix]
 
-    def new_step(t, level, h):
+    def add(P, level, h):
+        steps.append(([P], level, h))
+        return len(steps) - 1
+
+    def near_step(t, level, h):
         # Cell lengths that differ only by the rounding of their edges share
         # one exponential: e^{G (h' + d)} = P_h' (I + G d) + O(|G d|^2), exact
         # to rounding while |G| |d| <= _NEAR_STEP.
@@ -435,15 +382,10 @@ def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner, emit
         near = anchors.setdefault((t, level), [])
         for h_near, P in near:
             if abs(h - h_near) * norm <= _NEAR_STEP:
-                P = P + (h - h_near) * (P @ G)
-                break
-        else:
-            P = _step_matrix(sys, level, h)
-            near.append((h, P))
-        if id(P) not in sid_of:
-            sid_of[id(P)] = len(steps)
-            steps.append(([P], level, h))
-        return sid_of[id(P)]
+                return P + (h - h_near) * (P @ G)
+        P = _step_matrix(sys, level, h)
+        near.append((h, P))
+        return P
 
     def power(s, j):
         pw, level, h = steps[s]
@@ -456,21 +398,24 @@ def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner, emit
                 pw.append(pw[-1] @ pw[-1])
         return pw[j]
 
-    # exponentiate each (level, h) where the run-by-run order of its
-    # trajectory first needs it: a cell's runs, then its edge step; a cached
-    # step seeds the nearby ones.  A trajectory's last cell holds its last
-    # sample, so no edge step leaves it.
+    # the grid runs step over dt_out, one exact step per (level, dt_out)
+    run_sid = np.empty(len(run_lo), dtype=int)
+    need = list(zip(levels[run_cell[on_grid]].tolist(), run_h[on_grid].tolist()))
+    sid = {key: add(_step_matrix(sys, *key), *key) for key in dict.fromkeys(need)}
+    run_sid[on_grid] = [sid[key] for key in need]
+    # exponentiate each lone and edge (level, h) where the run-by-run order
+    # of its trajectory first needs it: a cell's runs, then its edge step;
+    # a cached step seeds the nearby ones.  A trajectory's last cell holds
+    # its last sample, so no edge step leaves it.
     inner = np.flatnonzero(~last)
-    order = np.argsort(np.concatenate([2 * run_lo, 2 * end[inner] - 1]), kind="stable")
-    need = list(zip(owner[np.concatenate([run_cell, inner])][order].tolist(),
-                    np.concatenate([levels[run_cell], levels[inner]])[order].tolist(),
-                    np.concatenate([run_h, starts[inner + 1] - starts[inner]])[order].tolist()))
-    sid = dict.fromkeys(need)
-    for key in sid:
-        sid[key] = new_step(*key)
+    order = np.argsort(np.concatenate([2 * a_lo, 2 * end[inner] - 1]), kind="stable")
+    in_cell = np.concatenate([a_cell, inner])[order]
+    lengths = np.concatenate([run_h[alone], starts[inner + 1] - starts[inner]])[order]
+    need = list(zip(owner[in_cell].tolist(), levels[in_cell].tolist(), lengths.tolist()))
+    sid = {key: add(near_step(*key), *key[1:]) for key in dict.fromkeys(need)}
     ids = np.empty(len(need), dtype=int)
     ids[order] = [sid[key] for key in need]
-    run_sid, edge_sid = ids[:len(run_lo)], ids[len(run_lo):]
+    run_sid[alone], edge_sid = ids[:len(alone)], ids[len(alone):]
     del need, sid, ids, order
 
     def gathered(g):
@@ -551,15 +496,13 @@ def _fill(sys, times, z0s, first_sample, starts, levels, begin, end, owner, emit
     cell_state = chain[at]
     del chain
 
-    # a wave's single-sample runs together, then its longer runs by level,
-    # spacing and step
-    lone = run_m == 1
-    group = np.where(lone, -1, run_sid)
-    order = np.lexsort((group, run_h, levels[run_cell], ~lone, wave))
-    key = np.stack([wave[order], lone[order], group[order]])
+    # a wave's single-sample runs together, then its longer runs by step
+    group = np.where(run_m == 1, -1, run_sid)
+    order = np.lexsort((group, wave))
+    key = np.stack([wave[order], group[order]])
     cuts = np.flatnonzero((np.diff(key, axis=1) != 0).any(axis=0)) + 1
     for g in np.split(order, cuts):
-        if lone[g[0]]:
+        if group[g[0]] < 0:
             gathered(g)
             continue
         for part in blocks(g):
@@ -573,7 +516,10 @@ def _sample_grid(sig: Signal, horizon: float, dt_out: float) -> np.ndarray:
     Instants within 1e-12 max(1, horizon) of each other are one sample: a
     grid point that close to a breakpoint gives way to it (t = 0 stays), so
     no interval between samples straddles a switch; of two grid points, the
-    first stays.
+    first stays.  Grid point k is the float product k * dt_out, so
+    np.rint(t / dt_out) * dt_out == t holds exactly at each of them, with
+    no tolerance; :func:`_propagate` reads the runs of each cell off these
+    indices.
     """
     n = int(np.floor(horizon / dt_out + 1e-9))
     pts = np.arange(n + 1) * dt_out
@@ -606,11 +552,16 @@ def _row_norms_sq(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def check_sampling(sys: LinearSystem, horizon: float, dt_out: float):
-    """Refuse a system above DIM_LIMIT and a nonpositive horizon or spacing."""
+def _check_dim(sys: LinearSystem):
+    """Refuse a system above DIM_LIMIT."""
     if sys.dim > DIM_LIMIT:
         raise ValueError("state dimension %d exceeds the dense-solver limit %d"
                          % (sys.dim, DIM_LIMIT))
+
+
+def check_sampling(sys: LinearSystem, horizon: float, dt_out: float):
+    """Refuse a system above DIM_LIMIT and a nonpositive horizon or spacing."""
+    _check_dim(sys)
     if horizon <= 0 or dt_out <= 0:
         raise ValueError("horizon and dt_out must be positive")
 
@@ -651,7 +602,7 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
             out = states @ sys.B
         output_sq[rows] = _row_norms_sq(out)
 
-    _propagate(sys, [(sig, z0, times)], norms)
+    _propagate(sys, [(sig, z0, times, float(dt_out))], norms)
     return Trajectory(
         times=times,
         energies=energies,
@@ -694,9 +645,7 @@ def kalman_index(sys: LinearSystem) -> int:
     deficient (the pair can never become controllable beyond that by
     Cayley-Hamilton).
     """
-    if sys.dim > DIM_LIMIT:
-        raise ValueError("state dimension %d exceeds the dense-solver limit %d"
-                         % (sys.dim, DIM_LIMIT))
+    _check_dim(sys)
     N = sys.dim
     blocks = [sys.B]
     for K in range(N):

@@ -201,15 +201,14 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
 
     def measure(batch, worst):
         # the norms of the samples of all the batch's trials, joined
-        sizes = [len(times) for _, (_, _, times) in batch]
+        sizes = [len(times) for _, (_, _, times, _) in batch]
         joined = np.empty(sum(sizes))
 
         def sink(rows, states):
-            # the norms from the energies ||z||^2 / 2, as simulate forms them
-            joined[rows] = np.sqrt(2.0 * (0.5 * _row_norms_sq(states)))
+            joined[rows] = np.sqrt(_row_norms_sq(states))
 
         _propagate(sys, [b for _, b in batch], sink)
-        for (i, (_, _, times)), norms in zip(batch, np.split(joined, np.cumsum(sizes)[:-1])):
+        for (i, (_, _, times, _)), norms in zip(batch, np.split(joined, np.cumsum(sizes)[:-1])):
             envelope = cert.envelope(times) * norms[0]
             ratios = norms / envelope
             j = int(np.argmax(ratios))
@@ -232,7 +231,7 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
         if batch and entries + len(times) * sys.dim > _BATCH_ELEMENTS:
             worst = measure(batch, worst)
             batch, entries = [], 0
-        batch.append((i, (sig, z0, times)))
+        batch.append((i, (sig, z0, times, float(dt_out))))
         entries += len(times) * sys.dim
     worst = measure(batch, worst)
     ok = worst[0] <= 1.0 + VERIFY_SLACK
@@ -321,7 +320,7 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence, z0,
                     for c, L in zip(costs, lengths))
     z0 = np.asarray(z0, dtype=float).reshape(sys.dim)
     checkpoints = [a for (a, _) in intervals] + [intervals[-1][1]]
-    states, = _propagate(sys, [(signal, z0, checkpoints)])
+    states, = _propagate(sys, [(signal, z0, checkpoints, None)])
     V = 0.5 * np.sum(states * states, axis=1)
     measured = tuple(float(v1 / v0) if v0 > 0.0 else 0.0 for v0, v1 in zip(V, V[1:]))
     return ProductBoundReport(

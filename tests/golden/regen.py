@@ -16,11 +16,12 @@ tree with them after the test, so they cost no runs of their own.
 The manifest holds, per report file, its sha256; a CSV also keeps its
 header, row count and per-column sums (``math.fsum``), and no copy.  It
 records the environment the digests were taken in (python, numpy, scipy and
-the BLAS name and version, from ``perfbench/run.py``), since OpenBLAS picks
-its kernels per CPU and the last digits of a float follow them.  In that
-environment the digests must match exactly; in another one the reports must
-match the stored ones in structure, strings, booleans and integers exactly,
-and in floats to ``REL_TOL`` relative (or ``ABS_TOL`` near zero).
+the BLAS name and version, from ``perfbench/run.py``, and OpenBLAS's core
+name), since OpenBLAS picks its kernels per CPU and the last digits of a
+float follow them.  In that environment the digests must match exactly; in
+another one the reports must match the stored ones in structure, strings,
+booleans and integers exactly, and in floats to ``REL_TOL`` relative (or
+``ABS_TOL`` near zero).
 
 A change that moves a digest on purpose regenerates the manifest and says in
 CHANGES.md which reports changed and why.
@@ -91,10 +92,30 @@ def _perfbench(name: str):
         sys.path.remove(path)
 
 
+def blas_core():
+    """The kernel set OpenBLAS picked for this CPU (``SkylakeX``,
+    ``Haswell``, ...), read through ctypes from the OpenBLAS library that
+    numpy's linear algebra links; None where it cannot be read."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            return get().decode()
+    return None
+
+
 def environment() -> dict:
     """The parts of the benchmark's environment that decide float bits."""
     env = _perfbench("run").environment()
-    return {k: env[k] for k in ("python", "numpy", "scipy", "blas")}
+    return dict({k: env[k] for k in ("python", "numpy", "scipy", "blas")},
+                blas_core=blas_core())
 
 
 def _cli(argv) -> int:

@@ -63,7 +63,7 @@ def gap_estimate_check(sys: LinearSystem, sig: Signal, z0, a: float, b: float) -
     """
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b, got a=%s b=%s" % (a, b))
-    (za, zb), = _propagate(sys, [(sig, z0, [float(a), float(b)])])
+    (za, zb), = _propagate(sys, [(sig, z0, [float(a), float(b)], None)])
     Va = 0.5 * float(za @ za)
     Vb = 0.5 * float(zb @ zb)
     L = b - a

@@ -6,6 +6,7 @@ from sys import getsizeof, getswitchinterval, setswitchinterval
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from oracles import energy_balance_from_states, gap_estimate_check
 from pexstab import linsys
@@ -17,7 +18,6 @@ from pexstab.linsys import (
     _levels,
     _propagate,
     _row_norms_sq,
-    _runs,
     _sample_grid,
     _step_matrix,
     energy_balance,
@@ -29,16 +29,17 @@ from pexstab.signals import make_piecewise, periodic_gate
 from pexstab.stability import GateSignalFamily
 
 
-def propagate_alone(sys, sig, z0, times):
-    """The states of one trajectory, propagated on its own."""
-    states, = _propagate(sys, [(sig, z0, times)])
+def propagate_alone(sys, sig, z0, times, dt_out=None):
+    """The states of one trajectory, propagated on its own: ``times``
+    gridded at ``dt_out``, or a plain time list."""
+    states, = _propagate(sys, [(sig, z0, times, dt_out)])
     return states
 
 
-def piece_rows(sys, sig, z0, times):
+def piece_rows(sys, sig, z0, times, dt_out):
     """The rows of each piece _propagate hands to a sink, in order."""
     index, pieces = np.arange(len(times)), []
-    _propagate(sys, [(sig, z0, times)],
+    _propagate(sys, [(sig, z0, times, dt_out)],
                lambda rows, states: pieces.append(np.sort(index[rows])))
     return pieces
 
@@ -86,7 +87,7 @@ def test_propagation_matches_direct_exponential_product():
     for c0, c1, level in sig.cells_between(0.0, 3.0):
         P = scipy.linalg.expm((sys.A - level * sys.B @ sys.B.T) * (c1 - c0)) @ P
     want = P @ z0
-    got = propagate_alone(sys, sig, z0, times)[-1]
+    got = propagate_alone(sys, sig, z0, times, 0.5)[-1]
     assert times[-1] == 3.0
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -156,9 +157,9 @@ def test_output_norms_match_the_full_product_bit_for_bit(n_modes, dissipative):
     gate = periodic_gate(2.0, 0.5, 12.0)
     z0 = np.random.default_rng(n_modes).standard_normal(sys.dim)
     traj = simulate(sys, gate, z0, 10.0, 1e-3)
-    pieces = piece_rows(sys, gate, z0, traj.times)
+    pieces = piece_rows(sys, gate, z0, traj.times, 1e-3)
     assert len(pieces) > 2 and min(len(rows) for rows in pieces) == 1
-    states = propagate_alone(sys, gate, z0, traj.times)
+    states = propagate_alone(sys, gate, z0, traj.times, 1e-3)
     full = _row_norms_sq(states @ sys.B)
     assert np.array_equal(traj.output_sq, full)
     assert np.array_equal(traj.damping_rates, _levels(gate, traj.times) * full)
@@ -185,12 +186,12 @@ def test_simulate_norms_match_the_collected_states_bit_for_bit(n_modes, dissipat
     gate = periodic_gate(0.2, 0.05, 12.0, 0.037)
     z0 = np.random.default_rng(n_modes).standard_normal(sys.dim)
     traj = simulate(sys, gate, z0, 10.0, 0.01)
-    pieces = piece_rows(sys, gate, z0, traj.times)
+    pieces = piece_rows(sys, gate, z0, traj.times, 0.01)
     # a block of several runs: consecutive rows, and a gap between runs
     shared = [rows for rows in pieces
               if (np.diff(rows) == 1).any() and (np.diff(rows) > 1).any()]
     assert shared and min(len(rows) for rows in pieces) == 1
-    states = propagate_alone(sys, gate, z0, traj.times)
+    states = propagate_alone(sys, gate, z0, traj.times, 0.01)
     assert np.array_equal(traj.energies, 0.5 * _row_norms_sq(states))
     full = _row_norms_sq(states @ sys.B)
     assert np.array_equal(traj.output_sq, full)
@@ -353,7 +354,7 @@ def test_batched_propagation_damped_non_skew_drift():
     sig = make_piecewise([0.35, 1.1, 1.9], [1.0, 0.0, 0.6], 0.25)
     z0 = rng.standard_normal(6)
     times = np.arange(0, 61) * 0.05
-    got = propagate_alone(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times, 0.05)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -363,7 +364,7 @@ def test_batched_propagation_samples_on_breakpoints():
     sig = make_piecewise([0.5, 1.25, 2.0], [1.0, 0.0, 0.5], 1.0)
     z0 = rng.standard_normal(4)
     times = np.arange(0, 13) * 0.25  # 0.5, 1.25 and 2.0 are samples
-    got = propagate_alone(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times, 0.25)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -374,7 +375,7 @@ def test_batched_propagation_cell_with_one_sample():
     sig = make_piecewise([0.95, 1.05, 2.02], [0.0, 1.0, 0.0], 0.7)
     z0 = rng.standard_normal(4)
     times = np.arange(0, 31) * 0.1
-    got = propagate_alone(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times, 0.1)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -387,7 +388,7 @@ def test_batched_propagation_many_tiny_cells():
     sig = make_piecewise(breaks.tolist(), levels.tolist(), 0.0)
     z0 = rng.standard_normal(4)
     times = np.arange(0, 160) * 0.013
-    got = propagate_alone(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times, 0.013)
     assert_rows_close(got, sequential_states(sys, sig, z0, times))
 
 
@@ -407,7 +408,7 @@ def test_batched_propagation_long_uniform_run():
     one = make_piecewise([], [], 1.0)
     z0 = rng.standard_normal(6)
     times = np.arange(0, 5001) * 1e-3  # one cell, 5000 samples after t = 0
-    got = propagate_alone(sys, one, z0, times)
+    got = propagate_alone(sys, one, z0, times, 1e-3)
     pick = np.r_[np.arange(0, 5001, 97), 4095, 4096, 5000]
     want = np.array([scipy.linalg.expm(sys.closed_loop(1.0) * times[k]) @ z0
                      for k in pick])
@@ -418,11 +419,9 @@ def test_batched_propagation_drifting_spacing_steps_singly():
     rng = np.random.default_rng(28)
     sys = LinearSystem(3.0 * random_skew(rng, 4), rng.standard_normal((4, 2)))
     one = make_piecewise([], [], 1.0)
-    # consecutive gaps agree within tolerance, yet the spacing drifts by 2.8e-13
+    # consecutive gaps nearly agree, yet the spacing drifts by 2.8e-13: a
+    # plain time list, so each sample steps from the one before
     times = np.cumsum(0.01 + np.arange(400) * 7e-16)
-    prev = np.concatenate([[0.0], times[:-1]])
-    lo, m, h, err, tol = _runs(times, prev, np.array([0]))
-    assert len(lo) == 1 and err[0] > tol[0]
     z0 = rng.standard_normal(4)
     got = propagate_alone(sys, one, z0, times)
     assert_rows_close(got, sequential_states(sys, one, z0, times))
@@ -440,15 +439,16 @@ def test_undamped_fill_keeps_energy_to_rounding():
 
 
 def test_batched_propagation_close_spacings_stay_apart():
-    # two cells at one level, sampled 3e-7 apart in spacing: the second run
-    # must not reuse the first run's step
+    # two cells at one level, the first on the grid of 0.01, the second
+    # sampled 3e-7 apart from it in spacing: its samples are off the grid
+    # and must not take the grid step
     rng = np.random.default_rng(30)
     sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 2)))
     sig = make_piecewise([1.0], [1.0], 1.0)
     z0 = rng.standard_normal(4)
     k = np.arange(1, 100)
     times = np.concatenate([0.01 * k, 1.0 + 0.0100003 * k])
-    got = propagate_alone(sys, sig, z0, times)
+    got = propagate_alone(sys, sig, z0, times, 0.01)
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
@@ -535,6 +535,28 @@ def test_sample_grid_ends_at_the_horizon():
     assert traj.times[-1] == 3.0 - 1e-12 and len(traj.times) == 11
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, 1.0), st.integers(1, 200_000),
+       st.lists(st.tuples(st.integers(1, 200_000), st.integers(-3, 3)), max_size=20),
+       st.lists(st.floats(0.0, 1.0), max_size=10))
+def test_sample_grid_points_carry_consecutive_grid_indices(dt_out, steps, near, anywhere):
+    # breakpoints on grid points, a few ulps either side, and anywhere
+    horizon = steps * dt_out
+    k = np.array([j for j, _ in near], dtype=float)
+    on = k * dt_out + np.array([u for _, u in near]) * np.spacing(k * dt_out)
+    breaks = np.unique(np.concatenate([on, np.array(anywhere) * horizon]))
+    breaks = breaks[breaks > 0.0]
+    sig = make_piecewise(breaks.tolist(), [1.0, 0.0] * (len(breaks) // 2)
+                         + [1.0] * (len(breaks) % 2), 0.5)
+    grid = _sample_grid(sig, horizon, dt_out)
+    index = np.rint(grid / dt_out)
+    free = ~np.isin(grid, breaks) & (grid != horizon)
+    assert np.array_equal(index[free] * dt_out, grid[free])
+    # two such samples side by side lie in one cell
+    side_by_side = free[1:] & free[:-1]
+    assert (np.diff(index)[side_by_side] == 1.0).all()
+
+
 def test_levels_match_pointwise_lookup():
     sig = periodic_gate(1.0, 0.3, 12.0).shifted(0.37)
     times = _sample_grid(sig, 15.0, 0.01)
@@ -542,9 +564,13 @@ def test_levels_match_pointwise_lookup():
                           np.array([sig.value_at(t) for t in times]))
 
 
-def run_by_run_states(sys, sig, z0, times):
-    """Reference for the wave fill: the same cell-edge chain, with each run
-    of equal spacing filled on its own, cell after cell."""
+def run_by_run_states(sys, sig, z0, times, dt_out=None):
+    """Reference for the wave fill: the same cell-edge chain, with each cell
+    filled on its own, cell after cell, run by run.  A sample steps alone
+    from the cell start or the sample before it; the grid points that
+    follow it in the cell, each one index after the last, are filled at
+    dt_out by doubling.  A plain time list (dt_out None) steps sample by
+    sample."""
     times = np.asarray(times, dtype=float)
     z = np.asarray(z0, dtype=float).reshape(sys.dim)
     n = len(times)
@@ -553,12 +579,11 @@ def run_by_run_states(sys, sig, z0, times):
     starts = np.array([c0 for c0, _, _ in cells])
     begin = np.searchsorted(times, starts, side="right")
     end = np.append(np.searchsorted(times, starts[1:], side="left"), n)
-    prev = np.concatenate([[0.0], times[:-1]])
-    held = begin < end
-    prev[begin[held]] = starts[held]
-    runs = list(zip(*(col.tolist() for col in
-                      _runs(times, prev, np.concatenate([begin, end[:-1]])))))
-    powers, exact, spacings = {}, {}, {}
+    index = np.full(n, np.nan)
+    if dt_out is not None:
+        on = np.rint(times / dt_out) * dt_out == times
+        index[on] = np.rint(times[on] / dt_out)
+    exact, powers = {}, {}
 
     def new_step(level, h):
         if level not in exact:
@@ -572,53 +597,37 @@ def run_by_run_states(sys, sig, z0, times):
         anchors.append((h, P))
         return P
 
-    def power(level, h, j):
-        pw = powers.get((level, h))
-        if pw is None:
-            pw = powers[(level, h)] = [new_step(level, h)]
+    def power(level, j):
+        pw = powers.setdefault(level, [_step_matrix(sys, level, dt_out)])
         while len(pw) <= j:
             if linsys._orthogonal_step(sys, level):
-                pw.append(_step_matrix(sys, level, h * 2 ** len(pw)))
+                pw.append(_step_matrix(sys, level, dt_out * 2 ** len(pw)))
             else:
                 pw.append(pw[-1] @ pw[-1])
         return pw[j]
 
-    def fill(lo, m, z, level, h):
-        rows = out[lo:lo + m]
-        np.matmul(power(level, h, 0), z, out=rows[0])
-        k, j = 1, 0
-        while k < m:
-            c = min(k, m - k)
-            np.matmul(rows[:c], power(level, h, j).T, out=rows[k:k + c])
-            k, j = 2 * k, j + 1
-
     if times[0] == 0.0:
         out[0] = z
-    r = 0
     for (c0, c1, level), b, e in zip(cells, begin.tolist(), end.tolist()):
-        zs = z
-        while r < len(runs) and runs[r][0] < e:
-            lo, m, h, err, tol = runs[r]
-            r += 1
-            if lo < b:
-                continue
-            if m > 1:
-                used = spacings.setdefault(level, [])
-                near = [u for u in used if err + m * abs(u - h) <= tol]
-                if near:
-                    h = near[0]
-                elif err <= tol:
-                    used.append(h)
-                else:
-                    for k in range(lo, lo + m):
-                        fill(k, 1, zs, level, float(times[k] - prev[k]))
-                        zs = out[k]
-                    continue
-            fill(lo, m, zs, level, h)
-            zs = out[lo + m - 1]
+        k = b
+        while k < e:
+            np.matmul(new_step(level, times[k] - (c0 if k == b else times[k - 1])),
+                      z if k == b else out[k - 1], out=out[k])
+            m = 0
+            while k + m + 1 < e and index[k + m + 1] == index[k + m] + 1:
+                m += 1
+            rows = out[k + 1:k + 1 + m]
+            if m:
+                np.matmul(power(level, 0), out[k], out=rows[0])
+            r, j = 1, 0
+            while r < m:
+                c = min(r, m - r)
+                np.matmul(rows[:c], power(level, j).T, out=rows[r:r + c])
+                r, j = 2 * r, j + 1
+            k += 1 + m
         if e == n:
             break
-        z = power(level, c1 - c0, 0) @ z
+        z = new_step(level, c1 - c0) @ z
         if times[e] == c1:
             out[e] = z
     return out
@@ -633,9 +642,9 @@ def string_system(n_modes, dissipative):
     return sys
 
 
-def assert_wave_fill_is_run_by_run(sys, sig, z0, times):
-    want = run_by_run_states(sys, sig, z0, times)
-    got = propagate_alone(sys, sig, z0, times)
+def assert_wave_fill_is_run_by_run(sys, sig, z0, times, dt_out=None):
+    want = run_by_run_states(sys, sig, z0, times, dt_out)
+    got = propagate_alone(sys, sig, z0, times, dt_out)
     assert np.array_equal(got, want)
 
 
@@ -652,7 +661,7 @@ def test_wave_fill_matches_run_by_run_on_verify_gates(dissipative):
     for i in range(5):
         sig = family.draw(i)
         times = _sample_grid(sig, family.horizon, 2.0 / 64)
-        assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+        assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 2.0 / 64)
 
 
 @FILLS
@@ -663,9 +672,9 @@ def test_wave_fill_matches_run_by_run_on_irregular_times(dissipative):
     sig = make_piecewise(breaks.tolist(), rng.choice([0.0, 0.5, 1.0], size=30).tolist(), 0.3)
     times = np.sort(rng.uniform(0.0, 12.0, size=400))
     assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
-    # the same times starting at 0, and runs of equal spacing between them
+    # the same times starting at 0, and runs of grid points between them
     times = np.unique(np.concatenate([[0.0], times, np.arange(1, 600) * 0.02]))
-    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 0.02)
 
 
 @FILLS
@@ -676,23 +685,16 @@ def test_wave_fill_matches_run_by_run_with_samples_on_cell_edges(dissipative):
     grid = np.arange(0, 1201) * 0.0125  # every breakpoint is a sample
     assert np.isin(sig.breakpoints, grid).any()
     for times in (grid, grid[1:], grid[7:]):  # from t = 0, then later
-        assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+        assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 0.0125)
 
 
 @FILLS
 def test_wave_fill_matches_run_by_run_when_gaps_drift(dissipative):
-    # consecutive gaps agree within tolerance, yet every cell's run drifts
-    # off one lattice, so each cell steps singly
+    # consecutive gaps nearly agree, yet drift: a plain time list, so each
+    # cell steps singly
     sys = string_system(4, dissipative)
     sig = make_piecewise([1.3, 2.6, 3.1], [1.0, 0.0, 0.5], 1.0)
     times = np.cumsum(0.01 + np.arange(400) * 7e-16)
-    drifting = 0
-    for c0, c1, _ in sig.cells_between(0.0, float(times[-1])):
-        inside = times[(times > c0) & (times < c1)]
-        prev = np.concatenate([[c0], inside[:-1]])
-        _, _, _, err, tol = _runs(inside, prev, np.array([0]))
-        drifting += bool((err > tol).any())
-    assert drifting >= 2
     rng = np.random.default_rng(43)
     assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
 
@@ -706,7 +708,7 @@ def test_wave_fill_matches_run_by_run_beyond_the_block_cap(dissipative):
     times = _sample_grid(sig, 150.0, 5e-3)
     assert 2000 * 7 * sys.dim > linsys._BLOCK_ELEMENTS
     rng = np.random.default_rng(44)
-    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 5e-3)
 
 
 def test_wave_fill_of_wide_states_matches_run_by_run_to_rounding():
@@ -720,9 +722,33 @@ def test_wave_fill_of_wide_states_matches_run_by_run_to_rounding():
         sig = family.draw(i)
         times = _sample_grid(sig, family.horizon, 2.0 / 64)
         z0 = rng.standard_normal(sys.dim)
-        want = run_by_run_states(sys, sig, z0, times)
-        got = propagate_alone(sys, sig, z0, times)
+        want = run_by_run_states(sys, sig, z0, times, 2.0 / 64)
+        got = propagate_alone(sys, sig, z0, times, 2.0 / 64)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@FILLS
+def test_gridded_simulate_at_a_non_dyadic_spacing_matches_expm_from_each_cell_start(
+        dissipative):
+    # 150,001 samples 1e-3 apart, whose grid runs step over 1e-3 exactly;
+    # every breakpoint is a sample, so each cell's start state is one
+    sys = string_system(4, dissipative)
+    sig = periodic_gate(2.0, 0.5, 160.0, 0.37)
+    z0 = np.random.default_rng(53).standard_normal(sys.dim)
+    traj = simulate(sys, sig, z0, 150.0, 1e-3)
+    t = traj.times
+    states = propagate_alone(sys, sig, z0, t, 1e-3)
+    assert len(t) > 150_000
+    assert np.array_equal(traj.energies, 0.5 * _row_norms_sq(states))
+    rng = np.random.default_rng(54)
+    for c0, c1, level in sig.cells_between(0.0, 150.0):
+        first, stop = np.searchsorted(t, [c0, c1])
+        assert t[first] == c0
+        # the cell's last sample, the deepest in its run, and one inside
+        pick = [stop - 1, int(rng.integers(first + 1, stop))]
+        G = sys.closed_loop(level)
+        want = np.array([scipy.linalg.expm(G * (t[k] - c0)) @ states[first] for k in pick])
+        assert_rows_close(states[pick], want)
 
 
 def assert_batch_is_each_alone(sys, trajectories):
@@ -730,8 +756,8 @@ def assert_batch_is_each_alone(sys, trajectories):
     on a system of its own (with an empty step cache)."""
     got = _propagate(sys, trajectories)
     assert len(got) == len(trajectories)
-    for states, (sig, z0, times) in zip(got, trajectories):
-        alone = propagate_alone(LinearSystem(sys.A, sys.B), sig, z0, times)
+    for states, (sig, z0, times, dt_out) in zip(got, trajectories):
+        alone = propagate_alone(LinearSystem(sys.A, sys.B), sig, z0, times, dt_out)
         assert np.array_equal(states, alone)
 
 
@@ -743,8 +769,8 @@ def test_wave_fill_of_a_batch_matches_each_trajectory_alone_on_verify_gates(diss
     family = GateSignalFamily(T=2.0, mu=1.0, horizon=100.0, seed=11)
     rng = np.random.default_rng(46)
     trajs = [(family.draw(i), rng.standard_normal(8),
-              _sample_grid(family.draw(i), family.horizon, 2.0 / 64)) for i in range(6)]
-    assert sum(len(t) for _, _, t in trajs) * 8 > 2 * linsys._BLOCK_ELEMENTS
+              _sample_grid(family.draw(i), family.horizon, 2.0 / 64), 2.0 / 64) for i in range(6)]
+    assert sum(len(t) for _, _, t, _ in trajs) * 8 > 2 * linsys._BLOCK_ELEMENTS
     assert_batch_is_each_alone(sys, trajs)
 
 
@@ -757,11 +783,11 @@ def test_wave_fill_of_a_batch_matches_each_trajectory_alone_on_irregular_times(d
     irregular = np.sort(rng.uniform(0.0, 12.0, size=400))
     with_runs = np.unique(np.concatenate([[0.0], irregular, np.arange(1, 600) * 0.02]))
     gate = periodic_gate(1.0, 0.3, 12.0).shifted(0.37)
-    trajs = [(sig, rng.standard_normal(8), irregular),
-             (gate, rng.standard_normal(8), np.array([0.0])),
-             (sig, rng.standard_normal(8), with_runs),
-             (gate, rng.standard_normal(8), np.array([])),
-             (gate, rng.standard_normal(8), irregular[irregular > 3.0])]
+    trajs = [(sig, rng.standard_normal(8), irregular, None),
+             (gate, rng.standard_normal(8), np.array([0.0]), None),
+             (sig, rng.standard_normal(8), with_runs, 0.02),
+             (gate, rng.standard_normal(8), np.array([]), 0.02),
+             (gate, rng.standard_normal(8), irregular[irregular > 3.0], None)]
     assert_batch_is_each_alone(sys, trajs)
 
 
@@ -772,7 +798,7 @@ def test_wave_fill_of_a_batch_matches_each_trajectory_alone_with_samples_on_cell
     rng = np.random.default_rng(48)
     sig = periodic_gate(1.0, 0.25, 20.0).shifted(0.25)
     grid = np.arange(0, 1201) * 0.0125
-    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), times)
+    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), times, 0.0125)
                                      for times in (grid, grid[1:], grid[7:])])
 
 
@@ -782,8 +808,9 @@ def test_wave_fill_of_a_batch_matches_each_trajectory_alone_when_gaps_drift(diss
     rng = np.random.default_rng(49)
     sig = make_piecewise([1.3, 2.6, 3.1], [1.0, 0.0, 0.5], 1.0)
     drifting = np.cumsum(0.01 + np.arange(400) * 7e-16)
-    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), drifting),
-                                     (sig, rng.standard_normal(8), np.arange(1, 400) * 0.01)])
+    grid = np.arange(1, 400) * 0.01
+    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), drifting, None),
+                                     (sig, rng.standard_normal(8), grid, 0.01)])
 
 
 @FILLS
@@ -794,9 +821,9 @@ def test_wave_fill_of_a_batch_matches_each_trajectory_alone_beyond_the_block_cap
     rng = np.random.default_rng(50)
     sig = periodic_gate(20.0, 5.0, 160.0)
     long = _sample_grid(sig, 150.0, 5e-3)
-    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), long[:100]),
-                                     (sig, rng.standard_normal(8), long),
-                                     (sig.shifted(1.0), rng.standard_normal(8), long[::7])])
+    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), long[:100], 5e-3),
+                                     (sig, rng.standard_normal(8), long, 5e-3),
+                                     (sig.shifted(1.0), rng.standard_normal(8), long[::7], 5e-3)])
 
 
 def test_wave_fill_of_a_batch_of_24_states_matches_each_trajectory_alone():
@@ -804,30 +831,29 @@ def test_wave_fill_of_a_batch_of_24_states_matches_each_trajectory_alone():
     family = GateSignalFamily(T=2.0, mu=1.0, horizon=40.0, seed=12)
     rng = np.random.default_rng(51)
     assert_batch_is_each_alone(sys, [(family.draw(i), rng.standard_normal(24),
-                                      _sample_grid(family.draw(i), 40.0, 2.3 / 64))
+                                      _sample_grid(family.draw(i), 40.0, 2.3 / 64), 2.3 / 64)
                                      for i in range(5)])
 
 
 @FILLS
 def test_wave_fill_of_a_batch_scopes_spacings_and_steps_per_trajectory(dissipative):
-    # Spacings a few ulps apart: within one trajectory the runs of b would
-    # take a's spacing, and c's cell lengths would derive from a's
-    # exponential by the first-order correction.  Across trajectories
-    # neither may happen, or b and c would differ from themselves alone.
+    # Spacings a few ulps apart, off the grid of a: b's lone steps and c's
+    # cell lengths would derive from a's exponentials by the first-order
+    # correction within one trajectory.  Across trajectories that may not
+    # happen, or b and c would differ from themselves alone.
     sys = string_system(4, dissipative)
     rng = np.random.default_rng(52)
     k = np.arange(1, 100)
     h_a = 0.01
     h_b = h_a * (1 + 3 * np.finfo(float).eps)
     ta, tb = k * h_a, 1.0 + k * h_b
-    tol = linsys._SPACING_ULPS * np.finfo(float).eps * tb[-1]
-    assert h_b != h_a and len(k) * (h_b - h_a) <= tol
+    assert h_b != h_a
     edge = 1.0 + 2 * np.spacing(1.0)
     sig_a = make_piecewise([0.5, 1.0], [0.0, 1.0], 0.5)
     sig_c = make_piecewise([0.5, edge], [0.0, 1.0], 0.5)
-    trajs = [(sig_a, rng.standard_normal(8), np.concatenate([ta, 1.0 + k * h_a])),
-             (sig_a, rng.standard_normal(8), np.concatenate([ta, tb])),
-             (sig_c, rng.standard_normal(8), np.concatenate([ta, edge + k * h_a]))]
+    trajs = [(sig_a, rng.standard_normal(8), np.concatenate([ta, 1.0 + k * h_a]), h_a),
+             (sig_a, rng.standard_normal(8), np.concatenate([ta, tb]), h_a),
+             (sig_c, rng.standard_normal(8), np.concatenate([ta, edge + k * h_a]), h_a)]
     assert_batch_is_each_alone(sys, trajs)
 
 
@@ -904,7 +930,8 @@ def test_threads_propagating_on_one_system_match_a_serial_run():
     def propagate_all(sys, picks, results):
         for i in picks:
             sig, z0 = draws[i]
-            results[i] = propagate_alone(sys, sig, z0, _sample_grid(sig, 40.0, 2.0 / 64))
+            results[i] = propagate_alone(sys, sig, z0, _sample_grid(sig, 40.0, 2.0 / 64),
+                                         2.0 / 64)
 
     serial = {}
     propagate_all(string_system(4, False), range(8), serial)
