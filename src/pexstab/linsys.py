@@ -318,6 +318,8 @@ def _propagate(sys: LinearSystem, trajectories, sink=None):
             on = k * dt_out == ts
             lattice[a + 1:b] = on[1:] & on[:-1] & (np.diff(k) == 1.0)
             lattice[a + np.append(lo, hi[:-1])] = False
+            # one float and one flag per sample: not kept alive through _fill
+            del k, on
         starts.append(c0)
         levels.append(np.array([level for _, _, level in cells]))
         begin.append(a + lo)

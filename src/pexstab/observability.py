@@ -49,6 +49,7 @@ system (e.g. modal truncation).
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -173,9 +174,33 @@ def _cell_gramians(sys: LinearSystem, theta: float, n_cells: int) -> np.ndarray:
     P = scipy.linalg.expm(sys.A * dt)
     out = np.empty((n_cells, sys.dim, sys.dim))
     out[0] = observability_gramian(sys, 0.0, dt)
+    half = np.empty((sys.dim, sys.dim))
     for j in range(1, n_cells):
-        out[j] = P.T @ out[j - 1] @ P
+        np.matmul(P.T, out[j - 1], out=half)
+        np.matmul(half, P, out=out[j])
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _greedy_plan(n: int, dt: float, mass_budget: float):
+    """How many cells a greedy fill of ``n`` cells of width ``dt`` switches
+    on, k, and their levels in fill order (read-only), for a budget of at
+    most n * dt.
+
+    The mass left before each cell is a sequential ``subtract.accumulate``
+    of dt from the budget, so it rounds as a cell-by-cell fill does; every
+    cell but the last gets level 1.  Nothing here depends on the cell
+    values, so one plan serves every descent step of an inner problem.
+    """
+    steps = np.full(n, dt)
+    steps[:1] = mass_budget
+    remaining = np.subtract.accumulate(steps)
+    k = int(np.count_nonzero(remaining > 0))
+    levels = np.ones(k)
+    if k:
+        levels[-1] = min(dt, remaining[k - 1]) / dt
+    levels.flags.writeable = False
+    return k, levels
 
 
 def rho_greedy_min(cell_values, dt: float, mass_budget: float):
@@ -188,12 +213,22 @@ def rho_greedy_min(cell_values, dt: float, mass_budget: float):
     the exact optimum of this LP (continuous knapsack); ties break toward
     the earlier cell, so the result is deterministic.
 
-    The cells switched on are a prefix of the stable sort, found without a
-    per-cell loop: the mass left before each step is a sequential
-    ``subtract.accumulate`` of dt from the budget, every cell of the prefix
-    but the last gets level 1, and the value is a sequential ``cumsum``.
-    Both ufunc scans round in the order of a cell-by-cell fill, so alpha and
-    value are the same floats a loop over the sorted cells would give.
+    The number k of cells switched on and their levels depend only on
+    (n, dt, mass_budget) and come from a cached plan (:func:`_greedy_plan`).
+    The cell values are sorted once, and their order is never formed:
+
+    * the cells switched on are those below v, the k-th smallest value,
+      and the earliest cells equal to v up to k in all; the marginal cell,
+      the one with the fractional level, is the last of those tied cells;
+    * the value is a sequential running sum (``add.accumulate``, as
+      ``cumsum`` forms it) of the levels times the k smallest sorted
+      values, from a leading 0.0.  Equal values are interchangeable: two
+      floats that compare equal differ in their bits only as 0.0 and -0.0,
+      and a running sum from 0.0 takes the same value after adding either.
+      So the sum is that of a loop over the cells in stable sorted order.
+
+    Alpha and value are thus the same floats a cell-by-cell fill gives.  A
+    cell value that is not finite raises ``RuntimeError``.
 
     Returns (alpha, value).
     """
@@ -201,21 +236,21 @@ def rho_greedy_min(cell_values, dt: float, mass_budget: float):
     n = len(cell_values)
     if mass_budget > n * dt * (1 + 1e-12):
         raise ValueError("mass budget %s exceeds the horizon %s" % (mass_budget, n * dt))
-    mass_budget = min(mass_budget, n * dt)
-    order = np.argsort(cell_values, kind="stable")
-    # remaining[i]: mass still to place before the i-th cheapest cell
-    steps = np.full(n, float(dt))
-    steps[:1] = mass_budget
-    remaining = np.subtract.accumulate(steps)
-    k = int(np.count_nonzero(remaining > 0))
-    on = order[:k]
-    levels = np.ones(k)
-    if k:
-        levels[-1] = min(dt, remaining[k - 1]) / dt
-    alpha = np.zeros(n)
-    alpha[on] = levels
+    k, levels = _greedy_plan(n, float(dt), float(min(mass_budget, n * dt)))
+    ranked = np.sort(cell_values)
+    # the sort puts -inf first and +inf and nan last
+    if n and not (math.isfinite(ranked[0]) and math.isfinite(ranked[-1])):
+        raise RuntimeError("greedy fill of non-finite cell values")
+    if not k:
+        return np.zeros(n), 0.0
+    v = ranked[k - 1]
+    below = cell_values < v
+    tied = (cell_values == v).nonzero()[0][: k - np.count_nonzero(below)]
+    alpha = below.astype(float)
+    alpha[tied] = 1.0
+    alpha[tied[-1]] = levels[-1]
     # a leading 0.0 starts the running sum where a loop's accumulator starts
-    value = np.cumsum(np.concatenate(([0.0], levels * cell_values[on])))[-1]
+    value = np.add.accumulate(np.concatenate(([0.0], levels * ranked[:k])))[-1]
     return alpha, float(value)
 
 
@@ -446,7 +481,7 @@ class _InnerProblem:
                    if sclass.kind == "pe-windows" else None)
 
     def cell_values(self, z0) -> np.ndarray:
-        return self.Mf @ np.outer(z0, z0).ravel()
+        return self.Mf @ (z0[:, None] * z0).ravel()
 
     def minimise(self, z0):
         g = self.cell_values(z0)
