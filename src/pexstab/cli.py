@@ -20,6 +20,7 @@ their own documented headers, everything else to JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -79,22 +80,160 @@ def _write_json(path: str, payload: dict):
         fh.write(text + "\n")
 
 
+# 10^k for k <= 22 is exact in float64 (5^22 < 2^53); each power is kept
+# with its Veltkamp halves (high 26 bits, the rest), and as int64 up to 10^17
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_VELTKAMP = 134217729.0  # 2^27 + 1
+_POW10_HI = _POW10 * _VELTKAMP - (_POW10 * _VELTKAMP - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = np.array([10 ** k for k in range(18)], dtype=np.int64)
+# the digits of the magnitudes in (1e-6, 1e17) are computed, those whose
+# %.17g exponent lies in [-6, 16]; the float 1e-6 lies below 10^-6
+_DIGITS_MIN, _DIGITS_MAX = 1e-6, 1e17
+
+
+def _scaled_digits(a, exp):
+    """p, e with p + e == a * 10^(16 - exp) exactly: Dekker's TwoProduct,
+    each factor split in two halves of at most 26 bits (Veltkamp), so no
+    partial product rounds."""
+    k = 16 - exp
+    p = a * _POW10[k]
+    c = a * _VELTKAMP
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    return p, e
+
+
+def _digits17(a, estimate):
+    """The 17 significant digits of each ``a`` in (1e-6, 1e17).
+
+    Returns (D, E): D the int64 in [10^16, 10^17) that rounds the exact
+    a * 10^(16 - E) half to even, as C's printf does, and E the decimal
+    exponent of a.  ``estimate`` is floor(log10(a)) as a float
+    ``log10`` gives it, which may be off by one near a power of ten: the
+    exact product (p, e) is compared with 10^16 and 10^17 to correct it.
+    """
+    exp = np.minimum(np.maximum(estimate, -6), 16)
+    p, e = _scaled_digits(a, exp)
+    off = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    while off.size:
+        p_off, e_off = p[off], e[off]
+        step = (((p_off > 1e17) | (p_off == 1e17) & (e_off >= 0)).astype(np.int64)
+                - ((p_off < 1e16) | (p_off == 1e16) & (e_off < 0)))
+        off, step = off[step != 0], step[step != 0]
+        exp[off] += step
+        p[off], e[off] = _scaled_digits(a[off], exp[off])
+    # p >= 10^16 > 2^53 is an even integer and |e| <= ulp(p) / 2, so the
+    # nearest integer to p + e, ties to even, is p plus e rounded so.  It
+    # stays below 10^17: rounding up to a power of ten would take a float
+    # within 5e-18 (relative) below it, and in this range the float below
+    # a power of ten lies at least 8e-17 below it
+    return p.astype(np.int64) + np.rint(e).astype(np.int64), exp
+
+
+# the lookup tables are built at first use, so a run that writes no CSV
+# spends neither their time nor their memory
+@functools.cache
+def _trailing_zeros_4():
+    """Trailing decimal zeros of every 4-digit group, 0000 counting 4."""
+    zeros = np.zeros(10000, dtype=np.int64)
+    for p in (10, 100, 1000, 10000):
+        zeros[::p] += 1
+    return zeros
+
+
+def _trailing_zeros(digits):
+    """The number of trailing decimal zeros of each positive int64."""
+    high = digits // 10000
+    zeros = _trailing_zeros_4()[digits - high * 10000]
+    more = np.flatnonzero(zeros == 4)
+    if more.size:
+        zeros[more] += _trailing_zeros(high[more])
+    return zeros
+
+
+@functools.cache
+def _csv_templates():
+    """The %d template of every CSV value, indexed by
+    ((E + 6) * 17 + k) * 4 + 2 * sign + last: E the decimal exponent in
+    [-6, 16], k 0 for a value with no fraction and else one more than the
+    number of leading zeros of its fraction, sign 1 for a negative value
+    and last 1 for the row's last column.  Four literal zeros follow."""
+    out = []
+    for exp in range(-6, 17):
+        # printf's %g: fixed notation for E in [-4, 16], exponent form below
+        head = "0" if -4 <= exp < 0 else "%d"
+        suffix = "e-%02d" % -exp if exp < -4 else ""
+        for k in range(17):
+            body = head + ("." + "0" * (k - 1) + "%d" if k else "") + suffix
+            out += [body + ",", body + "\n", "-" + body + ",", "-" + body + "\n"]
+    out += ["0,", "0\n", "-0,", "-0\n"]
+    return np.array(out, dtype=object)
+
+
+def _format_csv_values(values):
+    """The CSV text of ``values``, a float64 table whose rows are CSV rows,
+    every value spelled as '%.17g' spells it.
+
+    A value in (1e-6, 1e17) in magnitude is printed from its exact 17
+    digits D (``_digits17``) as at most two integers, the digits before the
+    point and the fraction without its leading and trailing zeros, through
+    a template that supplies the sign, the point, the fraction's leading
+    zeros, the exponent and the separator.  The chunk's templates are
+    joined into one format string for one ``%`` over all its integers.
+    Zeros are literals; nan, infinities and the magnitudes outside that
+    range keep '%.17g' one value at a time.
+    """
+    # 2 * sign + last: each value's place in its block of four templates;
+    # the sign bit is read off the bits, so -0.0 counts as negative
+    slot = 2 * (values.view(np.int64) < 0)
+    slot[:, -1] += 1
+    slot = slot.ravel()
+    x = values.ravel()
+    a = np.abs(x)
+    in_range = (a > _DIGITS_MIN) & (a < _DIGITS_MAX)
+    fast = np.flatnonzero(in_range)
+    a_fast = a[fast]
+    digits, exp = _digits17(a_fast, np.floor(np.log10(a_fast)).astype(np.int64))
+    # digits after the point before trailing zeros are stripped
+    fraction = np.where(exp < -4, 16, 16 - exp)
+    whole, rest = np.divmod(digits, _POW10_INT[np.minimum(fraction, 17)])
+    has_fraction = rest > 0
+    # zeros between the point and the first nonzero digit of the fraction
+    leading = fraction - np.searchsorted(_POW10_INT, rest, side="right")
+    k = np.where(has_fraction, leading + 1, 0)
+    templates = _csv_templates()
+    index = slot + (len(templates) - 4)
+    index[fast] = ((exp + 6) * 17 + k) * 4 + slot[fast]
+    templates = templates[index]
+    for i in np.flatnonzero(~in_range & (a != 0)):
+        templates[i] = "%.17g" % x[i] + ("\n" if slot[i] & 1 else ",")
+    numbers = np.column_stack([whole, rest // _POW10_INT[_trailing_zeros(digits)]])
+    # a fixed-notation value below 1 has the literal "0" before its point
+    needed = np.column_stack([(exp >= 0) | (exp < -4), has_fraction])
+    numbers = np.compress(needed.ravel(), numbers.ravel())
+    return "".join(templates.tolist()) % tuple(numbers.tolist())
+
+
 def _write_csv(path: str, header: str, columns):
     """Write ``columns`` (one array per header column) as %.17g CSV.
 
-    Each chunk of CSV_CHUNK_ROWS rows is stacked into one float table and
-    formatted by one ``%`` of the row format repeated over the chunk, so a
-    long time series is streamed without a per-row Python loop.  Integer
-    columns go through float64, which prints an integer below 2^53 as the
-    same digits.
+    Every value is C's '%.17g' of its float64: 17 significant digits of the
+    exact binary value, rounded half to even, trailing zeros stripped, so
+    it reads back as the same float.  Each chunk of CSV_CHUNK_ROWS rows is
+    stacked into one float table whose digits numpy computes exactly as
+    integers (``_format_csv_values``), so a long time series is streamed
+    without a per-value float conversion.  Integer columns go through
+    float64, which prints an integer below 2^53 as the same digits.
     """
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
     n = len(columns[0])
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, n, CSV_CHUNK_ROWS):
             chunk = np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in columns])
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write(_format_csv_values(chunk.astype(np.float64, copy=False)))
 
 
 def _run_simulate(sc: Scenario, a: dict):
