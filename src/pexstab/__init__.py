@@ -10,7 +10,7 @@ piecewise-constant signal algebra and persistent-excitation checks, exact
 per-cell simulation, modal truncations of damped string and quantum-particle
 models, a traveling-wave construction whose damping never activates, inner
 and outer minimisation of observability functionals over signal classes, and
-exponential/strong decay certificates with simulation-backed verification.
+exponential/strong decay certificates with exact window verification.
 """
 
 __version__ = "0.1.0"

@@ -14,15 +14,11 @@ indices, not inferred from the sample times.  The k-th runs of all cells
 are filled together: the single-sample ones as one gathered stack of
 matrix-vector products, the longer ones one matrix product per doubling
 step over every run of one step matrix, up to a block of 2^16 state
-entries; a larger group is filled the same way trajectory by trajectory or
-run by run.  Each finished piece of states goes to a consumer, which keeps
-what it needs (simulate the energies and output norms, certificate
-verification the norms), so no (samples, N) array of states is held;
-between waves only the last state of each cell is kept.  One call
-propagates several trajectories at once, their cell-edge chains stepping
-together, and each comes out bit for bit as it would alone (where BLAS
-rounds a matrix product row by row), since every choice that sets its
-numbers is made per trajectory.  Step matrices are memoized on the system
+entries; a larger group is filled run by run.  Each finished piece of
+states goes to a consumer, which keeps what it needs (simulate the energies
+and output norms, the strong-stability bound the checkpoint energies), so
+no (samples, N) array of states is held; between waves only the last state
+of each cell is kept.  Step matrices are memoized on the system
 by exact (level, dt), as arrays of their own, within STEP_CACHE_BYTES, so
 repeated trajectories on one system share them.  For skew-symmetric ``A``
 the undamped flow uses a unitary eigendecomposition of ``iA``, which
@@ -208,150 +204,104 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
 _NEAR_STEP = 1e-8
 
 # Runs of one step that are filled together hold at most this many state
-# entries in their (m, R, N) block; larger groups are filled trajectory by
-# trajectory, or run by run into the output.  A stack of gathered steps
-# holds at most this many entries too.
+# entries in their (m, R, N) block; larger groups are filled run by run into
+# the output.  A stack of gathered steps holds at most this many entries too.
 _BLOCK_ELEMENTS = 2 ** 16
 
 
-def _propagate(sys: LinearSystem, trajectories, sink=None):
-    """States of several trajectories, each stepped from cell edge to edge.
+def _near_steps(sys: LinearSystem):
+    """A source ``step(level, h)`` of steps from :func:`_step_matrix`, where
+    an h within _NEAR_STEP / |G| of an earlier one, h' = h - d, is derived
+    from it as e^{G h} = P_h' (I + G d) + O(|G d|^2), exact to rounding."""
+    gens, anchors = {}, {}  # level -> (generator, its 1-norm), [(h, P_h)]
 
-    ``trajectories`` is a sequence of ``(sig, z0, times, dt_out)``, each
-    with strictly increasing times >= 0; ``dt_out`` is the spacing the
-    times were gridded at (see :func:`_sample_grid`), or None for a plain
-    time list.  The states are handed to ``sink`` as they are finished, a
-    piece of rows at a time: ``sink(rows, states)`` gets the C-contiguous
-    (k, N) array ``states`` of the samples ``rows`` (a slice or an index
-    array) of the times of all trajectories joined, every sample exactly
-    once, in no fixed order.  Without a sink the result is one
-    (len(times), N) array per trajectory, in order (views of one buffer).
+    def step(level, h):
+        if level not in gens:
+            G = sys.closed_loop(level)
+            gens[level] = (G, float(np.abs(G).sum(axis=0).max()))
+        G, norm = gens[level]
+        near = anchors.setdefault(level, [])
+        for h_near, P in near:
+            if abs(h - h_near) * norm <= _NEAR_STEP:
+                return P + (h - h_near) * (P @ G)
+        P = _step_matrix(sys, level, h)
+        near.append((h, P))
+        return P
+
+    return step
+
+
+def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
+    """The states of one trajectory, stepped from cell edge to cell edge.
+
+    ``times`` are strictly increasing and >= 0; ``dt_out`` is the spacing
+    they were gridded at (see :func:`_sample_grid`), or None for a plain
+    time list.  ``sink(rows, states)`` gets each finished piece: the
+    C-contiguous (k, N) states of the samples ``rows`` (a slice or an index
+    array) of ``times``, every sample exactly once, in no fixed order.
 
     The state crosses each signal cell [c0, c1) in one exact step
-    e^{(A - a B B^T)(c1 - c0)}, so the chain of cell-edge states does not
-    depend on how densely the output is sampled; the chains of all
-    trajectories step together, one gathered stack of matrix-vector
-    products per cell position.  The samples inside a cell are filled from
-    the cell's start state, in runs read off the grid: a sample on its
-    trajectory's grid (rint(t / dt_out) dt_out == t) whose grid index
-    follows that of the sample before it in the same cell joins that
-    sample's run; every other sample opens a run of its own, which it
-    fills alone, one step from the cell start or the sample before it.
-    The grid samples after it are the rows P^k z, k = 1..m, with P the
-    step over dt_out, filled by doubling: rows [k, 2k) are rows [0, k)
-    times (P^k)^T.  The k-th runs of all cells form a wave, which needs
-    only the last state of the (k-1)-th.  A wave's single-sample runs are
-    one gathered stack of matrix-vector products, whatever their steps.
-    Its longer runs that share one step matrix are filled together on one
-    time-major (m, R, N) block, so each doubling step is one matrix
-    product over all R runs; a group whose block would exceed
-    _BLOCK_ELEMENTS is filled trajectory by trajectory, and a trajectory
-    whose runs alone exceed it fills them one by one.  A plain time list
-    steps sample by sample, as irregular times must.
+    e^{(A - a B B^T)(c1 - c0)}, so the cell-edge states do not depend on how
+    densely the output is sampled.  The samples inside a cell are filled
+    from its start state in runs read off the grid: a sample on the grid
+    (rint(t / dt_out) dt_out == t) whose grid index follows that of the
+    sample before it in the same cell joins that sample's run; every other
+    sample opens a run of its own, one step from the cell start or the
+    sample before it.  The grid samples after it are the rows P^k z, k =
+    1..m, with P the step over dt_out, filled by doubling: rows [k, 2k) are
+    rows [0, k) times (P^k)^T.  The k-th runs of all cells form a wave: its
+    single-sample runs are one gathered stack of matrix-vector products,
+    and its longer runs of one step matrix one time-major (m, R, N) block,
+    one matrix product per doubling step, or run by run above
+    _BLOCK_ELEMENTS.  Besides one flag per sample, the cell-edge states and
+    the runs, what is held is one such piece, or one whole run of m x N
+    entries.
 
-    With a sink, what is held besides the per-sample plan (the times and
-    one flag per sample) is the chain, the last state of every cell, the
-    runs, and one piece: a gathered stack or block of at most
-    _BLOCK_ELEMENTS entries, or one whole run, m x N entries, since a run
-    is filled whole by doubling.
-
-    Every choice that sets a trajectory's numbers is made per trajectory:
-    its runs, and which of its lone and cell-edge steps are exponentiated
-    and which are derived from a nearby one.  A step whose length differs
-    from an exponentiated one only by the rounding of cell edges is
-    derived from it by a first-order correction that is exact to rounding;
-    each trajectory takes these steps in its own run-by-run order.  The
-    step over dt_out is always :func:`_step_matrix`'s, the same array for
-    every trajectory and call while the step cache holds it.  Runs of
-    different trajectories meet in one product only where they use the
-    same step matrix.  Every row is the same product of the same matrices
-    as in a run-by-run fill of its trajectory alone; a row formed from one
-    row stays a matrix-vector product, which BLAS rounds apart from a
-    matrix product.  A BLAS whose matrix product rounds a row by the rows
-    around it (OpenBLAS from 32 states) can still move the last bits.
+    A lone or cell-edge step is taken in run-by-run order, a cell's runs and
+    then its edge step, from :func:`_near_steps`; the step over dt_out is
+    :func:`_step_matrix`'s.  A row formed from one row stays a matrix-vector
+    product, which BLAS rounds apart from a matrix product; a BLAS whose
+    matrix product rounds a row by the rows around it (OpenBLAS from 32
+    states) makes the block fill agree with a run-by-run fill to rounding.
     """
     N = sys.dim
-    parts = [np.asarray(ts, dtype=float).reshape(-1) for _, _, ts, _ in trajectories]
-    sizes = np.array([len(ts) for ts in parts])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    # one trajectory's times are used as they are, several are joined
-    times = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    first_sample = offsets[:-1][sizes > 0]
-    rising = np.diff(times) > 0.0
-    rising[first_sample[1:] - 1] = True
-    if (times[first_sample] < 0.0).any() or not rising.all():
-        raise ValueError("propagation times must be strictly increasing and >= 0")
-    z0s = np.array([np.asarray(z0, dtype=float).reshape(N) for _, z0, _, _ in trajectories])
-    spacing = np.array([np.nan if dt is None else dt for *_, dt in trajectories], dtype=float)
-    out = None
-    if sink is None:
-        out = np.empty((len(times), N))
-
-        def sink(rows, states):
-            out[rows] = states
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not len(times) or times[0] < 0.0 or not (np.diff(times) > 0.0).all():
+        raise ValueError("propagation times must be nonempty, strictly increasing and >= 0")
+    z0 = np.asarray(z0, dtype=float).reshape(N)
 
     def emit(rows, states):
         if not np.isfinite(states).all():
             raise RuntimeError("propagation produced non-finite states")
         sink(rows, states)
 
-    zero = first_sample[times[first_sample] == 0.0]
-    emit(zero, z0s[np.searchsorted(offsets, zero, side="right") - 1])
-    # the cells of every trajectory, one after another; a trajectory of the
-    # single time 0 has none.  lattice marks the samples that step from the
-    # sample before them over their trajectory's dt_out.
+    if times[0] == 0.0:
+        emit(np.array([0]), z0[None])
+    if times[-1] == 0.0:
+        return
+    cells = list(sig.cells_between(0.0, float(times[-1])))
+    starts = np.array([c for c, _, _ in cells])
+    # cell k fills samples [begin[k], end[k]); a sample on a cell edge takes
+    # the edge state instead
+    begin = np.searchsorted(times, starts, side="right")
+    end = np.append(np.searchsorted(times, starts[1:], side="left"), len(times))
+    # lattice marks the samples that step from the sample before them over
+    # dt_out
     lattice = np.zeros(len(times), dtype=bool)
-    starts, levels, begin, end, owner = [], [], [], [], []
-    for t, (sig, _, _, dt_out) in enumerate(trajectories):
-        a, b = offsets[t], offsets[t + 1]
-        if b == a or times[b - 1] == 0.0:
-            continue
-        cells = list(sig.cells_between(0.0, float(times[b - 1])))
-        c0 = np.array([c for c, _, _ in cells])
-        ts = times[a:b]
-        # cell k fills samples [lo[k], hi[k]); a sample on a cell edge
-        # takes the edge state instead
-        lo = np.searchsorted(ts, c0, side="right")
-        hi = np.append(np.searchsorted(ts, c0[1:], side="left"), b - a)
-        if dt_out is not None:
-            k = np.rint(ts / dt_out)
-            on = k * dt_out == ts
-            lattice[a + 1:b] = on[1:] & on[:-1] & (np.diff(k) == 1.0)
-            lattice[a + np.append(lo, hi[:-1])] = False
-            # one float and one flag per sample: not kept alive through _fill
-            del k, on
-        starts.append(c0)
-        levels.append(np.array([level for _, _, level in cells]))
-        begin.append(a + lo)
-        end.append(a + hi)
-        owner.append(np.full(len(c0), t))
-    if starts:
-        cells = map(np.concatenate, (starts, levels, begin, end, owner))
-        _fill(sys, times, lattice, z0s, spacing, *cells, emit)
-    if out is not None:
-        return [out[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
-
-
-def _fill(sys, times, lattice, z0s, spacing, starts, levels, begin, end, owner, emit):
-    """The states of :func:`_propagate` after t = 0, handed to ``emit`` a
-    piece of rows at a time: the cell-edge samples, each gathered stack and
-    each block.
-
-    ``times`` are the samples of all trajectories, one after another, and
-    ``lattice`` marks those that step from the sample before them over
-    their trajectory's grid ``spacing`` (nan for a plain time list); the
-    cells of all trajectories come one after another too, each with its
-    start, level, samples [begin, end) and ``owner``, the index of its
-    trajectory.
-    """
-    n, N, C = len(times), sys.dim, len(starts)
-    last = np.append(owner[1:] != owner[:-1], True)
-    first_cell = np.flatnonzero(np.append(True, last[:-1]))
+    if dt_out is not None:
+        k = np.rint(times / dt_out)
+        on = k * dt_out == times
+        lattice[1:] = on[1:] & on[:-1] & (np.diff(k) == 1.0)
+        lattice[np.append(begin, end[:-1])] = False
+        # one float and one flag per sample: not kept alive through the fill
+        del k, on
+    levels = np.array([level for _, _, level in cells])
+    n, C = len(times), len(starts)
     # a run opens at each sample off the lattice, and at the first sample
     # on it after one off it
     lo = np.flatnonzero(~lattice | np.append(True, ~lattice[:-1]))
     # the cell each run fills; the runs of the samples at t = 0 and on cell
-    # edges, and of trajectories with no cell, fill none
+    # edges fill none
     cell = np.searchsorted(end, lo, side="right")
     keep = cell < C
     cell[~keep] = 0
@@ -359,35 +309,18 @@ def _fill(sys, times, lattice, z0s, spacing, starts, levels, begin, end, owner, 
     run_lo, run_m, run_cell = lo[keep], np.diff(lo, append=n)[keep], cell[keep]
     on_grid, alone = np.flatnonzero(lattice[run_lo]), np.flatnonzero(~lattice[run_lo])
     # a lone run steps from its cell's start or from the sample before it
-    run_h = spacing[owner[run_cell]]
+    run_h = np.full(len(run_lo), np.nan if dt_out is None else dt_out)
     a_lo, a_cell = run_lo[alone], run_cell[alone]
     run_h[alone] = times[a_lo] - np.where(a_lo == begin[a_cell], starts[a_cell],
                                           times[a_lo - 1])
     wave = np.arange(len(run_lo)) - np.searchsorted(run_cell, run_cell, side="left")
 
     steps = []      # step id -> [P, P^2, P^4, ...] and its (level, h)
-    gens = {}       # level -> (generator, its 1-norm)
-    anchors = {}    # (trajectory, level) -> [(h, P_h) from _step_matrix]
+    near_step = _near_steps(sys)
 
     def add(P, level, h):
         steps.append(([P], level, h))
         return len(steps) - 1
-
-    def near_step(t, level, h):
-        # Cell lengths that differ only by the rounding of their edges share
-        # one exponential: e^{G (h' + d)} = P_h' (I + G d) + O(|G d|^2), exact
-        # to rounding while |G| |d| <= _NEAR_STEP.
-        if level not in gens:
-            G = sys.closed_loop(level)
-            gens[level] = (G, float(np.abs(G).sum(axis=0).max()))
-        G, norm = gens[level]
-        near = anchors.setdefault((t, level), [])
-        for h_near, P in near:
-            if abs(h - h_near) * norm <= _NEAR_STEP:
-                return P + (h - h_near) * (P @ G)
-        P = _step_matrix(sys, level, h)
-        near.append((h, P))
-        return P
 
     def power(s, j):
         pw, level, h = steps[s]
@@ -406,15 +339,13 @@ def _fill(sys, times, lattice, z0s, spacing, starts, levels, begin, end, owner, 
     sid = {key: add(_step_matrix(sys, *key), *key) for key in dict.fromkeys(need)}
     run_sid[on_grid] = [sid[key] for key in need]
     # exponentiate each lone and edge (level, h) where the run-by-run order
-    # of its trajectory first needs it: a cell's runs, then its edge step;
-    # a cached step seeds the nearby ones.  A trajectory's last cell holds
-    # its last sample, so no edge step leaves it.
-    inner = np.flatnonzero(~last)
-    order = np.argsort(np.concatenate([2 * a_lo, 2 * end[inner] - 1]), kind="stable")
-    in_cell = np.concatenate([a_cell, inner])[order]
-    lengths = np.concatenate([run_h[alone], starts[inner + 1] - starts[inner]])[order]
-    need = list(zip(owner[in_cell].tolist(), levels[in_cell].tolist(), lengths.tolist()))
-    sid = {key: add(near_step(*key), *key[1:]) for key in dict.fromkeys(need)}
+    # first needs it: a cell's runs, then its edge step.  The last cell
+    # holds the last sample, so no edge step leaves it.
+    order = np.argsort(np.concatenate([2 * a_lo, 2 * end[:-1] - 1]), kind="stable")
+    in_cell = np.concatenate([a_cell, np.arange(C - 1)])[order]
+    lengths = np.concatenate([run_h[alone], np.diff(starts)])[order]
+    need = list(zip(levels[in_cell].tolist(), lengths.tolist()))
+    sid = {key: add(near_step(*key), *key) for key in dict.fromkeys(need)}
     ids = np.empty(len(need), dtype=int)
     ids[order] = [sid[key] for key in need]
     run_sid[alone], edge_sid = ids[:len(alone)], ids[len(alone):]
@@ -463,42 +394,18 @@ def _fill(sys, times, lattice, z0s, spacing, starts, levels, begin, end, owner, 
         held = row < ms
         emit((los + row)[held], block[held])
 
-    def blocks(g):
-        # the runs g of one wave and step, as parts that fit _BLOCK_ELEMENTS:
-        # all of them, else each trajectory's, else each run alone
-        if int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS:
-            return [g]
-        parts = []
-        for seg in np.split(g, np.flatnonzero(np.diff(owner[run_cell[g]])) + 1):
-            fits = int(run_m[seg].max()) * len(seg) * N <= _BLOCK_ELEMENTS
-            parts.extend([seg] if fits else seg[:, None])
-        return parts
+    # the state at each cell's start, and at the samples on cell edges; it
+    # then holds the last state filled in each cell, from which its next
+    # run starts
+    cell_state = np.empty((C, N))
+    cell_state[0] = z0
+    for k, s in enumerate(edge_sid.tolist()):
+        np.matmul(steps[s][0][0], cell_state[k, :, None], out=cell_state[k + 1, :, None])
+    edge = np.flatnonzero(times[end[:-1]] == starts[1:])
+    emit(end[edge], cell_state[edge + 1])
 
-    # the state at each cell's start, and at the samples on cell edges: the
-    # k-th edge steps of all trajectories as one stack, position-major, so
-    # the cell of trajectory r at position k is row k * R + r of chain; a
-    # trajectory with fewer cells steps on by the identity
-    rank = np.cumsum(np.append(True, last[:-1])) - 1
-    R = int(rank[-1]) + 1
-    position = np.arange(C) - first_cell[rank]
-    at = position * R + rank
-    P0 = [pw[0] for pw, _, _ in steps] + [np.eye(N)]
-    grid = np.full((int(position.max()), R), len(steps))
-    grid[position[inner], rank[inner]] = edge_sid
-    chain = np.empty((len(grid) + 1, R, N))
-    chain[0] = z0s[owner[first_cell]]
-    for k, ids in enumerate(grid.tolist()):
-        np.matmul(np.array([P0[s] for s in ids]), chain[k, :, :, None],
-                  out=chain[k + 1, :, :, None])
-    chain = chain.reshape(-1, N)
-    edge = inner[times[end[inner]] == starts[inner + 1]]
-    emit(end[edge], chain[at[edge] + R])
-    # the last state filled in each cell, from which its next run starts:
-    # the cell's start state until its first run is filled
-    cell_state = chain[at]
-    del chain
-
-    # a wave's single-sample runs together, then its longer runs by step
+    # a wave's single-sample runs together, then its longer runs by step,
+    # all at once while they fit _BLOCK_ELEMENTS, else one by one
     group = np.where(run_m == 1, -1, run_sid)
     order = np.lexsort((group, wave))
     key = np.stack([wave[order], group[order]])
@@ -506,9 +413,11 @@ def _fill(sys, times, lattice, z0s, spacing, starts, levels, begin, end, owner, 
     for g in np.split(order, cuts):
         if group[g[0]] < 0:
             gathered(g)
-            continue
-        for part in blocks(g):
-            fill_block(part, int(run_sid[g[0]]))
+        elif int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS:
+            fill_block(g, int(run_sid[g[0]]))
+        else:
+            for part in g[:, None]:
+                fill_block(part, int(run_sid[g[0]]))
 
 
 def _sample_grid(sig: Signal, horizon: float, dt_out: float) -> np.ndarray:
@@ -575,7 +484,7 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
     signal breakpoints inside the horizon (so energy bookkeeping never
     straddles a damping switch) plus the horizon itself.  The state steps
     from cell edge to cell edge and the samples inside each cell are filled
-    in batches (see :func:`_propagate`).  The energies and output norms are
+    in blocks (see :func:`_propagate`).  The energies and output norms are
     taken from each piece of states as it is filled, so no (samples, N)
     array of states is held.
 
@@ -604,7 +513,7 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
             out = states @ sys.B
         output_sq[rows] = _row_norms_sq(out)
 
-    _propagate(sys, [(sig, z0, times, float(dt_out))], norms)
+    _propagate(sys, sig, z0, times, float(dt_out), norms)
     return Trajectory(
         times=times,
         energies=energies,

@@ -49,8 +49,14 @@ MAX_BREAKPOINTS = 200_000
 #   it at state dimension N (all of it on a constant signal): 150k samples
 #   at N = 64 took 1.7 s and 190 MB when every state was kept, 1M samples
 #   at N = 2 2.9 s, 150 MB and a 47 MB CSV.  So samples * (N + 8) is
-#   capped, at about 300 MB, for a simulate analysis and for all the
-#   trials of a verify block together;
+#   capped, at about 300 MB, for a simulate analysis and for the two
+#   trajectories a verify block simulates;
+# - the window check of a verify trial holds two levels of its doubling
+#   table and its windows, N x N values each, capped like the samples
+#   (204 MB at N = 256 for T = theta: 136 steps, 66 starts).  A trial took
+#   1.4 s at N = 256, 0.25 s at N = 128 and, with its gate and PE check,
+#   about 2 ms at N <= 16: the cap on trials * (steps + starts) *
+#   max(N, 16)^3 is about 40 s at N <= 16 and 10 s at N = 128;
 # - a verify gate of 50k pulses takes about 0.5 s and 90 MB to build and
 #   check, so a trial's gate is held to the breakpoints a scenario gate may
 #   have;
@@ -69,6 +75,7 @@ MAX_BREAKPOINTS = 200_000
 #   start-up; its quadrature holds the nodes of all times at once, which
 #   over 1000 periods (a library call) takes 2.4 s and about 100 MB.
 MAX_SAMPLE_VALUES = 20_000_000
+MAX_WINDOW_WORK = 2 ** 34
 MAX_GATE_PULSES = MAX_BREAKPOINTS // 2
 MAX_CELLS = 4096
 MAX_STARTS = 256
@@ -447,19 +454,34 @@ def _certify(a, path, ctx):
     if verify is not None:
         if verify["horizon"] is None:
             verify["horizon"] = 50.0 * theta
-        _require(verify["horizon"] >= verify["T"], _at(path, "verify.horizon"),
-                 "verification horizon %g is shorter than the window T=%g"
-                 % (verify["horizon"], verify["T"]))
-        _dim_at_most(DIM_LIMIT, "verification by simulation", path, ctx)
-        pulses = verify["horizon"] / verify["T"]
+        # the windows [s, s + theta], s < T, must not reach the gates' tail
+        _require(verify["horizon"] >= max(verify["T"], theta), _at(path, "verify.horizon"),
+                 "verification horizon %g is shorter than the window T=%g or theta=%g"
+                 % (verify["horizon"], verify["T"], theta))
+        _dim_at_most(DIM_LIMIT, "verification", path, ctx)
+        T, pulses = verify["T"], verify["horizon"] / verify["T"]
         _require(pulses <= MAX_GATE_PULSES, _at(path, "verify.T"),
                  "each trial's gate has about %.3g pulses (horizon/T); at most %d "
                  "are built" % (pulses, MAX_GATE_PULSES))
-        # each trial samples theta / SAMPLES_PER_THETA apart and at both
-        # edges of every pulse
-        per_trial = verify["horizon"] * SAMPLES_PER_THETA / theta + 2 * pulses + 2
-        _sample_values(verify["n_trials"], per_trial, _at(path, "verify.n_trials"),
-                       "verification", ctx)
+        # two trials are simulated, sampled theta / SAMPLES_PER_THETA apart
+        # and at every pulse edge; each trial's window check multiplies the
+        # steps over [0, T + theta] (grid, pulse edges, window ends) into one
+        # propagator per start in [0, T) (grid points, pulse edges)
+        dt = theta / SAMPLES_PER_THETA
+        _sample_values(2, verify["horizon"] / dt + 2 * pulses + 2,
+                       _at(path, "verify.horizon"), "verification", ctx)
+        steps, starts, dim = (T + theta) / dt + 2 * (T + theta) / T + 4, T / dt + 3, system.dim
+        held = (2 * steps + 4 * starts) * dim * dim
+        _require(held <= MAX_SAMPLE_VALUES, _at(path, "verify.T"),
+                 "each trial's window check holds about %.3g values ((2 * %.3g steps "
+                 "+ 4 * %.3g starts) * N^2 at N = %d); at most %d are built"
+                 % (held, steps, starts, dim, MAX_SAMPLE_VALUES))
+        # int-float comparison is exact, whatever the size of n_trials
+        work = (steps + starts) * max(dim, 16) ** 3
+        _require(verify["n_trials"] <= MAX_WINDOW_WORK / work, _at(path, "verify.n_trials"),
+                 "%d trials of window checks that cost about %.3g each ((steps + starts) "
+                 "* max(N, 16)^3); at most %d in all" % (verify["n_trials"], work,
+                                                         MAX_WINDOW_WORK))
         if src is not None and src["kind"] == "class-constant":
             _verify_in_class(verify, src["class"], path)
     return a

@@ -1,4 +1,4 @@
-"""Decay certificates and their verification against simulated trajectories.
+"""Decay certificates, their exact verification, and interval-product bounds.
 
 A positive class constant c for a signal class on windows of length theta
 forces the energy V = ||z||^2 / 2 down by a fixed factor over every window:
@@ -6,11 +6,13 @@ forces the energy V = ||z||^2 / 2 down by a fixed factor over every window:
     V(z(s + theta)) - V(z(s)) <= -(c / (1 + theta^2 ||B||^4)) V(z(s)).
 
 This module turns such constants into explicit exponential certificates
-(q, M, gamma), verifies them against simulation on randomly drawn admissible
-signals, bounds the energy under damping that is on only on given
-intervals by per-interval contraction products (checked against the
-simulated trajectory), and runs the divergence bookkeeping that upgrades
-interval costs to a strong-stability verdict at a finite horizon.
+(q, M, gamma), verifies them on randomly drawn admissible signals (exactly,
+by the window propagators, for every initial state, with two simulated
+trajectories corroborating the envelope), bounds the energy under damping
+that is on only on given intervals by per-interval contraction products
+(checked against the simulated trajectory), and runs the divergence
+bookkeeping that upgrades interval costs to a strong-stability verdict at a
+finite horizon.
 
 Divergence of an infinite series is undecidable from finitely many terms, so
 verdicts here are worded "divergence-consistent / not divergence-consistent
@@ -26,20 +28,21 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linsys import (_BLOCK_ELEMENTS, LinearSystem, _propagate, _row_norms_sq, _sample_grid,
-                     check_sampling, cost_within_bound)
+from .linsys import (LinearSystem, _levels, _near_steps, _propagate, _row_norms_sq,
+                     _sample_grid, check_sampling, cost_within_bound)
 from .observability import observability_gramian
 from .signals import (IntervalSequence, Signal, from_intervals, make_piecewise,
                       pe_check, periodic_gate)
 
-# verify_certificate samples each trajectory theta / SAMPLES_PER_THETA apart
-# and accepts a worst ratio up to 1 + VERIFY_SLACK
+# verify_certificate grids its windows and trajectories theta /
+# SAMPLES_PER_THETA apart, and accepts a window contraction up to
+# q (1 + WINDOW_SLACK), rounding, and a trajectory ratio up to 1 + VERIFY_SLACK
 SAMPLES_PER_THETA = 64
+WINDOW_SLACK = 1e-12
 VERIFY_SLACK = 1e-6
-# most state entries verify_certificate propagates in one batch: three
-# trials of the 8-state string over 100 at theta 2, each of which adds
-# about 0.25 MB to the peak RSS of a run
-_BATCH_ELEMENTS = 3 * _BLOCK_ELEMENTS // 2
+WINDOWS_CHECKED = ("every window [s, s + theta] of each T-periodic gate, exactly for every "
+                   "initial state, from each start s in [0, T) on the output grid (theta/64 "
+                   "apart) or at a breakpoint; starts between them are not checked")
 # slack of each measured ratio over its factor in interval_product_bound
 PRODUCT_TOLERANCE = 1e-8
 
@@ -143,30 +146,39 @@ class GateSignalFamily:
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    """Outcome of checking a decay certificate against simulated trials.
+    """Outcome of checking a decay certificate on drawn admissible signals.
 
-    ``worst_ratio`` is the largest observed ||z(t)|| / (M e^{-gamma t}
-    ||z0||) over all trials and samples; the certificate holds when it stays
-    <= 1 + slack.
+    ``worst_window_contraction`` is the largest ||Phi(s + theta, s)||^2, the
+    worst V(s + theta) / V(s) over all initial states, of the windows
+    ``windows_checked`` (trial ``worst_window_trial``, start
+    ``worst_window_start``); it may exceed q by the relative rounding
+    ``window_slack``.  ``worst_ratio`` is the largest ||z(t)|| / (M
+    e^{-gamma t} ||z0||) along the trajectories of trial 0 and of the worst
+    window's trial; it may exceed 1 by ``slack``.
     """
 
     ok: bool
+    worst_window_contraction: float
+    worst_window_trial: int
+    worst_window_start: float
     worst_ratio: float
     worst_trial: int
     worst_time: float
     n_trials: int
     horizon: float
     slack: float
+    window_slack: float
     certificate: DecayCertificate
+    windows_checked: str = WINDOWS_CHECKED
 
 
 class CertificateViolation(RuntimeError):
-    """A simulated trajectory exceeded the certified envelope.
+    """A window contraction exceeded q, or a trajectory the envelope.
 
     Either the constant fed into the certificate is not a true lower bound
-    for the signal class, or the simulation is wrong; the attached report
-    records both sides (certificate parameters, violating trial, time and
-    ratio) so the two can be told apart.
+    for the signal class, or the propagation is wrong; the attached report
+    records both sides (certificate parameters, violating trial, start or
+    time, contraction or ratio) so the two can be told apart.
     """
 
     def __init__(self, message: str, report: CertificateCheck):
@@ -174,48 +186,69 @@ class CertificateViolation(RuntimeError):
         self.report = report
 
 
+def _window_contractions(sys: LinearSystem, sig: Signal, T: float, theta: float):
+    """The starts s in [0, T) of one trial and ||Phi(s + theta, s)||^2 at each.
+
+    The starts are the grid points k dt (dt = theta / SAMPLES_PER_THETA),
+    whose windows end at grid point k + SAMPLES_PER_THETA, and the
+    breakpoints of ``sig``.  Phi is the product of the steps (see
+    :func:`~pexstab.linsys._near_steps`) between consecutive sample times
+    of [0, T + theta], two neighbouring grid points one step over dt.  A
+    doubling table builds all windows at once: D_{l+1}[j] = D_l[j + 2^l]
+    D_l[j] is the product of the 2^(l+1) steps from sample j, and a window
+    of m steps takes D_l for each bit l of m.
+    """
+    dt = theta / SAMPLES_PER_THETA
+    grid = _sample_grid(sig, T + theta, dt)
+    starts = grid[grid < T]
+    k = np.rint(starts / dt)
+    ends = np.where(k * dt == starts, (k + SAMPLES_PER_THETA) * dt, starts + theta)
+    times = np.union1d(grid, ends)
+    at = np.searchsorted(times, starts)
+    m = np.searchsorted(times, ends) - at
+    k = np.rint(times / dt)
+    on = k * dt == times
+    h = np.where(on[1:] & on[:-1] & (np.diff(k) == 1.0), dt, np.diff(times))
+    keys = list(zip(_levels(sig, times[:-1]).tolist(), h.tolist()))
+    step = _near_steps(sys)
+    made = {key: step(*key) for key in dict.fromkeys(keys)}
+    table = np.array([made[key] for key in keys])
+    phi = np.broadcast_to(np.eye(sys.dim), (len(starts), sys.dim, sys.dim)).copy()
+    bit = 1
+    while True:
+        take = (m & bit) != 0
+        phi[take] = table[at[take]] @ phi[take]
+        at[take] += bit
+        if 2 * bit > m.max():
+            return starts, np.linalg.norm(phi, 2, axis=(1, 2)) ** 2
+        table = table[bit:] @ table[:-bit]
+        bit *= 2
+
+
 def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
                        family: GateSignalFamily, n_trials: int = 20) -> CertificateCheck:
-    """Simulate random admissible (z0, signal) pairs against the envelope.
+    """Check the certificate's window contraction exactly on drawn signals.
 
-    Each trial runs over ``family.horizon``, sampled theta /
-    SAMPLES_PER_THETA apart.  Every drawn signal is re-checked to be T-mu
-    persistently exciting over the horizon before use (a family bug would
-    otherwise produce vacuous verification).  The trials are drawn,
-    checked and propagated in batches of at most _BATCH_ELEMENTS
-    state entries, one :func:`~pexstab.linsys._propagate` call per batch,
-    which hands over the states a piece at a time and keeps only their
-    norms; each trial's states are those of propagating it alone (see
-    there), so the report does not depend on the batches.  Raises
-    :class:`CertificateViolation` when any sample exceeds M e^{-gamma t}
-    ||z0|| by more than the relative slack VERIFY_SLACK; otherwise returns
-    the report with the worst observed ratio, the earliest trial's on a tie.
+    Each trial's gate is re-checked to be T-mu persistently exciting over
+    ``family.horizon`` (a family bug would otherwise make the check
+    vacuous).  It is T-periodic, so the windows of
+    :func:`_window_contractions` stand for every window of the horizon at
+    their starts modulo T.  Trial 0 and the worst window's trial are also
+    simulated over the horizon from a random unit z0 each, sampled theta /
+    SAMPLES_PER_THETA apart, against the envelope M e^{-gamma t}.  Raises
+    :class:`CertificateViolation` when a window contraction exceeds q by
+    more than the relative WINDOW_SLACK or a sample the envelope by more
+    than VERIFY_SLACK; else returns the report, earliest trial on a tie.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    horizon = family.horizon
-    dt_out = cert.theta / SAMPLES_PER_THETA
+    horizon, theta = family.horizon, cert.theta
+    if horizon < theta:
+        raise ValueError("verification horizon %g is shorter than theta=%g: the windows "
+                         "would run past the gates" % (horizon, theta))
+    dt_out = theta / SAMPLES_PER_THETA
     check_sampling(sys, horizon, dt_out)
-    worst = (-math.inf, -1, 0.0)
-    batch, entries = [], 0
-
-    def measure(batch, worst):
-        # the norms of the samples of all the batch's trials, joined
-        sizes = [len(times) for _, (_, _, times, _) in batch]
-        joined = np.empty(sum(sizes))
-
-        def sink(rows, states):
-            joined[rows] = np.sqrt(_row_norms_sq(states))
-
-        _propagate(sys, [b for _, b in batch], sink)
-        for (i, (_, _, times, _)), norms in zip(batch, np.split(joined, np.cumsum(sizes)[:-1])):
-            envelope = cert.envelope(times) * norms[0]
-            ratios = norms / envelope
-            j = int(np.argmax(ratios))
-            if ratios[j] > worst[0]:
-                worst = (float(ratios[j]), i, float(times[j]))
-        return worst
-
+    window = (-math.inf, -1, 0.0)
     for i in range(n_trials):
         sig = family.draw(i)
         pe = pe_check(sig, family.T, family.mu, horizon)
@@ -224,33 +257,56 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
                 "family drew a non-PE signal at trial %d (worst window mass "
                 "%g < mu=%g)" % (i, pe.worst_window_mass, family.mu)
             )
+        starts, contractions = _window_contractions(sys, sig, family.T, theta)
+        if not np.isfinite(contractions).all():
+            raise RuntimeError("window propagators of trial %d are not finite" % i)
+        j = int(np.argmax(contractions))
+        if contractions[j] > window[0]:
+            window, worst_gate = (float(contractions[j]), i, float(starts[j])), sig
+        if i == 0:
+            first_gate = sig
+    worst = (-math.inf, -1, 0.0)
+    for i, sig in {0: first_gate, window[1]: worst_gate}.items():
         rng = np.random.default_rng((family.seed, 7 * n_trials + i))
         z0 = rng.standard_normal(sys.dim)
         z0 /= np.linalg.norm(z0)
         times = _sample_grid(sig, float(horizon), float(dt_out))
-        if batch and entries + len(times) * sys.dim > _BATCH_ELEMENTS:
-            worst = measure(batch, worst)
-            batch, entries = [], 0
-        batch.append((i, (sig, z0, times, float(dt_out))))
-        entries += len(times) * sys.dim
-    worst = measure(batch, worst)
-    ok = worst[0] <= 1.0 + VERIFY_SLACK
+        norms = np.empty(len(times))
+
+        def sink(rows, states):
+            norms[rows] = np.sqrt(_row_norms_sq(states))
+
+        _propagate(sys, sig, z0, times, float(dt_out), sink)
+        ratios = norms / (cert.envelope(times) * norms[0])
+        j = int(np.argmax(ratios))
+        if ratios[j] > worst[0]:
+            worst = (float(ratios[j]), i, float(times[j]))
+    failed = []
+    if window[0] > cert.q * (1.0 + WINDOW_SLACK):
+        failed.append("window contraction %.6g of trial %d from s=%g exceeds q"
+                      % (window[0], window[1], window[2]))
+    if worst[0] > 1.0 + VERIFY_SLACK:
+        failed.append("trajectory %d exceeded the certified envelope at t=%g by ratio %.6g"
+                      % (worst[1], worst[2], worst[0]))
     report = CertificateCheck(
-        ok=ok,
+        ok=not failed,
+        worst_window_contraction=window[0],
+        worst_window_trial=window[1],
+        worst_window_start=window[2],
         worst_ratio=worst[0],
         worst_trial=worst[1],
         worst_time=worst[2],
         n_trials=n_trials,
         horizon=horizon,
         slack=VERIFY_SLACK,
+        window_slack=WINDOW_SLACK,
         certificate=cert,
     )
-    if not ok:
+    if failed:
         raise CertificateViolation(
-            "trajectory %d exceeded the certified envelope at t=%g by ratio "
-            "%.6g (q=%g, M=%g, gamma=%g from c=%g): either c is not a lower "
-            "bound for the class or the simulation is wrong"
-            % (worst[1], worst[2], worst[0], cert.q, cert.M, cert.gamma, cert.c),
+            "%s (q=%g, M=%g, gamma=%g from c=%g): either c is not a lower bound "
+            "for the class or the propagation is wrong"
+            % ("; ".join(failed), cert.q, cert.M, cert.gamma, cert.c),
             report,
         )
     return report
@@ -320,8 +376,12 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence, z0,
                     for c, L in zip(costs, lengths))
     z0 = np.asarray(z0, dtype=float).reshape(sys.dim)
     checkpoints = [a for (a, _) in intervals] + [intervals[-1][1]]
-    states, = _propagate(sys, [(signal, z0, checkpoints, None)])
-    V = 0.5 * np.sum(states * states, axis=1)
+    V = np.empty(len(checkpoints))
+
+    def energies(rows, states):
+        V[rows] = 0.5 * np.sum(states * states, axis=1)
+
+    _propagate(sys, signal, z0, checkpoints, None, energies)
     measured = tuple(float(v1 / v0) if v0 > 0.0 else 0.0 for v0, v1 in zip(V, V[1:]))
     return ProductBoundReport(
         intervals=intervals,

@@ -16,22 +16,22 @@ against; no report uses them, so they live here rather than in ``src/``.
 * :func:`energy_balance_from_states`: the energy balance with the output
   norms formed from the whole state array, against which the trajectory's
   own ``output_sq`` is checked bit for bit.
-* :func:`verify_certificate_trialwise`: certificate verification that
-  simulates one trial at a time, against which the batched verifier's
-  report is checked field for field.
+* :func:`window_contractions_expm`: the squared norms of window
+  propagators, each the product of one ``scipy.linalg.expm`` per signal
+  cell inside its window, against which the doubling-table window check of
+  certificate verification is checked.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from pexstab.cli import CSV_CHUNK_ROWS
 from pexstab.dalembert import CounterexampleScenario
 from pexstab.linsys import (EnergyBalance, LinearSystem, _levels, _propagate,
-                            _row_norms_sq, observability_gramian, simulate)
-from pexstab.signals import Signal, pe_check
-from pexstab.stability import (SAMPLES_PER_THETA, VERIFY_SLACK, CertificateCheck,
-                               CertificateViolation)
+                            _row_norms_sq, observability_gramian)
+from pexstab.signals import Signal
 
 # slack of gap_estimate_check's comparison, reported as GapCheck.tolerance
 GAP_TOLERANCE = 1e-9
@@ -63,7 +63,13 @@ def gap_estimate_check(sys: LinearSystem, sig: Signal, z0, a: float, b: float) -
     """
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b, got a=%s b=%s" % (a, b))
-    (za, zb), = _propagate(sys, [(sig, z0, [float(a), float(b)], None)])
+    states = np.empty((2, sys.dim))
+
+    def collect(rows, piece):
+        states[rows] = piece
+
+    _propagate(sys, sig, z0, [float(a), float(b)], None, collect)
+    za, zb = states
     Va = 0.5 * float(za @ za)
     Vb = 0.5 * float(zb @ zb)
     L = b - a
@@ -132,32 +138,14 @@ def energy_balance_from_states(traj, states) -> EnergyBalance:
     return EnergyBalance(residual=float(max(drift.max(), 0.0)), one_sided=True)
 
 
-def verify_certificate_trialwise(sys, cert, family, n_trials):
-    """verify_certificate with each trial drawn, checked and simulated on its
-    own, in trial order."""
-    horizon = family.horizon
-    dt_out = cert.theta / SAMPLES_PER_THETA
-    worst = (-np.inf, -1, 0.0)
-    for i in range(n_trials):
-        sig = family.draw(i)
-        pe = pe_check(sig, family.T, family.mu, horizon)
-        if not pe.holds:
-            raise ValueError("family drew a non-PE signal at trial %d" % i)
-        rng = np.random.default_rng((family.seed, 7 * n_trials + i))
-        z0 = rng.standard_normal(sys.dim)
-        z0 /= np.linalg.norm(z0)
-        traj = simulate(sys, sig, z0, horizon, dt_out)
-        norms = np.sqrt(2.0 * traj.energies)
-        envelope = cert.envelope(traj.times) * norms[0]
-        ratios = norms / envelope
-        j = int(np.argmax(ratios))
-        if ratios[j] > worst[0]:
-            worst = (float(ratios[j]), i, float(traj.times[j]))
-    ok = worst[0] <= 1.0 + VERIFY_SLACK
-    report = CertificateCheck(ok=ok, worst_ratio=worst[0], worst_trial=worst[1],
-                              worst_time=worst[2], n_trials=n_trials, horizon=horizon,
-                              slack=VERIFY_SLACK, certificate=cert)
-    if not ok:
-        raise CertificateViolation("trajectory %d exceeded the certified envelope" % worst[1],
-                                   report)
-    return report
+def window_contractions_expm(sys: LinearSystem, sig: Signal, windows):
+    """||Phi(e, s)||^2 for each (s, e) of ``windows``, with Phi(e, s) the
+    product of e^{(A - a B B^T) L} over the cells [c0, c1) of ``sig``
+    inside [s, e], each L = c1 - c0 exponentiated by ``scipy.linalg.expm``."""
+    out = []
+    for s, e in windows:
+        phi = np.eye(sys.dim)
+        for c0, c1, level in sig.cells_between(float(s), float(e)):
+            phi = scipy.linalg.expm(sys.closed_loop(level) * (c1 - c0)) @ phi
+        out.append(np.linalg.norm(phi, 2) ** 2)
+    return np.array(out)

@@ -198,8 +198,10 @@ def key_paths(value, prefix=""):
 
 
 CERTIFICATE_KEYS = {"M", "b_norm", "c", "derivation", "gamma", "q", "source", "theta"}
-VERIFICATION_KEYS = {"certificate", "horizon", "n_trials", "ok", "slack",
-                     "worst_ratio", "worst_time", "worst_trial"}
+VERIFICATION_KEYS = {"certificate", "horizon", "n_trials", "ok", "slack", "window_slack",
+                     "windows_checked", "worst_ratio", "worst_time", "worst_trial",
+                     "worst_window_contraction", "worst_window_start",
+                     "worst_window_trial"}
 
 
 def nested(prefix, keys):
@@ -276,9 +278,10 @@ def test_report_key_sets_per_analysis_kind(tmp_path):
 
 
 VIOLATION_TEXT = (
-    "trajectory 1 exceeded the certified envelope at t=8 by ratio 2.91659 (q=0.04, "
-    "M=5, gamma=0.804719 from c=4.8): either c is not a lower bound for the class "
-    "or the simulation is wrong")
+    "window contraction 0.172748 of trial 1 from s=0.875 exceeds q; trajectory 1 "
+    "exceeded the certified envelope at t=8 by ratio 2.91659 (q=0.04, M=5, "
+    "gamma=0.804719 from c=4.8): either c is not a lower bound for the class or "
+    "the propagation is wrong")
 
 
 def test_certificate_violation_exits_one(tmp_path):
@@ -297,6 +300,31 @@ def test_certificate_violation_exits_one(tmp_path):
     assert set(verification) == VERIFICATION_KEYS | {"violation"}
     assert verification["ok"] is False
     assert verification["violation"] == VIOLATION_TEXT
+
+
+def test_constant_just_above_one_gates_worst_window_exits_one(tmp_path):
+    # the wave-pe bound passes; an explicit constant whose q lies 1e-9
+    # relative below the worst window contraction it verified must fail on
+    # that window alone, while the two trajectories stay in the envelope
+    out = tmp_path / "bound"
+    doc = _with(WAVE_SCENARIO, CERTIFY)
+    assert main(["run", write_scenario(tmp_path, doc, "bound.json"), "--out", str(out)]) == 0
+    passed = read_reports(out)["00_certify.json"]["report"]
+    w = passed["verification"]["worst_window_contraction"]
+    trial = passed["verification"]["worst_window_trial"]
+    start = passed["verification"]["worst_window_start"]
+    theta, b_norm = CERTIFY["theta"], passed["certificate"]["b_norm"]
+    constant = (1.0 - w * (1.0 - 1e-9)) * (1.0 + theta ** 2 * b_norm ** 4)
+    doc = _with(WAVE_SCENARIO, {"kind": "certify", "theta": theta, "constant": constant,
+                                "verify": CERTIFY["verify"]})
+    out = tmp_path / "explicit"
+    assert main(["run", write_scenario(tmp_path, doc, "explicit.json"), "--out", str(out)]) == 1
+    verification = read_reports(out)["00_certify.json"]["report"]["verification"]
+    assert w > verification["certificate"]["q"] * (1.0 + verification["window_slack"])
+    assert verification["worst_window_contraction"] == w
+    assert verification["violation"].startswith(
+        "window contraction %.6g of trial %d from s=%g exceeds q (" % (w, trial, start))
+    assert verification["worst_ratio"] <= 1.0 + verification["slack"]
 
 
 def test_schema_violations_exit_two(tmp_path, capsys):
@@ -557,6 +585,12 @@ RUNTIME_PRECONDITIONS = [
     ("verify_horizon_below_T",
      _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], horizon=1.0))),
      "analyses[0].verify.horizon"),
+    # the windows [s, s + theta] of starts s in [0, T) would reach the gates'
+    # zero tail
+    ("verify_horizon_below_theta",
+     _with(WAVE_SCENARIO, dict(CERTIFY, theta=4.0, verify=dict(CERTIFY["verify"],
+                                                               horizon=3.0))),
+     "analyses[0].verify.horizon"),
     ("negative_cost",
      _with(WAVE_SCENARIO, dict(STRONG, costs=[-0.1, 0.1])),
      "analyses[0].costs[0]"),
@@ -792,6 +826,19 @@ OVERSIZED = [
     ("verify_gate_pulses",
      _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], T=1e-4, mu=5e-5))),
      "analyses[0].verify.T"),
+    # the two simulated trials: 2 x 6.6e6 samples of (4 + 8) values
+    ("verify_samples",
+     _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], horizon=2e5))),
+     "analyses[0].verify.horizon"),
+    # one trial's window check at N = 256: (2 x 136 steps + 4 x 67 starts) N^2
+    ("verify_window_values",
+     _with(WAVE_SCENARIO, CERTIFY, system=dict(WAVE_SCENARIO["system"], n_modes=128)),
+     "analyses[0].verify.T"),
+    # 41 trials x (136 steps + 67 starts) x 128^3 exceed 2^34
+    ("verify_window_work",
+     _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], n_trials=41)),
+           system=dict(WAVE_SCENARIO["system"], n_modes=64)),
+     "analyses[0].verify.n_trials"),
     ("n_cells", _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4097)), "analyses[0].n_cells"),
     ("n_starts", _with(WAVE_SCENARIO, dict(OBSERVE, outer={"n_starts": 257})),
      "analyses[0].outer.n_starts"),
@@ -833,6 +880,9 @@ def test_inputs_at_the_caps_validate(tmp_path):
         # 1.6e6 samples of N = 4: 1.92e7 of the 2e7 values a run may keep
         _with(WAVE_SCENARIO, {"kind": "simulate"}, horizon=12.0, dt_out=12.0 / 1.6e6),
         _with(WAVE_SCENARIO, dict(cert, verify=dict(cert["verify"], n_trials=1))),
+        # 40 trials of the window check at N = 128: 1.70e10 of 2^34
+        _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], n_trials=40)),
+              system=dict(WAVE_SCENARIO["system"], n_modes=64)),
         # 4096 * 256 * 4 and 64 * 65 * 1000 cell-iterations, within 2^22; 16
         # cells count as 64
         _with(WAVE_SCENARIO, dict(OBSERVE, n_cells=4096, outer={"n_starts": 256,

@@ -30,16 +30,21 @@ from pexstab.stability import GateSignalFamily
 
 
 def propagate_alone(sys, sig, z0, times, dt_out=None):
-    """The states of one trajectory, propagated on its own: ``times``
-    gridded at ``dt_out``, or a plain time list."""
-    states, = _propagate(sys, [(sig, z0, times, dt_out)])
+    """The states of one trajectory, collected from _propagate's pieces:
+    ``times`` gridded at ``dt_out``, or a plain time list."""
+    states = np.full((len(times), sys.dim), np.nan)
+
+    def collect(rows, piece):
+        states[rows] = piece
+
+    _propagate(sys, sig, z0, times, dt_out, collect)
     return states
 
 
 def piece_rows(sys, sig, z0, times, dt_out):
     """The rows of each piece _propagate hands to a sink, in order."""
     index, pieces = np.arange(len(times)), []
-    _propagate(sys, [(sig, z0, times, dt_out)],
+    _propagate(sys, sig, z0, times, dt_out,
                lambda rows, states: pieces.append(np.sort(index[rows])))
     return pieces
 
@@ -455,7 +460,7 @@ def test_batched_propagation_close_spacings_stay_apart():
 def test_propagation_rejects_unordered_times():
     sys = LinearSystem(rotation(), np.array([0.0, 1.0]))
     one = make_piecewise([], [], 1.0)
-    for bad in ([0.5, 0.5], [1.0, 0.5], [-0.1, 0.5]):
+    for bad in ([0.5, 0.5], [1.0, 0.5], [-0.1, 0.5], []):
         with pytest.raises(ValueError):
             propagate_alone(sys, one, [1.0, 0.0], np.array(bad))
 
@@ -749,112 +754,6 @@ def test_gridded_simulate_at_a_non_dyadic_spacing_matches_expm_from_each_cell_st
         G = sys.closed_loop(level)
         want = np.array([scipy.linalg.expm(G * (t[k] - c0)) @ states[first] for k in pick])
         assert_rows_close(states[pick], want)
-
-
-def assert_batch_is_each_alone(sys, trajectories):
-    """Each trajectory of one batched call, bit for bit as propagated alone
-    on a system of its own (with an empty step cache)."""
-    got = _propagate(sys, trajectories)
-    assert len(got) == len(trajectories)
-    for states, (sig, z0, times, dt_out) in zip(got, trajectories):
-        alone = propagate_alone(LinearSystem(sys.A, sys.B), sig, z0, times, dt_out)
-        assert np.array_equal(states, alone)
-
-
-@FILLS
-def test_wave_fill_of_a_batch_matches_each_trajectory_alone_on_verify_gates(dissipative):
-    # six gates as verify_certificate draws them, 3300 samples each: their
-    # wave groups exceed the block cap, so they fill trajectory by trajectory
-    sys = string_system(4, dissipative)
-    family = GateSignalFamily(T=2.0, mu=1.0, horizon=100.0, seed=11)
-    rng = np.random.default_rng(46)
-    trajs = [(family.draw(i), rng.standard_normal(8),
-              _sample_grid(family.draw(i), family.horizon, 2.0 / 64), 2.0 / 64) for i in range(6)]
-    assert sum(len(t) for _, _, t, _ in trajs) * 8 > 2 * linsys._BLOCK_ELEMENTS
-    assert_batch_is_each_alone(sys, trajs)
-
-
-@FILLS
-def test_wave_fill_of_a_batch_matches_each_trajectory_alone_on_irregular_times(dissipative):
-    sys = string_system(4, dissipative)
-    rng = np.random.default_rng(47)
-    breaks = np.sort(rng.uniform(0.0, 10.0, size=30))
-    sig = make_piecewise(breaks.tolist(), rng.choice([0.0, 0.5, 1.0], size=30).tolist(), 0.3)
-    irregular = np.sort(rng.uniform(0.0, 12.0, size=400))
-    with_runs = np.unique(np.concatenate([[0.0], irregular, np.arange(1, 600) * 0.02]))
-    gate = periodic_gate(1.0, 0.3, 12.0).shifted(0.37)
-    trajs = [(sig, rng.standard_normal(8), irregular, None),
-             (gate, rng.standard_normal(8), np.array([0.0]), None),
-             (sig, rng.standard_normal(8), with_runs, 0.02),
-             (gate, rng.standard_normal(8), np.array([]), 0.02),
-             (gate, rng.standard_normal(8), irregular[irregular > 3.0], None)]
-    assert_batch_is_each_alone(sys, trajs)
-
-
-@FILLS
-def test_wave_fill_of_a_batch_matches_each_trajectory_alone_with_samples_on_cell_edges(
-        dissipative):
-    sys = string_system(4, dissipative)
-    rng = np.random.default_rng(48)
-    sig = periodic_gate(1.0, 0.25, 20.0).shifted(0.25)
-    grid = np.arange(0, 1201) * 0.0125
-    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), times, 0.0125)
-                                     for times in (grid, grid[1:], grid[7:])])
-
-
-@FILLS
-def test_wave_fill_of_a_batch_matches_each_trajectory_alone_when_gaps_drift(dissipative):
-    sys = string_system(4, dissipative)
-    rng = np.random.default_rng(49)
-    sig = make_piecewise([1.3, 2.6, 3.1], [1.0, 0.0, 0.5], 1.0)
-    drifting = np.cumsum(0.01 + np.arange(400) * 7e-16)
-    grid = np.arange(1, 400) * 0.01
-    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), drifting, None),
-                                     (sig, rng.standard_normal(8), grid, 0.01)])
-
-
-@FILLS
-def test_wave_fill_of_a_batch_matches_each_trajectory_alone_beyond_the_block_cap(dissipative):
-    # one trajectory's wave groups alone exceed the cap: its runs fill one
-    # by one, beside a short trajectory
-    sys = string_system(4, dissipative)
-    rng = np.random.default_rng(50)
-    sig = periodic_gate(20.0, 5.0, 160.0)
-    long = _sample_grid(sig, 150.0, 5e-3)
-    assert_batch_is_each_alone(sys, [(sig, rng.standard_normal(8), long[:100], 5e-3),
-                                     (sig, rng.standard_normal(8), long, 5e-3),
-                                     (sig.shifted(1.0), rng.standard_normal(8), long[::7], 5e-3)])
-
-
-def test_wave_fill_of_a_batch_of_24_states_matches_each_trajectory_alone():
-    sys = string_system(12, False)
-    family = GateSignalFamily(T=2.0, mu=1.0, horizon=40.0, seed=12)
-    rng = np.random.default_rng(51)
-    assert_batch_is_each_alone(sys, [(family.draw(i), rng.standard_normal(24),
-                                      _sample_grid(family.draw(i), 40.0, 2.3 / 64), 2.3 / 64)
-                                     for i in range(5)])
-
-
-@FILLS
-def test_wave_fill_of_a_batch_scopes_spacings_and_steps_per_trajectory(dissipative):
-    # Spacings a few ulps apart, off the grid of a: b's lone steps and c's
-    # cell lengths would derive from a's exponentials by the first-order
-    # correction within one trajectory.  Across trajectories that may not
-    # happen, or b and c would differ from themselves alone.
-    sys = string_system(4, dissipative)
-    rng = np.random.default_rng(52)
-    k = np.arange(1, 100)
-    h_a = 0.01
-    h_b = h_a * (1 + 3 * np.finfo(float).eps)
-    ta, tb = k * h_a, 1.0 + k * h_b
-    assert h_b != h_a
-    edge = 1.0 + 2 * np.spacing(1.0)
-    sig_a = make_piecewise([0.5, 1.0], [0.0, 1.0], 0.5)
-    sig_c = make_piecewise([0.5, edge], [0.0, 1.0], 0.5)
-    trajs = [(sig_a, rng.standard_normal(8), np.concatenate([ta, 1.0 + k * h_a]), h_a),
-             (sig_a, rng.standard_normal(8), np.concatenate([ta, tb]), h_a),
-             (sig_c, rng.standard_normal(8), np.concatenate([ta, edge + k * h_a]), h_a)]
-    assert_batch_is_each_alone(sys, trajs)
 
 
 def test_step_cache_returns_the_cached_step():

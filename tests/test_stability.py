@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import verify_certificate_trialwise
+from oracles import window_contractions_expm
 from pexstab import stability
 from pexstab.cli import _jsonable
 from pexstab.linsys import DIM_LIMIT, LinearSystem, simulate
@@ -101,30 +101,66 @@ def test_verify_accepts_a_true_bound():
     assert _jsonable(rep)["certificate"]["q"] == cert.q
 
 
-def report_fields(rep):
-    """The fields of a verification report, floats as their hex strings."""
-    return {k: v.hex() if isinstance(v, float) else v for k, v in vars(rep).items()}
+def string_system(n_modes, dissipative):
+    """The uniformly damped string (skew A), or the same with A - 0.3 I."""
+    sys = build_wave(WaveModalSpec(n_modes=n_modes, uniform=1.0))
+    if dissipative:
+        sys = LinearSystem(sys.A - 0.3 * np.eye(sys.dim), sys.B)
+    return sys
+
+
+WINDOWS = pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "dissipative"])
+
+
+@WINDOWS
+@pytest.mark.parametrize("theta", [2.0, 2.3, 0.7])
+def test_window_contractions_match_per_cell_expm_products(theta, dissipative):
+    # gates as verify_certificate draws them; theta 2.3 puts the grid off
+    # the gate period, theta 0.7 makes windows shorter than it
+    sys = string_system(4, dissipative)
+    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=10.0, seed=5)
+    dt = theta / stability.SAMPLES_PER_THETA
+    for i in range(6):
+        sig = fam.draw(i)
+        starts, got = stability._window_contractions(sys, sig, fam.T, theta)
+        grid = np.arange(int(fam.T / dt) + 1) * dt
+        edges = [b for b in sig.breakpoints if b < fam.T]
+        assert np.array_equal(starts, np.union1d(grid[grid < fam.T], edges))
+        want = window_contractions_expm(sys, sig, [(s, s + theta) for s in starts])
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        assert (got < 1.0).all()
 
 
 @pytest.mark.parametrize("theta", [2.0, 2.3])
-@pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "dissipative"])
-def test_batched_verification_matches_the_trialwise_oracle(monkeypatch, theta, dissipative):
-    # 12 trials over 100 fill several batches (theta 2.3 gives the spacing
-    # 2.3/64, which is not dyadic); every report field must match to the bit
-    sys = build_wave(WaveModalSpec(n_modes=4, uniform=1.0))
-    if dissipative:
-        sys = LinearSystem(sys.A - 0.3 * np.eye(sys.dim), sys.B)
+@WINDOWS
+def test_verification_matches_the_window_reference(theta, dissipative):
+    sys = string_system(4, dissipative)
     cert = certificate_from_constant(wave_pe_lower_bound(2.0, 1.0, np.pi ** 2), theta,
                                      sys.b_norm)
-    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=100.0, seed=5)
-    batches = []
-    propagate = stability._propagate
-    monkeypatch.setattr(stability, "_propagate", lambda sys, trajs, sink=None:
-                        batches.append(len(trajs)) or propagate(sys, trajs, sink))
-    got = verify_certificate(sys, cert, fam, n_trials=12)
-    assert sum(batches) == 12 and len(batches) >= 3 and max(batches) > 1
-    want = verify_certificate_trialwise(sys, cert, fam, n_trials=12)
-    assert report_fields(got) == report_fields(want)
+    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=5)
+    rep = verify_certificate(sys, cert, fam, n_trials=8)
+    reference = []
+    for i in range(8):
+        sig = fam.draw(i)
+        starts, _ = stability._window_contractions(sys, sig, fam.T, theta)
+        reference.append((starts, window_contractions_expm(
+            sys, sig, [(s, s + theta) for s in starts])))
+    value = max(want.max() for _, want in reference)
+    assert abs(rep.worst_window_contraction - value) <= 1e-12 * value
+    assert rep.worst_window_contraction <= cert.q
+    # windows can tie to rounding: the reported one is a worst one
+    starts, want = reference[rep.worst_window_trial]
+    assert abs(want[starts == rep.worst_window_start][0] - value) <= 1e-12 * value
+    # the two simulated trajectories: trial 0 and the worst window's trial
+    assert rep.worst_trial in (0, rep.worst_window_trial)
+
+
+def test_verification_refuses_a_horizon_below_theta():
+    sys = string_system(1, False)
+    cert = certificate_from_constant(0.05, 4.0, sys.b_norm)
+    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=3.0, seed=1)
+    with pytest.raises(ValueError, match="shorter than theta"):
+        verify_certificate(sys, cert, fam, n_trials=2)
 
 
 def test_family_builds_each_gate_once(monkeypatch):
