@@ -7,22 +7,19 @@ constant level ``a`` the flow is the matrix exponential of
 ``(A - a B B^T) * dt``, so trajectories are computed exactly per cell (up to
 the exponential's own rounding) rather than by an ODE stepper with local
 truncation error.  Propagation steps from cell edge to cell edge, one step
-per cell, and fills the output samples inside a cell from its start state:
-a run of consecutive points of the output grid is the powers of the step
-over the grid spacing, built by doubling; the runs are read off the grid
-indices, not inferred from the sample times.  The k-th runs of all cells
-are filled together: the single-sample ones as one gathered stack of
-matrix-vector products, the longer ones one matrix product per doubling
-step over every run of one step matrix, up to a block of 2^16 state
-entries; a larger group is filled run by run.  Each finished piece of
-states goes to a consumer, which keeps what it needs (simulate the energies
-and output norms, the strong-stability bound the checkpoint energies), so
-no (samples, N) array of states is held; between waves only the last state
-of each cell is kept.  Step matrices are memoized on the system
-by exact (level, dt), as arrays of their own, within STEP_CACHE_BYTES, so
-repeated trajectories on one system share them.  For skew-symmetric ``A``
-the undamped flow uses a unitary eigendecomposition of ``iA``, which
-preserves the energy V = ||z||^2 / 2 to machine precision.
+per cell, and fills each cell from its start state, run by run: a run is a
+sample one step from the cell start or the sample before it, then the
+consecutive points of the output grid after it, the powers of the step over
+the grid spacing built by doubling; the runs are read off the grid indices,
+not inferred from the sample times.  Each run goes to a consumer as it is
+filled, and the cell-edge states as one piece at the end; the consumer keeps
+what it needs (simulate the energies and output norms, the strong-stability
+bound the checkpoint energies), so no (samples, N) array of states is held.
+Step matrices are memoized on the system by exact (level, dt), as arrays of
+their own, within STEP_CACHE_BYTES, so repeated trajectories on one system
+share them.  For skew-symmetric ``A`` the undamped flow uses a unitary
+eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2 to
+machine precision.
 Signal-weighted observability Gramians of the undamped flow are exact too:
 one block matrix exponential per signal cell.
 """
@@ -30,6 +27,7 @@ one block matrix exponential per signal cell.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from sys import getsizeof
 
@@ -203,36 +201,48 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
 # h + d after a first-order correction; the dropped |G d|^2 / 2 is < eps / 4.
 _NEAR_STEP = 1e-8
 
-# Runs of one step that are filled together hold at most this many state
-# entries in their (m, R, N) block; larger groups are filled run by run into
-# the output.  A stack of gathered steps holds at most this many entries too.
-_BLOCK_ELEMENTS = 2 ** 16
-
 
 def _near_steps(sys: LinearSystem):
     """A source ``step(level, h)`` of steps from :func:`_step_matrix`, where
     an h within _NEAR_STEP / |G| of an earlier one, h' = h - d, is derived
-    from it as e^{G h} = P_h' (I + G d) + O(|G d|^2), exact to rounding."""
-    gens, anchors = {}, {}  # level -> (generator, its 1-norm), [(h, P_h)]
+    from it as e^{G h} = P_h' (I + G d) + O(|G d|^2), exact to rounding.
+    Each (level, h) is made once; a repeat returns the same array."""
+    # level -> (generator, its 1-norm) and [(h, P_h)]; (level, h) -> step
+    gens, anchors, made = {}, {}, {}
 
     def step(level, h):
+        P = made.get((level, h))
+        if P is not None:
+            return P
         if level not in gens:
             G = sys.closed_loop(level)
             gens[level] = (G, float(np.abs(G).sum(axis=0).max()))
         G, norm = gens[level]
         near = anchors.setdefault(level, [])
-        for h_near, P in near:
+        for h_near, P_near in near:
             if abs(h - h_near) * norm <= _NEAR_STEP:
-                return P + (h - h_near) * (P @ G)
-        P = _step_matrix(sys, level, h)
-        near.append((h, P))
+                P = P_near + (h - h_near) * (P_near @ G)
+                break
+        else:
+            P = _step_matrix(sys, level, h)
+            near.append((h, P))
+        made[level, h] = P
         return P
 
     return step
 
 
+def _grid_successors(times: np.ndarray, dt: float) -> np.ndarray:
+    """Whether each sample after the first is the grid point right after the
+    sample before it: both on the grid (rint(t / dt) dt == t, exactly) and
+    one grid index apart."""
+    k = np.rint(times / dt)
+    on = k * dt == times
+    return on[1:] & on[:-1] & (np.diff(k) == 1.0)
+
+
 def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
-    """The states of one trajectory, stepped from cell edge to cell edge.
+    """The states of one trajectory, cell by cell and run by run.
 
     ``times`` are strictly increasing and >= 0; ``dt_out`` is the spacing
     they were gridded at (see :func:`_sample_grid`), or None for a plain
@@ -241,28 +251,21 @@ def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
     array) of ``times``, every sample exactly once, in no fixed order.
 
     The state crosses each signal cell [c0, c1) in one exact step
-    e^{(A - a B B^T)(c1 - c0)}, so the cell-edge states do not depend on how
-    densely the output is sampled.  The samples inside a cell are filled
-    from its start state in runs read off the grid: a sample on the grid
-    (rint(t / dt_out) dt_out == t) whose grid index follows that of the
-    sample before it in the same cell joins that sample's run; every other
-    sample opens a run of its own, one step from the cell start or the
-    sample before it.  The grid samples after it are the rows P^k z, k =
-    1..m, with P the step over dt_out, filled by doubling: rows [k, 2k) are
-    rows [0, k) times (P^k)^T.  The k-th runs of all cells form a wave: its
-    single-sample runs are one gathered stack of matrix-vector products,
-    and its longer runs of one step matrix one time-major (m, R, N) block,
-    one matrix product per doubling step, or run by run above
-    _BLOCK_ELEMENTS.  Besides one flag per sample, the cell-edge states and
-    the runs, what is held is one such piece, or one whole run of m x N
-    entries.
+    e^{(A - a B B^T)(c1 - c0)} from the cell's start state, so the
+    cell-edge states do not depend on how densely the output is sampled.
+    A cell's samples are filled in runs: a run opens at the cell's first
+    sample and at each sample that is not the grid point after the one
+    before it (see :func:`_grid_successors`; with no ``dt_out``, at every
+    sample).  Its first sample is one step from the cell start or the
+    sample before it; the m grid points after it are the rows P^k z,
+    k = 1..m, with P the step over dt_out, filled by doubling: rows [k, 2k)
+    are rows [0, k) times (P^k)^T.  Each run goes to the sink as one piece,
+    and the cell-edge states as one piece at the end.
 
-    A lone or cell-edge step is taken in run-by-run order, a cell's runs and
-    then its edge step, from :func:`_near_steps`; the step over dt_out is
-    :func:`_step_matrix`'s.  A row formed from one row stays a matrix-vector
-    product, which BLAS rounds apart from a matrix product; a BLAS whose
-    matrix product rounds a row by the rows around it (OpenBLAS from 32
-    states) makes the block fill agree with a run-by-run fill to rounding.
+    First-sample and edge steps come from :func:`_near_steps`, which
+    derives a step from the anchors made before it; taking them in one
+    order, a cell's runs and then its edge step, fixes the anchors.  The
+    step over dt_out and its powers are :func:`_step_matrix`'s.
     """
     N = sys.dim
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -279,145 +282,60 @@ def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
         emit(np.array([0]), z0[None])
     if times[-1] == 0.0:
         return
+    n = len(times)
     cells = list(sig.cells_between(0.0, float(times[-1])))
     starts = np.array([c for c, _, _ in cells])
     # cell k fills samples [begin[k], end[k]); a sample on a cell edge takes
     # the edge state instead
     begin = np.searchsorted(times, starts, side="right")
-    end = np.append(np.searchsorted(times, starts[1:], side="left"), len(times))
-    # lattice marks the samples that step from the sample before them over
-    # dt_out
-    lattice = np.zeros(len(times), dtype=bool)
+    end = np.append(np.searchsorted(times, starts[1:], side="left"), n)
+    # the first sample of each run, in order
+    opens = np.ones(n, dtype=bool)
     if dt_out is not None:
-        k = np.rint(times / dt_out)
-        on = k * dt_out == times
-        lattice[1:] = on[1:] & on[:-1] & (np.diff(k) == 1.0)
-        lattice[np.append(begin, end[:-1])] = False
-        # one float and one flag per sample: not kept alive through the fill
-        del k, on
-    levels = np.array([level for _, _, level in cells])
-    n, C = len(times), len(starts)
-    # a run opens at each sample off the lattice, and at the first sample
-    # on it after one off it
-    lo = np.flatnonzero(~lattice | np.append(True, ~lattice[:-1]))
-    # the cell each run fills; the runs of the samples at t = 0 and on cell
-    # edges fill none
-    cell = np.searchsorted(end, lo, side="right")
-    keep = cell < C
-    cell[~keep] = 0
-    keep &= lo >= begin[cell]
-    run_lo, run_m, run_cell = lo[keep], np.diff(lo, append=n)[keep], cell[keep]
-    on_grid, alone = np.flatnonzero(lattice[run_lo]), np.flatnonzero(~lattice[run_lo])
-    # a lone run steps from its cell's start or from the sample before it
-    run_h = np.full(len(run_lo), np.nan if dt_out is None else dt_out)
-    a_lo, a_cell = run_lo[alone], run_cell[alone]
-    run_h[alone] = times[a_lo] - np.where(a_lo == begin[a_cell], starts[a_cell],
-                                          times[a_lo - 1])
-    wave = np.arange(len(run_lo)) - np.searchsorted(run_cell, run_cell, side="left")
+        opens[1:] = ~_grid_successors(times, dt_out)
+    opens[begin] = True
+    opens = np.flatnonzero(opens).tolist()
+    step = _near_steps(sys)
+    powers = {}  # level -> [P, P^2, P^4, ...] of the step over dt_out
 
-    steps = []      # step id -> [P, P^2, P^4, ...] and its (level, h)
-    near_step = _near_steps(sys)
-
-    def add(P, level, h):
-        steps.append(([P], level, h))
-        return len(steps) - 1
-
-    def power(s, j):
-        pw, level, h = steps[s]
+    def power(level, j):
+        pw = powers.setdefault(level, [_step_matrix(sys, level, dt_out)])
         while len(pw) <= j:
             if _orthogonal_step(sys, level):
                 # squaring would let orthogonality slip by ~eps per doubling;
                 # the eigendecomposition gives each power exactly
-                pw.append(_step_matrix(sys, level, h * 2 ** len(pw)))
+                pw.append(_step_matrix(sys, level, dt_out * 2 ** len(pw)))
             else:
                 pw.append(pw[-1] @ pw[-1])
         return pw[j]
 
-    # the grid runs step over dt_out, one exact step per (level, dt_out)
-    run_sid = np.empty(len(run_lo), dtype=int)
-    need = list(zip(levels[run_cell[on_grid]].tolist(), run_h[on_grid].tolist()))
-    sid = {key: add(_step_matrix(sys, *key), *key) for key in dict.fromkeys(need)}
-    run_sid[on_grid] = [sid[key] for key in need]
-    # exponentiate each lone and edge (level, h) where the run-by-run order
-    # first needs it: a cell's runs, then its edge step.  The last cell
-    # holds the last sample, so no edge step leaves it.
-    order = np.argsort(np.concatenate([2 * a_lo, 2 * end[:-1] - 1]), kind="stable")
-    in_cell = np.concatenate([a_cell, np.arange(C - 1)])[order]
-    lengths = np.concatenate([run_h[alone], np.diff(starts)])[order]
-    need = list(zip(levels[in_cell].tolist(), lengths.tolist()))
-    sid = {key: add(near_step(*key), *key) for key in dict.fromkeys(need)}
-    ids = np.empty(len(need), dtype=int)
-    ids[order] = [sid[key] for key in need]
-    run_sid[alone], edge_sid = ids[:len(alone)], ids[len(alone):]
-    del need, sid, ids, order
-
-    def gathered(g):
-        # the single-sample runs g: P_s z for each step s, as stacked
-        # matrix-vector products over a stack of their steps,
-        # _BLOCK_ELEMENTS at a time
-        size = max(1, _BLOCK_ELEMENTS // (N * N))
-        for k in range(0, len(g), size):
-            part = g[k:k + size]
-            P = np.array([steps[s][0][0] for s in run_sid[part].tolist()])
-            states = np.matmul(P, cell_state[run_cell[part], :, None])[:, :, 0]
-            cell_state[run_cell[part]] = states
-            emit(run_lo[part], states)
-
-    def fill_block(g, s):
-        # the rows P^k z, k = 1..m, of the runs g on one time-major (m, R, N)
-        # block: row 0 and every row made from one row (k = 1, or a run of
-        # m = k + 1) as matrix-vector products, the others as one product
-        # over the block
-        los, ms = run_lo[g], run_m[g]
-        mx = int(ms.max())
-        block = np.empty((mx, len(g), N))
-        np.matmul(power(s, 0), cell_state[run_cell[g], :, None], out=block[0, :, :, None])
-        if mx > 1:
-            np.matmul(block[0, :, None, :], power(s, 0).T, out=block[1, :, None, :])
-        k, j = 2, 1
-        while k < mx:
-            c = min(k, mx - k)
-            np.matmul(block[:c].reshape(-1, N), power(s, j).T,
-                      out=block[k:k + c].reshape(-1, N))
-            k, j = 2 * k, j + 1
-        if len(g) == 1:
-            cell_state[run_cell[g[0]]] = block[-1, 0]
-            emit(slice(los[0], los[0] + mx), block[:, 0])
-            return
-        tail = ms - 1
-        for k in np.unique(tail[(tail >= 2) & (tail & (tail - 1) == 0)]).tolist():
-            ends = ms == k + 1
-            block[k, ends] = np.matmul(block[0, ends, None, :],
-                                       power(s, k.bit_length() - 1).T)[:, 0]
-        cell_state[run_cell[g]] = block[tail, np.arange(len(g))]
-        row = np.arange(mx)[:, None]
-        held = row < ms
-        emit((los + row)[held], block[held])
-
-    # the state at each cell's start, and at the samples on cell edges; it
-    # then holds the last state filled in each cell, from which its next
-    # run starts
-    cell_state = np.empty((C, N))
-    cell_state[0] = z0
-    for k, s in enumerate(edge_sid.tolist()):
-        np.matmul(steps[s][0][0], cell_state[k, :, None], out=cell_state[k + 1, :, None])
-    edge = np.flatnonzero(times[end[:-1]] == starts[1:])
-    emit(end[edge], cell_state[edge + 1])
-
-    # a wave's single-sample runs together, then its longer runs by step,
-    # all at once while they fit _BLOCK_ELEMENTS, else one by one
-    group = np.where(run_m == 1, -1, run_sid)
-    order = np.lexsort((group, wave))
-    key = np.stack([wave[order], group[order]])
-    cuts = np.flatnonzero((np.diff(key, axis=1) != 0).any(axis=0)) + 1
-    for g in np.split(order, cuts):
-        if group[g[0]] < 0:
-            gathered(g)
-        elif int(run_m[g].max()) * len(g) * N <= _BLOCK_ELEMENTS:
-            fill_block(g, int(run_sid[g[0]]))
-        else:
-            for part in g[:, None]:
-                fill_block(part, int(run_sid[g[0]]))
+    z = z0  # the state at the start of the cell
+    edges, edge_states = [], []
+    for (c0, c1, level), b, e in zip(cells, begin.tolist(), end.tolist()):
+        firsts = opens[bisect_left(opens, b):bisect_left(opens, e)]
+        x = z
+        for k, stop in zip(firsts, firsts[1:] + [e]):
+            h = float(times[k] - (c0 if k == b else times[k - 1]))
+            run = np.empty((stop - k, N))
+            np.matmul(step(level, h), x, out=run[0])
+            m = stop - k - 1
+            if m:
+                np.matmul(power(level, 0), run[0], out=run[1])
+            r, j = 1, 0
+            while r < m:
+                c = min(r, m - r)
+                np.matmul(run[1:1 + c], power(level, j).T, out=run[1 + r:1 + r + c])
+                r, j = 2 * r, j + 1
+            emit(slice(k, stop), run)
+            x = run[-1].copy()  # a copy, so the run is freed before the next one
+        if e == n:
+            break
+        z = step(level, c1 - c0) @ z
+        if times[e] == c1:
+            edges.append(e)
+            edge_states.append(z)
+    if edges:
+        emit(np.array(edges), np.array(edge_states))
 
 
 def _sample_grid(sig: Signal, horizon: float, dt_out: float) -> np.ndarray:
@@ -484,8 +402,8 @@ def simulate(sys: LinearSystem, sig: Signal, z0, horizon: float, dt_out: float) 
     signal breakpoints inside the horizon (so energy bookkeeping never
     straddles a damping switch) plus the horizon itself.  The state steps
     from cell edge to cell edge and the samples inside each cell are filled
-    in blocks (see :func:`_propagate`).  The energies and output norms are
-    taken from each piece of states as it is filled, so no (samples, N)
+    run by run (see :func:`_propagate`).  The energies and output norms are
+    taken from each run of states as it is filled, so no (samples, N)
     array of states is held.
 
     Parameters

@@ -322,6 +322,29 @@ def pe_check(sig: Signal, T, mu, horizon, tolerance: float = 0.0) -> PEReport:
     )
 
 
+def _periodic_on(sig: Signal, T, horizon) -> bool:
+    """Whether alpha(t + T) == alpha(t) for every t in [0, horizon - T], exactly.
+
+    Both sides are right-continuous step functions, so they agree when they
+    agree at t = 0 and change level at the same instants to the same
+    levels.  The instants are read off the integer lattice in one pass over
+    the breakpoints; no shifted signal is built.
+    """
+    (tn, td), (hn, hd) = _ratio(T), _ratio(horizon)
+    L = math.lcm(sig._den, td, hd)
+    s = L // sig._den
+    wT = tn * (L // td)
+    last = hn * (L // hd) - wT
+    levels = sig._nvalues + (sig._ntail,)
+    # (instant, level after it) of each breakpoint where the level changes
+    switches = [(nb * s, after) for nb, before, after
+                in zip(sig._nbreaks, levels, levels[1:]) if after != before]
+    at_T = levels[bisect.bisect_right(sig._nbreaks, wT // s)]
+    return (levels[0] == at_T
+            and [(x, v) for x, v in switches if x <= last]
+            == [(x - wT, v) for x, v in switches if wT < x <= last + wT])
+
+
 def periodic_gate(period, pulse_halfwidth, horizon, phase=0.0) -> Signal:
     """Periodic on/off gate: level 1 on [k*period - h, k*period + h), else 0.
 

@@ -28,11 +28,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linsys import (LinearSystem, _levels, _near_steps, _propagate, _row_norms_sq,
-                     _sample_grid, check_sampling, cost_within_bound)
+from .linsys import (LinearSystem, _grid_successors, _levels, _near_steps, _propagate,
+                     _row_norms_sq, _sample_grid, check_sampling, cost_within_bound)
 from .observability import observability_gramian
-from .signals import (IntervalSequence, Signal, from_intervals, make_piecewise,
-                      pe_check, periodic_gate)
+from .signals import (IntervalSequence, Signal, _periodic_on, from_intervals,
+                      make_piecewise, pe_check, periodic_gate)
 
 # verify_certificate grids its windows and trajectories theta /
 # SAMPLES_PER_THETA apart, and accepts a window contraction up to
@@ -193,7 +193,8 @@ def _window_contractions(sys: LinearSystem, sig: Signal, T: float, theta: float)
     whose windows end at grid point k + SAMPLES_PER_THETA, and the
     breakpoints of ``sig``.  Phi is the product of the steps (see
     :func:`~pexstab.linsys._near_steps`) between consecutive sample times
-    of [0, T + theta], two neighbouring grid points one step over dt.  A
+    of [0, T + theta], two neighbouring grid points (see
+    :func:`~pexstab.linsys._grid_successors`) one step over dt.  A
     doubling table builds all windows at once: D_{l+1}[j] = D_l[j + 2^l]
     D_l[j] is the product of the 2^(l+1) steps from sample j, and a window
     of m steps takes D_l for each bit l of m.
@@ -206,13 +207,9 @@ def _window_contractions(sys: LinearSystem, sig: Signal, T: float, theta: float)
     times = np.union1d(grid, ends)
     at = np.searchsorted(times, starts)
     m = np.searchsorted(times, ends) - at
-    k = np.rint(times / dt)
-    on = k * dt == times
-    h = np.where(on[1:] & on[:-1] & (np.diff(k) == 1.0), dt, np.diff(times))
-    keys = list(zip(_levels(sig, times[:-1]).tolist(), h.tolist()))
-    step = _near_steps(sys)
-    made = {key: step(*key) for key in dict.fromkeys(keys)}
-    table = np.array([made[key] for key in keys])
+    h = np.where(_grid_successors(times, dt), dt, np.diff(times))
+    step, levels = _near_steps(sys), _levels(sig, times[:-1]).tolist()
+    table = np.array([step(*key) for key in zip(levels, h.tolist())])
     phi = np.broadcast_to(np.eye(sys.dim), (len(starts), sys.dim, sys.dim)).copy()
     bit = 1
     while True:
@@ -229,11 +226,12 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
                        family: GateSignalFamily, n_trials: int = 20) -> CertificateCheck:
     """Check the certificate's window contraction exactly on drawn signals.
 
-    Each trial's gate is re-checked to be T-mu persistently exciting over
-    ``family.horizon`` (a family bug would otherwise make the check
-    vacuous).  It is T-periodic, so the windows of
-    :func:`_window_contractions` stand for every window of the horizon at
-    their starts modulo T.  Trial 0 and the worst window's trial are also
+    Each trial's gate is re-checked, exactly, to be T-periodic and T-mu
+    persistently exciting over ``family.horizon``; a draw that is not
+    raises ValueError, since a family bug would otherwise make the check
+    vacuous.  Being T-periodic, a gate's mass windows from [0, T] and its
+    windows of :func:`_window_contractions` stand for every window of the
+    horizon at their starts modulo T.  Trial 0 and the worst window's trial are also
     simulated over the horizon from a random unit z0 each, sampled theta /
     SAMPLES_PER_THETA apart, against the envelope M e^{-gamma t}.  Raises
     :class:`CertificateViolation` when a window contraction exceeds q by
@@ -251,7 +249,11 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
     window = (-math.inf, -1, 0.0)
     for i in range(n_trials):
         sig = family.draw(i)
-        pe = pe_check(sig, family.T, family.mu, horizon)
+        if not _periodic_on(sig, family.T, horizon):
+            raise ValueError("family drew a signal at trial %d that is not %g-periodic on "
+                             "[0, %g]" % (i, family.T, horizon))
+        # a T-periodic draw has the same mass in the windows from t and t + T
+        pe = pe_check(sig, family.T, family.mu, min(horizon, 2.0 * family.T))
         if not pe.holds:
             raise ValueError(
                 "family drew a non-PE signal at trial %d (worst window mass "

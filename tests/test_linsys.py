@@ -183,19 +183,20 @@ def damped_string(n_modes, dissipative):
 @pytest.mark.parametrize("n_modes", [2, 16, 32])
 @pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "dissipative"])
 def test_simulate_norms_match_the_collected_states_bit_for_bit(n_modes, dissipative):
-    # N = 4, 32 and 64 states.  The gate's phase puts its switches off the
-    # output grid, so every cell opens with a one-sample run (a gathered
-    # stack, and a lone row at t = 0) before its long run; its 100 short
-    # cells let the long runs of one step share a block
+    # N = 4, 32 and 64 states.  Every switch of the gate is a sample, and
+    # its phase puts the switches off the output grid, so each of its 100
+    # short cells is one run: a step from the switch, then grid points.
+    # The lone row at t = 0 is a piece of its own
     sys = damped_string(n_modes, dissipative)
     gate = periodic_gate(0.2, 0.05, 12.0, 0.037)
     z0 = np.random.default_rng(n_modes).standard_normal(sys.dim)
     traj = simulate(sys, gate, z0, 10.0, 0.01)
     pieces = piece_rows(sys, gate, z0, traj.times, 0.01)
-    # a block of several runs: consecutive rows, and a gap between runs
-    shared = [rows for rows in pieces
-              if (np.diff(rows) == 1).any() and (np.diff(rows) > 1).any()]
-    assert shared and min(len(rows) for rows in pieces) == 1
+    # each run one piece of consecutive rows, the switch samples one piece
+    edges = np.flatnonzero(np.isin(traj.times, gate.breakpoints))
+    bounds = np.concatenate([[0], edges, [len(traj.times)]])
+    runs = [list(range(a + 1, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert sorted(rows.tolist() for rows in pieces) == sorted([[0], edges.tolist()] + runs)
     states = propagate_alone(sys, gate, z0, traj.times, 0.01)
     assert np.array_equal(traj.energies, 0.5 * _row_norms_sq(states))
     full = _row_norms_sq(states @ sys.B)
@@ -570,8 +571,8 @@ def test_levels_match_pointwise_lookup():
 
 
 def run_by_run_states(sys, sig, z0, times, dt_out=None):
-    """Reference for the wave fill: the same cell-edge chain, with each cell
-    filled on its own, cell after cell, run by run.  A sample steps alone
+    """Reference for _propagate: the same cell-edge chain, with each cell
+    filled on its own, cell after cell, run by run, into one array.  A sample steps alone
     from the cell start or the sample before it; the grid points that
     follow it in the cell, each one index after the last, are filled at
     dt_out by doubling.  A plain time list (dt_out None) steps sample by
@@ -647,7 +648,7 @@ def string_system(n_modes, dissipative):
     return sys
 
 
-def assert_wave_fill_is_run_by_run(sys, sig, z0, times, dt_out=None):
+def assert_fill_is_run_by_run(sys, sig, z0, times, dt_out=None):
     want = run_by_run_states(sys, sig, z0, times, dt_out)
     got = propagate_alone(sys, sig, z0, times, dt_out)
     assert np.array_equal(got, want)
@@ -657,7 +658,7 @@ FILLS = pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "diss
 
 
 @FILLS
-def test_wave_fill_matches_run_by_run_on_verify_gates(dissipative):
+def test_fill_matches_run_by_run_on_verify_gates(dissipative):
     # gates drawn as verify_certificate draws them: T 2, width in [1, 2],
     # random phase, sampled 2/64 apart over 100 on the 8-state string
     sys = string_system(4, dissipative)
@@ -666,60 +667,58 @@ def test_wave_fill_matches_run_by_run_on_verify_gates(dissipative):
     for i in range(5):
         sig = family.draw(i)
         times = _sample_grid(sig, family.horizon, 2.0 / 64)
-        assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 2.0 / 64)
+        assert_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 2.0 / 64)
 
 
 @FILLS
-def test_wave_fill_matches_run_by_run_on_irregular_times(dissipative):
+def test_fill_matches_run_by_run_on_irregular_times(dissipative):
     sys = string_system(4, dissipative)
     rng = np.random.default_rng(41)
     breaks = np.sort(rng.uniform(0.0, 10.0, size=30))
     sig = make_piecewise(breaks.tolist(), rng.choice([0.0, 0.5, 1.0], size=30).tolist(), 0.3)
     times = np.sort(rng.uniform(0.0, 12.0, size=400))
-    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+    assert_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
     # the same times starting at 0, and runs of grid points between them
     times = np.unique(np.concatenate([[0.0], times, np.arange(1, 600) * 0.02]))
-    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 0.02)
+    assert_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 0.02)
 
 
 @FILLS
-def test_wave_fill_matches_run_by_run_with_samples_on_cell_edges(dissipative):
+def test_fill_matches_run_by_run_with_samples_on_cell_edges(dissipative):
     sys = string_system(4, dissipative)
     rng = np.random.default_rng(42)
     sig = periodic_gate(1.0, 0.25, 20.0).shifted(0.25)
     grid = np.arange(0, 1201) * 0.0125  # every breakpoint is a sample
     assert np.isin(sig.breakpoints, grid).any()
     for times in (grid, grid[1:], grid[7:]):  # from t = 0, then later
-        assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 0.0125)
+        assert_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 0.0125)
 
 
 @FILLS
-def test_wave_fill_matches_run_by_run_when_gaps_drift(dissipative):
+def test_fill_matches_run_by_run_when_gaps_drift(dissipative):
     # consecutive gaps nearly agree, yet drift: a plain time list, so each
     # cell steps singly
     sys = string_system(4, dissipative)
     sig = make_piecewise([1.3, 2.6, 3.1], [1.0, 0.0, 0.5], 1.0)
     times = np.cumsum(0.01 + np.arange(400) * 7e-16)
     rng = np.random.default_rng(43)
-    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+    assert_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
 
 
 @FILLS
-def test_wave_fill_matches_run_by_run_beyond_the_block_cap(dissipative):
-    # seven damped cells of 2000 samples each: 2000 x 7 x 8 entries exceed
-    # the block cap, so these runs are filled one by one
+def test_fill_matches_run_by_run_on_long_cells(dissipative):
+    # seven damped cells of 2000 samples each, so long runs of doublings
     sys = string_system(4, dissipative)
     sig = periodic_gate(20.0, 5.0, 160.0)
     times = _sample_grid(sig, 150.0, 5e-3)
-    assert 2000 * 7 * sys.dim > linsys._BLOCK_ELEMENTS
     rng = np.random.default_rng(44)
-    assert_wave_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 5e-3)
+    assert_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times, 5e-3)
 
 
-def test_wave_fill_of_wide_states_matches_run_by_run_to_rounding():
-    # from 32 states on, OpenBLAS rounds a product of a few rows with a
-    # small-matrix kernel and the same rows inside a larger product with
-    # its general one, so the block fill agrees to rounding, not bit for bit
+def test_fill_matches_run_by_run_on_wide_states():
+    # from 32 states on, OpenBLAS may round a row by the rows around it in
+    # a product; each run is filled alone, so its products are the
+    # reference's
     sys = string_system(16, False)
     family = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=11)
     rng = np.random.default_rng(45)
@@ -727,9 +726,7 @@ def test_wave_fill_of_wide_states_matches_run_by_run_to_rounding():
         sig = family.draw(i)
         times = _sample_grid(sig, family.horizon, 2.0 / 64)
         z0 = rng.standard_normal(sys.dim)
-        want = run_by_run_states(sys, sig, z0, times, 2.0 / 64)
-        got = propagate_alone(sys, sig, z0, times, 2.0 / 64)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert_fill_is_run_by_run(sys, sig, z0, times, 2.0 / 64)
 
 
 @FILLS

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pexstab.signals import (
     IntervalSequence,
     Signal,
+    _periodic_on,
     from_intervals,
     haraux_gap,
     make_piecewise,
@@ -262,6 +263,20 @@ def ref_periodic_gate(period, h, horizon):
             return breaks, vals, F(0)
 
 
+def ref_periodic_on(ref, T, horizon):
+    """alpha(t + T) == alpha(t) at 0, horizon - T and every instant between
+    where either side switches; both sides are constant in between."""
+    fT, last = F(T), F(horizon) - F(T)
+
+    def level(t):
+        i = bisect.bisect_right(ref.breaks, t)
+        return ref.vals[i] if i < len(ref.vals) else ref.tail
+
+    cands = {F(0), last} | {b for b in ref.breaks if b <= last} \
+        | {b - fT for b in ref.breaks if fT <= b <= last + fT}
+    return all(level(t) == level(t + fT) for t in cands)
+
+
 def ref_haraux_gap(n_max):
     breaks, vals, ivs, s = [], [], [], F(0)
     for n in range(1, n_max + 1):
@@ -441,3 +456,28 @@ def test_exact_for_long_odd_denominators():
     assert (rep.worst_window_start_exact, rep.worst_window_mass_exact, rep.holds) \
         == ref_pe_check(ref, 2.0, 0.1, horizon)
     assert sig.shifted(0.3).integral(1, 7) == ref.integral(F(0.3) + 1, F(0.3) + 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_signals(), mixed(0.1, 5.0), mixed(0.0, 30.0))
+def test_periodic_on_matches_fraction_reference(raw, T, extra):
+    horizon = F(T) + F(extra)
+    assert _periodic_on(make_piecewise(*raw), T, horizon) \
+        is ref_periodic_on(RefSignal(*raw), T, horizon)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed(0.1, 4.0), st.fractions(F(1, 50), F(1, 2), max_denominator=50),
+       mixed(0.0, 20.0), st.fractions(0, 1, max_denominator=60))
+def test_phased_gates_are_periodic_over_their_horizon(period, share, horizon, phase_share):
+    # the pulse train of a gate runs a period past its horizon, less its
+    # phase; a repeat of the train's last period, level 0 after it, is not
+    h, phase = F(period) * share, F(period) * phase_share
+    gate = periodic_gate(period, h, horizon, phase)
+    horizon = max(F(horizon), F(period))
+    ref = RefSignal([F(n, gate._den) for n in gate._nbreaks],
+                    [F(n, gate._vden) for n in gate._nvalues], F(gate._ntail, gate._vden))
+    assert _periodic_on(gate, period, horizon) and ref_periodic_on(ref, period, horizon)
+    far = horizon + 4 * F(period)
+    assert _periodic_on(gate, period, far) is (share == F(1, 2)) \
+        is ref_periodic_on(ref, period, far)

@@ -202,6 +202,18 @@ def test_verify_rejects_non_pe_family_draws():
         verify_certificate(sys, cert, fam, n_trials=2)
 
 
+def test_verify_rejects_family_draws_that_are_not_periodic():
+    # on for [0, 1) of every 2 up to t = 8, then always on: window mass at
+    # least mu = 1 throughout, but 2-periodic only on [0, 8]
+    sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
+    cert = certificate_from_constant(0.05, 2.0, sys.b_norm)
+    adversary = make_piecewise(list(range(1, 9)), [1.0, 0.0] * 4, 1.0)
+    fam = FamilyWithAdversary(T=2.0, mu=1.0, horizon=20.0, adversary=adversary)
+    assert pe_check(adversary, 2.0, 1.0, 20.0).holds
+    with pytest.raises(ValueError, match="trial 1 that is not 2-periodic"):
+        verify_certificate(sys, cert, fam, n_trials=2)
+
+
 def test_inflated_constant_is_caught_by_the_witness_signal():
     # the periodically extended minimising witness re-aligns with the worst
     # state every window (the one-mode monodromy over T = 2 is the identity),
