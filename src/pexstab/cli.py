@@ -20,12 +20,15 @@ their own documented headers, everything else to JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
 import hashlib
 import json
 import math
 import os
 import sys
+import threading
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -375,6 +378,75 @@ def run_scenario(path: str, out_dir: str, parallel: bool = False,
     return _run_parsed(sc, digest, path, out_dir, parallel, only_kind)
 
 
+# numpy's and scipy's wheels prefix OpenBLAS's names with scipy_, and a
+# build with 64-bit integers suffixes them with 64_
+_THREAD_FUNCTIONS = [(p + "get_num_threads" + s, p + "set_num_threads" + s)
+                     for p in ("openblas_", "scipy_openblas_") for s in ("", "64_")]
+
+
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found by file name in /proc/self/maps; none where there is no
+    such file (not Linux) or no OpenBLAS (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh
+                     if "openblas" in line}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:  # RTLD_NOLOAD: a handle to the mapped library, never a new load
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_FUNCTIONS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context in which every OpenBLAS loaded in the process computes on
+    one thread.  The first of any concurrent or nested entries saves each
+    library's thread count and the last exit restores it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(set_, get()) for get, set_ in _openblas_threads()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+                self._saved = []
+
+
+# A run's products are at most a few hundred columns wide (the state
+# dimension is bounded by MAX_MODES), too small to gain from BLAS threads,
+# and one that waits on an OpenBLAS helper thread can take many times its
+# one-thread time; a run's parallelism is its analyses (--parallel).
+# OpenBLAS splits a product by rows and columns, never along the sum, so
+# the thread count leaves every digit as it is.
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+@_ONE_BLAS_THREAD
 def _run_parsed(sc: Scenario, digest: str, path: str, out_dir: str,
                 parallel: bool = False, only_kind: str = None) -> int:
     """Run a validated scenario; ``digest`` is the sha256 of its bytes and

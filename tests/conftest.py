@@ -53,3 +53,22 @@ def golden_cli_tree(request, tmp_path, golden_manifest):
     else:
         stored = golden.REPORTS / golden.CLI_TREES / name
         assert golden.loose_differences(want, tmp_path, stored) == []
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The (get, set) thread-count functions of every OpenBLAS the CLI's
+    thread cap finds, each set to two threads for the test, so that a cap and its
+    restore show even on one core, and set back after it.  Skips the test
+    where no OpenBLAS is found."""
+    from pexstab.cli import _openblas_threads
+    controls = _openblas_threads()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    assert [get() for get, _ in controls] == [2] * len(controls)
+    yield controls
+    for (_, set_), count in zip(controls, before):
+        set_(count)

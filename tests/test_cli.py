@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pexstab import cli
 from pexstab.cli import main
 
 # every report a test writes under its tmp_path is held to the golden
@@ -897,3 +899,141 @@ def test_inputs_at_the_caps_validate(tmp_path):
     ]
     for j, doc in enumerate(docs):
         assert main(["validate", write_scenario(tmp_path, doc, "cap%d.json" % j)]) == 0
+
+
+# Two analyses a patched runner stands in for.  The patched runners'
+# reports are written outside tmp_path, whose reports the golden manifest
+# holds to those of real analyses.
+BLAS_SCENARIO = {
+    "seed": 0,
+    "horizon": 4.0,
+    "signal": {"gen": "constant", "level": 1.0},
+    "analyses": [{"kind": "check-pe", "T": 1.0, "mu": 0.5},
+                 {"kind": "check-pe", "T": 1.0, "mu": 0.5}],
+}
+
+
+def thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+def counting_runner(controls, seen, outcome):
+    """A runner that records the thread counts it sees, then returns a
+    report with ``outcome`` as its ok or raises it."""
+    def run(sc, a):
+        seen.append(thread_counts(controls))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return {}, outcome, None
+    return run
+
+
+@pytest.mark.parametrize("outcome,argv,mu,calls,code", [
+    (True, [], 0.5, 2, 0),
+    (False, [], 0.5, 2, 1),
+    (RuntimeError("solver gave up"), [], 0.5, 2, 1),
+    (True, ["--parallel"], 0.5, 2, 0),
+    (True, [], 1.5, 0, 2),  # mu above T fails validation
+], ids=["ok", "failed-check", "runtime-error", "parallel", "invalid"])
+def test_runs_compute_on_one_blas_thread_and_restore_the_count(
+        tmp_path, tmp_path_factory, monkeypatch, two_blas_threads,
+        outcome, argv, mu, calls, code):
+    seen = []
+    monkeypatch.setitem(cli._RUNNERS, "check-pe",
+                        counting_runner(two_blas_threads, seen, outcome))
+    doc = dict(BLAS_SCENARIO, analyses=[dict(a, mu=mu) for a in BLAS_SCENARIO["analyses"]])
+    out = tmp_path_factory.mktemp("blas")
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)] + argv) == code
+    assert seen == [[1] * len(two_blas_threads)] * calls
+    assert thread_counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+def test_concurrent_and_nested_runs_restore_the_blas_threads_at_the_last_exit(
+        tmp_path, tmp_path_factory, monkeypatch, two_blas_threads):
+    # run 1 returns while run 0 is still inside its analysis: the count
+    # stays capped until run 0 returns too
+    ones = [1] * len(two_blas_threads)
+    both_inside, first_done = threading.Barrier(2), threading.Event()
+    seen = {0: [], 1: []}
+
+    def run(sc, a):
+        both_inside.wait(timeout=60)
+        if sc.seed == 0:
+            assert first_done.wait(timeout=60)
+        seen[sc.seed].append(thread_counts(two_blas_threads))
+        return {}, True, None
+
+    monkeypatch.setitem(cli._RUNNERS, "check-pe", run)
+    codes = {}
+
+    def run_scenario(seed):
+        doc = dict(BLAS_SCENARIO, seed=seed, analyses=BLAS_SCENARIO["analyses"][:1])
+        scen = write_scenario(tmp_path, doc, "seed%d.json" % seed)
+        codes[seed] = main(["run", scen, "--out", str(tmp_path_factory.mktemp("blas"))])
+        if seed == 1:
+            first_done.set()
+
+    workers = [threading.Thread(target=run_scenario, args=(seed,)) for seed in (0, 1)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
+    assert not any(w.is_alive() for w in workers)
+    assert codes == {0: 0, 1: 0}
+    assert seen == {0: [ones], 1: [ones]}
+    assert thread_counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+    # a run inside a capped context leaves the count to that context
+    monkeypatch.setitem(cli._RUNNERS, "check-pe",
+                        counting_runner(two_blas_threads, seen[0], True))
+    with cli._ONE_BLAS_THREAD:
+        scen = write_scenario(tmp_path, BLAS_SCENARIO, "nested.json")
+        assert main(["run", scen, "--out", str(tmp_path_factory.mktemp("blas"))]) == 0
+        assert thread_counts(two_blas_threads) == ones
+    assert seen[0] == [ones] * 3
+    assert thread_counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+def test_blas_thread_cap_holds_under_many_threads(tmp_path, tmp_path_factory, monkeypatch,
+                                                 two_blas_threads):
+    # four threads, ten runs each, switching often: every analysis sees
+    # one thread, and the count is back at two when all have returned
+    seen = []
+    monkeypatch.setitem(cli._RUNNERS, "check-pe",
+                        counting_runner(two_blas_threads, seen, True))
+    scen = write_scenario(tmp_path, BLAS_SCENARIO)
+    codes = []
+
+    def runs(out):
+        for _ in range(10):
+            codes.append(main(["run", scen, "--out", str(out)]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=runs, args=(tmp_path_factory.mktemp("blas"),))
+                   for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert codes == [0] * 40
+    assert seen == [[1] * len(two_blas_threads)] * 80
+    assert thread_counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the cap reads the loaded libraries from /proc")
+def test_blas_thread_cap_finds_numpys_openblas():
+    # without this, a change in how the libraries are named would leave the
+    # cap a silent no-op
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict form
+        pytest.skip("numpy does not name its BLAS")
+    if "openblas" not in blas.lower():
+        pytest.skip("numpy is built on %s" % blas)
+    assert cli._openblas_threads()

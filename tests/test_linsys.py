@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import energy_balance_from_states, gap_estimate_check
 from pexstab import linsys
+from pexstab.cli import _ONE_BLAS_THREAD
 from pexstab.linsys import (
     DIM_LIMIT,
     STEP_CACHE_BYTES,
@@ -202,6 +203,22 @@ def test_simulate_norms_match_the_collected_states_bit_for_bit(n_modes, dissipat
     full = _row_norms_sq(states @ sys.B)
     assert np.array_equal(traj.output_sq, full)
     assert np.array_equal(traj.damping_rates, _levels(gate, traj.times) * full)
+
+
+@pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "dissipative"])
+def test_simulate_is_bit_identical_on_two_blas_threads_and_under_the_cap(
+        two_blas_threads, dissipative):
+    # N = 64 states in runs of 1,500 rows, large enough for OpenBLAS to
+    # split a product between two threads.  The CLI runs under the cap and
+    # a library caller on its own thread count: both must get the same bits
+    gate = periodic_gate(2.0, 0.25, 20.0)
+    z0 = np.random.default_rng(3).standard_normal(64)
+    two = simulate(damped_string(32, dissipative), gate, z0, 20.0, 1e-3)
+    with _ONE_BLAS_THREAD:
+        assert [get() for get, _ in two_blas_threads] == [1] * len(two_blas_threads)
+        one = simulate(damped_string(32, dissipative), gate, z0, 20.0, 1e-3)
+    assert np.array_equal(two.energies, one.energies)
+    assert np.array_equal(two.output_sq, one.output_sq)
 
 
 def test_simulate_holds_no_array_of_all_the_states():
