@@ -245,8 +245,10 @@ def _run_simulate(sc: Scenario, a: dict):
     V = traj.energies
     rises = np.diff(V)
     worst_rise = float(max(0.0, np.max(rises))) if len(rises) else 0.0
-    monotone_ok = worst_rise <= a["monotone_tol"] * max(1.0, float(V[0]))
-    balance_ok = abs(balance.residual) <= a["balance_tol"]
+    # both tolerances are relative to the starting energy, once it passes 1
+    scale = max(1.0, float(V[0]))
+    monotone_ok = worst_rise <= a["monotone_tol"] * scale
+    balance_ok = abs(balance.residual) <= a["balance_tol"] * scale
     report = {
         "z0": a["z0"],
         "samples": len(V),
@@ -441,8 +443,11 @@ class _OneBlasThread(contextlib.ContextDecorator):
 # dimension is bounded by MAX_MODES), too small to gain from BLAS threads,
 # and one that waits on an OpenBLAS helper thread can take many times its
 # one-thread time; a run's parallelism is its analyses (--parallel).
-# OpenBLAS splits a product by rows and columns, never along the sum, so
-# the thread count leaves every digit as it is.
+# OpenBLAS splits a product by rows and columns, never along the sum; on
+# its AVX-512 kernels the thread count then leaves every digit as it is,
+# but on the AVX2 ones (OPENBLAS_CORETYPE=Haswell) a row can round by how
+# its product is split, so a caller on two threads may get other last
+# digits than a run.
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 

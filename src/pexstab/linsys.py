@@ -9,15 +9,17 @@ the exponential's own rounding) rather than by an ODE stepper with local
 truncation error.  Propagation steps from cell edge to cell edge, one step
 per cell, and fills each cell from its start state, run by run: a run is a
 sample one step from the cell start or the sample before it, then the
-consecutive points of the output grid after it, the powers of the step over
-the grid spacing built by doubling; the runs are read off the grid indices,
-not inferred from the sample times.  Each run goes to a consumer as it is
+consecutive points of the output grid after it, filled by doubling with the
+steps over 2^j grid spacings; the runs are read off the grid indices, not
+inferred from the sample times.  Each run goes to a consumer as it is
 filled, and the cell-edge states as one piece at the end; the consumer keeps
 what it needs (simulate the energies and output norms, the strong-stability
 bound the checkpoint energies), so no (samples, N) array of states is held.
-Step matrices are memoized on the system by exact (level, dt), as arrays of
-their own, within STEP_CACHE_BYTES, so repeated trajectories on one system
-share them.  For skew-symmetric ``A`` the undamped flow uses a unitary
+Every step over h at level a is the exponential of its own exact (a, h),
+fetched through a memo that lives for one propagation.  Step matrices are
+also memoized on the system by exact (level, dt), as arrays of their own,
+within STEP_CACHE_BYTES, so repeated trajectories on one system share
+them.  For skew-symmetric ``A`` the undamped flow uses a unitary
 eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2 to
 machine precision.
 Signal-weighted observability Gramians of the undamped flow are exact too:
@@ -26,6 +28,7 @@ one block matrix exponential per signal cell.
 
 from __future__ import annotations
 
+import functools
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -163,12 +166,6 @@ def cost_within_bound(c: float, L: float, b_norm: float) -> bool:
     return c <= L * b_norm ** 2 * (1 + 1e-9) + 1e-12
 
 
-def _orthogonal_step(sys: LinearSystem, level: float) -> bool:
-    """Whether steps at ``level`` are the undamped flow of a skew A."""
-    # B B^T vanishes identically when ||B|| = 0, whatever the level
-    return sys.skew_flag and (level == 0.0 or sys.b_norm == 0.0)
-
-
 def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
     """Exact step e^{(A - level B B^T) dt} of a cell at constant damping level.
 
@@ -183,7 +180,8 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
     P = sys._step_cache.get(key)
     if P is not None:
         return P
-    if _orthogonal_step(sys, level):
+    # B B^T vanishes identically when ||B|| = 0, whatever the level
+    if sys.skew_flag and (level == 0.0 or sys.b_norm == 0.0):
         w, U = sys._skew_eig()
         P = np.ascontiguousarray(((U * np.exp(-1j * w * dt)) @ U.conj().T).real)
     else:
@@ -195,41 +193,6 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
         if len(sys._step_cache) < entries:
             sys._step_cache.setdefault(key, P)
     return P
-
-
-# Largest |G| |d| for which a cached step over h stands in for the step over
-# h + d after a first-order correction; the dropped |G d|^2 / 2 is < eps / 4.
-_NEAR_STEP = 1e-8
-
-
-def _near_steps(sys: LinearSystem):
-    """A source ``step(level, h)`` of steps from :func:`_step_matrix`, where
-    an h within _NEAR_STEP / |G| of an earlier one, h' = h - d, is derived
-    from it as e^{G h} = P_h' (I + G d) + O(|G d|^2), exact to rounding.
-    Each (level, h) is made once; a repeat returns the same array."""
-    # level -> (generator, its 1-norm) and [(h, P_h)]; (level, h) -> step
-    gens, anchors, made = {}, {}, {}
-
-    def step(level, h):
-        P = made.get((level, h))
-        if P is not None:
-            return P
-        if level not in gens:
-            G = sys.closed_loop(level)
-            gens[level] = (G, float(np.abs(G).sum(axis=0).max()))
-        G, norm = gens[level]
-        near = anchors.setdefault(level, [])
-        for h_near, P_near in near:
-            if abs(h - h_near) * norm <= _NEAR_STEP:
-                P = P_near + (h - h_near) * (P_near @ G)
-                break
-        else:
-            P = _step_matrix(sys, level, h)
-            near.append((h, P))
-        made[level, h] = P
-        return P
-
-    return step
 
 
 def _grid_successors(times: np.ndarray, dt: float) -> np.ndarray:
@@ -259,13 +222,12 @@ def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
     sample).  Its first sample is one step from the cell start or the
     sample before it; the m grid points after it are the rows P^k z,
     k = 1..m, with P the step over dt_out, filled by doubling: rows [k, 2k)
-    are rows [0, k) times (P^k)^T.  Each run goes to the sink as one piece,
-    and the cell-edge states as one piece at the end.
+    are rows [0, k) times (P^k)^T, with P^k, k a power of two, the step
+    over k dt_out.  Each run goes to the sink as one piece, and the
+    cell-edge states as one piece at the end.
 
-    First-sample and edge steps come from :func:`_near_steps`, which
-    derives a step from the anchors made before it; taking them in one
-    order, a cell's runs and then its edge step, fixes the anchors.  The
-    step over dt_out and its powers are :func:`_step_matrix`'s.
+    Every step is :func:`_step_matrix` of its own exact (level, h), so a
+    state does not depend on the order in which the steps are asked for.
     """
     N = sys.dim
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -295,20 +257,8 @@ def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
         opens[1:] = ~_grid_successors(times, dt_out)
     opens[begin] = True
     opens = np.flatnonzero(opens).tolist()
-    step = _near_steps(sys)
-    powers = {}  # level -> [P, P^2, P^4, ...] of the step over dt_out
-
-    def power(level, j):
-        pw = powers.setdefault(level, [_step_matrix(sys, level, dt_out)])
-        while len(pw) <= j:
-            if _orthogonal_step(sys, level):
-                # squaring would let orthogonality slip by ~eps per doubling;
-                # the eigendecomposition gives each power exactly
-                pw.append(_step_matrix(sys, level, dt_out * 2 ** len(pw)))
-            else:
-                pw.append(pw[-1] @ pw[-1])
-        return pw[j]
-
+    # the system's cache can be full: each (level, h) is still made once
+    step = functools.cache(functools.partial(_step_matrix, sys))
     z = z0  # the state at the start of the cell
     edges, edge_states = [], []
     for (c0, c1, level), b, e in zip(cells, begin.tolist(), end.tolist()):
@@ -320,12 +270,12 @@ def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
             np.matmul(step(level, h), x, out=run[0])
             m = stop - k - 1
             if m:
-                np.matmul(power(level, 0), run[0], out=run[1])
-            r, j = 1, 0
+                np.matmul(step(level, dt_out), run[0], out=run[1])
+            r = 1
             while r < m:
                 c = min(r, m - r)
-                np.matmul(run[1:1 + c], power(level, j).T, out=run[1 + r:1 + r + c])
-                r, j = 2 * r, j + 1
+                np.matmul(run[1:1 + c], step(level, dt_out * r).T, out=run[1 + r:1 + r + c])
+                r *= 2
             emit(slice(k, stop), run)
             x = run[-1].copy()  # a copy, so the run is freed before the next one
         if e == n:

@@ -492,8 +492,9 @@ def _wave_limits(o, path, spec, bound, lowest):
     uniform damping d0, so their constants are read from the system: ``d0``
     may not exceed its uniform damping, and the field ``lowest`` may not
     exceed its smallest eigenvalue (``lambda_min``, wave-pe) or the root of
-    that, its lowest rotation speed (``lambda1``, wave-cubic).  A smaller
-    d0 or lambda_min only weakens a bound; a larger value is refused."""
+    that, its lowest rotation speed (``lambda1``, wave-cubic), which it
+    takes when omitted.  A smaller d0 or lambda_min only weakens a bound; a
+    larger value is refused."""
     _require(isinstance(spec, WaveModalSpec) and spec.uniform is not None, path,
              "the %s bound holds only for a wave-modal system with uniform "
              "damping" % bound)
@@ -502,6 +503,8 @@ def _wave_limits(o, path, spec, bound, lowest):
     limit, what = float(spec.spectrum().min()), "smallest eigenvalue"
     if lowest == "lambda1":
         limit, what = math.sqrt(limit), "lowest rotation speed sqrt(lambda)"
+    if o[lowest] is None:
+        o[lowest] = limit
     _require(o[lowest] <= limit, _at(path, lowest),
              "%s=%g exceeds the system's %s %g" % (lowest, o[lowest], what, limit))
 
@@ -626,7 +629,7 @@ OUTER = Obj("outer-search", {
 
 SOURCES = Kinds("kind", "certificate source", {
     "wave-pe": Obj("wave-pe", {
-        "T": POSITIVE, "mu": POSITIVE, "lambda_min": POSITIVE,
+        "T": POSITIVE, "mu": POSITIVE, "lambda_min": (POSITIVE, None),
         "d0": (POSITIVE, _library_default(wave_pe_lower_bound, "d0")),
     }, rule=_window),
     "class-constant": Obj("class-constant", {
@@ -646,7 +649,7 @@ VERIFY = Obj("verify", {
 # assumes a rho-fraction of each interval's length as its damping mass
 COSTS = Kinds("kind", "cost form", {
     "wave-cubic": Obj("wave-cubic", {
-        "rho": FRACTION, "lambda1": POSITIVE,
+        "rho": FRACTION, "lambda1": (POSITIVE, None),
         "d0": (POSITIVE, _library_default(wave_rho_lower_bound, "d0")),
     }, rule=_wave_cubic),
     "exp-gap": Obj("exp-gap", {}, rule=lambda o, path, ctx: (

@@ -21,6 +21,7 @@ at horizon n" and never "stable/unstable".
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linsys import (LinearSystem, _grid_successors, _levels, _near_steps, _propagate,
-                     _row_norms_sq, _sample_grid, check_sampling, cost_within_bound)
+from .linsys import (LinearSystem, _grid_successors, _levels, _propagate, _row_norms_sq,
+                     _sample_grid, _step_matrix, check_sampling, cost_within_bound)
 from .observability import observability_gramian
 from .signals import (IntervalSequence, Signal, _periodic_on, from_intervals,
                       make_piecewise, pe_check, periodic_gate)
@@ -191,13 +192,14 @@ def _window_contractions(sys: LinearSystem, sig: Signal, T: float, theta: float)
 
     The starts are the grid points k dt (dt = theta / SAMPLES_PER_THETA),
     whose windows end at grid point k + SAMPLES_PER_THETA, and the
-    breakpoints of ``sig``.  Phi is the product of the steps (see
-    :func:`~pexstab.linsys._near_steps`) between consecutive sample times
-    of [0, T + theta], two neighbouring grid points (see
-    :func:`~pexstab.linsys._grid_successors`) one step over dt.  A
-    doubling table builds all windows at once: D_{l+1}[j] = D_l[j + 2^l]
-    D_l[j] is the product of the 2^(l+1) steps from sample j, and a window
-    of m steps takes D_l for each bit l of m.
+    breakpoints of ``sig``.  Phi is the product of the steps between
+    consecutive sample times of [0, T + theta], two neighbouring grid
+    points (see :func:`~pexstab.linsys._grid_successors`) one step over dt;
+    each is :func:`~pexstab.linsys._step_matrix` of its own exact
+    (level, h), made once for the call.  A doubling table builds all
+    windows at once: D_{l+1}[j] = D_l[j + 2^l] D_l[j] is the product of the
+    2^(l+1) steps from sample j, and a window of m steps takes D_l for
+    each bit l of m.
     """
     dt = theta / SAMPLES_PER_THETA
     grid = _sample_grid(sig, T + theta, dt)
@@ -208,7 +210,8 @@ def _window_contractions(sys: LinearSystem, sig: Signal, T: float, theta: float)
     at = np.searchsorted(times, starts)
     m = np.searchsorted(times, ends) - at
     h = np.where(_grid_successors(times, dt), dt, np.diff(times))
-    step, levels = _near_steps(sys), _levels(sig, times[:-1]).tolist()
+    step = functools.cache(functools.partial(_step_matrix, sys))
+    levels = _levels(sig, times[:-1]).tolist()
     table = np.array([step(*key) for key in zip(levels, h.tolist())])
     phi = np.broadcast_to(np.eye(sys.dim), (len(starts), sys.dim, sys.dim)).copy()
     bit = 1

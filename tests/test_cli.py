@@ -117,6 +117,30 @@ def test_parallel_matches_serial(tmp_path):
     assert tree_bytes(a) == tree_bytes(b)
 
 
+def test_balance_tolerance_scales_with_the_starting_energy(tmp_path_factory):
+    # z0 = 1000 e1 starts at V(0) = 5e5: the residual, about 1.3e-6 V(0)
+    # here, is held to balance_tol V(0), as the energy rise is to
+    # monotone_tol V(0); a tolerance of 1e-12 still fails.  The reports
+    # are written outside tmp_path: at this V(0) the worst energy rise,
+    # rounding residue near 1e-9, moves by a few percent with the BLAS
+    # kernels, past the golden loose comparison
+    tmp_path = tmp_path_factory.mktemp("balance")
+    sim = {"kind": "simulate", "z0": [1000.0] + [0.0] * 15}
+    doc = {"seed": 0, "horizon": 4.0, "dt_out": 1e-3,
+           "system": {"kind": "wave-modal", "n_modes": 8, "damping": {"omega": [0.2, 0.6]}},
+           "signal": {"gen": "periodic-gate", "period": 2.0, "pulse_halfwidth": 0.25,
+                      "horizon": 4.0},
+           "analyses": [sim]}
+    for tol, code in ((None, 0), (1e-12, 1)):
+        analysis = sim if tol is None else dict(sim, balance_tol=tol)
+        scen = write_scenario(tmp_path, dict(doc, analyses=[analysis]))
+        out = tmp_path / ("tol-%s" % tol)
+        assert main(["run", scen, "--out", str(out)]) == code
+        report = read_reports(out)["00_simulate.json"]["report"]
+        assert report["V_start"] == 5e5 and report["balance_residual"] > 1e-5
+        assert report["balance_ok"] is (code == 0)
+
+
 def test_parallel_window_lps_match_serial(tmp_path):
     # two pe-windows analyses on one class, each with its own LP solver
     obs = {"kind": "observability", "n_cells": 32,
@@ -689,6 +713,27 @@ def test_wave_pe_within_its_system_validates(tmp_path):
             _wave_pe(system={"eigenvalues": [20.0, 40.0]}, lambda_min=20.0)]
     for j, doc in enumerate(docs):
         assert main(["validate", write_scenario(tmp_path, doc, "ok%d.json" % j)]) == 0
+
+
+def test_omitted_wave_limits_take_the_system_values(tmp_path):
+    # the string's smallest eigenvalue is pi^2 and its lowest rotation
+    # speed pi: omitted, lambda_min and lambda1 take them
+    def doc(pe, cubic):
+        strong = CUBIC_SCENARIO["analyses"][0]
+        return dict(CUBIC_SCENARIO, analyses=[
+            {"kind": "certify", "theta": 2.0,
+             "source": dict({"kind": "wave-pe", "T": 2.0, "mu": 1.0}, **pe)},
+            dict(strong, criterion=dict(strong["criterion"],
+                                        cost=dict({"kind": "wave-cubic", "rho": 1}, **cubic)))])
+
+    reports = []
+    for name, d in (("omitted", doc({}, {})),
+                    ("explicit", doc({"lambda_min": math.pi ** 2}, {"lambda1": math.pi}))):
+        out = tmp_path / name
+        assert main(["run", write_scenario(tmp_path, d, name + ".json"), "--out", str(out)]) == 0
+        reports.append({n: r["report"] for n, r in read_reports(out).items()})
+    assert reports[0] == reports[1]
+    assert set(reports[0]) == {"00_certify.json", "01_strong-stability.json"}
 
 
 def test_table_cost_band_minimum_is_exact(tmp_path):

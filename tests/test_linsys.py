@@ -27,7 +27,7 @@ from pexstab.linsys import (
 )
 from pexstab.modal import WaveModalSpec, build_wave
 from pexstab.signals import make_piecewise, periodic_gate
-from pexstab.stability import GateSignalFamily
+from pexstab.stability import GateSignalFamily, _window_contractions
 
 
 def propagate_alone(sys, sig, z0, times, dt_out=None):
@@ -589,11 +589,11 @@ def test_levels_match_pointwise_lookup():
 
 def run_by_run_states(sys, sig, z0, times, dt_out=None):
     """Reference for _propagate: the same cell-edge chain, with each cell
-    filled on its own, cell after cell, run by run, into one array.  A sample steps alone
-    from the cell start or the sample before it; the grid points that
-    follow it in the cell, each one index after the last, are filled at
-    dt_out by doubling.  A plain time list (dt_out None) steps sample by
-    sample."""
+    filled on its own, cell after cell, run by run, into one array.  A
+    sample steps alone from the cell start or the sample before it; the
+    grid points that follow it in the cell, each one index after the last,
+    are filled by doubling with the steps over 2^j dt_out.  A plain time
+    list (dt_out None) steps sample by sample."""
     times = np.asarray(times, dtype=float)
     z = np.asarray(z0, dtype=float).reshape(sys.dim)
     n = len(times)
@@ -606,51 +606,28 @@ def run_by_run_states(sys, sig, z0, times, dt_out=None):
     if dt_out is not None:
         on = np.rint(times / dt_out) * dt_out == times
         index[on] = np.rint(times[on] / dt_out)
-    exact, powers = {}, {}
-
-    def new_step(level, h):
-        if level not in exact:
-            G = sys.closed_loop(level)
-            exact[level] = (G, float(np.abs(G).sum(axis=0).max()), [])
-        G, norm, anchors = exact[level]
-        for h_near, P in anchors:
-            if abs(h - h_near) * norm <= linsys._NEAR_STEP:
-                return P + (h - h_near) * (P @ G)
-        P = _step_matrix(sys, level, h)
-        anchors.append((h, P))
-        return P
-
-    def power(level, j):
-        pw = powers.setdefault(level, [_step_matrix(sys, level, dt_out)])
-        while len(pw) <= j:
-            if linsys._orthogonal_step(sys, level):
-                pw.append(_step_matrix(sys, level, dt_out * 2 ** len(pw)))
-            else:
-                pw.append(pw[-1] @ pw[-1])
-        return pw[j]
-
     if times[0] == 0.0:
         out[0] = z
     for (c0, c1, level), b, e in zip(cells, begin.tolist(), end.tolist()):
         k = b
         while k < e:
-            np.matmul(new_step(level, times[k] - (c0 if k == b else times[k - 1])),
+            np.matmul(_step_matrix(sys, level, times[k] - (c0 if k == b else times[k - 1])),
                       z if k == b else out[k - 1], out=out[k])
             m = 0
             while k + m + 1 < e and index[k + m + 1] == index[k + m] + 1:
                 m += 1
             rows = out[k + 1:k + 1 + m]
             if m:
-                np.matmul(power(level, 0), out[k], out=rows[0])
-            r, j = 1, 0
+                np.matmul(_step_matrix(sys, level, dt_out), out[k], out=rows[0])
+            r = 1
             while r < m:
                 c = min(r, m - r)
-                np.matmul(rows[:c], power(level, j).T, out=rows[r:r + c])
-                r, j = 2 * r, j + 1
+                np.matmul(rows[:c], _step_matrix(sys, level, dt_out * r).T, out=rows[r:r + c])
+                r *= 2
             k += 1 + m
         if e == n:
             break
-        z = new_step(level, c1 - c0) @ z
+        z = _step_matrix(sys, level, c1 - c0) @ z
         if times[e] == c1:
             out[e] = z
     return out
@@ -720,6 +697,53 @@ def test_fill_matches_run_by_run_when_gaps_drift(dissipative):
     times = np.cumsum(0.01 + np.arange(400) * 7e-16)
     rng = np.random.default_rng(43)
     assert_fill_is_run_by_run(sys, sig, rng.standard_normal(8), times)
+
+
+@FILLS
+def test_lone_step_is_the_step_matrix_of_its_own_length(dissipative):
+    # gaps a few ulps apart: each sample is the exponential over its own
+    # gap times the sample before it, not a correction of an earlier step
+    sys = string_system(4, dissipative)
+    sig = make_piecewise([1.3, 2.6, 3.1], [1.0, 0.0, 0.5], 1.0)
+    times = np.cumsum(0.01 + np.arange(400) * 7e-16)
+    states = propagate_alone(sys, sig, np.random.default_rng(43).standard_normal(8), times)
+    checked = 0
+    for c0, c1, level in sig.cells_between(0.0, float(times[-1])):
+        for k in np.flatnonzero((times[:-1] > c0) & (times[1:] < c1)) + 1:
+            P = _step_matrix(sys, level, times[k] - times[k - 1])
+            assert np.array_equal(states[k], P @ states[k - 1])
+            checked += 1
+    assert checked > 350
+
+
+def distinct_expm_calls(monkeypatch, run):
+    """Run ``run()`` with the step cache full; the number of expm calls
+    and of distinct matrices they were given."""
+    monkeypatch.setattr(linsys, "STEP_CACHE_BYTES", 0)
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(M):
+        calls.append(M.tobytes())
+        return expm(M)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    run()
+    return len(calls), len(set(calls))
+
+
+@FILLS
+def test_step_cache_full_still_makes_each_step_once_per_call(monkeypatch, dissipative):
+    # grid runs of up to 1000 samples double up to the step over 512 dt_out
+    sys = string_system(4, dissipative)
+    sig = periodic_gate(2.0, 0.5, 20.0, 0.37)
+    calls, distinct = distinct_expm_calls(
+        monkeypatch, lambda: simulate(sys, sig, np.ones(sys.dim), 20.0, 1e-3))
+    assert calls == distinct > 10
+    family = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=11)
+    calls, distinct = distinct_expm_calls(
+        monkeypatch, lambda: _window_contractions(sys, family.draw(1), 2.0, 2.0))
+    assert calls == distinct > 2
 
 
 @FILLS
