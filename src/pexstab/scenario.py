@@ -53,9 +53,12 @@ MAX_BREAKPOINTS = 200_000
 #   trajectories a verify block simulates;
 # - the window check of a verify trial holds two levels of its doubling
 #   table and its windows, N x N values each, capped like the samples
-#   (204 MB at N = 256 for T = theta: 136 steps, 66 starts).  A trial took
-#   1.4 s at N = 256, 0.25 s at N = 128 and, with its gate and PE check,
-#   about 2 ms at N <= 16: the cap on trials * (steps + starts) *
+#   (204 MB at N = 256 for T = theta: 136 steps, 66 starts).  Trials are
+#   multiplied out in batches of at most max(one trial, 2^16 values)
+#   (stability.WINDOW_BATCH_VALUES), so this per-trial cap still bounds
+#   what a batch holds.  A trial took 1.4 s at N = 256, 0.25 s at N = 128
+#   and, with its gate and PE check, about 2 ms at N <= 16 when each trial
+#   was multiplied out alone: the cap on trials * (steps + starts) *
 #   max(N, 16)^3 is about 40 s at N <= 16 and 10 s at N = 128;
 # - a verify gate of 50k pulses takes about 0.5 s and 90 MB to build and
 #   check, so a trial's gate is held to the breakpoints a scenario gate may

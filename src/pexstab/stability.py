@@ -39,6 +39,9 @@ from .signals import (IntervalSequence, Signal, _periodic_on, from_intervals,
 # SAMPLES_PER_THETA apart, and accepts a window contraction up to
 # q (1 + WINDOW_SLACK), rounding, and a trajectory ratio up to 1 + VERIFY_SLACK
 SAMPLES_PER_THETA = 64
+# verify_certificate multiplies out the windows of as many trials at once as
+# hold at most this many values (see _checked_batches), and at least one trial
+WINDOW_BATCH_VALUES = 2 ** 16
 WINDOW_SLACK = 1e-12
 VERIFY_SLACK = 1e-6
 WINDOWS_CHECKED = ("every window [s, s + theta] of each T-periodic gate, exactly for every "
@@ -155,7 +158,9 @@ class CertificateCheck:
     ``worst_window_start``); it may exceed q by the relative rounding
     ``window_slack``.  ``worst_ratio`` is the largest ||z(t)|| / (M
     e^{-gamma t} ||z0||) along the trajectories of trial 0 and of the worst
-    window's trial; it may exceed 1 by ``slack``.
+    window's trial; it may exceed 1 by ``slack``.  At t = 0 the ratio is
+    1 / M = q^(1/2), so ``worst_ratio`` is at least q^(1/2) by construction
+    and tells about the trajectories only where it is larger.
     """
 
     ok: bool
@@ -187,19 +192,16 @@ class CertificateViolation(RuntimeError):
         self.report = report
 
 
-def _window_contractions(sys: LinearSystem, sig: Signal, T: float, theta: float):
-    """The starts s in [0, T) of one trial and ||Phi(s + theta, s)||^2 at each.
+def _trial_windows(sig: Signal, T: float, theta: float):
+    """One trial's windows: (starts, keys, at, m).
 
-    The starts are the grid points k dt (dt = theta / SAMPLES_PER_THETA),
-    whose windows end at grid point k + SAMPLES_PER_THETA, and the
-    breakpoints of ``sig``.  Phi is the product of the steps between
-    consecutive sample times of [0, T + theta], two neighbouring grid
-    points (see :func:`~pexstab.linsys._grid_successors`) one step over dt;
-    each is :func:`~pexstab.linsys._step_matrix` of its own exact
-    (level, h), made once for the call.  A doubling table builds all
-    windows at once: D_{l+1}[j] = D_l[j + 2^l] D_l[j] is the product of the
-    2^(l+1) steps from sample j, and a window of m steps takes D_l for
-    each bit l of m.
+    The starts s in [0, T) are the grid points k dt (dt = theta /
+    SAMPLES_PER_THETA), whose windows end at grid point k +
+    SAMPLES_PER_THETA, and the breakpoints of ``sig``.  ``keys`` holds the
+    (level, h) of each step between consecutive sample times of
+    [0, T + theta], two neighbouring grid points (see
+    :func:`~pexstab.linsys._grid_successors`) one step over dt; the window
+    from starts[i] is the product of the m[i] steps from step at[i] on.
     """
     dt = theta / SAMPLES_PER_THETA
     grid = _sample_grid(sig, T + theta, dt)
@@ -210,9 +212,33 @@ def _window_contractions(sys: LinearSystem, sig: Signal, T: float, theta: float)
     at = np.searchsorted(times, starts)
     m = np.searchsorted(times, ends) - at
     h = np.where(_grid_successors(times, dt), dt, np.diff(times))
+    keys = list(zip(_levels(sig, times[:-1]).tolist(), h.tolist()))
+    return starts, keys, at, m
+
+
+def _window_contractions(sys: LinearSystem, trials):
+    """||Phi(s + theta, s)||^2 at every start of a batch of trials.
+
+    ``trials`` are :func:`_trial_windows` of each trial of the batch;
+    returns the flat arrays (trial, starts, contractions), trial the index
+    into ``trials``, in trial order and each trial's starts in order.  Each
+    step is :func:`~pexstab.linsys._step_matrix` of its own exact
+    (level, h), made once for the call.  The trials' steps are concatenated
+    into one table, and one doubling loop builds every window of the batch:
+    D_{l+1}[j] = D_l[j + 2^l] D_l[j] is the product of the 2^(l+1) steps
+    from step j, and a window of m steps takes D_l for each bit l of m.
+    Products that run past the end of a trial's steps are formed but never
+    read, so a trial's windows do not depend on the batch it is in.
+    ||Phi||^2 is the top eigenvalue of Phi^T Phi, all of them in one
+    ``eigvalsh``; a window whose product is not finite gets nan.
+    """
     step = functools.cache(functools.partial(_step_matrix, sys))
-    levels = _levels(sig, times[:-1]).tolist()
-    table = np.array([step(*key) for key in zip(levels, h.tolist())])
+    starts, keys, at, m = zip(*trials)
+    table = np.array([step(*key) for k in keys for key in k])
+    offsets = accumulate(map(len, keys[:-1]), initial=0)
+    at = np.concatenate([a + first for a, first in zip(at, offsets)])
+    trial = np.repeat(np.arange(len(trials)), list(map(len, starts)))
+    starts, m = np.concatenate(starts), np.concatenate(m)
     phi = np.broadcast_to(np.eye(sys.dim), (len(starts), sys.dim, sys.dim)).copy()
     bit = 1
     while True:
@@ -220,9 +246,47 @@ def _window_contractions(sys: LinearSystem, sig: Signal, T: float, theta: float)
         phi[take] = table[at[take]] @ phi[take]
         at[take] += bit
         if 2 * bit > m.max():
-            return starts, np.linalg.norm(phi, 2, axis=(1, 2)) ** 2
+            break
         table = table[bit:] @ table[:-bit]
         bit *= 2
+    gram = np.swapaxes(phi, 1, 2) @ phi
+    bad = ~np.isfinite(gram).all(axis=(1, 2))
+    gram[bad] = 0.0
+    top = np.linalg.eigvalsh(gram)[:, -1]
+    top[bad] = np.nan
+    return trial, starts, top
+
+
+def _checked_batches(family: GateSignalFamily, n_trials: int, theta: float, dim: int):
+    """Each trial's gate, drawn and checked, in batches of (gate, windows).
+
+    A draw that is not T-periodic or not T-mu persistently exciting over
+    ``family.horizon``, checked exactly, raises ValueError.  A batch holds
+    the trials in order, as many as keep the two levels of their doubling
+    tables and their window products, (2 steps + starts) N^2 values per
+    trial, within WINDOW_BATCH_VALUES, and at least one.
+    """
+    batch, values = [], 0
+    for i in range(n_trials):
+        sig = family.draw(i)
+        if not _periodic_on(sig, family.T, family.horizon):
+            raise ValueError("family drew a signal at trial %d that is not %g-periodic on "
+                             "[0, %g]" % (i, family.T, family.horizon))
+        # a T-periodic draw has the same mass in the windows from t and t + T
+        pe = pe_check(sig, family.T, family.mu, min(family.horizon, 2.0 * family.T))
+        if not pe.holds:
+            raise ValueError(
+                "family drew a non-PE signal at trial %d (worst window mass "
+                "%g < mu=%g)" % (i, pe.worst_window_mass, family.mu)
+            )
+        windows = starts, keys, _, _ = _trial_windows(sig, family.T, theta)
+        size = (2 * len(keys) + len(starts)) * dim * dim
+        if batch and values + size > WINDOW_BATCH_VALUES:
+            yield batch
+            batch, values = [], 0
+        batch.append((sig, windows))
+        values += size
+    yield batch
 
 
 def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
@@ -233,8 +297,12 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
     persistently exciting over ``family.horizon``; a draw that is not
     raises ValueError, since a family bug would otherwise make the check
     vacuous.  Being T-periodic, a gate's mass windows from [0, T] and its
-    windows of :func:`_window_contractions` stand for every window of the
-    horizon at their starts modulo T.  Trial 0 and the worst window's trial are also
+    windows of :func:`_trial_windows` stand for every window of the
+    horizon at their starts modulo T.  The checked gates go in batches of
+    at most WINDOW_BATCH_VALUES values, never splitting a trial (see
+    :func:`_checked_batches`), and each batch's windows are multiplied out
+    by one :func:`_window_contractions`; a trial's contractions do not
+    depend on its batch.  Trial 0 and the worst window's trial are also
     simulated over the horizon from a random unit z0 each, sampled theta /
     SAMPLES_PER_THETA apart, against the envelope M e^{-gamma t}.  Raises
     :class:`CertificateViolation` when a window contraction exceeds q by
@@ -250,26 +318,20 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
     dt_out = theta / SAMPLES_PER_THETA
     check_sampling(sys, horizon, dt_out)
     window = (-math.inf, -1, 0.0)
-    for i in range(n_trials):
-        sig = family.draw(i)
-        if not _periodic_on(sig, family.T, horizon):
-            raise ValueError("family drew a signal at trial %d that is not %g-periodic on "
-                             "[0, %g]" % (i, family.T, horizon))
-        # a T-periodic draw has the same mass in the windows from t and t + T
-        pe = pe_check(sig, family.T, family.mu, min(horizon, 2.0 * family.T))
-        if not pe.holds:
-            raise ValueError(
-                "family drew a non-PE signal at trial %d (worst window mass "
-                "%g < mu=%g)" % (i, pe.worst_window_mass, family.mu)
-            )
-        starts, contractions = _window_contractions(sys, sig, family.T, theta)
-        if not np.isfinite(contractions).all():
-            raise RuntimeError("window propagators of trial %d are not finite" % i)
+    first = 0
+    for batch in _checked_batches(family, n_trials, theta, sys.dim):
+        trial, starts, contractions = _window_contractions(sys, [w for _, w in batch])
+        finite = np.isfinite(contractions)
+        if not finite.all():
+            raise RuntimeError("window propagators of trial %d are not finite"
+                               % (first + trial[~finite][0]))
         j = int(np.argmax(contractions))
         if contractions[j] > window[0]:
-            window, worst_gate = (float(contractions[j]), i, float(starts[j])), sig
-        if i == 0:
-            first_gate = sig
+            window = (float(contractions[j]), first + int(trial[j]), float(starts[j]))
+            worst_gate = batch[trial[j]][0]
+        if first == 0:
+            first_gate = batch[0][0]
+        first += len(batch)
     worst = (-math.inf, -1, 0.0)
     for i, sig in {0: first_gate, window[1]: worst_gate}.items():
         rng = np.random.default_rng((family.seed, 7 * n_trials + i))

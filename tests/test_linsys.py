@@ -27,7 +27,7 @@ from pexstab.linsys import (
 )
 from pexstab.modal import WaveModalSpec, build_wave
 from pexstab.signals import make_piecewise, periodic_gate
-from pexstab.stability import GateSignalFamily, _window_contractions
+from pexstab.stability import GateSignalFamily, _trial_windows, _window_contractions
 
 
 def propagate_alone(sys, sig, z0, times, dt_out=None):
@@ -740,9 +740,12 @@ def test_step_cache_full_still_makes_each_step_once_per_call(monkeypatch, dissip
     calls, distinct = distinct_expm_calls(
         monkeypatch, lambda: simulate(sys, sig, np.ones(sys.dim), 20.0, 1e-3))
     assert calls == distinct > 10
+    # a batch of trials of different step counts: the constant trial 0 and
+    # two gates, which share their grid steps
     family = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=11)
-    calls, distinct = distinct_expm_calls(
-        monkeypatch, lambda: _window_contractions(sys, family.draw(1), 2.0, 2.0))
+    trials = [_trial_windows(family.draw(i), 2.0, 2.0) for i in range(3)]
+    assert len({len(keys) for _, keys, _, _ in trials}) > 1
+    calls, distinct = distinct_expm_calls(monkeypatch, lambda: _window_contractions(sys, trials))
     assert calls == distinct > 2
 
 

@@ -112,17 +112,27 @@ def string_system(n_modes, dissipative):
 WINDOWS = pytest.mark.parametrize("dissipative", [False, True], ids=["skew", "dissipative"])
 
 
+def window_batch(sys, sigs, T, theta):
+    """_window_contractions of one batch of the gates ``sigs``."""
+    return stability._window_contractions(
+        sys, [stability._trial_windows(sig, T, theta) for sig in sigs])
+
+
 @WINDOWS
 @pytest.mark.parametrize("theta", [2.0, 2.3, 0.7])
 def test_window_contractions_match_per_cell_expm_products(theta, dissipative):
-    # gates as verify_certificate draws them; theta 2.3 puts the grid off
+    # gates as verify_certificate draws them, in one batch: the constant
+    # trial 0 has fewer steps than the gates; theta 2.3 puts the grid off
     # the gate period, theta 0.7 makes windows shorter than it
     sys = string_system(4, dissipative)
     fam = GateSignalFamily(T=2.0, mu=1.0, horizon=10.0, seed=5)
     dt = theta / stability.SAMPLES_PER_THETA
-    for i in range(6):
-        sig = fam.draw(i)
-        starts, got = stability._window_contractions(sys, sig, fam.T, theta)
+    sigs = [fam.draw(i) for i in range(6)]
+    assert len({len(stability._trial_windows(sig, fam.T, theta)[1]) for sig in sigs}) > 1
+    trial, all_starts, all_got = window_batch(sys, sigs, fam.T, theta)
+    assert np.array_equal(trial, np.sort(trial)) and set(trial) == set(range(6))
+    for i, sig in enumerate(sigs):
+        starts, got = all_starts[trial == i], all_got[trial == i]
         grid = np.arange(int(fam.T / dt) + 1) * dt
         edges = [b for b in sig.breakpoints if b < fam.T]
         assert np.array_equal(starts, np.union1d(grid[grid < fam.T], edges))
@@ -142,7 +152,7 @@ def test_verification_matches_the_window_reference(theta, dissipative):
     reference = []
     for i in range(8):
         sig = fam.draw(i)
-        starts, _ = stability._window_contractions(sys, sig, fam.T, theta)
+        starts = stability._trial_windows(sig, fam.T, theta)[0]
         reference.append((starts, window_contractions_expm(
             sys, sig, [(s, s + theta) for s in starts])))
     value = max(want.max() for _, want in reference)
@@ -153,6 +163,92 @@ def test_verification_matches_the_window_reference(theta, dissipative):
     assert abs(want[starts == rep.worst_window_start][0] - value) <= 1e-12 * value
     # the two simulated trajectories: trial 0 and the worst window's trial
     assert rep.worst_trial in (0, rep.worst_window_trial)
+
+
+@dataclass(frozen=True)
+class RepeatingFamily(GateSignalFamily):
+    """The gate family with every draw i >= 1 the gate of draw 1."""
+
+    def draw(self, i):
+        return super().draw(min(i, 1))
+
+
+def batch_sizes(monkeypatch):
+    """The number of trials of each _window_contractions call, as they come."""
+    sizes = []
+    window_contractions = stability._window_contractions
+
+    def counting(sys, trials):
+        sizes.append(len(trials))
+        return window_contractions(sys, trials)
+
+    monkeypatch.setattr(stability, "_window_contractions", counting)
+    return sizes
+
+
+def verify_with_budget(monkeypatch, budget, sys, cert, fam, n_trials):
+    """verify_certificate with WINDOW_BATCH_VALUES = ``budget``; the report
+    and the trial counts of its batches."""
+    monkeypatch.setattr(stability, "WINDOW_BATCH_VALUES", budget)
+    sizes = batch_sizes(monkeypatch)
+    rep = verify_certificate(sys, cert, fam, n_trials=n_trials)
+    monkeypatch.undo()
+    return rep, sizes
+
+
+@WINDOWS
+def test_verification_does_not_depend_on_the_batches(monkeypatch, dissipative):
+    # one trial a batch, the default (three trials of 8 states), all trials
+    sys = string_system(4, dissipative)
+    cert = certificate_from_constant(wave_pe_lower_bound(2.0, 1.0, np.pi ** 2), 2.3,
+                                     sys.b_norm)
+    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=5)
+    one, sizes = verify_with_budget(monkeypatch, 0, sys, cert, fam, 8)
+    assert sizes == [1] * 8
+    default, sizes = verify_with_budget(monkeypatch, stability.WINDOW_BATCH_VALUES, sys,
+                                        cert, fam, 8)
+    assert sizes == [3, 3, 2]
+    every, sizes = verify_with_budget(monkeypatch, 2 ** 40, sys, cert, fam, 8)
+    assert sizes == [8]
+    assert one == default == every
+
+
+@pytest.mark.parametrize("budget", [0, 2 ** 40])
+def test_earliest_trial_wins_a_tie_across_batches(monkeypatch, budget):
+    # draws 1 to 6 are one gate, whose windows are worse than the constant
+    # signal's: its bits are the same in every batch, so trial 1 is reported
+    sys = string_system(4, False)
+    cert = certificate_from_constant(wave_pe_lower_bound(2.0, 1.0, np.pi ** 2), 2.0,
+                                     sys.b_norm)
+    fam = RepeatingFamily(T=2.0, mu=1.0, horizon=20.0, seed=5)
+    rep, sizes = verify_with_budget(monkeypatch, budget, sys, cert, fam, 7)
+    assert len(sizes) == (7 if budget == 0 else 1)
+    assert rep.worst_window_trial == 1
+    trial, _, got = window_batch(sys, [fam.draw(i) for i in range(7)], fam.T, 2.0)
+    assert got.max() > got[trial == 0].max()
+
+
+@pytest.mark.parametrize("bad_trial", [1, 4])
+def test_non_finite_windows_name_their_trial_inside_a_batch(monkeypatch, bad_trial):
+    # a step of this trial's alone is nan; the default budget puts trials
+    # 0-2 and 3-5 in one batch each, so the trial sits inside its batch
+    sys = string_system(4, False)
+    cert = certificate_from_constant(0.05, 2.0, sys.b_norm)
+    fam = GateSignalFamily(T=2.0, mu=1.0, horizon=20.0, seed=5)
+    keys = [set(stability._trial_windows(fam.draw(i), fam.T, 2.0)[1]) for i in range(6)]
+    bad = min(keys[bad_trial].difference(*(k for i, k in enumerate(keys) if i != bad_trial)))
+    step_matrix = stability._step_matrix
+
+    def nan_step(sys, level, h):
+        P = step_matrix(sys, level, h)
+        return np.full_like(P, np.nan) if (level, h) == bad else P
+
+    monkeypatch.setattr(stability, "_step_matrix", nan_step)
+    sizes = batch_sizes(monkeypatch)
+    with pytest.raises(RuntimeError, match="window propagators of trial %d are not finite"
+                       % bad_trial):
+        verify_certificate(sys, cert, fam, n_trials=6)
+    assert sizes == [3] * (bad_trial // 3 + 1)
 
 
 def test_verification_refuses_a_horizon_below_theta():
