@@ -23,7 +23,10 @@ them.  For skew-symmetric ``A`` the undamped flow uses a unitary
 eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2 to
 machine precision.
 Signal-weighted observability Gramians of the undamped flow are exact too:
-one block matrix exponential per signal cell.
+one block matrix exponential per signal cell.  Every matrix exponential of
+the package is made in this module, as a step of :func:`_step_matrix` or as
+the block of :func:`observability_gramian`; the cell Gramians of a uniform
+grid take one block and the cached steps.
 """
 
 from __future__ import annotations

@@ -12,13 +12,16 @@ class constant
     c = min over unit z0, min over admissible alpha of J(z0, alpha)
 
 is the bridge between signal structure and decay certificates.  The weight
-of a grid cell is z0^T M z0 with M the exact cell Gramian of
-:func:`~pexstab.linsys.observability_gramian` (re-exported here), so J is
-exact for every cell-constant signal.  The cell Gramians are held flat, one
-row of N*N entries per cell, so the cell values of a state (the rows against
-the flattened z0 z0^T) and the alpha-weighted Gramian (the levels against
-the rows) are each one matrix-vector product.  Two signal classes are
-supported on a uniform grid of ``n_cells`` cells over [0, theta]:
+of a grid cell is z0^T M z0 with M the exact cell Gramian: the first cell's
+is :func:`~pexstab.linsys.observability_gramian` (re-exported here), and the
+others are its congruences by the system's cached undamped steps, filled by
+doubling (:func:`_cell_gramians`), so J is exact for every cell-constant
+signal and the grid takes one matrix exponential besides the steps.  The
+cell Gramians are held flat, one row of N*N entries per cell, so the cell
+values of a state (the rows against the flattened z0 z0^T) and the
+alpha-weighted Gramian (the levels against the rows) are each one
+matrix-vector product.  Two signal classes are supported on a uniform grid
+of ``n_cells`` cells over [0, theta]:
 
 * ``rho-integral``: levels alpha_j in [0, 1] with total mass >= rho * theta.
   The inner minimisation is a continuous knapsack solved exactly by a greedy
@@ -59,9 +62,9 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
-from .linsys import (LinearSystem, cost_within_bound, kalman_index,
+from .linsys import (LinearSystem, _step_matrix, cost_within_bound, kalman_index,
                      observability_gramian)
 from .signals import Signal, make_piecewise
 
@@ -130,9 +133,12 @@ class ObservabilityEstimate:
     ``constant`` is an upper bound on the true class constant (the search is
     local); the witnesses reproduce it to rounding as the quadratic form
     ``witness_z0 @ observability_gramian(sys, 0.0, sclass.horizon,
-    witness_signal) @ witness_z0``.  ``runner_up_gap`` is the distance from
-    the best to the second-best distinct local value found (0 when all
-    starts agree).
+    witness_signal) @ witness_z0``.  They come from the earliest descent
+    start whose value lies within 1e-10 relative of the smallest, and
+    ``constant`` is that start's own value; ``witness_z0`` is signed so that
+    its largest-magnitude entry is positive.  ``runner_up_gap`` is the
+    distance from the smallest to the second-best distinct local value
+    found (0 when all starts agree).
     """
 
     constant: float
@@ -166,18 +172,23 @@ class ObservabilityEstimate:
 def _cell_gramians(sys: LinearSystem, theta: float, n_cells: int) -> np.ndarray:
     """Cell integrals int_cell e^{tA^T} B B^T e^{tA} dt on a uniform grid.
 
-    The first cell comes from the exact kernel; cell j + 1 is the congruence
-    P^T M_j P of cell j with P = e^{A dt}, so the grid costs two exponentials
-    in total.  Returns shape (n_cells, N, N).
+    The first cell comes from the exact kernel; the rest are filled by
+    doubling, as :func:`~pexstab.linsys._propagate` fills a grid run: cells
+    [r, 2r) are the congruences P^T M_j P of cells [0, r) with P the
+    undamped step :func:`~pexstab.linsys._step_matrix` over r dt, r a power
+    of two, one batched product per r.  So every cell is at most log2
+    n_cells congruences from the first, and the steps are the system's
+    cached ones (for skew A, from its eigendecomposition).  Returns shape
+    (n_cells, N, N).
     """
     dt = theta / n_cells
-    P = scipy.linalg.expm(sys.A * dt)
     out = np.empty((n_cells, sys.dim, sys.dim))
     out[0] = observability_gramian(sys, 0.0, dt)
-    half = np.empty((sys.dim, sys.dim))
-    for j in range(1, n_cells):
-        np.matmul(P.T, out[j - 1], out=half)
-        np.matmul(half, P, out=out[j])
+    r = 1
+    while r < n_cells:
+        P = _step_matrix(sys, 0.0, dt * r)
+        np.matmul(P.T @ out[:min(r, n_cells - r)], P, out=out[r:2 * r])
+        r *= 2
     return out
 
 
@@ -505,8 +516,11 @@ def class_constant(sys: LinearSystem, sclass: SignalClass,
     never increases; descent stops when the improvement drops below
     OUTER_TOL.
 
-    The returned constant is the best (smallest) local value; it always
-    satisfies the necessary upper bound c <= horizon * ||B||^2.
+    The estimate is that of the earliest start within 1e-10 relative of the
+    smallest local value (see :class:`ObservabilityEstimate`), so when
+    several starts reach equal minima, rounding in the cell Gramians does
+    not choose the witness.  The constant always satisfies the necessary
+    upper bound c <= horizon * ||B||^2.
     """
     outer = outer or OuterSearch()
     N = sys.dim
@@ -535,11 +549,14 @@ def class_constant(sys: LinearSystem, sclass: SignalClass,
                 break
             z, value = z_new, val_new
         locals_found.append((value, z, alpha))
-    locals_found.sort(key=lambda rec: rec[0])
-    best_val, best_z, best_alpha = locals_found[0]
-    distinct = [best_val]
-    for v, _, _ in locals_found[1:]:
-        if v - distinct[-1] > 1e-10 * max(1.0, abs(best_val)):
+    values = sorted(v for v, _, _ in locals_found)
+    best_val, best_z, best_alpha = next(
+        rec for rec in locals_found if rec[0] - values[0] <= 1e-10 * abs(values[0]))
+    if best_z[np.argmax(np.abs(best_z))] < 0:
+        best_z = -best_z
+    distinct = [values[0]]
+    for v in values[1:]:
+        if v - distinct[-1] > 1e-10 * max(1.0, abs(values[0])):
             distinct.append(v)
     gap = (distinct[1] - distinct[0]) if len(distinct) > 1 else 0.0
     if not cost_within_bound(best_val, sclass.horizon, sys.b_norm):

@@ -422,9 +422,11 @@ def interval_product_bound(sys: LinearSystem, seq: IntervalSequence, z0,
     b2 = sys.b_norm ** 2
     signal = from_intervals(seq, level)
     if costs is None:
+        # the signal is on at ``level`` over each whole interval
+        on = make_piecewise([], [], level)
         got = []
         for (a, b) in intervals:
-            G = observability_gramian(sys, 0.0, b - a, signal=signal.shifted(a))
+            G = observability_gramian(sys, 0.0, b - a, signal=on)
             got.append(max(float(np.linalg.eigvalsh(G)[0]), 0.0))
         costs = tuple(got)
     else:

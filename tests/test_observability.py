@@ -137,20 +137,67 @@ def test_gramian_matches_simpson_for_damped_drift():
     assert np.abs(observability_gramian(sys, t0, t1) - ref).max() <= 1e-9
 
 
-def test_cell_gramians_recursion_does_not_drift():
+def test_cell_gramians_by_doubling_match_per_cell_gramians():
     edges = np.linspace(0.0, 1.0, 1025)
     sys = build_wave(WaveModalSpec(n_modes=4, omega=(0.2, 0.6)))
     Ms = _cell_gramians(sys, 1.0, 1024)
     direct = np.array([observability_gramian(sys, a, b)
                        for a, b in zip(edges[:-1], edges[1:])])
     assert np.abs(Ms - direct).max() <= 1e-12 * np.abs(direct).max()
-    # at |A| t ~ 200 a single expm(A t) loses more than the recursion does,
+    # at |A| t ~ 200 a single expm(A t) loses more than the doubling does,
     # so the high-frequency grid is checked against the closed form instead
     sys = build_schrodinger(SchrodingerModalSpec(n_modes=6, omega=(0.3, 0.5)))
     Ms = _cell_gramians(sys, 1.0, 1024)
     ref = np.array([skew_gramian_closed_form(sys.A, sys.B, a, b)
                     for a, b in zip(edges[:-1], edges[1:])])
     assert np.abs(Ms - ref).max() <= 1e-12 * np.abs(ref).max()
+    # a dissipative drift takes its doubling steps from expm; its cells decay
+    # by 3e4 over the grid, so each is held to its own size
+    rng = np.random.default_rng(23)
+    P = rng.standard_normal((6, 6)) / 2.0
+    sys = LinearSystem(3.0 * random_skew(rng, 6) - P.T @ P, rng.standard_normal((6, 2)))
+    assert not sys.skew_flag
+    edges = np.linspace(0.0, 4.0, 1025)
+    Ms = _cell_gramians(sys, 4.0, 1024)
+    direct = np.array([observability_gramian(sys, a, b)
+                       for a, b in zip(edges[:-1], edges[1:])])
+    assert np.all(np.abs(Ms - direct).max(axis=(1, 2))
+                  <= 1e-12 * np.abs(direct).max(axis=(1, 2)))
+
+
+def test_cell_gramians_take_one_expm_and_the_cached_steps_of_a_skew_system(monkeypatch):
+    # the first cell's block exponential is the one expm; the doubling
+    # congruences are the undamped steps over dt 2^j, from the eigenbasis
+    sys = build_wave(WaveModalSpec(n_modes=4, omega=(0.2, 0.6)))
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda M: calls.append(M.shape) or expm(M))
+    _cell_gramians(sys, 1.0, 1000)
+    assert calls == [(16, 16)]
+    assert sorted(sys._step_cache) == [(0.0, 1e-3 * 2 ** j) for j in range(10)]
+
+
+def test_witness_does_not_follow_the_rounding_of_the_cell_gramians(monkeypatch):
+    # the one-mode string has several equal minima; the witness is the
+    # earliest start's, signed by its largest entry, whatever the rounding
+    sys = build_wave(WaveModalSpec(n_modes=1, uniform=1.0))
+    sclass = SignalClass.pe_windows(2.0, 1.0)
+    base = class_constant(sys, sclass, n_cells=32, outer=OuterSearch(n_starts=4))
+    assert base.witness_z0[np.argmax(np.abs(base.witness_z0))] > 0
+    exact = obs._cell_gramians
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+
+        def perturbed(*args):
+            M = exact(*args)
+            noise = rng.uniform(-1.0, 1.0, M.shape)
+            return M * (1.0 + 4.0 * np.finfo(float).eps * (noise + noise.swapaxes(1, 2)) / 2.0)
+
+        monkeypatch.setattr(obs, "_cell_gramians", perturbed)
+        est = class_constant(sys, sclass, n_cells=32, outer=OuterSearch(n_starts=4))
+        assert est.constant == pytest.approx(base.constant, rel=1e-12)
+        assert np.abs(est.witness_z0 - base.witness_z0).max() <= 1e-9
+        assert est.witness_signal == base.witness_signal
 
 
 def test_gramian_cells_far_from_zero_match_closed_form():
