@@ -16,26 +16,22 @@ filled, and the cell-edge states as one piece at the end; the consumer keeps
 what it needs (simulate the energies and output norms, the strong-stability
 bound the checkpoint energies), so no (samples, N) array of states is held.
 Every step over h at level a is the exponential of its own exact (a, h),
-fetched through a memo that lives for one propagation.  Step matrices are
-also memoized on the system by exact (level, dt), as arrays of their own,
-within STEP_CACHE_BYTES, so repeated trajectories on one system share
-them.  For skew-symmetric ``A`` the undamped flow uses a unitary
-eigendecomposition of ``iA``, which preserves the energy V = ||z||^2 / 2 to
-machine precision.
+fetched through a memo that lives for one propagation; nothing is memoized
+on the system but the eigendecomposition below.  For skew-symmetric ``A``
+the undamped flow uses a unitary eigendecomposition of ``iA``, which
+preserves the energy V = ||z||^2 / 2 to machine precision.
 Signal-weighted observability Gramians of the undamped flow are exact too:
 one block matrix exponential per signal cell.  Every matrix exponential of
 the package is made in this module, as a step of :func:`_step_matrix` or as
 the block of :func:`observability_gramian`; the cell Gramians of a uniform
-grid take one block and the cached steps.
+grid take one block and the undamped steps over 2^j cells.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from sys import getsizeof
 
 import numpy as np
 import scipy.linalg
@@ -46,10 +42,6 @@ from .signals import Signal
 DIM_LIMIT = 256
 
 DISSIPATIVITY_TOL = 1e-9
-
-# most bytes the step cache of one system holds, keys included: 509 steps
-# of 64 states, 31 of DIM_LIMIT states
-STEP_CACHE_BYTES = 16 * 2 ** 20
 
 
 class UncontrollableError(ValueError):
@@ -107,8 +99,6 @@ class LinearSystem:
         scale = 1.0 + float(np.abs(A).max())
         object.__setattr__(self, "skew_flag", bool(np.abs(A + A.T).max() <= 1e-12 * scale))
         object.__setattr__(self, "caveats", tuple(self.caveats))
-        object.__setattr__(self, "_step_cache", {})
-        object.__setattr__(self, "_step_lock", threading.Lock())
 
     @property
     def dim(self) -> int:
@@ -175,14 +165,10 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
     For skew A at level 0 the step comes from the cached unitary
     eigendecomposition of iA, so it is orthogonal to machine precision for
     any dt; every other step is ``scipy.linalg.expm``.  Either way it is a
-    C-contiguous array of its own.  Steps are memoized on the system by
-    exact (level, dt), read-only, up to STEP_CACHE_BYTES of keys and arrays;
-    the function is pure, so what the cache holds never changes a result.
+    read-only, C-contiguous array of its own.  Nothing is kept between
+    calls: a caller that asks for one step more than once memoizes it for
+    as long as it needs it, as :func:`_propagate` does.
     """
-    key = (level, dt)
-    P = sys._step_cache.get(key)
-    if P is not None:
-        return P
     # B B^T vanishes identically when ||B|| = 0, whatever the level
     if sys.skew_flag and (level == 0.0 or sys.b_norm == 0.0):
         w, U = sys._skew_eig()
@@ -190,11 +176,6 @@ def _step_matrix(sys: LinearSystem, level: float, dt: float) -> np.ndarray:
     else:
         P = scipy.linalg.expm(sys.closed_loop(level) * dt)
     P.flags.writeable = False
-    # every entry is a key and an owned N x N array, so the budget is a count
-    entries = STEP_CACHE_BYTES // (getsizeof(key) + getsizeof(P))
-    with sys._step_lock:
-        if len(sys._step_cache) < entries:
-            sys._step_cache.setdefault(key, P)
     return P
 
 
@@ -229,8 +210,9 @@ def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
     over k dt_out.  Each run goes to the sink as one piece, and the
     cell-edge states as one piece at the end.
 
-    Every step is :func:`_step_matrix` of its own exact (level, h), so a
-    state does not depend on the order in which the steps are asked for.
+    Every step is :func:`_step_matrix` of its own exact (level, h), made
+    once per call, so a state does not depend on the order in which the
+    steps are asked for.
     """
     N = sys.dim
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -260,7 +242,6 @@ def _propagate(sys: LinearSystem, sig: Signal, z0, times, dt_out, sink):
         opens[1:] = ~_grid_successors(times, dt_out)
     opens[begin] = True
     opens = np.flatnonzero(opens).tolist()
-    # the system's cache can be full: each (level, h) is still made once
     step = functools.cache(functools.partial(_step_matrix, sys))
     z = z0  # the state at the start of the cell
     edges, edge_states = [], []

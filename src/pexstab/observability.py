@@ -14,7 +14,7 @@ class constant
 is the bridge between signal structure and decay certificates.  The weight
 of a grid cell is z0^T M z0 with M the exact cell Gramian: the first cell's
 is :func:`~pexstab.linsys.observability_gramian` (re-exported here), and the
-others are its congruences by the system's cached undamped steps, filled by
+others are its congruences by the undamped steps over 2^j cells, filled by
 doubling (:func:`_cell_gramians`), so J is exact for every cell-constant
 signal and the grid takes one matrix exponential besides the steps.  The
 cell Gramians are held flat, one row of N*N entries per cell, so the cell
@@ -177,8 +177,8 @@ def _cell_gramians(sys: LinearSystem, theta: float, n_cells: int) -> np.ndarray:
     [r, 2r) are the congruences P^T M_j P of cells [0, r) with P the
     undamped step :func:`~pexstab.linsys._step_matrix` over r dt, r a power
     of two, one batched product per r.  So every cell is at most log2
-    n_cells congruences from the first, and the steps are the system's
-    cached ones (for skew A, from its eigendecomposition).  Returns shape
+    n_cells congruences from the first, and each step is made once (for
+    skew A, from the system's eigendecomposition).  Returns shape
     (n_cells, N, N).
     """
     dt = theta / n_cells

@@ -29,8 +29,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linsys import (LinearSystem, _grid_successors, _levels, _propagate, _row_norms_sq,
-                     _sample_grid, _step_matrix, check_sampling, cost_within_bound)
+from .linsys import (LinearSystem, _grid_successors, _levels, _propagate, _sample_grid,
+                     _step_matrix, check_sampling, cost_within_bound, simulate)
 from .observability import observability_gramian
 from .signals import (IntervalSequence, Signal, _periodic_on, from_intervals,
                       make_piecewise, pe_check, periodic_gate)
@@ -303,11 +303,12 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
     :func:`_checked_batches`), and each batch's windows are multiplied out
     by one :func:`_window_contractions`; a trial's contractions do not
     depend on its batch.  Trial 0 and the worst window's trial are also
-    simulated over the horizon from a random unit z0 each, sampled theta /
-    SAMPLES_PER_THETA apart, against the envelope M e^{-gamma t}.  Raises
-    :class:`CertificateViolation` when a window contraction exceeds q by
-    more than the relative WINDOW_SLACK or a sample the envelope by more
-    than VERIFY_SLACK; else returns the report, earliest trial on a tie.
+    simulated (:func:`~pexstab.linsys.simulate`) over the horizon from a
+    random unit z0 each, sampled theta / SAMPLES_PER_THETA apart, against
+    the envelope M e^{-gamma t}.  Raises :class:`CertificateViolation`
+    when a window contraction exceeds q by more than the relative
+    WINDOW_SLACK or a sample the envelope by more than VERIFY_SLACK; else
+    returns the report, earliest trial on a tie.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -337,17 +338,13 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
         rng = np.random.default_rng((family.seed, 7 * n_trials + i))
         z0 = rng.standard_normal(sys.dim)
         z0 /= np.linalg.norm(z0)
-        times = _sample_grid(sig, float(horizon), float(dt_out))
-        norms = np.empty(len(times))
-
-        def sink(rows, states):
-            norms[rows] = np.sqrt(_row_norms_sq(states))
-
-        _propagate(sys, sig, z0, times, float(dt_out), sink)
-        ratios = norms / (cert.envelope(times) * norms[0])
+        traj = simulate(sys, sig, z0, horizon, dt_out)
+        # doubling V = ||z||^2 / 2 is exact, so these are the norms' own bits
+        norms = np.sqrt(2.0 * traj.energies)
+        ratios = norms / (cert.envelope(traj.times) * norms[0])
         j = int(np.argmax(ratios))
         if ratios[j] > worst[0]:
-            worst = (float(ratios[j]), i, float(times[j]))
+            worst = (float(ratios[j]), i, float(traj.times[j]))
     failed = []
     if window[0] > cert.q * (1.0 + WINDOW_SLACK):
         failed.append("window contraction %.6g of trial %d from s=%g exceeds q"

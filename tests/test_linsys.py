@@ -1,7 +1,7 @@
 import bisect
 import threading
 import tracemalloc
-from sys import getsizeof, getswitchinterval, setswitchinterval
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -9,11 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from oracles import energy_balance_from_states, gap_estimate_check
-from pexstab import linsys
 from pexstab.cli import _ONE_BLAS_THREAD
 from pexstab.linsys import (
-    DIM_LIMIT,
-    STEP_CACHE_BYTES,
     LinearSystem,
     UncontrollableError,
     _levels,
@@ -717,9 +714,8 @@ def test_lone_step_is_the_step_matrix_of_its_own_length(dissipative):
 
 
 def distinct_expm_calls(monkeypatch, run):
-    """Run ``run()`` with the step cache full; the number of expm calls
-    and of distinct matrices they were given."""
-    monkeypatch.setattr(linsys, "STEP_CACHE_BYTES", 0)
+    """Run ``run()``; the number of expm calls and of distinct matrices
+    they were given."""
     calls = []
     expm = scipy.linalg.expm
 
@@ -733,7 +729,7 @@ def distinct_expm_calls(monkeypatch, run):
 
 
 @FILLS
-def test_step_cache_full_still_makes_each_step_once_per_call(monkeypatch, dissipative):
+def test_each_step_is_made_once_per_call(monkeypatch, dissipative):
     # grid runs of up to 1000 samples double up to the step over 512 dt_out
     sys = string_system(4, dissipative)
     sig = periodic_gate(2.0, 0.5, 20.0, 0.37)
@@ -797,53 +793,29 @@ def test_gridded_simulate_at_a_non_dyadic_spacing_matches_expm_from_each_cell_st
         assert_rows_close(states[pick], want)
 
 
-def test_step_cache_returns_the_cached_step():
+def test_step_matrix_is_an_owned_read_only_expm():
     sys = string_system(2, False)
     for level in (0.0, 1.0):  # the eigendecomposition path and expm
         P = _step_matrix(sys, level, 0.1)
-        assert _step_matrix(sys, level, 0.1) is P
         assert not P.flags.writeable
         assert P.base is None and P.flags.c_contiguous
         want = scipy.linalg.expm(sys.closed_loop(level) * 0.1)
         assert np.abs(P - want).max() <= 1e-13
 
 
-def held_bytes(sys):
-    """Bytes the step cache of ``sys`` holds: its keys and their arrays."""
-    return sum(getsizeof(key) + getsizeof(P) for key, P in sys._step_cache.items())
-
-
-def budget_of(monkeypatch, sys, entries):
-    """Set the step cache budget to ``entries`` expm steps of ``sys``."""
-    entry = getsizeof((1.0, 0.5)) + getsizeof(_step_matrix(sys, 1.0, 0.5))
-    monkeypatch.setattr(linsys, "STEP_CACHE_BYTES", entries * entry)
-
-
-def test_step_cache_stops_growing_at_its_bound(monkeypatch):
-    sys = string_system(1, False)
-    budget_of(monkeypatch, sys, 128)
-    for k in range(128 + 10):
-        _step_matrix(sys, 1.0, 0.01 * (k + 1))
-    assert len(sys._step_cache) == 128
-    assert held_bytes(sys) == linsys.STEP_CACHE_BYTES
-    past = _step_matrix(sys, 1.0, 5.0)
-    again = _step_matrix(sys, 1.0, 5.0)
-    assert again is not past and np.array_equal(again, past)
-    assert len(sys._step_cache) == 128
-
-
-def test_step_cache_stays_within_its_budget_at_the_dimension_limit():
-    # skew A at level 0: every step comes from the eigendecomposition
-    rng = np.random.default_rng(5)
-    sys = LinearSystem(random_skew(rng, DIM_LIMIT), np.zeros((DIM_LIMIT, 1)))
-    for k in range(40):
-        _step_matrix(sys, 0.0, 0.1 * (k + 1))
-    steps = list(sys._step_cache.values())
-    assert all(P.base is None and P.flags.c_contiguous and P.nbytes == 8 * DIM_LIMIT ** 2
-               for P in steps)
-    held = held_bytes(sys)
-    assert held <= STEP_CACHE_BYTES < held + getsizeof((0.0, 1.0)) + getsizeof(steps[0])
-    assert len(steps) == 31
+@FILLS
+def test_system_keeps_no_steps_between_calls(monkeypatch, dissipative):
+    # a second identical simulate makes its steps again, and the system
+    # holds its matrices, flags, caveats and, once used, its eigenbasis
+    sys = string_system(4, dissipative)
+    sig = periodic_gate(2.0, 0.5, 20.0, 0.37)
+    first, _ = distinct_expm_calls(
+        monkeypatch, lambda: simulate(sys, sig, np.ones(sys.dim), 20.0, 1e-3))
+    second, _ = distinct_expm_calls(
+        monkeypatch, lambda: simulate(sys, sig, np.ones(sys.dim), 20.0, 1e-3))
+    assert first == second > 10
+    held = {"A", "B", "b_norm", "skew_flag", "caveats"}
+    assert set(vars(sys)) == (held if dissipative else held | {"_skew_eig_cache"})
 
 
 def run_threads(target, args_per_thread):
@@ -881,16 +853,3 @@ def test_threads_propagating_on_one_system_match_a_serial_run():
     for i in range(8):
         assert np.array_equal(threaded[i], serial[i])
 
-
-def test_step_cache_bound_holds_under_threads(monkeypatch):
-    # four threads insert 4 x 100 distinct steps into one cache of 128
-    sys = string_system(1, False)
-    budget_of(monkeypatch, sys, 128)
-
-    def insert(k):
-        for j in range(100):
-            _step_matrix(sys, 1.0, 1e-3 * (4 * j + k + 1))
-
-    run_threads(insert, [(k,) for k in range(4)])
-    assert len(sys._step_cache) == 128
-    assert held_bytes(sys) == linsys.STEP_CACHE_BYTES

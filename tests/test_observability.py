@@ -169,12 +169,15 @@ def test_cell_gramians_take_one_expm_and_the_cached_steps_of_a_skew_system(monke
     # the first cell's block exponential is the one expm; the doubling
     # congruences are the undamped steps over dt 2^j, from the eigenbasis
     sys = build_wave(WaveModalSpec(n_modes=4, omega=(0.2, 0.6)))
-    calls = []
+    calls, keys = [], []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda M: calls.append(M.shape) or expm(M))
+    step = obs._step_matrix
+    monkeypatch.setattr(obs, "_step_matrix",
+                        lambda sys, level, dt: keys.append((level, dt)) or step(sys, level, dt))
     _cell_gramians(sys, 1.0, 1000)
     assert calls == [(16, 16)]
-    assert sorted(sys._step_cache) == [(0.0, 1e-3 * 2 ** j) for j in range(10)]
+    assert keys == [(0.0, 1e-3 * 2 ** j) for j in range(10)]
 
 
 def test_witness_does_not_follow_the_rounding_of_the_cell_gramians(monkeypatch):

@@ -328,6 +328,9 @@ def test_inflated_constant_is_caught_by_the_witness_signal():
     bad = certificate_from_constant(10.0 * est.constant, 2.0, sys.b_norm)
     with pytest.raises(CertificateViolation, match="lower bound") as exc:
         verify_certificate(sys, bad, fam, n_trials=2)
+    # the adversary's windows break the certificate, not just its trajectory
+    assert exc.value.report.worst_window_trial == 1
+    assert exc.value.report.worst_window_contraction > bad.q * (1 + stability.WINDOW_SLACK)
     assert exc.value.report.worst_ratio > 1.1
     # the honest certificate survives the same adversary
     good = certificate_from_constant(est.constant * 0.999, 2.0, sys.b_norm)
