@@ -52,7 +52,6 @@ system (e.g. modal truncation).
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -192,40 +191,41 @@ def _cell_gramians(sys: LinearSystem, theta: float, n_cells: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=32)
 def _greedy_plan(n: int, dt: float, mass_budget: float):
-    """How many cells a greedy fill of ``n`` cells of width ``dt`` switches
-    on, k, and their levels in fill order (read-only), for a budget of at
-    most n * dt.
+    """Plan (n, k, levels) of a greedy fill of ``n`` cells of width ``dt``:
+    it switches k cells on, at ``levels`` in fill order.  A budget above
+    n * dt raises ``ValueError``.
 
     The mass left before each cell is a sequential ``subtract.accumulate``
     of dt from the budget, so it rounds as a cell-by-cell fill does; every
     cell but the last gets level 1.  Nothing here depends on the cell
-    values, so one plan serves every descent step of an inner problem.
+    values, so an inner problem builds its plan once, as its model, and
+    every descent step reads it.
     """
+    if mass_budget > n * dt * (1 + 1e-12):
+        raise ValueError("mass budget %s exceeds the horizon %s" % (mass_budget, n * dt))
     steps = np.full(n, dt)
-    steps[:1] = mass_budget
+    steps[:1] = min(mass_budget, n * dt)
     remaining = np.subtract.accumulate(steps)
     k = int(np.count_nonzero(remaining > 0))
     levels = np.ones(k)
     if k:
         levels[-1] = min(dt, remaining[k - 1]) / dt
-    levels.flags.writeable = False
-    return k, levels
+    return n, k, levels
 
 
-def rho_greedy_min(cell_values, dt: float, mass_budget: float):
+def rho_greedy_min(cell_values, plan):
     """Exact minimiser of sum_j alpha_j * cell_values[j] over the mass class.
 
-    ``cell_values[j]`` is the integral of the flow weight over cell j (all
-    cells of width ``dt``); admissible levels alpha_j in [0, 1] must carry
-    total mass sum_j alpha_j * dt >= mass_budget.  The greedy fill - switch
-    on the cheapest cells first, fractional level on the marginal cell - is
-    the exact optimum of this LP (continuous knapsack); ties break toward
-    the earlier cell, so the result is deterministic.
+    ``cell_values`` holds one value per cell of ``plan``, the
+    :func:`_greedy_plan` of the grid (cells of width dt) and mass budget:
+    admissible levels alpha_j in [0, 1] must carry total mass
+    sum_j alpha_j * dt >= mass_budget.  The greedy fill - switch on the
+    cheapest cells first, fractional level on the marginal cell - is the
+    exact optimum of this LP (continuous knapsack); ties break toward the
+    earlier cell, so the result is deterministic.
 
-    The number k of cells switched on and their levels depend only on
-    (n, dt, mass_budget) and come from a cached plan (:func:`_greedy_plan`).
+    The number k of cells switched on and their levels come from the plan.
     The cell values are sorted once, and their order is never formed:
 
     * the cells switched on are those below v, the k-th smallest value,
@@ -244,10 +244,9 @@ def rho_greedy_min(cell_values, dt: float, mass_budget: float):
     Returns (alpha, value).
     """
     cell_values = np.asarray(cell_values, dtype=float)
-    n = len(cell_values)
-    if mass_budget > n * dt * (1 + 1e-12):
-        raise ValueError("mass budget %s exceeds the horizon %s" % (mass_budget, n * dt))
-    k, levels = _greedy_plan(n, float(dt), float(min(mass_budget, n * dt)))
+    n, k, levels = plan
+    if len(cell_values) != n:
+        raise ValueError("%d cell values for a greedy plan of %d cells" % (len(cell_values), n))
     ranked = np.sort(cell_values)
     # the sort puts -inf first and +inf and nan last
     if n and not (math.isfinite(ranked[0]) and math.isfinite(ranked[-1])):
@@ -478,7 +477,8 @@ class _InnerProblem:
     matrix ``Mf`` (a reshape view of :func:`_cell_gramians`), so both
     contractions of the descent are one BLAS matrix-vector product: the
     cell values z0^T M_j z0 are ``Mf @ vec(z0 z0^T)`` and the alpha-weighted
-    Gramian sum_j alpha_j M_j is ``alpha @ Mf`` read back as N x N.
+    Gramian sum_j alpha_j M_j is ``alpha @ Mf`` read back as N x N.  Its
+    solver's ``model`` (:func:`_greedy_plan` or :class:`_WindowLP`) is built once, with them.
     """
 
     def __init__(self, sys: LinearSystem, sclass: SignalClass, n_cells: int):
@@ -488,17 +488,16 @@ class _InnerProblem:
         self.dt = sclass.horizon / n_cells
         self.dim = sys.dim
         self.Mf = _cell_gramians(sys, sclass.horizon, n_cells).reshape(n_cells, -1)
-        self.lp = (_WindowLP(n_cells, sclass.T, sclass.mu, sclass.horizon)
-                   if sclass.kind == "pe-windows" else None)
+        self.model = (_greedy_plan(n_cells, self.dt, sclass.rho * sclass.horizon)
+                      if sclass.kind == "rho-integral"
+                      else _WindowLP(n_cells, sclass.T, sclass.mu, sclass.horizon))
 
     def cell_values(self, z0) -> np.ndarray:
         return self.Mf @ (z0[:, None] * z0).ravel()
 
     def minimise(self, z0):
-        g = self.cell_values(z0)
-        if self.sclass.kind == "rho-integral":
-            return rho_greedy_min(g, self.dt, self.sclass.rho * self.sclass.horizon)
-        return pe_window_min(g, self.lp)
+        solve = rho_greedy_min if self.sclass.kind == "rho-integral" else pe_window_min
+        return solve(self.cell_values(z0), self.model)
 
     def weighted_gramian(self, alpha) -> np.ndarray:
         return (np.asarray(alpha, dtype=float) @ self.Mf).reshape(self.dim, self.dim)

@@ -60,9 +60,9 @@ MAX_BREAKPOINTS = 200_000
 #   and, with its gate and PE check, about 2 ms at N <= 16 when each trial
 #   was multiplied out alone: the cap on trials * (steps + starts) *
 #   max(N, 16)^3 is about 40 s at N <= 16 and 10 s at N = 128;
-# - a verify gate of 50k pulses takes about 0.5 s and 90 MB to build and
-#   check, so a trial's gate is held to the breakpoints a scenario gate may
-#   have;
+# - a verify gate spans the horizon, exact on [0, horizon + T]; one of 50k
+#   pulses takes about 0.5 s and 90 MB to build and check, so a trial's gate
+#   is held to the breakpoints a scenario gate may have;
 # - one inner solve on 4096 cells takes 25 ms (window LP, cold) or 4 ms
 #   (greedy fill), and every start of the outer search makes 1 to n_iters
 #   of them.  One descent iteration on a 16-dimensional system takes about

@@ -348,12 +348,13 @@ def _periodic_on(sig: Signal, T, horizon) -> bool:
 def periodic_gate(period, pulse_halfwidth, horizon, phase=0.0) -> Signal:
     """Periodic on/off gate: level 1 on [k*period - h, k*period + h), else 0.
 
-    The pulse train is generated exactly out to at least ``horizon`` plus one
-    full period and then truncated (tail level 0), so any window analysis on
-    [0, horizon] sees the exact periodic signal.  ``h = period / 2`` makes the
-    pulses touch and the gate degenerates to the constant 1.  A ``phase``
-    >= 0 gives ``t -> gate(phase + t)``, whose pulse train ends ``phase``
-    earlier: the signal ``gate.shifted(phase)``, built in one pass.
+    The pulse train runs to the first pulse that switches on after ``horizon``
+    plus one period and is then truncated (tail level 0), so the gate is the
+    exact periodic signal on [0, horizon + 2 period].  ``h = period / 2``
+    makes the pulses touch and the gate degenerates to the constant 1.  A
+    ``phase`` >= 0 gives ``t -> gate(phase + t)``, whose pulse train ends
+    ``phase`` earlier: the signal ``gate.shifted(phase)``, built in one pass,
+    exact on [0, horizon + period] for any phase in [0, period).
     """
     (pn, pd), (hn, hd), (Hn, Hd) = _ratio(period), _ratio(pulse_halfwidth), _ratio(horizon)
     fn, fd = _ratio(phase)

@@ -125,7 +125,8 @@ class GateSignalFamily:
     uniformly from [mu, min(T, 2 mu)] and a uniform phase, both seeded by
     (seed, i).  A T-periodic signal has the same mass in every window of
     length T, so each gate carries window mass >= mu by construction; the
-    verifier still re-checks every draw.
+    verifier still re-checks every draw.  Built over ``horizon``, a gate is exact
+    on [0, horizon + T] (:func:`~pexstab.signals.periodic_gate`), which the verifier reads.
     """
 
     T: float
@@ -145,7 +146,7 @@ class GateSignalFamily:
         rng = np.random.default_rng((self.seed, i))
         width = rng.uniform(self.mu, min(self.T, 2.0 * self.mu))
         phase = rng.uniform(0.0, self.T)
-        return periodic_gate(self.T, width / 2.0, self.horizon + 2.0 * self.T, phase)
+        return periodic_gate(self.T, width / 2.0, self.horizon, phase)
 
 
 @dataclass(frozen=True)
@@ -330,11 +331,9 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
         if contractions[j] > window[0]:
             window = (float(contractions[j]), first + int(trial[j]), float(starts[j]))
             worst_gate = batch[trial[j]][0]
-        if first == 0:
-            first_gate = batch[0][0]
         first += len(batch)
     worst = (-math.inf, -1, 0.0)
-    for i, sig in {0: first_gate, window[1]: worst_gate}.items():
+    for i, sig in {0: family.draw(0), window[1]: worst_gate}.items():
         rng = np.random.default_rng((family.seed, 7 * n_trials + i))
         z0 = rng.standard_normal(sys.dim)
         z0 /= np.linalg.norm(z0)

@@ -26,6 +26,7 @@ from pexstab.modal import (
 )
 from pexstab.observability import (
     _cell_gramians,
+    _greedy_plan,
     _InnerProblem,
     _signal_from_levels,
     _window_constraints,
@@ -293,27 +294,27 @@ def test_functional_one_mode_string():
 
 
 def test_greedy_fill_takes_cheapest_cells():
-    alpha, val = rho_greedy_min([1 / 32, 3 / 32, 5 / 32, 7 / 32], 0.25, 0.5)
+    alpha, val = rho_greedy_min([1 / 32, 3 / 32, 5 / 32, 7 / 32], _greedy_plan(4, 0.25, 0.5))
     assert val == pytest.approx(0.125, abs=1e-15)
     assert list(alpha) == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_greedy_fill_fractional_marginal_cell():
-    alpha, val = rho_greedy_min([1 / 32, 3 / 32, 5 / 32, 7 / 32], 0.25, 0.3)
+    alpha, val = rho_greedy_min([1 / 32, 3 / 32, 5 / 32, 7 / 32], _greedy_plan(4, 0.25, 0.3))
     assert list(alpha) == [1.0, pytest.approx(0.2), 0.0, 0.0]
     assert val == pytest.approx(1 / 32 + 0.2 * 3 / 32, abs=1e-15)
 
 
 def test_greedy_fill_breaks_ties_toward_earlier_cells():
-    alpha, val = rho_greedy_min([5.0, 1.0, 1.0, 9.0], 1.0, 1.0)
+    alpha, val = rho_greedy_min([5.0, 1.0, 1.0, 9.0], _greedy_plan(4, 1.0, 1.0))
     assert list(alpha) == [0.0, 1.0, 0.0, 0.0]
     assert val == 1.0
 
 
 def test_greedy_fill_budget_edge_cases():
-    with pytest.raises(ValueError):
-        rho_greedy_min([1.0, 2.0], 1.0, 2.5)
-    alpha, val = rho_greedy_min([1.0, 2.0], 1.0, 2.0)
+    with pytest.raises(ValueError, match="exceeds the horizon"):
+        _greedy_plan(2, 1.0, 2.5)
+    alpha, val = rho_greedy_min([1.0, 2.0], _greedy_plan(2, 1.0, 2.0))
     assert list(alpha) == [1.0, 1.0]
     assert val == 3.0
 
@@ -369,7 +370,7 @@ def greedy_cases(draw):
 
 
 def assert_greedy_fill_is_the_loop(values, dt, mass):
-    alpha, value = rho_greedy_min(values, dt, mass)
+    alpha, value = rho_greedy_min(values, _greedy_plan(len(values), dt, mass))
     ref_alpha, ref_value = greedy_fill_loop(values, dt, mass)
     assert np.array_equal(alpha, ref_alpha)
     assert value == ref_value and np.signbit(value) == np.signbit(ref_value)
@@ -424,7 +425,27 @@ def test_greedy_fill_refuses_a_non_finite_cell_value(bad, where):
     values = np.linspace(0.0, 1.0, 10)
     values[where] = bad
     with pytest.raises(RuntimeError, match="non-finite"):
-        rho_greedy_min(values, 0.1, 0.5)
+        rho_greedy_min(values, _greedy_plan(10, 0.1, 0.5))
+
+
+def test_greedy_plan_must_match_the_grid():
+    with pytest.raises(ValueError, match="15 cell values for a greedy plan of 16 cells"):
+        rho_greedy_min(np.ones(15), _greedy_plan(16, 0.125, 0.5))
+
+
+def test_greedy_plan_is_built_once_per_inner_problem(monkeypatch):
+    plans, solves = [], []
+    make_plan, solve = obs._greedy_plan, obs.rho_greedy_min
+    monkeypatch.setattr(obs, "_greedy_plan", lambda *grid: plans.append(grid) or make_plan(*grid))
+    monkeypatch.setattr(obs, "rho_greedy_min",
+                        lambda g, plan: solves.append(plan) or solve(g, plan))
+    sys = LinearSystem(rotation(), np.array([[1.0], [0.0]]))
+    for _ in range(2):
+        class_constant(sys, SignalClass.rho_integral(0.5, 4.0), n_cells=32,
+                       outer=OuterSearch(n_starts=3))
+    # one plan per class_constant call, read by every greedy solve of it
+    assert plans == [(32, 0.125, 2.0)] * 2
+    assert len(solves) > 2 and len({id(plan) for plan in solves}) == 2
 
 
 def test_window_lp_degenerates_to_greedy_on_one_window():
@@ -432,7 +453,7 @@ def test_window_lp_degenerates_to_greedy_on_one_window():
     rng = np.random.default_rng(5)
     g = rng.uniform(0.0, 1.0, 16)
     _, v_lp = pe_window_min(g, _WindowLP(16, 2.0, 0.5, 2.0))
-    _, v_gr = rho_greedy_min(g, 2.0 / 16, 0.5)
+    _, v_gr = rho_greedy_min(g, _greedy_plan(16, 2.0 / 16, 0.5))
     assert abs(v_lp - v_gr) <= 1e-9
 
 

@@ -38,6 +38,39 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def memoized_with_parameters(source: str) -> list:
+    """Module-level functions with parameters under ``functools.cache`` or
+    ``functools.lru_cache``: memos keyed by call inputs that outlive every
+    call."""
+    out = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or not any(
+                (fn.args.posonlyargs, fn.args.args, fn.args.vararg,
+                 fn.args.kwonlyargs, fn.args.kwarg)):
+            continue
+        for dec in fn.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(target, "attr", getattr(target, "id", None)) in ("cache", "lru_cache"):
+                out.append((fn.lineno, fn.name))
+    return out
+
+
+def test_guard_flags_a_memo_with_parameters():
+    src = ("import functools\nfrom functools import cache\n"
+           "@functools.cache\ndef table():\n    return 1\n"
+           "@functools.lru_cache(maxsize=32)\ndef plan(n, dt):\n    return n\n"
+           "@cache\ndef step(*key):\n    return key\n"
+           "def solve(x):\n    memo = functools.cache(abs)\n    return memo(x)\n")
+    assert memoized_with_parameters(src) == [(7, "plan"), (10, "step")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_memo_keyed_by_call_inputs(path):
+    # a memo lives as long as what reads it: a parameterless table may be
+    # built once per process, anything keyed by inputs is held per call
+    assert memoized_with_parameters(path.read_text()) == []
+
+
 def test_only_linsys_imports_scipy_linalg():
     # every matrix exponential is a cached step or a Van Loan block, both in
     # linsys, so a numpy exponential would replace scipy's in one module

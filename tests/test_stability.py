@@ -23,6 +23,7 @@ from pexstab.observability import (
     wave_pe_lower_bound,
 )
 from pexstab.signals import (
+    _periodic_on,
     IntervalSequence,
     Signal,
     from_intervals,
@@ -265,7 +266,7 @@ def test_family_builds_each_gate_once(monkeypatch):
     for i in range(1, 6):
         rng = np.random.default_rng((fam.seed, i))
         width, phase = rng.uniform(fam.mu, min(fam.T, 2.0 * fam.mu)), rng.uniform(0.0, fam.T)
-        want.append(periodic_gate(fam.T, width / 2.0, fam.horizon + 2.0 * fam.T).shifted(phase))
+        want.append(periodic_gate(fam.T, width / 2.0, fam.horizon).shifted(phase))
 
     def no_shift(self, t0):
         raise AssertionError("built the gate twice")
@@ -275,6 +276,28 @@ def test_family_builds_each_gate_once(monkeypatch):
         got = fam.draw(i)
         assert (got._den, got._nbreaks, got._nvalues, got._ntail) \
             == (sig._den, sig._nbreaks, sig._nvalues, sig._ntail)
+
+
+@pytest.mark.parametrize("T, mu", [(2.0, 1.0), (0.7, 0.2)])
+def test_family_gates_are_exact_one_period_past_the_horizon(T, mu):
+    # the window check reads [0, T + theta], theta <= horizon, and the
+    # trajectories [0, horizon]: a gate 4T longer agrees cell for cell there
+    for seed in (0, 3, 17):
+        for horizon in (T, 7.3, 20.0):
+            fam = GateSignalFamily(T=T, mu=mu, horizon=horizon, seed=seed)
+            for i in range(1, 9):
+                rng = np.random.default_rng((seed, i))
+                width, phase = rng.uniform(mu, min(T, 2.0 * mu)), rng.uniform(0.0, T)
+                long = periodic_gate(T, width / 2.0, horizon + 4.0 * T, phase)
+                got = fam.draw(i)
+                assert list(got.cells_between(0.0, horizon + T)) \
+                    == list(long.cells_between(0.0, horizon + T))
+                assert _periodic_on(got, T, horizon)
+    # phases at both ends of [0, period)
+    for phase in (0.0, 2.0 ** -40, 1.3, 2.0 - 2.0 ** -40):
+        got = periodic_gate(2.0, 0.6, 5.0, phase)
+        long = periodic_gate(2.0, 0.6, 13.0, phase)
+        assert list(got.cells_between(0.0, 7.0)) == list(long.cells_between(0.0, 7.0))
 
 
 def test_verification_refuses_a_system_above_the_dimension_limit(monkeypatch):
