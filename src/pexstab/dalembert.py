@@ -23,20 +23,19 @@ bump psi(u) = ((u - b')(1 - u))^2 normalised to peak amplitude 1, which
 keeps the orbit in H^1 x L^2 and every displayed identity intact.
 
 Support bookkeeping is exact: for fixed t the velocity support is a finite
-union of intervals with endpoints affine in t, so its overlap with omega is
-piecewise linear in t and is certified zero over whole activity windows by
-evaluating at interval endpoints and at the finitely many times where a
-support endpoint crosses a or b.  Quadrature of v_t^2 over omega corroborates
-the certificate numerically.  Both quadratures (that velocity mass and the
-wave energy) cut their interval (omega or [0, 1]) at the characteristic
-breaks of each time and evaluate their integrand once over the Gauss nodes
-of all times requested.
+union of intervals with endpoints affine in t (:func:`_support`), so its
+overlap with omega is piecewise linear in t and is certified zero over whole
+activity windows by evaluating at interval endpoints and at the finitely many
+times where a support endpoint crosses a or b.  Quadrature of v_t^2 over
+omega corroborates the certificate numerically.  Both quadratures (velocity
+mass and energy) cut their interval (omega or [0, 1]) at those endpoints, in
+floats, and evaluate their integrand once over the Gauss nodes of all times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,25 +49,49 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 QUAD_TIMES_PER_WINDOW = 9
 
 
+def _support(t, bp):
+    """Support intervals (lo, hi) of v_t(t, .) within [0, 1], bump edge ``bp``.
+
+    x contributes iff (x + t) mod 2 or (t - x) mod 2 lies in the bump support
+    [b', 1].  The endpoints are affine in t: exact for rational t and b', the
+    rounded values of the same expressions for floats.
+    """
+    # right-movers: x + t in [b' + 2k, 1 + 2k]
+    for k in range(math.floor((t - 1) / 2), math.ceil((t + 1) / 2) + 1):
+        lo, hi = max(bp + 2 * k - t, 0), min(1 + 2 * k - t, 1)
+        if hi > lo:
+            yield lo, hi
+    # left-movers: t - x in [b' + 2k, 1 + 2k]
+    for k in range(math.floor((t - 2) / 2), math.ceil(t / 2) + 1):
+        lo, hi = max(t - 1 - 2 * k, 0), min(t - bp - 2 * k, 1)
+        if hi > lo:
+            yield lo, hi
+
+
 @dataclass(frozen=True)
 class CounterexampleScenario:
-    """Damping region, derived gate parameters, and the traveling bump."""
+    """Damping region, the gate, and the traveling bump; the bump edge
+    b' = (1 + b)/2 and the gate's halfwidth mu = 1 - b' are derived here."""
 
     omega: tuple
-    b_prime: float
-    mu: float
     period: float
     signal: Signal
     n_periods: int
-    # exact rational mirrors of omega and the derived bump edge, used by the
-    # zero-overlap certificate so that "zero" means exactly zero
-    _fomega: tuple = field(init=False, repr=False, compare=False, default=())
-    _fbp: Fraction = field(init=False, repr=False, compare=False, default=Fraction(0))
+    b_prime: float = field(init=False)
+    mu: float = field(init=False)
+    # exact mirrors of omega, b' and mu, read by the zero-overlap certificate
+    # and the gate so that "zero" means exactly zero
+    _fomega: tuple = field(init=False, repr=False, compare=False)
+    _fbp: Fraction = field(init=False, repr=False, compare=False)
+    _fmu: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fa, fb = Fraction(self.omega[0]), Fraction(self.omega[1])
-        object.__setattr__(self, "_fomega", (fa, fb))
-        object.__setattr__(self, "_fbp", (1 + fb) / 2)
+        fbp = (1 + fb) / 2
+        fmu = 1 - fbp
+        for name, value in (("_fomega", (fa, fb)), ("_fbp", fbp), ("_fmu", fmu),
+                            ("b_prime", float(fbp)), ("mu", float(fmu))):
+            object.__setattr__(self, name, value)
 
     def _psi_prime(self, u):
         """Derivative of the C^1 bump ((u-b')(1-u))^2 on [b', 1], scaled to
@@ -80,49 +103,22 @@ class CounterexampleScenario:
         inside = (u >= self.b_prime) & (u <= 1.0)
         return np.where(inside, 2.0 * s * ds / half ** 4, 0.0)
 
+    def _slopes(self, t, x):
+        """Psi' on the two characteristics through (t, x): Psi'(x + t) and
+        Psi'(t - x); t and x broadcast."""
+        x = np.asarray(x, dtype=float)
+        return self._psi_prime(np.mod(x + t, 2.0)), self._psi_prime(np.mod(t - x, 2.0))
+
     def velocity(self, t, x):
         """Time derivative v_t(t, x) = Psi'(x + t) - Psi'(t - x); t and x
         broadcast."""
-        x = np.asarray(x, dtype=float)
-        return self._psi_prime(np.mod(x + t, 2.0)) - self._psi_prime(np.mod(t - x, 2.0))
-
-    def _support_exact(self, t: Fraction):
-        """Support intervals of v_t(t, .) within [0, 1], exact in t.
-
-        Characteristics: x contributes iff (x + t) mod 2 or (t - x) mod 2
-        lies in the bump support [b', 1].  Endpoints are affine in t, so
-        with rational t the intervals are exact.
-        """
-        out = []
-        bp = self._fbp
-        one = Fraction(1)
-        # right-movers: x + t in [b' + 2k, 1 + 2k]
-        for k in range(math.floor((t - 1) / 2), math.ceil((t + 1) / 2) + 1):
-            lo, hi = max(bp + 2 * k - t, Fraction(0)), min(one + 2 * k - t, one)
-            if hi > lo:
-                out.append((lo, hi))
-        # left-movers: t - x in [b' + 2k, 1 + 2k]
-        for k in range(math.floor((t - 2) / 2), math.ceil(t / 2) + 1):
-            lo, hi = max(t - 1 - 2 * k, Fraction(0)), min(t - bp - 2 * k, one)
-            if hi > lo:
-                out.append((lo, hi))
-        return sorted(out)
+        return np.subtract(*self._slopes(t, x))
 
     def _char_breaks(self, t: float):
-        """x in (0, 1) where a characteristic crosses a bump-support edge.
-
-        The crossings x = edge + 2k - t and x = t - edge - 2k lie in (0, 1)
-        only for k within 1/2 of (t - edge) / 2; the k within one of it are
-        visited, which leaves room for rounding.
-        """
-        pts = set()
-        for edge in (self.b_prime, 1.0):
-            c = (t - edge) / 2.0
-            for k in range(math.floor(c) - 1, math.ceil(c) + 2):
-                for x in (edge + 2 * k - t, t - edge - 2 * k):
-                    if 0.0 < x < 1.0:
-                        pts.add(x)
-        return sorted(pts)
+        """x in (0, 1) where a characteristic crosses a bump-support edge:
+        the endpoints of the float support intervals at ``t`` that lie in
+        (0, 1), in increasing order."""
+        return sorted({x for iv in _support(t, self.b_prime) for x in iv if 0.0 < x < 1.0})
 
 
 @dataclass(frozen=True)
@@ -167,19 +163,15 @@ def build_counterexample(omega, n_periods: int = 8) -> CounterexampleScenario:
         )
     if n_periods < 1:
         raise ValueError("need at least one period")
-    fb_prime = (1 + Fraction(b)) / 2
-    fmu = 1 - fb_prime
-    sig = periodic_gate(2, fmu, 2 * n_periods)
-    return CounterexampleScenario(
-        omega=(a, b), b_prime=float(fb_prime), mu=float(fmu), period=2.0,
-        signal=sig, n_periods=n_periods,
-    )
+    # the gate is built from the scenario's own mu
+    sc = CounterexampleScenario(omega=(a, b), period=2.0, signal=None, n_periods=n_periods)
+    return replace(sc, signal=periodic_gate(2, sc._fmu, 2 * n_periods))
 
 
 def _overlap_with_omega(sc: CounterexampleScenario, t: Fraction) -> Fraction:
     fa, fb = sc._fomega
     total = Fraction(0)
-    for lo, hi in sc._support_exact(t):
+    for lo, hi in _support(t, sc._fbp):
         cut = min(hi, fb) - max(lo, fa)
         if cut > 0:
             total += cut
@@ -200,7 +192,6 @@ def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
     fH = Fraction(sc.period) * sc.n_periods
     sig = sc.signal
     fa, fb = sc._fomega
-    fbp = sc._fbp
     max_overlap = Fraction(0)
     quad_times = []
     n_windows = 0
@@ -219,7 +210,7 @@ def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
         # midpoints between consecutive ones attain its maximum
         cands = {c0, c1}
         for k in range(math.floor(c0 / 2) - 2, math.ceil(c1 / 2) + 3):
-            for edge in (fbp, Fraction(1)):
+            for edge in (sc._fbp, 1):
                 for beta in (fa, fb):
                     for tstar in (edge + 2 * k - beta, beta + edge + 2 * k):
                         if c0 < tstar < c1:
@@ -235,7 +226,7 @@ def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
     masses = _panel_quadrature(sc, np.concatenate(quad_times), *sc.omega,
                                lambda t, x: sc.velocity(t, x) ** 2)
     quad_max = float(masses.max())
-    pe = pe_check(sig, sc.period, float(1 - fbp), float(fH))
+    pe = pe_check(sig, sc.period, sc.mu, float(fH))
     ok = bool(max_overlap == 0 and quad_max <= 1e-12 and pe.holds)
     return InertReport(
         ok=ok, mu=sc.mu, T=sc.period, max_overlap=float(max_overlap),
@@ -271,10 +262,8 @@ def _panel_quadrature(sc: CounterexampleScenario, times, lo: float, hi: float,
 
 def _energy_density(sc: CounterexampleScenario, t, x):
     """(v_x^2 + v_t^2) / 2 at (t, x)."""
-    dp = sc._psi_prime(np.mod(x + t, 2.0))
-    dm = sc._psi_prime(np.mod(t - x, 2.0))
-    vx = dp + dm
-    vt = dp - dm
+    dp, dm = sc._slopes(t, x)
+    vx, vt = dp + dm, dp - dm
     return 0.5 * (vx * vx + vt * vt)
 
 

@@ -23,6 +23,7 @@ import inspect
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .modal import (SchrodingerModalSpec, WaveModalSpec, build_schrodinger,
                     build_wave)
 from .observability import (DEFAULT_N_CELLS, OUTER_DIM_LIMIT, OuterSearch,
                             SignalClass, wave_pe_lower_bound, wave_rho_lower_bound)
-from .signals import (IntervalSequence, Signal, _ratio, from_intervals, haraux_gap,
-                      make_piecewise, pe_check, periodic_gate)
+from .signals import (IntervalSequence, Signal, from_intervals, haraux_gap, make_piecewise,
+                      pe_check, periodic_gate)
 from .stability import SAMPLES_PER_THETA, certificate_from_constant, verify_certificate
 
 # Parsing builds the system and the signal, so their sizes are bounded: a
@@ -531,9 +532,8 @@ def _verify_in_class(verify, sclass, path):
         # h; both the floor and the comparison are exact, since h / T in
         # floats can round up to a whole number
         h = sclass.horizon
-        (hn, hd), (tn, td), (mn, md), (rn, rd) = map(_ratio, (h, T, mu, sclass.rho))
-        k = (hn * td) // (hd * tn)
-        _require(k * mn * rd * hd >= rn * hn * md, _at(path, "verify.mu"),
+        k = Fraction(h) // Fraction(T)
+        _require(k * Fraction(mu) >= Fraction(sclass.rho) * Fraction(h), _at(path, "verify.mu"),
                  "a gate with T=%g and mu=%g guarantees mass %g on a window of "
                  "length %g, below the class mass rho*horizon=%g"
                  % (T, mu, k * mu, h, sclass.rho * h))

@@ -6,7 +6,9 @@ one integer lattice per signal: the breakpoints are integer numerators over a
 single denominator (the lcm of their denominators), the levels are integer
 numerators over a second one, and the prefix masses are numerators over the
 product of the two.  Inputs enter exactly (a float is the dyadic rational it
-stores), integrals are exact integer sums over cells, and
+stores): each query lifts its times onto the signal's lattice by one
+method, ``Signal._lift``, and every lattice is the least common denominator
+of ``_common``.  Integrals are exact integer sums over cells, and
 :class:`fractions.Fraction` appears only in returned values.  The
 persistent-excitation (PE) check minimises the sliding-window mass
 
@@ -154,15 +156,18 @@ class Signal:
             return x * level
         return self._nprefix[i - 1] * s + (x - self._nbreaks[i - 1] * s) * level
 
+    def _lift(self, *xs) -> tuple:
+        """``(L, s, nums)``: the times ``xs`` as numerators ``nums`` over ``L``, the
+        least common denominator of ``_den`` and theirs, and ``s = L // _den``."""
+        L, nums = _common([(0, self._den)] + [_ratio(x) for x in xs])
+        return L, L // self._den, nums[1:]
+
     def integral(self, a, b) -> Fraction:
         """Exact mass of the signal over [a, b], returned as a Fraction."""
-        (na, da), (nb, db) = _ratio(a), _ratio(b)
-        if na < 0 or nb * da < na * db:
+        L, s, (xa, xb) = self._lift(a, b)
+        if xa < 0 or xb < xa:
             raise ValueError("need 0 <= a <= b, got a=%s b=%s" % (a, b))
-        L = math.lcm(self._den, da, db)
-        s = L // self._den
-        return Fraction(self._primitive(nb * (L // db), s) - self._primitive(na * (L // da), s),
-                        L * self._vden)
+        return Fraction(self._primitive(xb, s) - self._primitive(xa, s), L * self._vden)
 
     def cells_between(self, a: float, b: float):
         """Yield (start, end, level) covering [a, b], split at breakpoints."""
@@ -181,12 +186,9 @@ class Signal:
 
     def shifted(self, t0: float) -> "Signal":
         """The signal ``t -> alpha(t0 + t)`` as a new Signal."""
-        n0, d0 = _ratio(t0)
-        if n0 < 0:
+        L, s, (x0,) = self._lift(t0)
+        if x0 < 0:
             raise ValueError("shift must be nonnegative, got %s" % t0)
-        L = math.lcm(self._den, d0)
-        s = L // self._den
-        x0 = n0 * (L // d0)
         # keep the breakpoints strictly after t0
         i = bisect.bisect_right(self._nbreaks, x0 // s)
         return Signal._from_lattice(L, [nb * s - x0 for nb in self._nbreaks[i:]],
@@ -281,18 +283,16 @@ def pe_check(sig: Signal, T, mu, horizon, tolerance: float = 0.0) -> PEReport:
         ``holds`` is True iff the worst window mass is at least
         ``mu - tolerance``; ties in mass report the earliest window start.
     """
-    (tn, td), (mn, md), (hn, hd) = _ratio(T), _ratio(mu), _ratio(horizon)
-    if tn <= 0:
-        raise ValueError("window length T must be positive")
-    if not (0 < mn and mn * td <= tn * md):
-        raise ValueError("need 0 < mu <= T (levels never exceed 1), got mu=%s T=%s" % (mu, T))
-    if hn * td < tn * hd:
-        raise ValueError("horizon must be at least one window long")
     # window starts and lengths on the lattice with denominator L
-    L = math.lcm(sig._den, td, hd)
-    s = L // sig._den
-    wT = tn * (L // td)
-    last = hn * (L // hd) - wT
+    L, s, (wT, H) = sig._lift(T, horizon)
+    mn, md = _ratio(mu)
+    if wT <= 0:
+        raise ValueError("window length T must be positive")
+    if not (0 < mn and mn * L <= wT * md):
+        raise ValueError("need 0 < mu <= T (levels never exceed 1), got mu=%s T=%s" % (mu, T))
+    if H < wT:
+        raise ValueError("horizon must be at least one window long")
+    last = H - wT
     cands = {0, last}
     for nb in sig._nbreaks:
         b = nb * s
@@ -311,9 +311,9 @@ def pe_check(sig: Signal, T, mu, horizon, tolerance: float = 0.0) -> PEReport:
     holds = worst_m * md * od >= (mn * od - on * md) * scale
     return PEReport(
         holds=holds,
-        T=tn / td,
+        T=wT / L,
         mu=mn / md,
-        horizon=hn / hd,
+        horizon=H / L,
         worst_window_start=worst_t / L,
         worst_window_mass=worst_m / scale,
         worst_window_start_exact=Fraction(worst_t, L),
@@ -330,11 +330,8 @@ def _periodic_on(sig: Signal, T, horizon) -> bool:
     levels.  The instants are read off the integer lattice in one pass over
     the breakpoints; no shifted signal is built.
     """
-    (tn, td), (hn, hd) = _ratio(T), _ratio(horizon)
-    L = math.lcm(sig._den, td, hd)
-    s = L // sig._den
-    wT = tn * (L // td)
-    last = hn * (L // hd) - wT
+    _, s, (wT, H) = sig._lift(T, horizon)
+    last = H - wT
     levels = sig._nvalues + (sig._ntail,)
     # (instant, level after it) of each breakpoint where the level changes
     switches = [(nb * s, after) for nb, before, after
@@ -356,20 +353,17 @@ def periodic_gate(period, pulse_halfwidth, horizon, phase=0.0) -> Signal:
     ``phase`` earlier: the signal ``gate.shifted(phase)``, built in one pass,
     exact on [0, horizon + period] for any phase in [0, period).
     """
-    (pn, pd), (hn, hd), (Hn, Hd) = _ratio(period), _ratio(pulse_halfwidth), _ratio(horizon)
-    fn, fd = _ratio(phase)
-    if pn <= 0:
+    L, (P, h, H, x0) = _common([_ratio(x) for x in (period, pulse_halfwidth, horizon, phase)])
+    if P <= 0:
         raise ValueError("period must be positive")
-    if not (0 < hn and 2 * hn * pd <= pn * hd):
+    if not 0 < h <= P - h:
         raise ValueError("pulse halfwidth must lie in (0, period/2]")
-    if Hn < 0:
+    if H < 0:
         raise ValueError("horizon must be nonnegative")
-    if fn < 0:
+    if x0 < 0:
         raise ValueError("phase must be nonnegative, got %s" % phase)
-    if 2 * hn * pd == pn * hd:
+    if 2 * h == P:
         return Signal._from_lattice(1, (), 1, (), 1)
-    L = math.lcm(pd, hd, Hd, fd)
-    P, h, H, x0 = pn * (L // pd), hn * (L // hd), Hn * (L // Hd), fn * (L // fd)
     # the first pulse is clipped to [0, h); pulse k sits at [kP - h, kP + h),
     # up to the first one that switches on after H + P
     n_pulses = (H + P + h) // P + 1
@@ -390,19 +384,19 @@ def haraux_gap(n_max: int):
     """
     if n_max < 1:
         raise ValueError("need at least one pulse")
-    # every s_n and 1/n is a multiple of 1/L
-    L = math.lcm(*range(1, n_max + 1))
+    # every 1/n, hence every s_n, is a multiple of 1/L: 1/n is w / L
+    L, widths = _common([(1, n) for n in range(1, n_max + 1)])
     breaks, vals, ivs = [], [], []
     s = 0
-    for n in range(1, n_max + 1):
-        a, b = s, s + L // n
+    for w in widths:
+        a, b = s, s + w
         ivs.append((a / L, b / L))
         if a > 0:
             breaks.append(a)
             vals.append(0)
         breaks.append(b)
         vals.append(1)
-        s += 2 * (L // n)
+        s += 2 * w
     sig = Signal._from_lattice(L, breaks, 1, vals, 0)
     return sig, IntervalSequence(tuple(ivs))
 

@@ -259,13 +259,14 @@ def _window_contractions(sys: LinearSystem, trials):
 
 
 def _checked_batches(family: GateSignalFamily, n_trials: int, theta: float, dim: int):
-    """Each trial's gate, drawn and checked, in batches of (gate, windows).
+    """Each trial's :func:`_trial_windows`, of its gate drawn and checked, in batches.
 
     A draw that is not T-periodic or not T-mu persistently exciting over
     ``family.horizon``, checked exactly, raises ValueError.  A batch holds
     the trials in order, as many as keep the two levels of their doubling
     tables and their window products, (2 steps + starts) N^2 values per
-    trial, within WINDOW_BATCH_VALUES, and at least one.
+    trial, within WINDOW_BATCH_VALUES, and at least one.  No gate outlives
+    its trial's windows; ``family.draw(i)`` gives it again.
     """
     batch, values = [], 0
     for i in range(n_trials):
@@ -285,7 +286,7 @@ def _checked_batches(family: GateSignalFamily, n_trials: int, theta: float, dim:
         if batch and values + size > WINDOW_BATCH_VALUES:
             yield batch
             batch, values = [], 0
-        batch.append((sig, windows))
+        batch.append(windows)
         values += size
     yield batch
 
@@ -303,8 +304,9 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
     at most WINDOW_BATCH_VALUES values, never splitting a trial (see
     :func:`_checked_batches`), and each batch's windows are multiplied out
     by one :func:`_window_contractions`; a trial's contractions do not
-    depend on its batch.  Trial 0 and the worst window's trial are also
-    simulated (:func:`~pexstab.linsys.simulate`) over the horizon from a
+    depend on its batch, and no gate is kept past it.  Trial 0 and the
+    worst window's trial are also simulated (:func:`~pexstab.linsys.simulate`),
+    each on its gate drawn again by ``family.draw``, over the horizon from a
     random unit z0 each, sampled theta / SAMPLES_PER_THETA apart, against
     the envelope M e^{-gamma t}.  Raises :class:`CertificateViolation`
     when a window contraction exceeds q by more than the relative
@@ -322,7 +324,7 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
     window = (-math.inf, -1, 0.0)
     first = 0
     for batch in _checked_batches(family, n_trials, theta, sys.dim):
-        trial, starts, contractions = _window_contractions(sys, [w for _, w in batch])
+        trial, starts, contractions = _window_contractions(sys, batch)
         finite = np.isfinite(contractions)
         if not finite.all():
             raise RuntimeError("window propagators of trial %d are not finite"
@@ -330,14 +332,13 @@ def verify_certificate(sys: LinearSystem, cert: DecayCertificate,
         j = int(np.argmax(contractions))
         if contractions[j] > window[0]:
             window = (float(contractions[j]), first + int(trial[j]), float(starts[j]))
-            worst_gate = batch[trial[j]][0]
         first += len(batch)
     worst = (-math.inf, -1, 0.0)
-    for i, sig in {0: family.draw(0), window[1]: worst_gate}.items():
+    for i in dict.fromkeys((0, window[1])):
         rng = np.random.default_rng((family.seed, 7 * n_trials + i))
         z0 = rng.standard_normal(sys.dim)
         z0 /= np.linalg.norm(z0)
-        traj = simulate(sys, sig, z0, horizon, dt_out)
+        traj = simulate(sys, family.draw(i), z0, horizon, dt_out)
         # doubling V = ||z||^2 / 2 is exact, so these are the norms' own bits
         norms = np.sqrt(2.0 * traj.energies)
         ratios = norms / (cert.envelope(traj.times) * norms[0])

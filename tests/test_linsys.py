@@ -366,7 +366,7 @@ def assert_rows_close(got, want, rel=1e-12):
     assert err.max() <= rel, err.max()
 
 
-def test_batched_propagation_damped_non_skew_drift():
+def test_propagation_damped_non_skew_drift():
     rng = np.random.default_rng(21)
     A = random_skew(rng, 6) - 0.3 * np.eye(6)
     sys = LinearSystem(A, rng.standard_normal((6, 2)))
@@ -378,7 +378,7 @@ def test_batched_propagation_damped_non_skew_drift():
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
-def test_batched_propagation_samples_on_breakpoints():
+def test_propagation_samples_on_breakpoints():
     rng = np.random.default_rng(22)
     sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 2)))
     sig = make_piecewise([0.5, 1.25, 2.0], [1.0, 0.0, 0.5], 1.0)
@@ -388,7 +388,7 @@ def test_batched_propagation_samples_on_breakpoints():
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
-def test_batched_propagation_cell_with_one_sample():
+def test_propagation_cell_with_one_sample():
     rng = np.random.default_rng(23)
     sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 1)))
     # the cell [0.95, 1.05) holds the single sample 1.0
@@ -399,7 +399,7 @@ def test_batched_propagation_cell_with_one_sample():
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
-def test_batched_propagation_many_tiny_cells():
+def test_propagation_many_tiny_cells():
     rng = np.random.default_rng(24)
     sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 2)))
     breaks = np.sort(np.concatenate([np.arange(1, 400) * 0.005,
@@ -412,7 +412,7 @@ def test_batched_propagation_many_tiny_cells():
     assert_rows_close(got, sequential_states(sys, sig, z0, times))
 
 
-def test_batched_propagation_times_not_starting_at_zero():
+def test_propagation_times_not_starting_at_zero():
     rng = np.random.default_rng(25)
     sys = LinearSystem(random_skew(rng, 4), rng.standard_normal((4, 2)))
     sig = make_piecewise([0.7, 1.3, 2.0], [1.0, 0.0, 0.5], 0.25)
@@ -422,7 +422,7 @@ def test_batched_propagation_times_not_starting_at_zero():
     assert_rows_close(got, cell_product_states(sys, sig, z0, times))
 
 
-def test_batched_propagation_long_uniform_run():
+def test_propagation_long_uniform_run():
     rng = np.random.default_rng(26)
     sys = LinearSystem(random_skew(rng, 6), rng.standard_normal((6, 2)))
     one = make_piecewise([], [], 1.0)
@@ -435,7 +435,7 @@ def test_batched_propagation_long_uniform_run():
     assert_rows_close(got[pick], want)
 
 
-def test_batched_propagation_drifting_spacing_steps_singly():
+def test_propagation_drifting_spacing_steps_singly():
     rng = np.random.default_rng(28)
     sys = LinearSystem(3.0 * random_skew(rng, 4), rng.standard_normal((4, 2)))
     one = make_piecewise([], [], 1.0)
@@ -458,7 +458,7 @@ def test_undamped_fill_keeps_energy_to_rounding():
     assert np.abs(V - V[0]).max() <= 1e-13 * V[0]
 
 
-def test_batched_propagation_close_spacings_stay_apart():
+def test_propagation_close_spacings_stay_apart():
     # two cells at one level, the first on the grid of 0.01, the second
     # sampled 3e-7 apart from it in spacing: its samples are off the grid
     # and must not take the grid step

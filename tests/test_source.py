@@ -96,6 +96,62 @@ def test_only_linsys_imports_scipy_linalg():
     assert expm_callers == {"_step_matrix", "observability_gramian"}
 
 
+LATTICE_HELPERS = {"_ratio", "_common"}
+
+
+def lattice_lifts(sources: dict) -> list:
+    """(file, line, name) of each lattice lift written outside its one home.
+
+    ``sources`` maps file names to module text.  A call of ``math.lcm`` (or
+    of an ``lcm`` imported from math) counts unless it lies in the body of
+    ``_common`` in ``signals.py``; an import or attribute read of
+    ``_ratio`` or ``_common`` counts in any other module.
+    """
+    out = []
+    for fname, text in sources.items():
+        tree = ast.parse(text)
+        home = [(fn.lineno, fn.end_lineno) for fn in tree.body
+                if fname == "signals.py" and isinstance(fn, ast.FunctionDef)
+                and fn.name == "_common"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "lcm"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "lcm"
+                    and getattr(node.func.value, "id", None) == "math"):
+                if not any(lo <= node.lineno <= hi for lo, hi in home):
+                    out.append((fname, node.lineno, "lcm"))
+            elif fname == "signals.py":
+                continue
+            elif isinstance(node, ast.ImportFrom):
+                out += [(fname, node.lineno, alias.name) for alias in node.names
+                        if alias.name in LATTICE_HELPERS]
+            elif isinstance(node, ast.Attribute) and node.attr in LATTICE_HELPERS:
+                out.append((fname, node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_guard_flags_a_lattice_lift_outside_signals_common():
+    planted = {
+        "signals.py": ("import math\n\n"
+                       "def _common(ratios):\n    return math.lcm(*ratios)\n\n"
+                       "def integral(a, b):\n    return math.lcm(a, b)\n"),
+        "scenario.py": ("from math import lcm\nfrom .signals import _ratio, integral\n"
+                        "from . import signals\n"
+                        "k = lcm(2, 3) + signals._common([]) + integral(1, 2)\n"),
+        "stability.py": "import math\nn = math.gcd(4, 6)\n",
+    }
+    assert lattice_lifts(planted) == [
+        ("scenario.py", 2, "_ratio"), ("scenario.py", 4, "_common"),
+        ("scenario.py", 4, "lcm"), ("signals.py", 7, "lcm")]
+
+
+def test_lattice_lifts_live_in_signals_common():
+    # every exact time query lifts onto a signal's lattice through
+    # Signal._lift, and every lattice is the lcm of signals._common
+    sources = {p.name: p.read_text() for p in (ROOT / "src" / "pexstab").glob("*.py")}
+    assert lattice_lifts(sources) == []
+
+
 # Public definitions that nothing in src/ reads, kept for a reason each.
 UNREACHED_BY_DESIGN = {
     # the exact mass that defines pe_check; the signal tests hold the lattice to it
