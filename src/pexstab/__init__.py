@@ -45,7 +45,6 @@ from .modal import (  # noqa: F401
 from .dalembert import (  # noqa: F401
     CounterexampleScenario,
     InertReport,
-    build_counterexample,
     energy_of_counterexample,
     verify_damping_inert,
 )

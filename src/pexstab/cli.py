@@ -34,7 +34,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from . import __version__
-from .dalembert import (build_counterexample, energy_of_counterexample,
+from .dalembert import (PERIOD, CounterexampleScenario, energy_of_counterexample,
                         verify_damping_inert)
 from .linsys import energy_balance, simulate
 from .observability import class_constant, kappa_scan
@@ -274,9 +274,9 @@ def _run_check_pe(sc: Scenario, a: dict):
 
 def _run_counterexample(sc: Scenario, a: dict):
     omega, periods = tuple(a["omega"]), a["periods"]
-    cx = build_counterexample(omega, n_periods=periods)
+    cx = CounterexampleScenario(omega, n_periods=periods)
     inert = verify_damping_inert(cx)
-    times = np.linspace(0.0, periods * cx.period, 64 * periods + 1)
+    times = np.linspace(0.0, periods * PERIOD, 64 * periods + 1)
     energies = energy_of_counterexample(cx, times)
     drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     report = inert.to_dict()

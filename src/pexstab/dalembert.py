@@ -2,8 +2,8 @@
 
 Construction on the unit interval with Dirichlet ends, damping region
 omega = (a, b) with b < 1: set b' = (1 + b)/2, mu = 1 - b' = (1 - b)/2 and
-take the period-2 damping gate that is on within mu of every even time.
-The displacement
+take the gate of period ``PERIOD`` = 2 that is on within mu of every even
+time.  The displacement
 
     v(t, x) = Psi(x + t) - Psi(t - x)
 
@@ -22,8 +22,11 @@ lie in the energy space; the profile here is the piecewise-polynomial C^1
 bump psi(u) = ((u - b')(1 - u))^2 normalised to peak amplitude 1, which
 keeps the orbit in H^1 x L^2 and every displayed identity intact.
 
-Support bookkeeping is exact: for fixed t the velocity support is a finite
-union of intervals with endpoints affine in t (:func:`_support`), so its
+Everything here is 2-periodic in t, so every evaluation first reduces t
+modulo ``PERIOD``, exactly (a Fraction, or a float, whose remainder is
+exact): late times see the same intervals and round as times in [0, 2) do.
+Support bookkeeping is exact: for fixed t the velocity support is at most
+three intervals with endpoints affine in t mod 2 (:func:`_support`), so its
 overlap with omega is piecewise linear in t and is certified zero over whole
 activity windows by evaluating at interval endpoints and at the finitely many
 times where a support endpoint crosses a or b.  Quadrature of v_t^2 over
@@ -35,13 +38,15 @@ floats, and evaluate their integrand once over the Gauss nodes of all times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .signals import PEReport, Signal, pe_check, periodic_gate
 
+# the period of the gate and of Psi; an int, so Fraction arithmetic stays exact
+PERIOD = 2
 GAUSS_NODES = 8
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 # active times per gate pulse at which verify_damping_inert evaluates the
@@ -53,32 +58,30 @@ def _support(t, bp):
     """Support intervals (lo, hi) of v_t(t, .) within [0, 1], bump edge ``bp``.
 
     x contributes iff (x + t) mod 2 or (t - x) mod 2 lies in the bump support
-    [b', 1].  The endpoints are affine in t: exact for rational t and b', the
-    rounded values of the same expressions for floats.
+    [b', 1].  With s = t mod 2 in [0, 2) that is x + s in [b', 1] or
+    [b' + 2, 3] (right-movers) or s - x in [b', 1] (left-movers).  The
+    endpoints are affine in s: exact for rational t and b', the rounded
+    values of the same expressions for floats.
     """
-    # right-movers: x + t in [b' + 2k, 1 + 2k]
-    for k in range(math.floor((t - 1) / 2), math.ceil((t + 1) / 2) + 1):
-        lo, hi = max(bp + 2 * k - t, 0), min(1 + 2 * k - t, 1)
-        if hi > lo:
-            yield lo, hi
-    # left-movers: t - x in [b' + 2k, 1 + 2k]
-    for k in range(math.floor((t - 2) / 2), math.ceil(t / 2) + 1):
-        lo, hi = max(t - 1 - 2 * k, 0), min(t - bp - 2 * k, 1)
+    s = t % PERIOD
+    for lo, hi in ((bp - s, 1 - s), (bp + PERIOD - s, 1 + PERIOD - s), (s - 1, s - bp)):
+        lo, hi = max(lo, 0), min(hi, 1)
         if hi > lo:
             yield lo, hi
 
 
 @dataclass(frozen=True)
 class CounterexampleScenario:
-    """Damping region, the gate, and the traveling bump; the bump edge
-    b' = (1 + b)/2 and the gate's halfwidth mu = 1 - b' are derived here."""
+    """Damping region omega = (a, b), 0 <= a < b < 1, and ``n_periods``
+    periods of the gate; the bump edge b' = (1 + b)/2, the gate's halfwidth
+    mu = 1 - b' and the gate itself are derived here."""
 
     omega: tuple
-    period: float
-    signal: Signal
-    n_periods: int
+    n_periods: int = 3
     b_prime: float = field(init=False)
     mu: float = field(init=False)
+    # on within mu of every multiple of PERIOD, exact out to n_periods periods
+    signal: Signal = field(init=False, repr=False, compare=False)
     # exact mirrors of omega, b' and mu, read by the zero-overlap certificate
     # and the gate so that "zero" means exactly zero
     _fomega: tuple = field(init=False, repr=False, compare=False)
@@ -86,11 +89,18 @@ class CounterexampleScenario:
     _fmu: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fa, fb = Fraction(self.omega[0]), Fraction(self.omega[1])
-        fbp = (1 + fb) / 2
+        a, b = float(self.omega[0]), float(self.omega[1])
+        if not 0.0 <= a < b < 1.0:
+            raise ValueError(
+                "omega must satisfy 0 <= a < b < 1 so that (b, 1) has positive measure")
+        if self.n_periods < 1:
+            raise ValueError("need at least one period")
+        fbp = (1 + Fraction(b)) / 2
         fmu = 1 - fbp
-        for name, value in (("_fomega", (fa, fb)), ("_fbp", fbp), ("_fmu", fmu),
-                            ("b_prime", float(fbp)), ("mu", float(fmu))):
+        for name, value in (("omega", (a, b)), ("_fomega", (Fraction(a), Fraction(b))),
+                            ("_fbp", fbp), ("_fmu", fmu),
+                            ("b_prime", float(fbp)), ("mu", float(fmu)),
+                            ("signal", periodic_gate(PERIOD, fmu, PERIOD * self.n_periods))):
             object.__setattr__(self, name, value)
 
     def _psi_prime(self, u):
@@ -105,9 +115,11 @@ class CounterexampleScenario:
 
     def _slopes(self, t, x):
         """Psi' on the two characteristics through (t, x): Psi'(x + t) and
-        Psi'(t - x); t and x broadcast."""
+        Psi'(t - x), with t reduced modulo PERIOD first; t and x broadcast."""
+        s = np.mod(t, PERIOD)
         x = np.asarray(x, dtype=float)
-        return self._psi_prime(np.mod(x + t, 2.0)), self._psi_prime(np.mod(t - x, 2.0))
+        return (self._psi_prime(np.mod(x + s, PERIOD)),
+                self._psi_prime(np.mod(s - x, PERIOD)))
 
     def velocity(self, t, x):
         """Time derivative v_t(t, x) = Psi'(x + t) - Psi'(t - x); t and x
@@ -148,26 +160,6 @@ class InertReport:
         }
 
 
-def build_counterexample(omega, n_periods: int = 8) -> CounterexampleScenario:
-    """Gate-plus-bump scenario for a damping region omega = (a, b), b < 1.
-
-    The gate has period 2 and pulse halfwidth mu = (1 - b)/2; the bump is
-    supported in [b' , 1] with b' = (1 + b)/2.  ``n_periods`` controls how
-    far the truncated gate extends (any window analysis within that horizon
-    sees the exact periodic signal).
-    """
-    a, b = float(omega[0]), float(omega[1])
-    if not 0.0 <= a < b < 1.0:
-        raise ValueError(
-            "omega must satisfy 0 <= a < b < 1 so that (b, 1) has positive measure"
-        )
-    if n_periods < 1:
-        raise ValueError("need at least one period")
-    # the gate is built from the scenario's own mu
-    sc = CounterexampleScenario(omega=(a, b), period=2.0, signal=None, n_periods=n_periods)
-    return replace(sc, signal=periodic_gate(2, sc._fmu, 2 * n_periods))
-
-
 def _overlap_with_omega(sc: CounterexampleScenario, t: Fraction) -> Fraction:
     fa, fb = sc._fomega
     total = Fraction(0)
@@ -189,7 +181,7 @@ def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
     int_omega v_t(t, .)^2 dx over sampled active times corroborates the
     analytic overlap (both must vanish for the certificate to hold).
     """
-    fH = Fraction(sc.period) * sc.n_periods
+    fH = Fraction(PERIOD * sc.n_periods)
     sig = sc.signal
     fa, fb = sc._fomega
     max_overlap = Fraction(0)
@@ -209,10 +201,10 @@ def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
         # the overlap is piecewise linear in t, so these candidates plus
         # midpoints between consecutive ones attain its maximum
         cands = {c0, c1}
-        for k in range(math.floor(c0 / 2) - 2, math.ceil(c1 / 2) + 3):
+        for k in range(math.floor(c0 / PERIOD) - 2, math.ceil(c1 / PERIOD) + 3):
             for edge in (sc._fbp, 1):
                 for beta in (fa, fb):
-                    for tstar in (edge + 2 * k - beta, beta + edge + 2 * k):
+                    for tstar in (edge + PERIOD * k - beta, beta + edge + PERIOD * k):
                         if c0 < tstar < c1:
                             cands.add(tstar)
         cands = sorted(cands)
@@ -226,10 +218,10 @@ def verify_damping_inert(sc: CounterexampleScenario) -> InertReport:
     masses = _panel_quadrature(sc, np.concatenate(quad_times), *sc.omega,
                                lambda t, x: sc.velocity(t, x) ** 2)
     quad_max = float(masses.max())
-    pe = pe_check(sig, sc.period, sc.mu, float(fH))
+    pe = pe_check(sig, PERIOD, sc.mu, float(fH))
     ok = bool(max_overlap == 0 and quad_max <= 1e-12 and pe.holds)
     return InertReport(
-        ok=ok, mu=sc.mu, T=sc.period, max_overlap=float(max_overlap),
+        ok=ok, mu=sc.mu, T=float(PERIOD), max_overlap=float(max_overlap),
         quad_velocity_mass_max=float(quad_max), pe=pe, n_periods=sc.n_periods,
         n_windows_checked=n_windows,
     )
@@ -261,10 +253,10 @@ def _panel_quadrature(sc: CounterexampleScenario, times, lo: float, hi: float,
 
 
 def _energy_density(sc: CounterexampleScenario, t, x):
-    """(v_x^2 + v_t^2) / 2 at (t, x)."""
+    """(v_x^2 + v_t^2) / 2 at (t, x), which is dp^2 + dm^2 for v_x = dp + dm
+    and v_t = dp - dm, without their cancellation."""
     dp, dm = sc._slopes(t, x)
-    vx, vt = dp + dm, dp - dm
-    return 0.5 * (vx * vx + vt * vt)
+    return dp * dp + dm * dm
 
 
 def energy_of_counterexample(sc: CounterexampleScenario, times) -> np.ndarray:

@@ -22,8 +22,10 @@ A is skew with blocks [[0, lambda_n], [-lambda_n, 0]] and B B^T = G (x) I_2.
 
 A finite truncation of either model is exactly observable, so no finite
 simulation can distinguish weak from strong stability of the full PDE;
-quantum-particle systems carry that caveat and every report built from them
-must repeat it.
+quantum-particle systems and strings damped on an interval omega carry that
+caveat, and every report built from them must repeat it.  (A string damped
+on omega need not decay at all: the counterexample of ``dalembert`` is one,
+while each of its truncations decays.)
 """
 
 from __future__ import annotations
@@ -158,12 +160,14 @@ def build_wave(spec: WaveModalSpec) -> LinearSystem:
     The state interleaves the modal pairs,
     z = (sqrt(l1) a1, a1', sqrt(l2) a2, a2', ...), which makes A exactly
     skew-symmetric with 2x2 rotation blocks of speed sqrt(lambda_n) and puts
-    the damping map on the velocity slots.
+    the damping map on the velocity slots.  Damped on an interval omega,
+    the system carries the modal-truncation caveat.
     """
     n = spec.n_modes
     B = np.zeros((2 * n, n))
     B[1::2, :] = spec.damping_root()
-    return LinearSystem(_rotation_blocks(np.sqrt(spec.spectrum())), B)
+    caveats = () if spec.omega is None else (TRUNCATION_CAVEAT,)
+    return LinearSystem(_rotation_blocks(np.sqrt(spec.spectrum())), B, caveats=caveats)
 
 
 def build_schrodinger(spec: SchrodingerModalSpec) -> LinearSystem:

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dalembert import CounterexampleScenario
 from .linsys import DIM_LIMIT, LinearSystem, cost_within_bound, kalman_index
 from .modal import (SchrodingerModalSpec, WaveModalSpec, build_schrodinger,
                     build_wave)
@@ -87,6 +88,11 @@ MAX_ITERS = 1000
 MAX_OUTER_WORK = 2 ** 22
 MAX_T_GRID = 32
 MAX_PERIODS = 100
+# the counterexample's bump is (1 - b)/2 wide and its slope grows like
+# 1/(1 - b): over 100 periods, at a in {0, 0.2, 0.9}, 1 - b = 1e-6 kept the
+# quadrature of v_t^2 over omega at 9e-19 and the energy drift at 0, while
+# at 1e-7 the quadrature read 7.7e-11, past its 1e-12 bound
+MIN_BUMP_ROOM = 1e-6
 
 
 class ScenarioError(ValueError):
@@ -413,6 +419,14 @@ def _check_pe(a, path, ctx):
     return a
 
 
+def _counterexample(a, path, ctx):
+    b = a["omega"][1]
+    _require(1 - b >= MIN_BUMP_ROOM, _at(path, "omega"),
+             "1 - b = %g is below %g: the quadrature cannot resolve a bump of "
+             "width (1 - b)/2 this narrow" % (1 - b, MIN_BUMP_ROOM))
+    return a
+
+
 def _kappa_scan(a, path, ctx):
     _search_dim(a, path, ctx)
     _outer_work(a, path, runs=len(a["T_grid"]))
@@ -486,8 +500,11 @@ def _certify(a, path, ctx):
                  "%d trials of window checks that cost about %.3g each ((steps + starts) "
                  "* max(N, 16)^3); at most %d in all" % (verify["n_trials"], work,
                                                          MAX_WINDOW_WORK))
-        if src is not None and src["kind"] == "class-constant":
-            _verify_in_class(verify, src["class"], path)
+        if src is not None:
+            # the wave-pe bound holds on the gates of its T-mu window class
+            sclass = (src["class"] if src["kind"] == "class-constant"
+                      else SignalClass.pe_windows(float(src["T"]), float(src["mu"])))
+            _verify_in_class(verify, sclass, path)
     return a
 
 
@@ -519,8 +536,9 @@ def _wave_cubic(o, path, ctx):
 
 
 def _verify_in_class(verify, sclass, path):
-    """A class constant bounds the functional only for signals of its
-    class, so the gates drawn to verify its certificate must lie in it."""
+    """A source's constant (a class constant, or the wave-pe bound of its
+    window class) bounds the functional only for signals of its class, so
+    the gates drawn to verify its certificate must lie in it."""
     T, mu = verify["T"], verify["mu"]
     if sclass.kind == "pe-windows":
         _require(T == sclass.T, _at(path, "verify.T"),
@@ -672,9 +690,10 @@ ANALYSES = Kinds("kind", "analysis kind", {
     }, rule=_check_pe, needs=("signal", "horizon")),
     "counterexample": Obj("counterexample", {
         "omega": _omega("<"),
-        "periods": (_integer(1, MAX_PERIODS), 3),
+        "periods": (_integer(1, MAX_PERIODS), _library_default(CounterexampleScenario,
+                                                                "n_periods")),
         "drift_tol": (POSITIVE, 1e-8),
-    }),
+    }, rule=_counterexample),
     "observability": Obj("observability", {
         "class": CLASSES, "n_cells": (CELLS, DEFAULT_N_CELLS), "outer": (OUTER, {}),
     }, rule=_observability, needs=("system",)),

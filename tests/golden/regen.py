@@ -7,7 +7,8 @@ Usage (from the repository root):
 runs every scenario of ``scenarios()`` in this process and
 ``tests/test_cli.py`` in a child pytest with ``--golden-record``, rewrites
 ``tests/golden/manifest.json`` and replaces ``tests/golden/reports/`` with
-the JSON reports verbatim.  ``tests/test_golden.py`` runs the same scenarios
+the JSON reports verbatim.  Before it does, it prints each report file whose
+digest changed, appeared or vanished.  ``tests/test_golden.py`` runs the same scenarios
 and compares what they write with the manifest.  The report trees of
 ``tests/test_cli.py`` sit under ``test_cli/<test name>/``; the
 ``golden_cli_tree`` fixture of ``tests/conftest.py`` compares each test's
@@ -253,6 +254,21 @@ def loose_differences(files: dict, root: Path, stored: Path = REPORTS) -> list:
     return out
 
 
+def digest_changes(old: dict, new: dict) -> list:
+    """``"<how>: <name>"`` for each report file whose digest differs between
+    the manifest entries ``old`` and ``new``: changed, appeared or vanished,
+    in name order."""
+    out = []
+    for name in sorted(set(old) | set(new)):
+        if name not in new:
+            out.append("vanished: " + name)
+        elif name not in old:
+            out.append("appeared: " + name)
+        elif old[name]["sha256"] != new[name]["sha256"]:
+            out.append("changed: " + name)
+    return out
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -260,6 +276,9 @@ def main() -> int:
         record_cli_trees(root)
         manifest = {"environment": environment(), "exit_status": status,
                     "files": describe(root)}
+        old = load_manifest()["files"] if MANIFEST.exists() else {}
+        for line in digest_changes(old, manifest["files"]):
+            print(line)
         shutil.rmtree(REPORTS, ignore_errors=True)
         for name, entry in manifest["files"].items():
             if "header" not in entry:

@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from oracles import gap_estimate_check
-from pexstab import (TRUNCATION_CAVEAT, GateSignalFamily, IntervalSequence,
-                     LinearSystem, OuterSearch, SchrodingerModalSpec,
-                     SignalClass, WaveModalSpec, build_counterexample,
-                     build_schrodinger, build_wave, certificate_from_constant,
+from pexstab import (TRUNCATION_CAVEAT, CounterexampleScenario, GateSignalFamily,
+                     IntervalSequence, LinearSystem, OuterSearch, SchrodingerModalSpec,
+                     SignalClass, WaveModalSpec, build_schrodinger, build_wave, certificate_from_constant,
                      class_constant, energy_balance, energy_of_counterexample,
                      from_intervals, interval_product_bound, kappa_scan,
                      periodic_gate, simulate, verify_certificate,
                      verify_damping_inert, wave_pe_lower_bound)
 from pexstab.cli import main as cli_main
+from pexstab.dalembert import PERIOD
 from pexstab.observability import _InnerProblem
 
 
@@ -53,12 +53,12 @@ def random_skew(rng, n):
 def test_c1_counterexample_reproduction():
     with criterion(1, "counterexample reproduction"):
         t0 = time.monotonic()
-        sc = build_counterexample((0.2, 0.6), n_periods=3)
+        sc = CounterexampleScenario((0.2, 0.6), n_periods=3)
         rep = verify_damping_inert(sc)
         assert rep.ok
         assert rep.pe.holds and rep.T == 2.0 and rep.mu == pytest.approx(0.2)
         assert rep.max_overlap == 0.0
-        energies = energy_of_counterexample(sc, np.linspace(0.0, 3 * sc.period, 61))
+        energies = energy_of_counterexample(sc, np.linspace(0.0, 3 * PERIOD, 61))
         drift = float(np.max(np.abs(energies - energies[0])))
         assert drift <= 1e-8 * energies[0]
         assert time.monotonic() - t0 < 1.0

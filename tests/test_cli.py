@@ -508,6 +508,21 @@ def test_counterexample_subcommand(tmp_path):
                  "--out", str(out)]) == 2
 
 
+def test_counterexample_bumps_down_to_the_quadrature_floor(tmp_path, capsys):
+    # with 1 - b = 1e-6 the bump is 5e-7 wide; over 100 periods its energy
+    # used to drift by 4.5e-8 (exit 1) when characteristics were evaluated at
+    # raw t; 1e-11 is below what the quadrature resolves and is refused
+    out = tmp_path / "cx"
+    assert main(["counterexample", "--omega", "0.2,0.999999", "--periods", "100",
+                 "--out", str(out)]) == 0
+    report = read_reports(out)["00_counterexample.json"]["report"]
+    assert report["energy_drift"] <= 1e-10
+    assert main(["counterexample", "--omega", "0.2,0.99999999999", "--periods", "100",
+                 "--out", str(tmp_path / "narrow")]) == 2
+    assert "analyses[0].omega: " in capsys.readouterr().err
+    assert not (tmp_path / "narrow").exists()
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     scen = write_scenario(tmp_path, SCAN_SCENARIO)
     target = tmp_path / "envout"
@@ -807,6 +822,7 @@ CLASS_CERTIFY = {
 
 def test_class_constant_certificates_carry_the_upper_estimate_caveat(tmp_path):
     from pexstab.cli import UPPER_ESTIMATE_CAVEAT
+    from pexstab.modal import TRUNCATION_CAVEAT
 
     # the wave-pe bound needs a uniformly damped string
     wave_pe = _with(CLASS_CERTIFY, {"kind": "certify", "theta": 2.0,
@@ -818,7 +834,9 @@ def test_class_constant_certificates_carry_the_upper_estimate_caveat(tmp_path):
         scen = write_scenario(tmp_path, doc, "scenario%d.json" % j)
         assert main(["run", scen, "--out", str(out)]) == 0
         caveats += [p["report"]["caveats"] for p in read_reports(out).values()]
-    assert caveats == [[UPPER_ESTIMATE_CAVEAT], [UPPER_ESTIMATE_CAVEAT], [], []]
+    # CLASS_CERTIFY's string is damped on an interval, the wave-pe one uniformly
+    assert caveats == [[TRUNCATION_CAVEAT, UPPER_ESTIMATE_CAVEAT],
+                       [TRUNCATION_CAVEAT, UPPER_ESTIMATE_CAVEAT], [TRUNCATION_CAVEAT], []]
 
 
 @pytest.mark.parametrize("index, verify, path", [
@@ -853,6 +871,22 @@ def test_verify_gate_floor_is_exact(tmp_path, capsys):
     assert "analyses[0].verify.mu: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verify, path", [
+    ({"mu": 0.05}, "analyses[0].verify.mu"),
+    ({"T": 20.0, "horizon": 40.0}, "analyses[0].verify.T"),
+], ids=["mu_below_the_class", "window_beyond_the_class"])
+def test_wave_pe_verify_gates_outside_its_class_exit_two(tmp_path, capsys, verify, path):
+    # the wave-pe bound (T 2, mu 1) holds on the gates of its window class;
+    # both used to validate and then fail verification, with worst windows
+    # 0.99957 and 1.0 against q 0.98852
+    doc = _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], **verify)))
+    scen = write_scenario(tmp_path, doc)
+    for argv in (["validate", scen], ["run", scen, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert path + ": " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_gates_inside_the_class_validate(tmp_path):
     doc = json.loads(json.dumps(CLASS_CERTIFY))
     doc["analyses"][0]["verify"].update(mu=1.5)  # more mass per window
@@ -863,6 +897,9 @@ def test_verify_gates_inside_the_class_validate(tmp_path):
 # Each of these validated without building anything and then had `run` build
 # it: 4e9 samples, 1e6 verification trials, a 120k-pulse gate per trial, ...
 OBSERVE = WAVE_SCENARIO["analyses"][2]
+# gates of period 1e-4 lie outside the wave-pe source's class (T 2, mu 1),
+# so the caps on their pulses are tested with an explicit constant
+EXPLICIT = {"kind": "certify", "theta": 2.0, "constant": 0.1}
 KAPPA = SCAN_SCENARIO["analyses"][1]
 OVERSIZED = [
     ("simulate_samples",
@@ -871,7 +908,7 @@ OVERSIZED = [
      _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], n_trials=10 ** 6))),
      "analyses[0].verify.n_trials"),
     ("verify_gate_pulses",
-     _with(WAVE_SCENARIO, dict(CERTIFY, verify=dict(CERTIFY["verify"], T=1e-4, mu=5e-5))),
+     _with(WAVE_SCENARIO, dict(EXPLICIT, verify=dict(CERTIFY["verify"], T=1e-4, mu=5e-5))),
      "analyses[0].verify.T"),
     # the two simulated trials: 2 x 6.6e6 samples of (4 + 8) values
     ("verify_samples",
@@ -922,7 +959,7 @@ def test_oversized_runs_exit_two_at_validation(tmp_path, capsys, doc, path):
 
 
 def test_inputs_at_the_caps_validate(tmp_path):
-    cert = dict(CERTIFY, verify=dict(CERTIFY["verify"], T=1e-4, mu=5e-5, horizon=10.0))
+    cert = dict(EXPLICIT, verify=dict(CERTIFY["verify"], T=1e-4, mu=5e-5, horizon=10.0))
     docs = [
         # 1.6e6 samples of N = 4: 1.92e7 of the 2e7 values a run may keep
         _with(WAVE_SCENARIO, {"kind": "simulate"}, horizon=12.0, dt_out=12.0 / 1.6e6),

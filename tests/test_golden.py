@@ -84,3 +84,14 @@ def test_loose_comparison_flags_csv_changes(fresh, tmp_path):
     t, v, rate = lines[-1].rstrip("\n").split(",")
     target.write_text("".join(lines[:-1]) + "%s,%r,%s\n" % (t, float(v) * (1 + 1e-6), rate))
     assert any("column sums" in d for d in golden.loose_differences(files, tmp_path))
+
+
+def test_regen_names_the_reports_whose_digests_moved():
+    old = {"a/00_simulate.json": {"sha256": "1"}, "a/00_simulate.csv": {"sha256": "2"},
+           "b/00_certify.json": {"sha256": "3"}, "c/00_check-pe.json": {"sha256": "4"}}
+    new = {"a/00_simulate.json": {"sha256": "1"}, "a/00_simulate.csv": {"sha256": "5"},
+           "b/01_certify.json": {"sha256": "3"}, "c/00_check-pe.json": {"sha256": "4"}}
+    assert golden.digest_changes(old, new) == [
+        "changed: a/00_simulate.csv", "vanished: b/00_certify.json",
+        "appeared: b/01_certify.json"]
+    assert golden.digest_changes(new, new) == []

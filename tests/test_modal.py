@@ -88,6 +88,14 @@ def test_wave_localized_damping_footprint():
     assert np.abs(BBt[0::2, :]).max() == 0.0
 
 
+def test_wave_localized_damping_carries_the_truncation_caveat():
+    # a string damped on an interval need not decay (the counterexample),
+    # while its truncation does; uniform damping makes every string decay
+    assert build_wave(WaveModalSpec(n_modes=2, omega=(0.2, 0.6))).caveats == (
+        TRUNCATION_CAVEAT,)
+    assert build_wave(WaveModalSpec(n_modes=2, uniform=1.0)).caveats == ()
+
+
 def test_wave_eigenvalue_override():
     sys = build_wave(WaveModalSpec(n_modes=2, uniform=1.0, eigenvalues=(1.0, 4.0)))
     assert sys.A[0, 1] == pytest.approx(1.0)
