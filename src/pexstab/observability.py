@@ -31,14 +31,16 @@ of ``n_cells`` cells over [0, theta]:
   at least mu.  For cell-constant signals the window mass is piecewise linear
   in the start t, so finitely many window constraints (starts where a window
   edge meets a cell edge) are equivalent to the continuum of constraints.
-  The finite LP is written in the cumulative mass F(t) = int_0^t alpha,
-  linear between cell edges: a window row reads F(s + T) - F(s) >= mu with at
-  most three nonzeros, and the levels are the slopes of F.  Its sparse
-  constraint matrix, built in numpy, is passed once per inner problem to a
-  HiGHS simplex solver, which re-optimises each new cost from its last
-  basis.  The solver is the compiled HiGHS core that scipy ships, loaded
-  from its file when the first window LP is built; neither
-  ``scipy.optimize`` nor ``scipy.sparse`` is imported.
+  The finite LP's columns are the cell masses, bounded to [0, dt], and one
+  window mass per start, bounded below by mu; it has one row per start,
+  which ties each window mass to the one before it by the two cells its
+  window gains and loses, so a row after the first has at most four
+  nonzeros.  Its sparse constraint matrix, built in numpy, is passed once
+  per inner problem to a HiGHS simplex solver, which starts from the
+  all-on signal and re-optimises each new cost from its last basis.  The
+  solver is the compiled HiGHS core that scipy ships, loaded from its file
+  when the first window LP is built; neither ``scipy.optimize`` nor
+  ``scipy.sparse`` is imported.
 
 The outer minimisation over the unit sphere is nonconvex; it is attacked by
 multi-start local descent with a fixed, recorded seed.  Each descent step
@@ -264,26 +266,33 @@ def rho_greedy_min(cell_values, plan):
     return alpha, float(value)
 
 
-def _window_constraints(n: int, T: float, mu: float, horizon: float):
-    """Constraints of the window LP over the cumulative mass F_1..F_n.
+def _window_constraints(n: int, T: float, horizon: float):
+    """Rows of the window LP over the cell masses and the window masses.
 
-    F_k is the mass of the levels on [0, edge_k] (F_0 = 0 is not a
-    variable) and F is linear between edges.  Row j < n bounds the slope of
-    cell j, 0 <= F_{j+1} - F_j <= dt.  Each further row asks
-    F(s + T) - F(s) >= mu at one candidate start s: the range endpoints and
-    every start where a window edge meets a cell edge.  A start within
-    rounding of a cell edge is snapped to that edge, and near-duplicates are
-    dropped.  One end of each candidate window lies on a cell edge, so a
-    window row has at most three nonzeros.
+    The columns are the n cell masses x_j (the mass of the levels on cell
+    j) and one window mass W_i per kept start s_i.  Write
+    F(t) = sum_{j<m} x_j + w x_m, the mass on [0, t], with t at fraction w
+    of cell m.  The candidate starts are the range endpoints and every
+    start where a window edge meets a cell edge; a start within rounding of
+    a cell edge is snapped to that edge, and near-duplicates are dropped.
+    There is one row per kept start, each an equality to 0:
+
+        W_0 - (F(s_0 + T) - F(s_0)),
+        W_i - W_{i-1} - (F(s_i + T) - F(s_{i-1} + T)) + (F(s_i) - F(s_{i-1})),
+
+    so W_i is the mass of the window at s_i.  No edge of a window crosses
+    a cell edge between two consecutive starts, so each difference of F
+    touches one cell and a row after the first has at most four nonzeros.
+    When T < dt a window's two ends can share a cell, where a gain and a
+    loss cancel in exact arithmetic; a summed entry within 1e-12 of zero is
+    dropped rather than kept as rounding residue.
 
     A is returned in compressed sparse column form, (indptr, indices,
     data): the entries of column k are data[indptr[k]:indptr[k + 1]], in
-    rows indices[...] sorted upward.  When T < dt both ends of a window can
-    fall on one cell, so a (row, column) entry is added at most twice; the
-    two are summed (an exact zero sum stays an entry), which is the
-    canonical form scipy.sparse would build from the same triples.
+    rows indices[...] sorted upward; columns 0..n-1 are the cell masses,
+    column n + i is W_i.
 
-    Returns ((indptr, indices, data), row_lower, row_upper).
+    Returns ((indptr, indices, data), starts), ``starts`` the kept starts.
     """
     dt = horizon / n
     edges = np.array([horizon * j / n for j in range(n + 1)])
@@ -313,24 +322,34 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
     for s in starts[1:]:
         if s - kept[-1] > tol:
             kept.append(s)
+    K = len(kept)
 
     rows, cols, vals = [], [], []
 
-    def add_end(row, t, sign):
-        # sign * F(t), F linear on the cell of t; F_0 = 0 has no column
-        m, w = locate(t)
-        for k, coef in ((m, sign * (1.0 - w)), (m + 1, sign * w)):
-            if k > 0 and coef != 0.0:
+    def add_mass(row, a, b, sign):
+        # sign * (F(b) - F(a)), a <= b: each cell by the fraction of it
+        # [a, b] covers; the edge at the horizon has no cell
+        (ma, wa), (mb, wb) = locate(a), locate(b)
+        if ma == mb:
+            cover = [(ma, wb - wa)]
+        else:
+            cover = [(ma, 1.0 - wa)] + [(m, 1.0) for m in range(ma + 1, mb)] + [(mb, wb)]
+        for m, w in cover:
+            if m < n and w != 0.0:
                 rows.append(row)
-                cols.append(k - 1)
-                vals.append(coef)
+                cols.append(m)
+                vals.append(sign * w)
 
-    for j in range(n):
-        add_end(j, edges[j], -1.0)
-        add_end(j, edges[j + 1], 1.0)
-    for i, s in enumerate(kept):
-        add_end(n + i, s, -1.0)
-        add_end(n + i, s + T, 1.0)
+    add_mass(0, kept[0], kept[0] + T, -1.0)
+    for i in range(1, K):
+        add_mass(i, kept[i - 1] + T, kept[i] + T, -1.0)
+        add_mass(i, kept[i - 1], kept[i], 1.0)
+        rows.append(i)
+        cols.append(n + i - 1)
+        vals.append(-1.0)
+    rows.extend(range(K))
+    cols.extend(range(n, n + K))
+    vals.extend([1.0] * K)
     order = np.lexsort((rows, cols))  # by column, then row
     rows, cols = np.asarray(rows)[order], np.asarray(cols)[order]
     first = np.ones(len(order), dtype=bool)  # first entry of its (row, column)
@@ -338,10 +357,10 @@ def _window_constraints(n: int, T: float, mu: float, horizon: float):
     at = np.flatnonzero(first)
     # a pair of addends sums to the same float in either order
     data = np.add.reduceat(np.asarray(vals)[order], at)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols[at], minlength=n))))
-    lb = np.concatenate([np.zeros(n), np.full(len(kept), mu)])
-    ub = np.concatenate([np.full(n, dt), np.full(len(kept), np.inf)])
-    return (indptr, rows[at], data), lb, ub
+    keep = np.abs(data) > 1e-12
+    at, data = at[keep], data[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols[at], minlength=n + K))))
+    return (indptr, rows[at], data), kept
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -379,46 +398,68 @@ def _highs_core():
 class _WindowLP:
     """The window LP of one grid and window, held by one HiGHS solver.
 
-    The constraints of :func:`_window_constraints` are passed to HiGHS once
-    (presolve off, columns in [0, inf)); each :meth:`solve` changes only the
-    cost and re-optimises from the previous optimal basis, which is what the
-    outer descent needs: consecutive steps change the cost and nothing else.
-    The solver is scipy's compiled HiGHS core, a private extension module
-    that :func:`_highs_core` loads from its file; the test suite checks
-    every method used here.  A model is not shared between threads: each
-    caller builds its own.  ``n`` and ``dt = horizon / n`` are the grid the
-    model was built on.
+    The rows of :func:`_window_constraints` are passed to HiGHS once
+    (presolve and dual cost perturbation off, Dantzig pricing), with the
+    cell masses bounded to [0, dt] and the window masses to [mu, inf).
+    Before the first run every cell mass is set nonbasic at dt and every
+    window mass basic: the all-on signal, which every class admits, with a
+    bidiagonal basis.  Each :meth:`solve` changes only the cost and
+    re-optimises from the previous optimal basis, which is what the outer
+    descent needs: consecutive steps change the cost and nothing else.  The
+    solver is scipy's compiled HiGHS core, a private extension module that
+    :func:`_highs_core` loads from its file; the test suite checks every
+    method used here.  A model is not shared between threads: each caller
+    builds its own.  ``n`` and ``dt = horizon / n`` are the grid the model
+    was built on.
     """
 
     def __init__(self, n: int, T: float, mu: float, horizon: float):
         highs = _highs_core()
         self.n, self.dt = n, horizon / n
-        (indptr, indices, data), lb, ub = _window_constraints(n, T, mu, horizon)
+        (indptr, indices, data), starts = _window_constraints(n, T, horizon)
+        K = len(starts)
         lp = highs.HighsLp()
-        lp.num_col_, lp.num_row_ = n, len(lb)
-        lp.col_cost_ = np.zeros(n)
-        lp.col_lower_ = np.zeros(n)
-        lp.col_upper_ = np.full(n, np.inf)
-        lp.row_lower_, lp.row_upper_ = lb, ub
+        lp.num_col_, lp.num_row_ = n + K, K
+        lp.col_cost_ = np.zeros(n + K)
+        lp.col_lower_ = np.concatenate([np.zeros(n), np.full(K, mu)])
+        lp.col_upper_ = np.concatenate([np.full(n, self.dt), np.full(K, np.inf)])
+        lp.row_lower_ = lp.row_upper_ = np.zeros(K)
         lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, len(lb)
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n + K, K
         lp.a_matrix_.start_ = indptr
         lp.a_matrix_.index_ = indices
         lp.a_matrix_.value_ = data
+        # the all-on signal: every cell mass nonbasic at dt, every window
+        # mass basic, every row nonbasic
+        basis = highs.HighsBasis()
+        at = highs.HighsBasisStatus
+        basis.col_status = [at.kUpper] * n + [at.kBasic] * K
+        basis.row_status = [at.kLower] * K
+        basis.valid = True
         self._h = highs._Highs()
         self._error = highs.HighsStatus.kError
         self._optimal = highs.HighsModelStatus.kOptimal
         self._cols = np.arange(n, dtype=np.int32)
         # a warning from passModel reports matrix entries below 1e-9 that
-        # HiGHS drops; only an error is a failure
+        # HiGHS drops; only an error is a failure.  The dual simplex runs
+        # without cost perturbation: on aligned grids of 2048 and 4096
+        # cells, removing the perturbation left a dual infeasibility whose
+        # only primal clean-up pivot HiGHS held taboo, and the solve ended
+        # "Unknown".  It prices by Dantzig's rule, which took 578 iterations
+        # where HiGHS's default steepest edge took 1623 over the 193 warm
+        # solves of a pe-lp descent
         statuses = (self._h.setOptionValue("output_flag", False),
                     self._h.setOptionValue("presolve", "off"),
-                    self._h.passModel(lp))
+                    self._h.setOptionValue("dual_simplex_cost_perturbation_multiplier", 0.0),
+                    self._h.setOptionValue("simplex_dual_edge_weight_strategy", 0),
+                    self._h.passModel(lp),
+                    self._h.setBasis(basis))
         if self._error in statuses:
-            raise RuntimeError("window LP failed: HiGHS refused the options or the model")
+            raise RuntimeError("window LP failed: HiGHS refused the options, the model "
+                               "or the basis")
 
     def solve(self, cost) -> np.ndarray:
-        """Optimal F for the cost vector over F_1..F_n."""
+        """Optimal cell masses x_0..x_{n-1} for the cost vector over them."""
         h = self._h
         if h.changeColsCost(len(self._cols), self._cols, cost) == self._error:
             raise RuntimeError("window LP failed: HiGHS refused the cost")
@@ -426,7 +467,7 @@ class _WindowLP:
         status = h.getModelStatus()
         if status != self._optimal:
             raise RuntimeError("window LP failed: %s" % h.modelStatusToString(status))
-        return np.array(h.getSolution().col_value)
+        return np.array(h.getSolution().col_value[:self.n])
 
 
 def pe_window_min(cell_values, model: _WindowLP):
@@ -439,19 +480,17 @@ def pe_window_min(cell_values, model: _WindowLP):
     cell edge (plus the range endpoints); for cell-constant signals the
     window mass is piecewise linear in the start, so these finitely many
     constraints are equivalent to all starts in [0, horizon - T].  The LP is
-    solved in the cumulative mass F (see :func:`_window_constraints`), where
-    a window row has at most three nonzeros and the cost is
-    sum_j g_j (F_{j+1} - F_j) / dt, by HiGHS's simplex method.  The levels
-    are alpha = clip(diff(F) / dt, 0, 1).  Returns (alpha, value).
+    solved in the cell masses x_j = alpha_j dt, bounded to [0, dt], with one
+    window-mass column of lower bound mu per start (see
+    :func:`_window_constraints`), by HiGHS's simplex method with the cost
+    g / dt.  The levels are alpha = clip(x / dt, 0, 1).  Returns (alpha, value).
     """
     cell_values = np.asarray(cell_values, dtype=float)
     if len(cell_values) != model.n:
         raise ValueError("%d cell values for a window LP of %d cells"
                          % (len(cell_values), model.n))
     dt = model.dt
-    # sum_j g_j (F_{j+1} - F_j) regrouped by F_k, k = 1..n
-    cost = np.append(cell_values[:-1] - cell_values[1:], cell_values[-1]) / dt
-    alpha = np.clip(np.diff(model.solve(cost), prepend=0.0) / dt, 0.0, 1.0)
+    alpha = np.clip(model.solve(cell_values / dt) / dt, 0.0, 1.0)
     return alpha, float(cell_values @ alpha)
 
 

@@ -65,17 +65,19 @@ MAX_BREAKPOINTS = 200_000
 # - a verify gate spans the horizon, exact on [0, horizon + T]; one of 50k
 #   pulses takes about 0.5 s and 90 MB to build and check, so a trial's gate
 #   is held to the breakpoints a scenario gate may have;
-# - one inner solve on 4096 cells takes 25 ms (window LP, cold) or 4 ms
-#   (greedy fill), and every start of the outer search makes 1 to n_iters
-#   of them.  One descent iteration on a 16-dimensional system takes about
-#   15 ms at 4096 cells, 4.8 ms at 1024 and 2.6 ms at 256 (window LP; 2.3,
-#   1.4 and 0.7 ms with the greedy fill).  Below about 500 cells an
-#   iteration's own cost, about 2 ms (the HiGHS call, the weighted Gramian
-#   and its eigh), outweighs its cells, so an iteration counts as at least
-#   DEFAULT_N_CELLS cells, and max(n_cells, 64) * n_starts * n_iters, times
-#   the length of a kappa-scan's T_grid, is capped: at the cap a search
-#   whose descents never converge takes about 16 s at 4096 cells, 43 s at
-#   256 and, at about 2 ms an iteration, 2 min at 64 cells or fewer;
+# - a cold window LP on 4096 cells takes 5-8 ms when T is a whole number
+#   of cells and 45-72 ms when it is not, and every start of the outer
+#   search makes 1 to n_iters inner solves.  One descent iteration on a
+#   16-dimensional system (one BLAS thread, set-up included) takes about
+#   4.4-6.1 ms at 4096 cells, 1.3-1.8 ms at 1024, 0.46-0.59 ms at 256 and
+#   0.24-0.28 ms at 64 with the window LP, and 1.1, 0.36, 0.15 and 0.15 ms
+#   with the greedy fill.  Below about 500 cells an iteration's own cost
+#   (the HiGHS call, the weighted Gramian and its eigh) outweighs its
+#   cells, so an iteration counts as at least DEFAULT_N_CELLS cells, and
+#   max(n_cells, 64) * n_starts * n_iters, times the length of a
+#   kappa-scan's T_grid, is capped: at the cap a window-LP search whose
+#   descents never converge takes about 6 s at 4096 cells, 10 s at 256 and
+#   18 s at 64 cells or fewer;
 # - a counterexample over 100 periods takes 0.8-1.0 s, 0.23 s of it after
 #   start-up; its quadrature holds the nodes of all times at once, which
 #   over 1000 periods (a library call) takes 2.4 s and about 100 MB.

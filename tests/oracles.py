@@ -20,12 +20,18 @@ against; no report uses them, so they live here rather than in ``src/``.
   propagators, each the product of one ``scipy.linalg.expm`` per signal
   cell inside its window, against which the doubling-table window check of
   certificate verification is checked.
+* :func:`window_rows_cumulative`: the window LP written in the cumulative
+  mass, one slope row per cell and one row per start of
+  :func:`window_starts`, which the tests solve from scratch as a second
+  formulation of the window LP and whose starts its rows are checked
+  against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from pexstab.cli import CSV_CHUNK_ROWS
 from pexstab.dalembert import CounterexampleScenario
@@ -149,3 +155,81 @@ def window_contractions_expm(sys: LinearSystem, sig: Signal, windows):
             phi = scipy.linalg.expm(sys.closed_loop(level) * (c1 - c0)) @ phi
         out.append(np.linalg.norm(phi, 2) ** 2)
     return np.array(out)
+
+
+def _window_grid(n, T, horizon):
+    """(edges, locate, starts) of n cells on [0, horizon] and windows of
+    length T.
+
+    ``locate(t)`` is (m, w) with t at fraction w of cell m; within
+    1e-12 max(1, horizon) of edge k it is (k, 0.0).  ``starts`` are the
+    kept candidate starts: the range endpoints and every start where a
+    window edge meets a cell edge, each snapped to an edge within that
+    distance of it, without near-duplicates.
+    """
+    dt = horizon / n
+    edges = np.array([horizon * j / n for j in range(n + 1)])
+    tol = 1e-12 * max(1.0, horizon)
+
+    def locate(t):
+        k = min(max(round(t / dt), 0), n)
+        if abs(t - edges[k]) <= tol:
+            return k, 0.0
+        m = min(max(int(np.searchsorted(edges, t, side="right")) - 1, 0), n - 1)
+        return m, (t - edges[m]) / dt
+
+    def snap(t):
+        m, w = locate(t)
+        return t if w else float(edges[m])
+
+    last = snap(horizon - T)
+    starts = {0.0, last}
+    starts.update(float(e) for e in edges if 0.0 <= e <= last)
+    starts.update(s for s in (snap(e - T) for e in edges) if 0.0 <= s <= last)
+    starts = sorted(starts)
+    kept = [starts[0]]
+    for s in starts[1:]:
+        if s - kept[-1] > tol:
+            kept.append(s)
+    return edges, locate, kept
+
+
+def window_starts(n, T, horizon):
+    """The kept window starts of :func:`window_rows_cumulative`."""
+    return _window_grid(n, T, horizon)[2]
+
+
+def window_rows_cumulative(n, T, mu, horizon):
+    """The window LP over the cumulative mass F_1..F_n of n cells on [0, horizon].
+
+    F_k is the mass of the levels on [0, edge_k] (F_0 = 0 is not a
+    variable) and F is linear between edges.  Row j < n bounds the slope of
+    cell j, 0 <= F_{j+1} - F_j <= dt.  Each further row asks
+    F(s + T) - F(s) >= mu at one start s of :func:`window_starts`; an end
+    within rounding of an edge is that edge, any other end is interpolated
+    between the two edges of its cell.
+
+    Returns (A, row_lower, row_upper): A a ``scipy.sparse`` CSC array, with
+    an entry added twice summed.
+    """
+    edges, locate, kept = _window_grid(n, T, horizon)
+    rows, cols, vals = [], [], []
+
+    def add_end(row, t, sign):
+        m, w = locate(t)
+        for k, coef in ((m, sign * (1.0 - w)), (m + 1, sign * w)):
+            if k > 0 and coef != 0.0:
+                rows.append(row)
+                cols.append(k - 1)
+                vals.append(coef)
+
+    for j in range(n):
+        add_end(j, edges[j], -1.0)
+        add_end(j, edges[j + 1], 1.0)
+    for i, s in enumerate(kept):
+        add_end(n + i, s, -1.0)
+        add_end(n + i, s + T, 1.0)
+    A = scipy.sparse.csc_array((vals, (rows, cols)), shape=(n + len(kept), n))
+    lb = np.concatenate([np.zeros(n), np.full(len(kept), mu)])
+    ub = np.concatenate([np.full(n, horizon / n), np.full(len(kept), np.inf)])
+    return A, lb, ub

@@ -14,7 +14,8 @@ import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
 import pexstab.observability as obs
-from oracles import cell_values_einsum, weighted_gramian_einsum
+from oracles import (cell_values_einsum, weighted_gramian_einsum, window_rows_cumulative,
+                     window_starts)
 from pexstab.cli import main
 from pexstab.linsys import LinearSystem, UncontrollableError
 from pexstab.modal import (
@@ -516,32 +517,37 @@ def test_window_lp_aligned_grid_matches_binary_enumeration():
         assert abs(value - oracle) <= 1e-10
 
 
+def window_matrix(n, T, horizon):
+    """The rows of :func:`_window_constraints` as a ``scipy.sparse`` CSC
+    array of K rows and n + K columns, with the kept starts."""
+    (indptr, indices, data), starts = _window_constraints(n, T, horizon)
+    K = len(starts)
+    return scipy.sparse.csc_array((data, indices, indptr), shape=(K, n + K)), starts
+
+
 def test_window_rows_on_aligned_grids_carry_no_rounding_weights(monkeypatch):
-    # the grids of test_window_lp_aligned_grid_matches_binary_enumeration:
-    # a start e - T that misses a cell edge by a rounding error is put on
-    # that edge, so no row interpolates with a weight HiGHS would drop
+    # every grid of window_grids(), the aligned grids of
+    # test_window_lp_aligned_grid_matches_binary_enumeration among them: a
+    # start e - T that misses a cell edge by a rounding error is put on that
+    # edge, and a gain and a loss that cancel in one cell leave no residue,
+    # so no entry is one HiGHS would drop
     from scipy.optimize._highspy import _core
 
-    statuses = []
+    statuses, smallest = [], []
 
     class RecordingHighs(_core._Highs):
         def passModel(self, lp):
             status = super().passModel(lp)
             statuses.append(status)
+            smallest.append(np.abs(lp.a_matrix_.value_).min())
             return status
 
     monkeypatch.setattr(_core, "_Highs", RecordingHighs)
-    rng = np.random.default_rng(41)
-    for _ in range(40):
-        n = int(rng.integers(4, 13))
-        dt = float(rng.uniform(0.05, 0.5))
-        tau = int(rng.integers(1, n + 1))
-        m = int(rng.integers(1, tau + 1))
-        rng.uniform(0.0, 1.0, n)  # the cost drawn there
-        (_, _, data), _, _ = _window_constraints(n, tau * dt, m * dt, n * dt)
-        assert np.abs(data).min() >= 1e-9
-        _WindowLP(n, tau * dt, m * dt, n * dt)
-    assert statuses == [_core.HighsStatus.kOk] * 40
+    grids = window_grids()
+    for grid in grids:
+        _WindowLP(*grid)
+    assert statuses == [_core.HighsStatus.kOk] * len(grids)
+    assert min(smallest) >= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -584,78 +590,18 @@ def test_window_model_is_built_once_and_sparse(monkeypatch):
     assert [grid for grid, _ in built] == [(32, 2.0, 0.5, 4.0)] * 2
     assert built[0][1] is not built[1][1]
 
-    n, T, mu, horizon = 40, 1.3, 0.45, 3.1
-    (indptr, indices, data), lb, _ = _window_constraints(n, T, mu, horizon)
-    A = scipy.sparse.csc_array((data, indices, indptr), shape=(len(lb), n)).tocsr()
-    assert np.diff(A.indptr)[n:].max() == 3  # off-grid window rows
-    assert np.diff(A.indptr)[:n].max() == 2  # slope rows
-    assert _WindowLP(n, T, mu, horizon)._h.getNumNz() == A.nnz
-
-
-def window_constraints_reference(n, T, mu, horizon):
-    """Reference: the window constraints built with per-start edge records.
-
-    Each candidate start records the edge it starts on and the edge it ends
-    on; an end on an edge takes a coefficient of +-1 there, any other end is
-    interpolated between the two edges of its cell.  Returns
-    (A, row_lower, row_upper) with A a ``scipy.sparse`` CSC array.
-    """
-    dt = horizon / n
-    edges = np.array([horizon * j / n for j in range(n + 1)])
-    tol = 1e-12 * max(1.0, horizon)
-
-    def snap(t):
-        k = min(max(round(t / dt), 0), n)
-        return edges[k] if abs(t - edges[k]) <= tol else t
-
-    last = snap(horizon - T)
-    on_edge = {}
-
-    def mark(s, side, k):
-        on_edge.setdefault(float(s), [None, None])[side] = k
-
-    mark(0.0, 0, 0)
-    mark(last, 1, n)
-    for k, e in enumerate(edges):
-        if 0.0 <= e <= last:
-            mark(e, 0, k)
-        s = snap(e - T)
-        if 0.0 <= s <= last:
-            mark(s, 1, k)
-    starts = sorted(on_edge)
-    kept = [starts[0]]
-    for s in starts[1:]:
-        if s - kept[-1] > tol:
-            kept.append(s)
-
-    rows, cols, vals = [], [], []
-
-    def add(row, k, coef):
-        if k > 0 and coef != 0.0:
-            rows.append(row)
-            cols.append(k - 1)
-            vals.append(coef)
-
-    def add_mass_at(row, t, edge, sign):
-        if edge is not None:
-            add(row, edge, sign)
-            return
-        m = min(int(np.searchsorted(edges, t, side="right")) - 1, n - 1)
-        w = min(max((t - edges[m]) / dt, 0.0), 1.0)
-        add(row, m, sign * (1.0 - w))
-        add(row, m + 1, sign * w)
-
-    for j in range(n):
-        add(j, j, -1.0)
-        add(j, j + 1, 1.0)
-    for i, s in enumerate(kept):
-        start_edge, end_edge = on_edge[s]
-        add_mass_at(n + i, s, start_edge, -1.0)
-        add_mass_at(n + i, s + T, end_edge, 1.0)
-    A = scipy.sparse.csc_array((vals, (rows, cols)), shape=(n + len(kept), n))
-    lb = np.concatenate([np.zeros(n), np.full(len(kept), mu)])
-    ub = np.concatenate([np.full(n, dt), np.full(len(kept), np.inf)])
-    return A, lb, ub
+    for n, T, mu, horizon, K, nnz in ((40, 1.3, 0.45, 3.1, None, None),
+                                      (256, 2.0, 0.5, 4.0, 129, 641)):  # pe-lp's grid
+        A, starts = window_matrix(n, T, horizon)
+        assert A.shape == (len(starts), n + len(starts)) and K in (None, len(starts))
+        row_nnz = np.diff(A.tocsr().indptr)
+        assert row_nnz[1:].max() == 4  # a window mass, its predecessor, two cells
+        # the first row: W_0 and every cell the first window overlaps
+        edges = np.linspace(0.0, horizon, n + 1)
+        assert row_nnz[0] == 1 + np.count_nonzero(edges[:-1] < T)
+        assert nnz in (None, A.nnz)
+        h = _WindowLP(n, T, mu, horizon)._h
+        assert (h.getNumRow(), h.getNumCol(), h.getNumNz()) == (A.shape + (A.nnz,))
 
 
 def window_grids():
@@ -699,32 +645,40 @@ def window_grids():
 
 
 def test_window_constraints_equal_the_reference():
+    # the kept starts are those of the cumulative-mass formulation, and the
+    # rows solved for the window masses give the mass of each window
     grids = window_grids()
+    rng = np.random.default_rng(42)
     missed = 0  # aligned grids where some e - T misses its cell edge by rounding
     for n, T, mu, horizon in grids:
-        (indptr, indices, data), lb, ub = _window_constraints(n, T, mu, horizon)
-        R, rlb, rub = window_constraints_reference(n, T, mu, horizon)
-        # scipy's canonical CSC: rows sorted in each column, duplicates summed
-        assert R.has_canonical_format
-        for got, want in ((indptr, R.indptr), (indices, R.indices), (data, R.data),
-                          (lb, rlb), (ub, rub)):
-            assert np.array_equal(got, want), (n, T, mu, horizon)
+        A, starts = window_matrix(n, T, horizon)
+        assert starts == window_starts(n, T, horizon), (n, T, mu, horizon)
+        assert np.bincount(A.indices)[1:].max(initial=0) <= 4  # rows after the first
+        dt = horizon / n
         edges = np.array([horizon * j / n for j in range(n + 1)])
-        k = np.clip(np.round((edges - T) / (horizon / n)).astype(int), 0, n)
+        # each row links W_i to W_{i-1} only: solve the rows in turn
+        K = len(starts)
+        assert np.array_equal(A[:, n:].toarray(), np.eye(K) - np.eye(K, k=-1))
+        x = rng.uniform(0.0, dt, n)
+        W = np.cumsum(-(A @ np.append(x, np.zeros(K))))
+        s = np.asarray(starts)[:, None]
+        cover = np.clip(np.minimum(edges[1:], s + T) - np.maximum(edges[:-1], s), 0.0, None)
+        exact = cover @ (x / dt)
+        assert np.abs(W - exact).max() <= 1e-10 * np.abs(exact).max(), (n, T, mu, horizon)
+        k = np.clip(np.round((edges - T) / dt).astype(int), 0, n)
         near = np.abs(edges - T - edges[k]) <= 1e-12 * max(1.0, horizon)
         missed += bool(np.any(near & (edges - T != edges[k])))
     assert missed >= 100
 
 
 def cold_window_min(g, dt, T, mu, horizon):
-    """Reference: the window LP solved from scratch by ``scipy.optimize.milp``.
-
-    Same constraints and cost as :func:`pe_window_min`, a new HiGHS model for
-    every call.  Returns (alpha, value).
+    """Reference: the window LP in the cumulative mass
+    (:func:`~oracles.window_rows_cumulative`), solved from scratch by
+    ``scipy.optimize.milp``: a new HiGHS model for every call, with the cost
+    sum_j g_j (F_{j+1} - F_j) / dt regrouped by F_k.  Returns (alpha, value).
     """
     g = np.asarray(g, dtype=float)
-    (indptr, indices, data), lb, ub = _window_constraints(len(g), T, mu, horizon)
-    A = scipy.sparse.csc_array((data, indices, indptr), shape=(len(lb), len(g)))
+    A, lb, ub = window_rows_cumulative(len(g), T, mu, horizon)
     cost = np.append(g[:-1] - g[1:], g[-1]) / dt
     res = scipy.optimize.milp(cost, constraints=scipy.optimize.LinearConstraint(A, lb, ub),
                               options={"presolve": False})
@@ -803,6 +757,40 @@ def test_warm_descent_constant_equals_cold_descent(monkeypatch, seed):
     assert warm.constant == cold.constant
 
 
+@pytest.mark.parametrize("n, seed", [(4096, 1), (2048, 4)])
+def test_warm_descent_on_a_fine_aligned_grid_stays_optimal(n, seed):
+    # pe-lp's class refined 16 and 8 times.  With HiGHS's dual cost
+    # perturbation on, a warm solve of such descents could end "Unknown":
+    # once the perturbation was removed, the primal clean-up found its only
+    # pivot taboo.  The descent ends, and its witnesses reproduce its
+    # constant.
+    sys, sclass = pe_lp_wave(), SignalClass.pe_windows(2.0, 0.5, 4.0)
+    est = class_constant(sys, sclass, n, OuterSearch(n_starts=2, seed=seed))
+    G = observability_gramian(sys, 0.0, sclass.horizon, est.witness_signal)
+    assert est.witness_z0 @ G @ est.witness_z0 == pytest.approx(est.constant, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, T, mu, horizon", [
+    (20, 1.3, 1.3, 3.1),  # mu == T: only the all-on signal is admissible
+    (20, 1.0, 1.0, 4.0),
+    (8, 0.1, 0.1, 2.0),
+    (16, 0.1, 0.04, 2.0),  # T < dt: both ends of a window can share a cell
+    (12, 0.2, 0.13, 3.0),
+    (16, 1.3, 0.45, 1.3),  # horizon == T: one window
+])
+def test_window_lp_edge_cases_match_the_dense_reference(n, T, mu, horizon):
+    g = np.random.default_rng(43).uniform(0.0, 1.0, n)
+    alpha, value = pe_window_min(g, _WindowLP(n, T, mu, horizon))
+    _, ref, edges, starts = dense_window_lp(g, T, mu, horizon)
+    assert abs(value - ref) <= 1e-12 * ref
+    assert_window_admissible(alpha, T, mu, horizon, starts)
+    if mu == T:
+        # the all-on signal; a cell mass that HiGHS leaves basic at dt is
+        # recomputed from the rows and reads dt to rounding
+        assert np.abs(alpha - 1.0).max() <= 1e-13
+        assert value == pytest.approx(float(g.sum()), rel=1e-13)
+
+
 def test_window_lp_model_must_match_the_grid():
     # a short cost must be refused before it reaches HiGHS
     model = _WindowLP(16, 1.0, 0.5, 2.0)
@@ -819,11 +807,18 @@ def test_window_lp_failure_raises():
 def test_highs_binding_has_every_method_the_window_lp_calls():
     # the window LP uses scipy's private HiGHS binding; a scipy release
     # without it must fail here rather than in a run
-    from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
+    from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus, HighsLp,
+                                               HighsModelStatus, HighsStatus,
                                                MatrixFormat, _Highs)
-    for name in ("setOptionValue", "passModel", "changeColsCost", "run",
-                 "getModelStatus", "modelStatusToString", "getSolution", "getNumNz"):
+    for name in ("setOptionValue", "passModel", "setBasis", "changeColsCost", "run",
+                 "getModelStatus", "modelStatusToString", "getSolution", "getNumNz",
+                 "getNumRow", "getNumCol"):
         assert callable(getattr(_Highs, name, None)), name
+    basis = HighsBasis()
+    for name in ("col_status", "row_status", "valid"):
+        assert hasattr(basis, name), name
+    assert None not in (HighsBasisStatus.kUpper, HighsBasisStatus.kBasic,
+                        HighsBasisStatus.kLower)
     lp = HighsLp()
     for name in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
                  "row_lower_", "row_upper_", "a_matrix_"):
